@@ -1,33 +1,31 @@
 // Package wireencodable checks that every concrete type flowing into
-// the broadcast wire path is actually encodable: handled by the fast
-// codec's type switches in internal/wire, or gob-registered, or
-// explicitly sanctioned at its type declaration. PR 4's fast codec
-// made this a real invariant — an unregistered payload silently falls
-// back to gob and then fails at Decode on the far side, at which point
-// the broadcaster retries forever.
+// the wire path has a codec: a tag in internal/wire's table, or an
+// explicit sanction at its type declaration. A payload without one is
+// an Encode error, which the TCP transport can only count and drop — at
+// which point the broadcaster repairs forever and a direct message is
+// simply lost.
 //
 // The encodable set is computed from the program itself, so the
-// analyzer never goes stale:
-//
-//   - the case types of the Encode and valueFast type switches in any
-//     package named "wire", and
-//   - the arguments of every gob.Register call in non-test sources.
+// analyzer never goes stale: it is the message type of every
+// wire.Register call (the parameter type of the size function handed to
+// it) in non-test sources. Basic types are always fine: the scalar
+// tags cover them.
 //
 // Checked sites:
 //
 //   - the argument of a one-argument Send call whose receiver is a
 //     broadcast.Broadcaster (pointer or value),
+//   - the payload of a three-argument Send call on a netsim.Transport,
 //   - the argument of wire.Encode,
 //   - values assigned to the payload-carrying composite-literal fields
 //     Data.Payload, DataBatch.Payloads (literal elements), and
 //     WriteOp.Value.
 //
 // Interface-typed expressions are skipped (the dynamic type is not
-// statically known); basic types are always fine (gob pre-registers
-// them and the fast codec covers the common ones). A type that is
-// deliberately simulation-internal — never serialized because the
-// in-memory netsim passes it by value — is sanctioned with
-// `//halint:allow wireencodable -- <why>` on its type declaration.
+// statically known). A type that is deliberately simulation-internal —
+// never serialized because the in-memory netsim passes it by value — is
+// sanctioned with `//halint:allow wireencodable -- <why>` on its type
+// declaration.
 package wireencodable
 
 import (
@@ -41,7 +39,7 @@ import (
 // Analyzer is the wireencodable checker.
 var Analyzer = &analysis.Analyzer{
 	Name:       "wireencodable",
-	Doc:        "broadcast/wire payloads must be fast-codec-handled or gob-registered",
+	Doc:        "broadcast/wire/transport payloads must have a codec registered with internal/wire",
 	NeedsTypes: true,
 	Run:        run,
 }
@@ -52,7 +50,7 @@ var (
 )
 
 // encodableSet computes (once per program) the set of type strings the
-// wire layer can encode.
+// wire layer can encode: the message type of every wire.Register call.
 func encodableSet(prog *analysis.Program) map[string]bool {
 	setMu.Lock()
 	defer setMu.Unlock()
@@ -64,35 +62,12 @@ func encodableSet(prog *analysis.Program) map[string]bool {
 		if !pkg.Typed() {
 			continue
 		}
-		isWire := analysis.LastSegment(pkg.BasePath()) == "wire"
 		for _, f := range pkg.Files {
-			imports := analysis.ImportNames(f)
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					if isWire && (n.Name.Name == "Encode" || n.Name.Name == "valueFast") {
-						collectSwitchTypes(pkg, n, set)
+				if call, ok := n.(*ast.CallExpr); ok {
+					if t := registeredType(pkg, call); t != nil {
+						set[typeKey(t)] = true
 					}
-					return false // registrations live in init/func bodies; re-walk below
-				}
-				return true
-			})
-			// gob.Register arguments, wherever they appear.
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) != 1 {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Register" {
-					return true
-				}
-				id, ok := sel.X.(*ast.Ident)
-				if !ok || imports[id.Name] != "encoding/gob" {
-					return true
-				}
-				if t := exprType(pkg, call.Args[0]); t != nil {
-					set[typeKey(t)] = true
 				}
 				return true
 			})
@@ -102,26 +77,34 @@ func encodableSet(prog *analysis.Program) map[string]bool {
 	return set
 }
 
-// collectSwitchTypes adds the case types of every type switch in fn.
-func collectSwitchTypes(pkg *analysis.Package, fn *ast.FuncDecl, set map[string]bool) {
-	ast.Inspect(fn, func(n ast.Node) bool {
-		ts, ok := n.(*ast.TypeSwitchStmt)
-		if !ok {
-			return true
-		}
-		for _, c := range ts.Body.List {
-			cc, ok := c.(*ast.CaseClause)
-			if !ok {
-				continue
-			}
-			for _, e := range cc.List {
-				if t := exprType(pkg, e); t != nil {
-					set[typeKey(t)] = true
-				}
-			}
-		}
-		return true
-	})
+// registeredType returns T for a call of wire.Register[T](tag, size,
+// append, decode), written with or without the package qualifier and
+// the type argument, and nil for any other call. T is read off the size
+// function's parameter, which is there however the call is written.
+func registeredType(pkg *analysis.Package, call *ast.CallExpr) types.Type {
+	fun := call.Fun
+	if ix, ok := fun.(*ast.IndexExpr); ok {
+		fun = ix.X
+	}
+	var id *ast.Ident
+	switch fn := fun.(type) {
+	case *ast.Ident:
+		id = fn
+	case *ast.SelectorExpr:
+		id = fn.Sel
+	}
+	if id == nil || id.Name != "Register" || len(call.Args) != 4 {
+		return nil
+	}
+	obj, ok := pkg.Info.Uses[id].(*types.Func)
+	if !ok || obj.Pkg() == nil || analysis.LastSegment(obj.Pkg().Path()) != "wire" {
+		return nil
+	}
+	sig, ok := exprType(pkg, call.Args[1]).(*types.Signature)
+	if !ok || sig.Params().Len() != 1 {
+		return nil
+	}
+	return sig.Params().At(0).Type()
 }
 
 // exprType resolves an expression's type from the package's own Info
@@ -137,11 +120,8 @@ func exprType(pkg *analysis.Package, e ast.Expr) types.Type {
 	return tv.Type
 }
 
-// typeKey normalizes a type to its lookup string (defaulting untyped
-// constants so `gob.Register("")` sanctions string).
-func typeKey(t types.Type) string {
-	return types.TypeString(types.Default(t), nil)
-}
+// typeKey normalizes a type to its lookup string.
+func typeKey(t types.Type) string { return types.TypeString(t, nil) }
 
 func run(pass *analysis.Pass) error {
 	set := encodableSet(pass.Prog)
@@ -160,18 +140,23 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkCall inspects Broadcaster.Send and wire.Encode arguments.
+// checkCall inspects Broadcaster.Send, Transport.Send and wire.Encode
+// arguments.
 func checkCall(pass *analysis.Pass, set map[string]bool, imports map[string]string, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 1 {
+	if !ok {
 		return
 	}
-	switch sel.Sel.Name {
-	case "Send":
-		if recvIsBroadcaster(pass, sel.X) {
+	switch {
+	case sel.Sel.Name == "Send" && len(call.Args) == 1:
+		if recvIs(pass, sel.X, "broadcast", "Broadcaster") {
 			checkPayload(pass, set, call.Args[0], "Broadcaster.Send payload")
 		}
-	case "Encode":
+	case sel.Sel.Name == "Send" && len(call.Args) == 3:
+		if recvIs(pass, sel.X, "netsim", "Transport") {
+			checkPayload(pass, set, call.Args[2], "Transport.Send payload")
+		}
+	case sel.Sel.Name == "Encode" && len(call.Args) == 1:
 		if id, ok := sel.X.(*ast.Ident); ok {
 			if path, imported := imports[id.Name]; imported && analysis.LastSegment(path) == "wire" {
 				checkPayload(pass, set, call.Args[0], "wire.Encode payload")
@@ -180,9 +165,9 @@ func checkCall(pass *analysis.Pass, set map[string]bool, imports map[string]stri
 	}
 }
 
-// recvIsBroadcaster reports whether the expression is a (pointer to a)
-// Broadcaster from a package named broadcast.
-func recvIsBroadcaster(pass *analysis.Pass, recv ast.Expr) bool {
+// recvIs reports whether the expression is a (pointer to a) value of
+// the named type from a package with the given last path segment.
+func recvIs(pass *analysis.Pass, recv ast.Expr, pkg, name string) bool {
 	t := pass.TypeOf(recv)
 	if t == nil {
 		return false
@@ -195,15 +180,14 @@ func recvIsBroadcaster(pass *analysis.Pass, recv ast.Expr) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Broadcaster" && obj.Pkg() != nil &&
-		analysis.LastSegment(obj.Pkg().Path()) == "broadcast"
+	return obj.Name() == name && obj.Pkg() != nil && analysis.LastSegment(obj.Pkg().Path()) == pkg
 }
 
 // payloadFields maps checked composite-literal types to the field that
 // carries an encodable payload. DataBatch.Payloads holds a slice whose
-// literal elements are each checked. SnapshotOffer.State is
-// deliberately absent: it is an opaque []byte the application layer
-// owns.
+// literal elements are each checked. SnapshotOffer.State is absent: the
+// application hands it over as an `any`, which nothing static can see
+// through.
 var payloadFields = map[string]string{
 	"Data":      "Payload",
 	"DataBatch": "Payloads",
@@ -270,14 +254,11 @@ func checkPayload(pass *analysis.Pass, set map[string]bool, expr ast.Expr, site 
 			return
 		}
 		pass.Reportf(expr.Pos(),
-			"%s of type %s is neither fast-codec-handled nor gob-registered: add it to internal/wire RegisterDefaults (or gob.Register it where it is defined), or mark its type declaration //halint:allow wireencodable -- <why>",
+			"%s of type %s has no wire codec: wire.Register one next to the type (DESIGN.md, \"adding a message type\"), or mark its type declaration //halint:allow wireencodable -- <why>",
 			site, typeKey(t))
 	case *types.Pointer:
-		if set[typeKey(t)] {
-			return
-		}
 		pass.Reportf(expr.Pos(),
-			"%s is a pointer (%s): wire payloads travel by value; dereference it or gob.Register the pointer type",
+			"%s is a pointer (%s): wire payloads travel by value; dereference it",
 			site, typeKey(t))
 	}
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // TestFixtures proves the analyzer derives the encodable set from the
-// fixture wire package's type switches and gob.Register calls, flags
-// unregistered payloads at every checked site, and honors both the
-// type-declaration allow directive and local registrations.
+// wire.Register calls of the fixture packages (however the call is
+// written), flags unregistered payloads at every checked site, and
+// honors both the type-declaration allow directive and registrations
+// made next to the type.
 func TestFixtures(t *testing.T) {
 	analysistest.Run(t, analysistest.Testdata(t), wireencodable.Analyzer,
-		"app", "broadcast", "txn", "wire")
+		"app", "broadcast", "netsim", "txn", "wire")
 }

@@ -1,18 +1,41 @@
 package baselines
 
 import (
-	"encoding/gob"
 	"sort"
 
 	"fragdb/internal/broadcast"
 	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
 	"fragdb/internal/simtime"
+	"fragdb/internal/wire"
 )
 
 // Entries ride the shared broadcaster like any other payload, so the
-// wire layer must be able to encode them (halint: wireencodable).
-func init() { gob.Register(Entry{}) }
+// wire layer must be able to encode them for netsim's byte accounting
+// (halint: wireencodable). Tags 0x38–0x3f are this package's.
+func init() {
+	wire.Register(0x38,
+		func(e Entry) int {
+			return wire.SizeNodeID(e.Node) + wire.SizeUvarint(e.Seq) + wire.SizeVarint(int64(e.Stamp)) +
+				wire.SizeVarint(int64(e.Op)) + wire.SizeString(e.Acct) + wire.SizeVarint(e.Amount) +
+				wire.SizeNodeID(e.RefNode) + wire.SizeUvarint(e.RefSeq)
+		},
+		func(b []byte, e Entry) []byte {
+			b = wire.AppendNodeID(b, e.Node)
+			b = wire.AppendUvarint(b, e.Seq)
+			b = wire.AppendVarint(b, int64(e.Stamp))
+			b = wire.AppendVarint(b, int64(e.Op))
+			b = wire.AppendString(b, e.Acct)
+			b = wire.AppendVarint(b, e.Amount)
+			b = wire.AppendNodeID(b, e.RefNode)
+			return wire.AppendUvarint(b, e.RefSeq)
+		},
+		func(r *wire.Reader) Entry {
+			return Entry{Node: r.NodeID(), Seq: r.Uvarint(), Stamp: simtime.Time(r.Varint()),
+				Op: Op(r.Varint()), Acct: r.Str(), Amount: r.Varint(),
+				RefNode: r.NodeID(), RefSeq: r.Uvarint()}
+		})
+}
 
 // Entry is one log record of the log-transformation baseline: a banking
 // operation executed somewhere in the system. (Node, Seq) identifies it

@@ -402,8 +402,8 @@ func (n *Node) handleTransport(from netsim.NodeID, payload any) {
 }
 
 // SetAppHandler installs the application-layer handler for transport
-// payloads the engine itself does not recognize. Payload types must be
-// gob-registered for real deployments (see wiretypes.go's contract).
+// payloads the engine itself does not recognize. Payload types need a
+// wire codec for real deployments (see wiretypes.go's contract).
 func (n *Node) SetAppHandler(fn func(from netsim.NodeID, payload any)) {
 	n.appHandler = fn
 }

@@ -107,7 +107,11 @@ func (e *execGate) set(l *rtnet.Loop) {
 // New assembles a node over an already-built transport (whose handler
 // invocations will be routed through the node's loop) and starts its
 // loop. raw must span len(cfg.Addrs) nodes.
-func New(cfg Config, raw netsim.Transport) (*Node, error) {
+func New(cfg Config, raw netsim.Transport) (*Node, error) { return build(cfg, raw, nil) }
+
+// build is New with a hook over the engine configuration, for tests
+// that need engine settings a deployment does not expose.
+func build(cfg Config, raw netsim.Transport, tune func(*core.Config)) (*Node, error) {
 	readLock, acyclic, err := ParseOption(cfg.Option)
 	if err != nil {
 		return nil, err
@@ -127,19 +131,23 @@ func New(cfg Config, raw netsim.Transport) (*Node, error) {
 		cfg.TraceCap = 0
 	}
 	gate := &execGate{}
+	engine := core.Config{
+		N:              len(cfg.Addrs),
+		Seed:           cfg.Seed,
+		OpLatency:      simtime.Duration(cfg.OpLatency),
+		TxnTimeout:     simtime.Duration(cfg.TxnTimeout),
+		MajorityCommit: cfg.MajorityCommit,
+		TraceCap:       cfg.TraceCap,
+		LabeledMetrics: true,
+		Transport:      rtnet.ExecTransport{Transport: raw, Exec: gate.run},
+		SingleNode:     true,
+		LocalNode:      netsim.NodeID(cfg.ID),
+	}
+	if tune != nil {
+		tune(&engine)
+	}
 	lv, err := workload.NewLive(workload.LiveConfig{
-		Cluster: core.Config{
-			N:              len(cfg.Addrs),
-			Seed:           cfg.Seed,
-			OpLatency:      simtime.Duration(cfg.OpLatency),
-			TxnTimeout:     simtime.Duration(cfg.TxnTimeout),
-			MajorityCommit: cfg.MajorityCommit,
-			TraceCap:       cfg.TraceCap,
-			LabeledMetrics: true,
-			Transport:      rtnet.ExecTransport{Transport: raw, Exec: gate.run},
-			SingleNode:     true,
-			LocalNode:      netsim.NodeID(cfg.ID),
-		},
+		Cluster:        engine,
 		CentralNode:    0,
 		Accounts:       cfg.Accounts,
 		ReadLockOption: readLock,

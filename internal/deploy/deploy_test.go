@@ -25,9 +25,69 @@ type clusterOutcome struct {
 	balances    int64
 }
 
-// buildCluster assembles n deployment nodes over the requested
-// transport kind ("loopback" or "tcp") and registers cleanup.
-func buildCluster(t *testing.T, n int, kind string) []*Node {
+// listen binds n loopback TCP listeners on free ports.
+func listen(t *testing.T, n int) ([]net.Listener, []string) {
+	t.Helper()
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+		addrs[i] = ln.Addr().String()
+	}
+	return lns, addrs
+}
+
+// sendTap counts, by Go type, the payloads a node hands its transport
+// for another node: evidence of which messages crossed the wire.
+type sendTap struct {
+	netsim.Transport
+	mu   sync.Mutex
+	sent map[string]int
+}
+
+func (s *sendTap) Send(from, to netsim.NodeID, payload any) {
+	if from != to {
+		s.mu.Lock()
+		s.sent[fmt.Sprintf("%T", payload)]++
+		s.mu.Unlock()
+	}
+	s.Transport.Send(from, to, payload)
+}
+
+// tcpCluster assembles n deployment nodes over real TCP sockets with a
+// sendTap in front of each transport, applying tune (if any) to every
+// engine configuration, and registers cleanup.
+func tcpCluster(t *testing.T, n int, option string, tune func(*core.Config)) ([]*Node, []*sendTap) {
+	t.Helper()
+	lns, addrs := listen(t, n)
+	nodes := make([]*Node, n)
+	taps := make([]*sendTap, n)
+	for i := 0; i < n; i++ {
+		tcp, err := rtnet.NewTCP(rtnet.TCPConfig{Local: netsim.NodeID(i), Addrs: addrs, Listener: lns[i]})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		taps[i] = &sendTap{Transport: tcp, sent: make(map[string]int)}
+		nd, err := build(Config{ID: i, Addrs: addrs, Option: option, Accounts: n, Seed: int64(i + 1)}, taps[i], tune)
+		if err != nil {
+			tcp.Close()
+			t.Fatalf("node %d: %v", i, err)
+		}
+		nd.TCP = tcp
+		nodes[i] = nd
+		t.Cleanup(nd.Close)
+	}
+	return nodes, taps
+}
+
+// buildCluster assembles n deployment nodes under the given control
+// option over the requested transport kind ("loopback" or "tcp") and
+// registers cleanup.
+func buildCluster(t *testing.T, n int, kind, option string) []*Node {
 	t.Helper()
 	nodes := make([]*Node, n)
 	switch kind {
@@ -39,7 +99,7 @@ func buildCluster(t *testing.T, n int, kind string) []*Node {
 			addrs[i] = fmt.Sprintf("loopback-%d", i)
 		}
 		for i := 0; i < n; i++ {
-			nd, err := New(Config{ID: i, Addrs: addrs, Accounts: n, Seed: int64(i + 1)}, shared)
+			nd, err := New(Config{ID: i, Addrs: addrs, Option: option, Accounts: n, Seed: int64(i + 1)}, shared)
 			if err != nil {
 				t.Fatalf("node %d: %v", i, err)
 			}
@@ -47,18 +107,9 @@ func buildCluster(t *testing.T, n int, kind string) []*Node {
 			t.Cleanup(nd.Close)
 		}
 	case "tcp":
-		lns := make([]net.Listener, n)
-		addrs := make([]string, n)
-		for i := range lns {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			lns[i] = ln
-			addrs[i] = ln.Addr().String()
-		}
+		lns, addrs := listen(t, n)
 		for i := 0; i < n; i++ {
-			nd, err := NewTCP(Config{ID: i, Addrs: addrs, Accounts: n, Seed: int64(i + 1), Listener: lns[i]})
+			nd, err := NewTCP(Config{ID: i, Addrs: addrs, Option: option, Accounts: n, Seed: int64(i + 1), Listener: lns[i]})
 			if err != nil {
 				t.Fatalf("node %d: %v", i, err)
 			}
@@ -75,9 +126,16 @@ func buildCluster(t *testing.T, n int, kind string) []*Node {
 // over the given transport kind and returns the converged outcome.
 func runScenario(t *testing.T, kind string) clusterOutcome {
 	t.Helper()
-	const n = 3
+	return drive(t, kind, buildCluster(t, 3, kind, ""), false)
+}
+
+// drive runs the workload against nodes and waits for every replica to
+// converge. With remoteBump each node's bumps go to its successor's
+// counter, so they execute at another node.
+func drive(t *testing.T, kind string, nodes []*Node, remoteBump bool) clusterOutcome {
+	t.Helper()
+	n := len(nodes)
 	const rounds = 8
-	nodes := buildCluster(t, n, kind)
 
 	var wg sync.WaitGroup
 	var commits, deposits, withdrawals, bumps, enqueues atomic.Int64
@@ -95,13 +153,18 @@ func runScenario(t *testing.T, kind string) clusterOutcome {
 		for i := 0; i < n; i++ {
 			nd := nodes[i]
 			acct := workload.LiveAccount(i)
+			bump := Op{Kind: "bump", Amount: 1}
+			if remoteBump {
+				next := (i + 1) % n
+				bump.Counter = &next
+			}
 			ops := []struct {
 				op   Op
 				done func(core.TxnResult)
 			}{
 				{Op{Kind: "deposit", Account: acct, Amount: 50}, track(&deposits, 50)},
 				{Op{Kind: "withdraw", Account: acct, Amount: 30}, track(&withdrawals, 30)},
-				{Op{Kind: "bump", Amount: 1}, track(&bumps, 1)},
+				{bump, track(&bumps, 1)},
 				{Op{Kind: "enqueue", Item: fmt.Sprintf("it-%d-%d", round, i)}, track(&enqueues, 1)},
 			}
 			for _, o := range ops {
@@ -175,7 +238,7 @@ func runScenario(t *testing.T, kind string) clusterOutcome {
 
 // TestLoopbackTCPEquivalence runs the same 3-node bank/counter/queue
 // workload once over the in-process loopback transport and once over
-// real TCP sockets (gob frames, reconnecting peers) and demands the
+// real TCP sockets (codec frames, reconnecting peers) and demands the
 // identical outcome: same commits, same converged totals. This is the
 // check that the TCP path — codec, framing, connection management,
 // loop-threaded delivery — preserves engine semantics exactly.
@@ -184,5 +247,125 @@ func TestLoopbackTCPEquivalence(t *testing.T) {
 	tcp := runScenario(t, "tcp")
 	if loop != tcp {
 		t.Fatalf("transports diverged:\n loopback: %+v\n tcp:      %+v", loop, tcp)
+	}
+}
+
+// TestReadLocksRemoteOverTCP puts the blocking-path messages on real
+// sockets: under the read-locks option a withdrawal away from the
+// central office takes a remote read lock on its balance (request,
+// grant, release), and every bump is aimed at the successor's counter,
+// so it is forwarded there and answered. All of it must commit and
+// converge, the five message types must be seen leaving for another
+// node, and no frame may fail to encode or decode.
+func TestReadLocksRemoteOverTCP(t *testing.T) {
+	nodes, taps := tcpCluster(t, 3, "read-locks", nil)
+	out := drive(t, "tcp/read-locks", nodes, true)
+	if out.counter != 8*3 {
+		t.Fatalf("forwarded bumps committed: %d, want %d", out.counter, 8*3)
+	}
+	sent := make(map[string]int)
+	for _, tap := range taps {
+		tap.mu.Lock()
+		for typ, c := range tap.sent {
+			sent[typ] += c
+		}
+		tap.mu.Unlock()
+	}
+	for _, typ := range []string{
+		"core.lockReqMsg", "core.lockGrantMsg", "core.lockReleaseMsg",
+		"workload.liveOpMsg", "workload.liveOpReplyMsg",
+	} {
+		if sent[typ] == 0 {
+			t.Errorf("no %s crossed the transport; sent: %v", typ, sent)
+		}
+	}
+	for i, nd := range nodes {
+		st := nd.TCP.Stats()
+		if s, r := st.SendDropped.Load(), st.RecvDropped.Load(); s != 0 || r != 0 {
+			t.Errorf("node %d: %d sends and %d receives dropped (a payload failed to encode or decode)", i, s, r)
+		}
+	}
+}
+
+// TestSnapshotOfferInstallsAcrossTCP: node 2 is cut off while the
+// others commit and compact their broadcast logs past its prefix, so
+// after the heal it cannot be repaired entry by entry: a peer sends a
+// SnapshotOffer whose state is a core.nodeSnap, which has to survive
+// the codec for node 2 to install it and converge.
+func TestSnapshotOfferInstallsAcrossTCP(t *testing.T) {
+	const n = 3
+	nodes, taps := tcpCluster(t, n, "", func(c *core.Config) {
+		c.Compaction = true
+		c.CompactRetain = 2
+		c.PeerLiveRounds = 2
+		c.GossipInterval = 5 * time.Millisecond
+	})
+	for i := 0; i < 2; i++ {
+		if err := nodes[i].SetPeerDrop(2, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nodes[2].SetPeerDrop(0, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[2].SetPeerDrop(1, true); err != nil {
+		t.Fatal(err)
+	}
+
+	const bumps = 40
+	var wg sync.WaitGroup
+	var committed atomic.Int64
+	for k := 0; k < bumps; k++ {
+		wg.Add(1)
+		if err := nodes[k%2].Do(Op{Kind: "bump", Amount: 1}, func(r core.TxnResult) {
+			defer wg.Done()
+			if r.Committed {
+				committed.Add(1)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if committed.Load() != bumps {
+		t.Fatalf("%d/%d bumps committed on the connected side", committed.Load(), bumps)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	waitFor("the connected side to compact its logs", func() bool {
+		return nodes[0].Live.Cluster().BroadcastStats().CompactedSeqs.Load() > 0 &&
+			nodes[1].Live.Cluster().BroadcastStats().CompactedSeqs.Load() > 0
+	})
+
+	for i := 0; i < 2; i++ {
+		nodes[i].SetPeerDrop(2, false)
+		nodes[2].SetPeerDrop(i, false)
+	}
+	waitFor("node 2 to install a snapshot", func() bool {
+		return nodes[2].Live.Cluster().BroadcastStats().SnapshotsInstalled.Load() > 0
+	})
+	waitFor("node 2 to converge on the counter total", func() bool {
+		var total int64
+		if err := nodes[2].Inspect(func() { total = nodes[2].Live.CounterTotal(2) }); err != nil {
+			t.Fatal(err)
+		}
+		return total == bumps
+	})
+	offers := 0
+	for _, tap := range taps[:2] {
+		tap.mu.Lock()
+		offers += tap.sent["broadcast.SnapshotOffer"]
+		tap.mu.Unlock()
+	}
+	if offers == 0 {
+		t.Error("node 2 installed a snapshot but no SnapshotOffer left nodes 0 or 1")
 	}
 }

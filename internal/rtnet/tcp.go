@@ -23,7 +23,12 @@ import (
 // decode) — the magic merely filters out misdirected clients early.
 var tcpMagic = [4]byte{'f', 'r', 'a', 'g'}
 
-const tcpVersion = 1
+// tcpVersion names the wire format: internal/wire's tag table and the
+// field layout behind each tag. Bump it when a tag changes meaning, so
+// a peer from another tree is refused here, once, rather than accepted
+// and dropped at its first undecodable frame on every reconnect.
+// 2: one tag+varint codec for every message (1 had gob behind tag 0).
+const tcpVersion = 2
 
 // TCPConfig configures a TCP transport for one node of a cluster.
 type TCPConfig struct {
@@ -231,12 +236,11 @@ func (t *TCP) Send(from, to netsim.NodeID, payload any) {
 		}
 		return
 	}
-	b, err := wire.Encode(payload)
+	frame, err := wire.EncodeFrame(payload)
 	if err != nil {
 		t.stats.SendDropped.Add(1)
 		return
 	}
-	frame := wire.AppendFrame(make([]byte, 0, len(b)+wire.FrameOverhead(len(b))), b)
 	select {
 	case t.peers[to].q <- frame:
 	default:

@@ -142,12 +142,19 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 // dialHello opens a raw client connection with a valid handshake.
 func dialHello(t *testing.T, addr string, id uint64) net.Conn {
 	t.Helper()
+	return dialHelloVersion(t, addr, id, tcpVersion)
+}
+
+// dialHelloVersion handshakes as a peer speaking the given wire format
+// version.
+func dialHelloVersion(t *testing.T, addr string, id uint64, version byte) net.Conn {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hello := append([]byte{}, tcpMagic[:]...)
-	hello = append(hello, tcpVersion)
+	hello = append(hello, version)
 	hello = binary.AppendUvarint(hello, id)
 	if _, err := conn.Write(hello); err != nil {
 		t.Fatal(err)
@@ -188,6 +195,50 @@ func TestTCPConnResetMidFrame(t *testing.T) {
 	ts[0].Send(0, 1, "real")
 	if !waitFor(t, func() bool { return c.len() == 1 }, 5*time.Second) {
 		t.Fatal("delivery broken after mid-frame reset")
+	}
+}
+
+// TestTCPVersionMismatchRefusedAtHandshake: a peer built from a tree
+// with another wire format (version 1 framed gob envelopes behind tag
+// 0) is turned away by the handshake — one connection error, nothing
+// decoded, nothing delivered — instead of being accepted and killed on
+// its first undecodable frame, reconnect after reconnect.
+func TestTCPVersionMismatchRefusedAtHandshake(t *testing.T) {
+	ts, addrs := newTCPCluster(t, 2)
+	var c collector
+	ts[1].SetHandler(1, c.handler)
+
+	conn := dialHelloVersion(t, addrs[1], 0, tcpVersion-1)
+	defer conn.Close()
+	frame, err := wire.EncodeFrame("from-the-past")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The listener may already have hung up; a failed write is fine.
+	_, _ = conn.Write(frame)
+	if !waitFor(t, func() bool { return ts[1].Stats().ConnErrors.Load() == 1 }, 5*time.Second) {
+		t.Fatal("mismatched version not counted as a connection error")
+	}
+	// The refused connection is closed from the listener's side.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("listener kept a mismatched-version connection open")
+	}
+	stats := ts[1].Stats()
+	if n := stats.FramesRecv.Load(); n != 0 {
+		t.Errorf("%d frames read from a mismatched-version peer", n)
+	}
+	if c.len() != 0 {
+		t.Errorf("%d deliveries from a mismatched-version peer", c.len())
+	}
+
+	// Peers of the current version are unaffected.
+	ts[0].Send(0, 1, "current")
+	if !waitFor(t, func() bool { return c.len() == 1 }, 5*time.Second) {
+		t.Fatal("delivery broken after a refused handshake")
+	}
+	if n := ts[1].Stats().ConnErrors.Load(); n != 1 {
+		t.Errorf("ConnErrors = %d, want the one refused handshake", n)
 	}
 }
 

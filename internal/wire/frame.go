@@ -45,8 +45,17 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// FrameOverhead reports the prefix size a payload of n bytes carries.
-func FrameOverhead(n int) int { return sizeUvarint(uint64(n)) }
+// EncodeFrame encodes payload as one frame, AppendFrame(nil,
+// Encode(payload)) in a single exact-sized allocation.
+func EncodeFrame(payload any) ([]byte, error) {
+	c, n, err := plan(payload)
+	if err != nil {
+		return nil, err
+	}
+	frame := make([]byte, 0, SizeUvarint(uint64(n))+n)
+	frame = binary.AppendUvarint(frame, uint64(n))
+	return c.appendTo(frame, payload), nil
+}
 
 // ReadFrame reads one frame from r, returning its payload. The length
 // prefix is validated against maxFrame (MaxFrameDefault when <= 0)

@@ -86,29 +86,6 @@ func TestFrameTruncationAndCorruption(t *testing.T) {
 	})
 }
 
-func TestFrameCarriesEncodedMessages(t *testing.T) {
-	// End-to-end shape of the TCP transport's stream: Encode, frame,
-	// read back, Decode.
-	var stream []byte
-	for _, p := range corpusPayloads() {
-		b, err := Encode(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream = AppendFrame(stream, b)
-	}
-	r := bufio.NewReader(bytes.NewReader(stream))
-	for i := range corpusPayloads() {
-		b, err := ReadFrame(r, 0)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if _, err := Decode(b); err != nil {
-			t.Fatalf("frame %d decode: %v", i, err)
-		}
-	}
-}
-
 // FuzzReadFrame feeds arbitrary byte streams to the frame parser: it
 // must never allocate beyond the cap (enforced structurally: the test
 // cap is tiny, so any accepted payload is tiny) and never panic, and

@@ -1,4 +1,4 @@
-package wire
+package wire_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 	"fragdb/internal/broadcast"
 	"fragdb/internal/netsim"
 	"fragdb/internal/txn"
+	"fragdb/internal/wire"
 )
 
 // corpusPayloads are representative protocol messages: their encodings
@@ -38,10 +39,11 @@ func corpusPayloads() []any {
 
 // FuzzDecode feeds arbitrary bytes to Decode: it must either return an
 // error or a payload that re-encodes and re-decodes stably — never
-// panic. The seed corpus is built from real encoded messages.
+// panic. The seed corpus is built from real encoded messages, at least
+// one per registered tag.
 func FuzzDecode(f *testing.F) {
-	for _, p := range corpusPayloads() {
-		b, err := Encode(p)
+	for _, p := range append(corpusPayloads(), tableSamples(f)...) {
+		b, err := wire.Encode(p)
 		if err != nil {
 			f.Fatalf("seeding corpus: %v", err)
 		}
@@ -57,24 +59,21 @@ func FuzzDecode(f *testing.F) {
 		f.Add(hostile)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<16 {
-			return // gob can allocate proportionally; bound the input
-		}
-		v, err := Decode(data)
+		v, err := wire.Decode(data)
 		if err != nil {
 			return // rejected, fine
 		}
 		// Accepted payloads must round-trip: encode/decode is how every
 		// byte-shipping transport would relay them.
-		b2, err := Encode(v)
+		b2, err := wire.Encode(v)
 		if err != nil {
 			t.Fatalf("decoded %T but cannot re-encode: %v", v, err)
 		}
-		v2, err := Decode(b2)
+		v2, err := wire.Decode(b2)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded %T failed: %v", v, err)
 		}
-		b3, err := Encode(v2)
+		b3, err := wire.Encode(v2)
 		if err != nil {
 			t.Fatalf("second re-encode of %T failed: %v", v2, err)
 		}
@@ -90,6 +89,16 @@ func FuzzDecode(f *testing.F) {
 // of a valid message at every prefix-interesting point.
 func hostileLengthCorpus() [][]byte {
 	big := binary.AppendUvarint(nil, 1<<60)
+	tagOf := func(v any) byte {
+		b, err := wire.Encode(v)
+		if err != nil {
+			panic(err)
+		}
+		return b[0]
+	}
+	tagQuasi, tagData := tagOf(txn.Quasi{}), tagOf(broadcast.Data{})
+	tagBatch, tagDigest := tagOf(broadcast.DataBatch{}), tagOf(broadcast.Digest{})
+	tagString := tagOf("")
 	var out [][]byte
 	// tagQuasi, origin 0, seq 0, then a fragment-name length of 2^60.
 	out = append(out, append([]byte{tagQuasi, 0x00, 0x00}, big...))
@@ -102,9 +111,9 @@ func hostileLengthCorpus() [][]byte {
 	// tagDigest declaring 2^60 Have entries.
 	out = append(out, append([]byte{tagDigest, 0x01}, big...))
 	// tagData whose string value declares 2^60 bytes.
-	out = append(out, append([]byte{tagData, 0x00, 0x00, valString}, big...))
+	out = append(out, append([]byte{tagData, 0x00, 0x00, tagString}, big...))
 	// Truncations of a real message at every length.
-	full, err := Encode(corpusPayloads()[0])
+	full, err := wire.Encode(corpusPayloads()[0])
 	if err == nil {
 		for i := 1; i < len(full); i += 3 {
 			out = append(out, full[:i])
@@ -116,15 +125,12 @@ func hostileLengthCorpus() [][]byte {
 // TestHostileLengthsRejected runs the hostile corpus directly (the
 // fuzzer seeds are only exercised under -fuzz): every entry must be
 // rejected with an error, not a panic or a giant allocation.
+// (TestEveryRegisteredType plants the same hostile length at every
+// offset of every registered type's encoding.)
 func TestHostileLengthsRejected(t *testing.T) {
 	for i, b := range hostileLengthCorpus() {
-		if v, err := Decode(b); err == nil {
-			// Truncated prefixes can legitimately decode when the cut
-			// lands on a message boundary; hostile declared-length
-			// entries never can.
-			if i < 5 {
-				t.Errorf("hostile entry %d (%x) decoded to %T, want error", i, b, v)
-			}
+		if v, err := wire.Decode(b); err == nil {
+			t.Errorf("hostile entry %d (%x) decoded to %T, want error", i, b, v)
 		}
 	}
 }
@@ -133,15 +139,15 @@ func TestHostileLengthsRejected(t *testing.T) {
 // every seeded payload must round-trip through Encode/Decode.
 func TestEncodedCorpusRoundTrips(t *testing.T) {
 	for _, p := range corpusPayloads() {
-		b, err := Encode(p)
+		b, err := wire.Encode(p)
 		if err != nil {
 			t.Fatalf("encode %T: %v", p, err)
 		}
-		v, err := Decode(b)
+		v, err := wire.Decode(b)
 		if err != nil {
 			t.Fatalf("decode %T: %v", p, err)
 		}
-		b2, err := Encode(v)
+		b2, err := wire.Encode(v)
 		if err != nil {
 			t.Fatalf("re-encode %T: %v", v, err)
 		}

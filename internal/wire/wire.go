@@ -1,29 +1,39 @@
 // Package wire provides the codec for the messages the system
 // exchanges, so experiments can account for real wire sizes (the 1986
 // testbed's point-to-point links are simulated, but the bytes that
-// would cross them are measured from actual encodings, not guesses).
+// would cross them are measured from actual encodings, not guesses)
+// and so a real deployment can ship them between processes.
 //
-// Encodings carry a one-byte format tag. The hot propagation types —
-// txn.Quasi, broadcast.Data, broadcast.DataBatch, broadcast.Digest —
-// take a hand-rolled binary fast path (varint fields, one exact-sized
-// allocation per message, no reflection); everything else, and hot
-// types holding payload values the fast path cannot represent, falls
-// back to gob behind tag 0. Size computes the fast-path size
-// analytically without encoding at all, and memoizes unencodable
-// payload types, so per-message byte accounting (netsim.WithSizeFunc,
-// the broadcast LogBytes gauge) costs nanoseconds instead of a full
-// encode per call.
+// There is one format: a tag byte, then the message's fields as
+// varints and length-prefixed strings, hand-rolled per type (one
+// exact-sized allocation per message, no reflection over fields). The
+// same tag space serves a whole encoding and an `any`-typed payload
+// slot inside one (Data.Payload, DataBatch.Payloads elements,
+// SnapshotOffer.State), so a nested message is encoded exactly as it
+// would be alone.
+//
+// Every message type has one entry in one table, keyed by tag for
+// Decode and by concrete type for Encode and Size. This package
+// registers the types it can import (txn.Quasi and the broadcast
+// envelopes); a package that owns other message types registers them
+// next to their declaration with Register, building their codecs from
+// the exported Size*/Append* functions and Reader methods. A type
+// without an entry is an Encode error and Size 0: that is what the
+// simulation-only messages are, which ride netsim by value.
+//
+// Size computes the encoded size analytically without encoding, so
+// per-message byte accounting (netsim.WithSizeFunc, the broadcast
+// LogBytes gauge) costs nanoseconds.
 package wire
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/bits"
 	"reflect"
-	"sync"
+	"slices"
 
 	"fragdb/internal/broadcast"
 	"fragdb/internal/fragments"
@@ -32,421 +42,438 @@ import (
 	"fragdb/internal/txn"
 )
 
-// Format tags: the first byte of every encoding.
+// Tags: the first byte of every encoding and of every payload slot.
+// 0x00–0x05 are the scalar values, 0x06–0x0f the messages this package
+// owns, and the rest is handed out in ranges to the registering
+// packages (DESIGN.md holds the table).
 const (
-	tagGob    byte = 0x00 // gob-encoded envelope follows
-	tagQuasi  byte = 0x01
-	tagData   byte = 0x02
-	tagBatch  byte = 0x03
-	tagDigest byte = 0x04
+	tagNil    byte = 0x00
+	tagBool   byte = 0x01
+	tagInt    byte = 0x02
+	tagInt64  byte = 0x03
+	tagUint64 byte = 0x04
+	tagString byte = 0x05
+
+	tagQuasi    byte = 0x06
+	tagData     byte = 0x07
+	tagBatch    byte = 0x08
+	tagDigest   byte = 0x09
+	tagSnapshot byte = 0x0a
 )
 
-// Value tags for `any`-typed payload slots (WriteOp.Value,
-// Data.Payload, DataBatch.Payloads elements).
-const (
-	valNil    byte = 0x00
-	valBool   byte = 0x01
-	valInt    byte = 0x02
-	valInt64  byte = 0x03
-	valUint64 byte = 0x04
-	valString byte = 0x05
-	valQuasi  byte = 0x06
+// ---- the table -------------------------------------------------------
+
+// codec is one message type's entry.
+type codec struct {
+	tag    byte
+	typ    reflect.Type
+	size   func(v any) int
+	append func(b []byte, v any) []byte
+	decode func(r *Reader) any
+}
+
+// Filled by Register during package initialization, read-only after.
+var (
+	byTag  [256]*codec
+	byType = map[reflect.Type]*codec{}
 )
 
-// envelope wraps payloads so heterogeneous message types decode through
-// a single interface field on the gob fallback path.
-type envelope struct {
-	P any
-}
-
-var registerOnce sync.Once
-
-// RegisterDefaults registers the exported message types of the protocol
-// stack with gob. Call before Encode/Decode/Size; it is idempotent.
-func RegisterDefaults() {
-	registerOnce.Do(func() {
-		gob.Register(txn.Quasi{})
-		gob.Register(txn.WriteOp{})
-		gob.Register(broadcast.Data{})
-		gob.Register(broadcast.DataBatch{})
-		gob.Register(broadcast.Digest{})
-		// SnapshotOffer itself is registered; its State field may hold an
-		// unexported application type, in which case Size reports 0 for
-		// the offer (the simulation never ships real bytes).
-		gob.Register(broadcast.SnapshotOffer{})
-		gob.Register(int64(0))
-		gob.Register("")
-		gob.Register(true)
-	})
-}
-
-// Encode serializes a payload: fast path for the hot propagation types,
-// gob for everything else.
-func Encode(payload any) ([]byte, error) {
-	switch m := payload.(type) {
-	case txn.Quasi:
-		if quasiFast(m) {
-			out := make([]byte, 1, 1+sizeQuasi(m))
-			out[0] = tagQuasi
-			return appendQuasi(out, m), nil
-		}
-	case broadcast.Data:
-		if valueFast(m.Payload) {
-			out := make([]byte, 1, 1+sizeData(m))
-			out[0] = tagData
-			return appendData(out, m), nil
-		}
-	case broadcast.DataBatch:
-		if batchFast(m) {
-			out := make([]byte, 1, 1+sizeBatch(m))
-			out[0] = tagBatch
-			return appendBatch(out, m), nil
-		}
-	case broadcast.Digest:
-		out := make([]byte, 1, 1+sizeDigest(m))
-		out[0] = tagDigest
-		return appendDigest(out, m), nil
+// Register enters message type T in the codec table under tag. size
+// reports the exact length of what app appends, or a negative number
+// if v holds a value that cannot be encoded (see SizeScalar); app is
+// only called on a v whose size was non-negative; dec reads back what
+// app wrote, leaving errors in the Reader. Neither covers the tag byte.
+// Call it from a package-level var or init in the package that
+// declares T; a duplicate tag or type panics.
+func Register[T any](tag byte, size func(T) int, app func([]byte, T) []byte, dec func(*Reader) T) {
+	typ := reflect.TypeFor[T]()
+	if tag <= tagString || byTag[tag] != nil || byType[typ] != nil {
+		panic(fmt.Sprintf("wire: cannot register %v under tag %#x", typ, tag))
 	}
-	return encodeGob(payload)
+	c := &codec{
+		tag:    tag,
+		typ:    typ,
+		size:   func(v any) int { return size(v.(T)) },
+		append: func(b []byte, v any) []byte { return app(b, v.(T)) },
+		decode: func(r *Reader) any { return dec(r) },
+	}
+	byTag[tag] = c
+	byType[typ] = c
 }
 
-// Decode deserializes a payload produced by Encode.
+// lookup returns v's entry, or nil if v is a scalar or has no codec.
+func lookup(v any) *codec { return byType[reflect.TypeOf(v)] }
+
+// sizeOf reports the encoded size of v in a payload slot, tag included,
+// or a negative number if v cannot be encoded. c is lookup(v).
+func (c *codec) sizeOf(v any) int {
+	if c == nil {
+		return SizeScalar(v)
+	}
+	if n := c.size(v); n >= 0 {
+		return 1 + n
+	}
+	return -1
+}
+
+// appendTo appends a v that sizeOf accepted, behind its tag.
+func (c *codec) appendTo(b []byte, v any) []byte {
+	if c == nil {
+		return AppendScalar(b, v)
+	}
+	return c.append(append(b, c.tag), v)
+}
+
+// Registration describes one entry of the codec table.
+type Registration struct {
+	Tag  byte
+	Type reflect.Type
+}
+
+// Registered lists the codec table in tag order.
+func Registered() []Registration {
+	var out []Registration
+	for _, c := range byTag {
+		if c != nil {
+			out = append(out, Registration{Tag: c.tag, Type: c.typ})
+		}
+	}
+	return out
+}
+
+func init() {
+	Register(tagQuasi, SizeQuasi, AppendQuasi, (*Reader).Quasi)
+	Register(tagData, sizeData, appendData, readData)
+	Register(tagBatch, sizeBatch, appendBatch, readBatch)
+	Register(tagDigest, sizeDigest, appendDigest, readDigest)
+	Register(tagSnapshot, sizeSnapshot, appendSnapshot, readSnapshot)
+}
+
+// ---- entry points ----------------------------------------------------
+
+// Encode serializes a payload. It fails for a type without a codec and
+// for a message holding a write value outside nil, bool, int, int64,
+// uint64 and string.
+func Encode(payload any) ([]byte, error) { return AppendEncode(nil, payload) }
+
+// AppendEncode appends payload's encoding to dst, growing dst at most
+// once, by the exact encoded size.
+func AppendEncode(dst []byte, payload any) ([]byte, error) {
+	c, n, err := plan(payload)
+	if err != nil {
+		return dst, err
+	}
+	return c.appendTo(slices.Grow(dst, n), payload), nil
+}
+
+// plan looks payload up once for both halves of an encode: its entry
+// and its exact encoded size.
+func plan(payload any) (c *codec, n int, err error) {
+	c = lookup(payload)
+	if n = c.sizeOf(payload); n < 0 {
+		return nil, 0, fmt.Errorf("wire: encode %T: no codec for the type or for a value it holds", payload)
+	}
+	return c, n, nil
+}
+
+// Decode deserializes a payload produced by Encode. The input is
+// untrusted: truncated, oversized-count, unknown-tag and trailing-byte
+// inputs are errors, never panics or large allocations.
 func Decode(b []byte) (any, error) {
-	if len(b) == 0 {
-		return nil, errors.New("wire: decode: empty buffer")
+	r := Reader{b: b}
+	v := r.Payload()
+	if r.err == nil && r.off != len(b) {
+		r.err = errors.New("trailing bytes")
 	}
-	r := reader{b: b, off: 1}
-	switch b[0] {
-	case tagGob:
-		return decodeGob(b[1:])
-	case tagQuasi:
-		q := r.quasi()
-		if r.err != nil {
-			return nil, fmt.Errorf("wire: decode quasi: %w", r.err)
-		}
-		return q, nil
-	case tagData:
-		m := broadcast.Data{Origin: r.nodeID(), Seq: r.uvarint()}
-		m.Payload = r.value()
-		if r.err != nil {
-			return nil, fmt.Errorf("wire: decode data: %w", r.err)
-		}
-		return m, nil
-	case tagBatch:
-		m := broadcast.DataBatch{Origin: r.nodeID(), Start: r.uvarint()}
-		n := r.count()
-		if r.err == nil && n > 0 {
-			m.Payloads = make([]any, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				m.Payloads = append(m.Payloads, r.value())
-			}
-		}
-		if r.err != nil {
-			return nil, fmt.Errorf("wire: decode batch: %w", r.err)
-		}
-		return m, nil
-	case tagDigest:
-		m := broadcast.Digest{Delta: r.bool()}
-		n := r.count()
-		if r.err == nil {
-			m.Have = make(map[netsim.NodeID]uint64, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				o := r.nodeID()
-				m.Have[o] = r.uvarint()
-			}
-		}
-		if r.err != nil {
-			return nil, fmt.Errorf("wire: decode digest: %w", r.err)
-		}
-		return m, nil
+	if r.err != nil {
+		return nil, fmt.Errorf("wire: decode: %w", r.err)
 	}
-	return nil, fmt.Errorf("wire: decode: unknown format tag %#x", b[0])
+	return v, nil
 }
 
 // Size reports the encoded size of a payload in bytes, or 0 if the
-// payload is not encodable (unexported message types used only inside
-// the simulation). For the fast-path types the size is computed
-// analytically, without encoding; for other types a failed encode is
-// memoized per concrete type, so repeated Size calls on unencodable
-// simulation-internal messages cost one map lookup. Suitable for
-// netsim.WithSizeFunc.
-func Size(payload any) int {
-	switch m := payload.(type) {
-	case txn.Quasi:
-		if quasiFast(m) {
-			return 1 + sizeQuasi(m)
-		}
-	case broadcast.Data:
-		if valueFast(m.Payload) {
-			return 1 + sizeData(m)
-		}
-	case broadcast.DataBatch:
-		if batchFast(m) {
-			return 1 + sizeBatch(m)
-		}
-	case broadcast.Digest:
-		return 1 + sizeDigest(m)
-	case nil:
-		return 0
-	}
-	if t := reflect.TypeOf(payload); t != nil {
-		if _, bad := unencodable.Load(t); bad {
-			return 0
-		}
-		b, err := encodeGob(payload)
-		if err != nil {
-			unencodable.Store(t, struct{}{})
-			return 0
-		}
-		return len(b)
-	}
-	return 0
+// payload is not encodable (message types used only inside the
+// simulation have no codec). The size is computed analytically,
+// without encoding. Suitable for netsim.WithSizeFunc.
+func Size(payload any) int { return max(SizePayload(payload), 0) }
+
+// ---- sizes -----------------------------------------------------------
+
+func SizeUvarint(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func SizeVarint(x int64) int {
+	return SizeUvarint(uint64(x)<<1 ^ uint64(x>>63)) // zigzag
 }
 
-// unencodable memoizes concrete types gob cannot encode (unexported
-// simulation-internal messages), keyed by reflect.Type.
-var unencodable sync.Map
+func SizeString(s string) int { return SizeUvarint(uint64(len(s))) + len(s) }
 
-// gobBufs pools the scratch buffers of the gob fallback path.
-var gobBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+func SizeNodeID(id netsim.NodeID) int { return SizeVarint(int64(id)) }
 
-func encodeGob(payload any) ([]byte, error) {
-	RegisterDefaults()
-	buf := gobBufs.Get().(*bytes.Buffer)
-	defer gobBufs.Put(buf)
-	buf.Reset()
-	buf.WriteByte(tagGob)
-	if err := gob.NewEncoder(buf).Encode(envelope{P: payload}); err != nil {
-		return nil, fmt.Errorf("wire: encode %T: %w", payload, err)
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out, nil
-}
+func SizeTxnID(id txn.ID) int { return SizeNodeID(id.Origin) + SizeUvarint(id.Seq) }
 
-func decodeGob(b []byte) (any, error) {
-	RegisterDefaults()
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("wire: decode: %w", err)
-	}
-	return env.P, nil
-}
+func SizeFragPos(p txn.FragPos) int { return SizeUvarint(p.Epoch) + SizeUvarint(p.Seq) }
 
-// ---- fast-path eligibility ------------------------------------------
-
-// valueFast reports whether v fits the value encoding of `any` slots.
-func valueFast(v any) bool {
-	switch q := v.(type) {
-	case nil, bool, int, int64, uint64, string:
-		return true
-	case txn.Quasi:
-		return quasiFast(q)
-	}
-	return false
-}
-
-// quasiFast reports whether every write value of q is a fast scalar
-// (nested quasis inside quasis are not a thing; anything exotic takes
-// the gob fallback for the whole message).
-func quasiFast(q txn.Quasi) bool {
-	for _, w := range q.Writes {
-		switch w.Value.(type) {
-		case nil, bool, int, int64, uint64, string:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func batchFast(m broadcast.DataBatch) bool {
-	for _, p := range m.Payloads {
-		if !valueFast(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// ---- analytic sizes --------------------------------------------------
-
-func sizeUvarint(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-func sizeVarint(x int64) int {
-	return sizeUvarint(uint64(x)<<1 ^ uint64(x>>63)) // zigzag
-}
-
-func sizeString(s string) int { return sizeUvarint(uint64(len(s))) + len(s) }
-
-func sizeValue(v any) int {
+// SizeScalar reports the encoded size of a value of a scalar slot (a
+// write value, a stored value), tag included, or a negative number if
+// v is not one of nil, bool, int, int64, uint64 and string.
+func SizeScalar(v any) int {
 	switch x := v.(type) {
 	case nil:
 		return 1
 	case bool:
 		return 2
 	case int:
-		return 1 + sizeVarint(int64(x))
+		return 1 + SizeVarint(int64(x))
 	case int64:
-		return 1 + sizeVarint(x)
+		return 1 + SizeVarint(x)
 	case uint64:
-		return 1 + sizeUvarint(x)
+		return 1 + SizeUvarint(x)
 	case string:
-		return 1 + sizeString(x)
-	case txn.Quasi:
-		return 1 + sizeQuasi(x)
+		return 1 + SizeString(x)
 	}
-	return 0 // unreachable behind valueFast
+	return -1
 }
 
-func sizeQuasi(q txn.Quasi) int {
-	n := sizeVarint(int64(q.Txn.Origin)) + sizeUvarint(q.Txn.Seq)
-	n += sizeString(string(q.Fragment))
-	n += sizeUvarint(q.Pos.Epoch) + sizeUvarint(q.Pos.Seq)
-	n += sizeVarint(int64(q.Home))
-	n += sizeVarint(int64(q.Stamp))
-	n += sizeUvarint(uint64(len(q.Writes)))
-	for _, w := range q.Writes {
-		n += sizeString(string(w.Object)) + sizeValue(w.Value)
+// SizePayload reports the encoded size of a value of a payload slot (a
+// scalar or a registered message), tag included, or a negative number
+// if v cannot be encoded.
+func SizePayload(v any) int { return lookup(v).sizeOf(v) }
+
+// SizeWrites reports the encoded size of a write list, or a negative
+// number if a value in it is not a scalar.
+func SizeWrites(ws []txn.WriteOp) int {
+	n := SizeUvarint(uint64(len(ws)))
+	for _, w := range ws {
+		v := SizeScalar(w.Value)
+		if v < 0 {
+			return -1
+		}
+		n += SizeString(string(w.Object)) + v
+	}
+	return n
+}
+
+// SizeQuasi reports the encoded size of q, or a negative number if a
+// write value in it is not a scalar.
+func SizeQuasi(q txn.Quasi) int {
+	w := SizeWrites(q.Writes)
+	if w < 0 {
+		return -1
+	}
+	return SizeTxnID(q.Txn) + SizeString(string(q.Fragment)) + SizeFragPos(q.Pos) +
+		SizeNodeID(q.Home) + SizeVarint(int64(q.Stamp)) + w
+}
+
+// SizeQuasis reports the encoded size of a counted list of
+// quasi-transactions, or a negative number if one cannot be encoded.
+func SizeQuasis(qs []txn.Quasi) int {
+	n := SizeUvarint(uint64(len(qs)))
+	for _, q := range qs {
+		s := SizeQuasi(q)
+		if s < 0 {
+			return -1
+		}
+		n += s
+	}
+	return n
+}
+
+func sizeHave(have map[netsim.NodeID]uint64) int {
+	n := SizeUvarint(uint64(len(have)))
+	for o, h := range have {
+		n += SizeNodeID(o) + SizeUvarint(h)
 	}
 	return n
 }
 
 func sizeData(m broadcast.Data) int {
-	return sizeVarint(int64(m.Origin)) + sizeUvarint(m.Seq) + sizeValue(m.Payload)
+	p := SizePayload(m.Payload)
+	if p < 0 {
+		return -1
+	}
+	return SizeNodeID(m.Origin) + SizeUvarint(m.Seq) + p
 }
 
 func sizeBatch(m broadcast.DataBatch) int {
-	n := sizeVarint(int64(m.Origin)) + sizeUvarint(m.Start) +
-		sizeUvarint(uint64(len(m.Payloads)))
+	n := SizeNodeID(m.Origin) + SizeUvarint(m.Start) +
+		SizeUvarint(uint64(len(m.Payloads)))
 	for _, p := range m.Payloads {
-		n += sizeValue(p)
+		s := SizePayload(p)
+		if s < 0 {
+			return -1
+		}
+		n += s
 	}
 	return n
 }
 
-func sizeDigest(m broadcast.Digest) int {
-	n := 1 + sizeUvarint(uint64(len(m.Have)))
-	for o, h := range m.Have {
-		n += sizeVarint(int64(o)) + sizeUvarint(h)
+func sizeDigest(m broadcast.Digest) int { return 1 + sizeHave(m.Have) }
+
+func sizeSnapshot(m broadcast.SnapshotOffer) int {
+	s := SizePayload(m.State)
+	if s < 0 {
+		return -1
 	}
-	return n
+	return sizeHave(m.Have) + s
 }
 
 // ---- encoding --------------------------------------------------------
 
-func appendVarint(b []byte, x int64) []byte {
+func AppendUvarint(b []byte, x uint64) []byte { return binary.AppendUvarint(b, x) }
+
+func AppendVarint(b []byte, x int64) []byte {
 	return binary.AppendUvarint(b, uint64(x)<<1^uint64(x>>63))
 }
 
-func appendString(b []byte, s string) []byte {
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func AppendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-func appendValue(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(b, valNil)
-	case bool:
-		if x {
-			return append(b, valBool, 1)
-		}
-		return append(b, valBool, 0)
-	case int:
-		return appendVarint(append(b, valInt), int64(x))
-	case int64:
-		return appendVarint(append(b, valInt64), x)
-	case uint64:
-		return binary.AppendUvarint(append(b, valUint64), x)
-	case string:
-		return appendString(append(b, valString), x)
-	case txn.Quasi:
-		return appendQuasi(append(b, valQuasi), x)
-	}
-	panic(fmt.Sprintf("wire: appendValue on unchecked type %T", v))
+func AppendNodeID(b []byte, id netsim.NodeID) []byte { return AppendVarint(b, int64(id)) }
+
+func AppendTxnID(b []byte, id txn.ID) []byte {
+	return binary.AppendUvarint(AppendNodeID(b, id.Origin), id.Seq)
 }
 
-func appendQuasi(b []byte, q txn.Quasi) []byte {
-	b = appendVarint(b, int64(q.Txn.Origin))
-	b = binary.AppendUvarint(b, q.Txn.Seq)
-	b = appendString(b, string(q.Fragment))
-	b = binary.AppendUvarint(b, q.Pos.Epoch)
-	b = binary.AppendUvarint(b, q.Pos.Seq)
-	b = appendVarint(b, int64(q.Home))
-	b = appendVarint(b, int64(q.Stamp))
-	b = binary.AppendUvarint(b, uint64(len(q.Writes)))
-	for _, w := range q.Writes {
-		b = appendString(b, string(w.Object))
-		b = appendValue(b, w.Value)
+func AppendFragPos(b []byte, p txn.FragPos) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(b, p.Epoch), p.Seq)
+}
+
+// AppendScalar appends a scalar-slot value. Like every Append function
+// it must only see what its Size function accepted.
+func AppendScalar(b []byte, v any) []byte {
+	switch x := v.(type) {
+	case nil:
+		return append(b, tagNil)
+	case bool:
+		return AppendBool(append(b, tagBool), x)
+	case int:
+		return AppendVarint(append(b, tagInt), int64(x))
+	case int64:
+		return AppendVarint(append(b, tagInt64), x)
+	case uint64:
+		return binary.AppendUvarint(append(b, tagUint64), x)
+	case string:
+		return AppendString(append(b, tagString), x)
+	}
+	panic(fmt.Sprintf("wire: AppendScalar on unsized type %T", v))
+}
+
+// AppendPayload appends a payload-slot value: a scalar or a registered
+// message, behind its tag.
+func AppendPayload(b []byte, v any) []byte { return lookup(v).appendTo(b, v) }
+
+func AppendWrites(b []byte, ws []txn.WriteOp) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ws)))
+	for _, w := range ws {
+		b = AppendString(b, string(w.Object))
+		b = AppendScalar(b, w.Value)
+	}
+	return b
+}
+
+func AppendQuasi(b []byte, q txn.Quasi) []byte {
+	b = AppendTxnID(b, q.Txn)
+	b = AppendString(b, string(q.Fragment))
+	b = AppendFragPos(b, q.Pos)
+	b = AppendNodeID(b, q.Home)
+	b = AppendVarint(b, int64(q.Stamp))
+	return AppendWrites(b, q.Writes)
+}
+
+func AppendQuasis(b []byte, qs []txn.Quasi) []byte {
+	b = binary.AppendUvarint(b, uint64(len(qs)))
+	for _, q := range qs {
+		b = AppendQuasi(b, q)
+	}
+	return b
+}
+
+// SortedKeys returns m's keys in ascending order. Maps are encoded in
+// key order so that equal messages encode to equal bytes (map iteration
+// order must not leak into the wire image).
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+func appendHave(b []byte, have map[netsim.NodeID]uint64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(have)))
+	for _, o := range SortedKeys(have) {
+		b = AppendNodeID(b, o)
+		b = binary.AppendUvarint(b, have[o])
 	}
 	return b
 }
 
 func appendData(b []byte, m broadcast.Data) []byte {
-	b = appendVarint(b, int64(m.Origin))
+	b = AppendNodeID(b, m.Origin)
 	b = binary.AppendUvarint(b, m.Seq)
-	return appendValue(b, m.Payload)
+	return AppendPayload(b, m.Payload)
 }
 
 func appendBatch(b []byte, m broadcast.DataBatch) []byte {
-	b = appendVarint(b, int64(m.Origin))
+	b = AppendNodeID(b, m.Origin)
 	b = binary.AppendUvarint(b, m.Start)
 	b = binary.AppendUvarint(b, uint64(len(m.Payloads)))
 	for _, p := range m.Payloads {
-		b = appendValue(b, p)
+		b = AppendPayload(b, p)
 	}
 	return b
 }
 
-// appendDigest encodes the Have vector sorted by node id, so equal
-// digests encode to equal bytes (map iteration order must not leak into
-// the wire image).
 func appendDigest(b []byte, m broadcast.Digest) []byte {
-	if m.Delta {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.AppendUvarint(b, uint64(len(m.Have)))
-	ids := make([]netsim.NodeID, 0, len(m.Have))
-	for o := range m.Have {
-		ids = append(ids, o)
-	}
-	for i := 1; i < len(ids); i++ { // insertion sort: tiny n, zero alloc
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	for _, o := range ids {
-		b = appendVarint(b, int64(o))
-		b = binary.AppendUvarint(b, m.Have[o])
-	}
-	return b
+	return appendHave(AppendBool(b, m.Delta), m.Have)
+}
+
+func appendSnapshot(b []byte, m broadcast.SnapshotOffer) []byte {
+	return AppendPayload(appendHave(b, m.Have), m.State)
 }
 
 // ---- decoding --------------------------------------------------------
 
-// reader is a bounds-checked cursor over an encoded message. All length
+// Reader is a bounds-checked cursor over an encoded message. The first
+// failure sticks: later reads return zero values, so a decoder reads
+// its fields straight through and the caller checks once. All length
 // and count fields are validated against the remaining input before any
 // allocation, so hostile inputs cannot force large allocations.
-type reader struct {
-	b   []byte
-	off int
-	err error
+type Reader struct {
+	b     []byte
+	off   int
+	depth int // payload slots currently open
+	err   error
 }
+
+// maxDepth bounds payload slots nested inside one another, so hostile
+// input cannot recurse without limit. The protocol's deepest nesting is
+// two: a Data holding a message, a SnapshotOffer holding its state.
+const maxDepth = 4
 
 var errTruncated = errors.New("truncated input")
 
-func (r *reader) fail() {
+// fail records err as the reader's failure unless one is recorded
+// already.
+func (r *Reader) fail(err error) {
 	if r.err == nil {
-		r.err = errTruncated
+		r.err = err
 	}
 }
 
-func (r *reader) byte() byte {
+func (r *Reader) Byte() byte {
 	if r.err != nil || r.off >= len(r.b) {
-		r.fail()
+		r.fail(errTruncated)
 		return 0
 	}
 	c := r.b[r.off]
@@ -454,46 +481,47 @@ func (r *reader) byte() byte {
 	return c
 }
 
-func (r *reader) bool() bool { return r.byte() != 0 }
+func (r *Reader) Bool() bool { return r.Byte() != 0 }
 
-func (r *reader) uvarint() uint64 {
+func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	x, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		r.fail()
+		r.fail(errTruncated)
 		return 0
 	}
 	r.off += n
 	return x
 }
 
-func (r *reader) varint() int64 {
-	x := r.uvarint()
+func (r *Reader) Varint() int64 {
+	x := r.Uvarint()
 	return int64(x>>1) ^ -int64(x&1) // un-zigzag
 }
 
-func (r *reader) nodeID() netsim.NodeID { return netsim.NodeID(r.varint()) }
+func (r *Reader) NodeID() netsim.NodeID { return netsim.NodeID(r.Varint()) }
 
-// count reads an element count, rejecting values that could not fit in
-// the remaining input (every element takes at least one byte).
-func (r *reader) count() int {
-	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.b)-r.off) {
-		r.fail()
+// Count reads an element count, rejecting values that could not fit in
+// the remaining input given that every element takes at least elemMin
+// bytes; after a failure it returns 0.
+func (r *Reader) Count(elemMin int) int {
+	n := r.Uvarint()
+	if r.err == nil && n > uint64(len(r.b)-r.off)/uint64(elemMin) {
+		r.fail(errTruncated)
 		return 0
 	}
 	return int(n)
 }
 
-func (r *reader) str() string {
-	n := r.uvarint()
+func (r *Reader) Str() string {
+	n := r.Uvarint()
 	if r.err != nil {
 		return ""
 	}
 	if n > uint64(len(r.b)-r.off) {
-		r.fail()
+		r.fail(errTruncated)
 		return ""
 	}
 	s := string(r.b[r.off : r.off+int(n)])
@@ -501,49 +529,147 @@ func (r *reader) str() string {
 	return s
 }
 
-func (r *reader) value() any {
-	switch r.byte() {
-	case valNil:
+func (r *Reader) ObjectID() fragments.ObjectID { return fragments.ObjectID(r.Str()) }
+
+func (r *Reader) FragmentID() fragments.FragmentID { return fragments.FragmentID(r.Str()) }
+
+func (r *Reader) TxnID() txn.ID { return txn.ID{Origin: r.NodeID(), Seq: r.Uvarint()} }
+
+func (r *Reader) FragPos() txn.FragPos { return txn.FragPos{Epoch: r.Uvarint(), Seq: r.Uvarint()} }
+
+// Scalar reads a scalar-slot value.
+func (r *Reader) Scalar() any {
+	tag := r.Byte()
+	if tag > tagString {
+		r.fail(fmt.Errorf("tag %#x in a scalar slot", tag))
 		return nil
-	case valBool:
-		return r.byte() != 0
-	case valInt:
-		return int(r.varint())
-	case valInt64:
-		return r.varint()
-	case valUint64:
-		return r.uvarint()
-	case valString:
-		return r.str()
-	case valQuasi:
-		return r.quasi()
-	default:
-		if r.err == nil {
-			r.err = errors.New("unknown value tag")
-		}
+	}
+	return r.scalar(tag)
+}
+
+func (r *Reader) scalar(tag byte) any {
+	switch tag {
+	case tagBool:
+		return r.Bool()
+	case tagInt:
+		return int(r.Varint())
+	case tagInt64:
+		return r.Varint()
+	case tagUint64:
+		return r.Uvarint()
+	case tagString:
+		return r.Str()
+	}
+	return nil // tagNil
+}
+
+// Payload reads a payload-slot value: a scalar or a registered message.
+func (r *Reader) Payload() any {
+	tag := r.Byte()
+	if r.err != nil {
 		return nil
+	}
+	if tag <= tagString {
+		return r.scalar(tag)
+	}
+	c := byTag[tag]
+	if c == nil {
+		r.fail(fmt.Errorf("unknown tag %#x", tag))
+		return nil
+	}
+	if r.depth == maxDepth {
+		r.fail(errors.New("payloads nested too deep"))
+		return nil
+	}
+	r.depth++
+	v := c.decode(r)
+	r.depth--
+	if r.err != nil {
+		r.err = fmt.Errorf("%v: %w", c.typ, r.err)
+		return nil
+	}
+	return v
+}
+
+func (r *Reader) Writes() []txn.WriteOp {
+	n := r.Count(2) // object length, value tag
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	ws := make([]txn.WriteOp, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		ws = append(ws, txn.WriteOp{Object: r.ObjectID(), Value: r.Scalar()})
+	}
+	return ws
+}
+
+func (r *Reader) Quasi() txn.Quasi {
+	return txn.Quasi{
+		Txn:      r.TxnID(),
+		Fragment: r.FragmentID(),
+		Pos:      r.FragPos(),
+		Home:     r.NodeID(),
+		Stamp:    simtime.Time(r.Varint()),
+		Writes:   r.Writes(),
 	}
 }
 
-func (r *reader) quasi() txn.Quasi {
-	var q txn.Quasi
-	q.Txn.Origin = r.nodeID()
-	q.Txn.Seq = r.uvarint()
-	q.Fragment = fragments.FragmentID(r.str())
-	q.Pos.Epoch = r.uvarint()
-	q.Pos.Seq = r.uvarint()
-	q.Home = r.nodeID()
-	q.Stamp = simtime.Time(r.varint())
-	n := r.count()
+// quasiMin is the shortest encoded quasi-transaction: eight one-byte
+// fields.
+const quasiMin = 8
+
+func (r *Reader) Quasis() []txn.Quasi {
+	n := r.Count(quasiMin)
 	if r.err != nil || n == 0 {
-		return q
+		return nil
 	}
-	q.Writes = make([]txn.WriteOp, 0, n)
+	qs := make([]txn.Quasi, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		var w txn.WriteOp
-		w.Object = fragments.ObjectID(r.str())
-		w.Value = r.value()
-		q.Writes = append(q.Writes, w)
+		qs = append(qs, r.Quasi())
 	}
-	return q
+	return qs
+}
+
+// ReadMap reads a counted map whose entries take at least elemMin
+// bytes each, keys by key and values by val.
+func ReadMap[K comparable, V any](r *Reader, elemMin int, key func(*Reader) K, val func(*Reader) V) map[K]V {
+	n := r.Count(elemMin)
+	if r.err != nil {
+		return nil
+	}
+	m := make(map[K]V, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		k := key(r)
+		m[k] = val(r)
+	}
+	return m
+}
+
+func (r *Reader) have() map[netsim.NodeID]uint64 {
+	return ReadMap(r, 2, (*Reader).NodeID, (*Reader).Uvarint)
+}
+
+func readData(r *Reader) broadcast.Data {
+	return broadcast.Data{Origin: r.NodeID(), Seq: r.Uvarint(), Payload: r.Payload()}
+}
+
+func readBatch(r *Reader) broadcast.DataBatch {
+	m := broadcast.DataBatch{Origin: r.NodeID(), Start: r.Uvarint()}
+	n := r.Count(1)
+	if r.err != nil || n == 0 {
+		return m
+	}
+	m.Payloads = make([]any, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		m.Payloads = append(m.Payloads, r.Payload())
+	}
+	return m
+}
+
+func readDigest(r *Reader) broadcast.Digest {
+	return broadcast.Digest{Delta: r.Bool(), Have: r.have()}
+}
+
+func readSnapshot(r *Reader) broadcast.SnapshotOffer {
+	return broadcast.SnapshotOffer{Have: r.have(), State: r.Payload()}
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -85,15 +84,8 @@ func TestSizeGrowsWithPayload(t *testing.T) {
 	}
 }
 
-func TestSizeOfUnencodableIsZero(t *testing.T) {
-	type private struct{ ch chan int }
-	if got := Size(private{}); got != 0 {
-		t.Errorf("Size of unencodable = %d", got)
-	}
-}
-
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not gob")); err == nil {
+	if _, err := Decode([]byte("not a message")); err == nil {
 		t.Error("garbage decoded")
 	}
 }
@@ -119,9 +111,6 @@ func TestDataBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b[0] == 0 {
-		t.Fatal("DataBatch took the gob fallback, want fast path")
-	}
 	got, err := Decode(b)
 	if err != nil {
 		t.Fatal(err)
@@ -146,9 +135,10 @@ func TestDeltaDigestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSizeMatchesEncode: the analytic fast-path Size must agree exactly
-// with the bytes Encode produces, for every fast type — netsim's byte
-// accounting and the LogBytes gauge are built on it.
+// TestSizeMatchesEncode: the analytic Size must agree exactly with the
+// bytes Encode produces — netsim's byte accounting and the LogBytes
+// gauge are built on it. (TestEveryRegisteredType repeats this for the
+// whole table.)
 func TestSizeMatchesEncode(t *testing.T) {
 	q := txn.Quasi{
 		Txn:      txn.ID{Origin: 2, Seq: 700},
@@ -182,48 +172,73 @@ func TestSizeMatchesEncode(t *testing.T) {
 	}
 }
 
-// TestFastPathFallsBackForExoticValues: hot types carrying values the
-// fast encoding cannot represent must take the gob fallback whole and
-// still round-trip.
-func TestFastPathFallsBackForExoticValues(t *testing.T) {
+// TestExoticValuesAreEncodeErrors: a message holding a value outside
+// the scalar set has no encoding; Encode says so and Size reports 0,
+// wherever in the message the value sits.
+func TestExoticValuesAreEncodeErrors(t *testing.T) {
+	exotic := txn.Quasi{Fragment: "F", Writes: []txn.WriteOp{{Object: "x", Value: float64(1.5)}}}
 	payloads := []any{
+		exotic,
+		float64(1.5),
 		broadcast.Data{Origin: 0, Seq: 1, Payload: []string{"a", "b"}},
-		txn.Quasi{Fragment: "F", Writes: []txn.WriteOp{{Object: "x", Value: float64(1.5)}}},
-		broadcast.DataBatch{Origin: 0, Start: 1, Payloads: []any{map[string]int64{"k": 1}}},
+		broadcast.Data{Origin: 0, Seq: 1, Payload: exotic},
+		broadcast.DataBatch{Origin: 0, Start: 1, Payloads: []any{"fine", map[string]int64{"k": 1}}},
+		broadcast.SnapshotOffer{State: exotic},
 	}
-	gob.Register([]string(nil))
-	gob.Register(float64(0))
-	gob.Register(map[string]int64(nil))
 	for _, p := range payloads {
-		b, err := Encode(p)
-		if err != nil {
-			t.Fatalf("encode %T: %v", p, err)
+		if b, err := Encode(p); err == nil {
+			t.Errorf("%T with an exotic value encoded to %x, want error", p, b)
 		}
-		if b[0] != 0 {
-			t.Fatalf("%T with exotic value took fast path (tag %#x)", p, b[0])
-		}
-		got, err := Decode(b)
-		if err != nil {
-			t.Fatalf("decode %T: %v", p, err)
-		}
-		if !reflect.DeepEqual(got, p) {
-			t.Errorf("round trip:\n got %+v\nwant %+v", got, p)
+		if n := Size(p); n != 0 {
+			t.Errorf("%T with an exotic value: Size=%d, want 0", p, n)
 		}
 	}
 }
 
-// TestSizeMemoizesUnencodable: the first Size call on an unencodable
-// type pays the failed encode; subsequent calls hit the type memo (the
-// observable contract is just that they stay 0 and cheap).
-func TestSizeMemoizesUnencodable(t *testing.T) {
+// TestUnregisteredTypeSizesZero: simulation-only message types have no
+// codec. Size answers 0 for them from the table lookup alone — no
+// encode is attempted, so nothing is allocated — and Encode is an error.
+func TestUnregisteredTypeSizesZero(t *testing.T) {
 	type secret struct{ ch chan int }
-	if got := Size(secret{}); got != 0 {
-		t.Fatalf("Size of unencodable = %d", got)
+	var p any = secret{}
+	if got := Size(p); got != 0 {
+		t.Fatalf("Size of unregistered type = %d", got)
 	}
-	if _, ok := unencodable.Load(reflect.TypeOf(secret{})); !ok {
-		t.Error("unencodable type not memoized after failed Size")
+	if allocs := testing.AllocsPerRun(100, func() { Size(p) }); allocs != 0 {
+		t.Errorf("Size of unregistered type allocates %v times per call", allocs)
 	}
-	if got := Size(secret{}); got != 0 {
-		t.Fatalf("memoized Size of unencodable = %d", got)
+	if _, err := Encode(p); err == nil {
+		t.Error("unregistered type encoded")
+	}
+}
+
+// TestRegisterRejectsCollisions: two types under one tag, one type
+// under two tags, or a tag inside the scalar range would make Decode
+// ambiguous; registration panics at start-up instead.
+func TestRegisterRejectsCollisions(t *testing.T) {
+	type fresh struct{}
+	size := func(fresh) int { return 0 }
+	app := func(b []byte, _ fresh) []byte { return b }
+	dec := func(*Reader) fresh { return fresh{} }
+	for _, tag := range []byte{tagString, tagQuasi} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Register under tag %#x did not panic", tag)
+				}
+			}()
+			Register(tag, size, app, dec)
+		}()
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("registering txn.Quasi a second time did not panic")
+			}
+		}()
+		Register(0xfe, SizeQuasi, AppendQuasi, (*Reader).Quasi)
+	}()
+	if byTag[0xfe] != nil {
+		t.Error("a rejected registration left an entry behind")
 	}
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -10,6 +9,7 @@ import (
 	"fragdb/internal/fragments"
 	"fragdb/internal/netsim"
 	"fragdb/internal/simtime"
+	"fragdb/internal/wire"
 )
 
 // Operation forwarding: counter bumps and queue appends execute at the
@@ -62,9 +62,43 @@ type (
 	}
 )
 
+// Both cross rtnet.TCP in a deployment; internal/wire's table holds
+// this package's codecs under tags 0x30–0x37.
 func init() {
-	gob.Register(liveOpMsg{})
-	gob.Register(liveOpReplyMsg{})
+	wire.Register(0x30,
+		func(m liveOpMsg) int {
+			return wire.SizeUvarint(m.ID) + wire.SizeNodeID(m.Origin) + wire.SizeString(m.Kind) +
+				wire.SizeVarint(int64(m.Ctr)) + wire.SizeString(string(m.Entry)) +
+				wire.SizeVarint(m.Amount) + wire.SizeString(m.Item)
+		},
+		func(b []byte, m liveOpMsg) []byte {
+			b = wire.AppendUvarint(b, m.ID)
+			b = wire.AppendNodeID(b, m.Origin)
+			b = wire.AppendString(b, m.Kind)
+			b = wire.AppendVarint(b, int64(m.Ctr))
+			b = wire.AppendString(b, string(m.Entry))
+			b = wire.AppendVarint(b, m.Amount)
+			return wire.AppendString(b, m.Item)
+		},
+		func(r *wire.Reader) liveOpMsg {
+			return liveOpMsg{ID: r.Uvarint(), Origin: r.NodeID(), Kind: r.Str(), Ctr: int(r.Varint()),
+				Entry: r.ObjectID(), Amount: r.Varint(), Item: r.Str()}
+		})
+	wire.Register(0x31,
+		func(m liveOpReplyMsg) int {
+			return wire.SizeUvarint(m.ID) + 2 + wire.SizeString(m.Err) + wire.SizeNodeID(m.Home)
+		},
+		func(b []byte, m liveOpReplyMsg) []byte {
+			b = wire.AppendUvarint(b, m.ID)
+			b = wire.AppendBool(b, m.Committed)
+			b = wire.AppendBool(b, m.NotHome)
+			b = wire.AppendString(b, m.Err)
+			return wire.AppendNodeID(b, m.Home)
+		},
+		func(r *wire.Reader) liveOpReplyMsg {
+			return liveOpReplyMsg{ID: r.Uvarint(), Committed: r.Bool(), NotHome: r.Bool(),
+				Err: r.Str(), Home: r.NodeID()}
+		})
 }
 
 // pendingFwd tracks one routed operation until it commits, fails, or
