@@ -161,7 +161,9 @@ func serveTx(w http.ResponseWriter, r *http.Request, node *deploy.Node) {
 	if res.Err != nil {
 		resp.Err = res.Err.Error()
 	}
-	writeJSON(w, resp)
+	// One reply per commit: compact, unlike the endpoints people read.
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(resp) // a failed write means the client went away
 }
 
 // serveHealth reports the node's identity and its view of peer
@@ -254,6 +256,8 @@ func serveDrop(w http.ResponseWriter, r *http.Request, node *deploy.Node) {
 	fmt.Fprintf(w, "peer %d drop=%v\n", peer, drop)
 }
 
+// writeJSON renders an indented reply for the endpoints read by people
+// and scripts (/state, /healthz, /admin/*).
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

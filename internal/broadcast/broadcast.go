@@ -405,7 +405,9 @@ func New(node netsim.NodeID, tr netsim.Transport, timer Timer, cfg Config, h Han
 		digestSent: make(map[netsim.NodeID]map[netsim.NodeID]uint64),
 	}
 	if cfg.GossipInterval > 0 && timer != nil {
+		b.mu.Lock()
 		b.scheduleGossip()
+		b.mu.Unlock()
 	}
 	return b
 }
@@ -429,6 +431,10 @@ func (b *Broadcaster) Stop() {
 	}
 }
 
+// scheduleGossip arms the next gossip round. Caller holds b.mu: a wall-
+// clock timer may fire on another goroutine before AfterFunc returns,
+// and gossipTick re-arms under the lock, so the lock is what orders the
+// two writes of stopGossip.
 func (b *Broadcaster) scheduleGossip() {
 	b.stopGossip = b.timer.AfterFunc(b.cfg.GossipInterval, b.gossipTick)
 }

@@ -244,6 +244,7 @@ type Cluster struct {
 	cat    *fragments.Catalog
 	tokens *fragments.Tokens
 	rag    *fragments.ReadAccessGraph
+	// rec audits the run; nil (inert) in a SingleNode process.
 	rec    *history.Recorder
 	stats  *metrics.Counters
 	bstats *metrics.Broadcast
@@ -344,7 +345,11 @@ func NewCluster(cfg Config) *Cluster {
 		cl.tr = cl.net
 	}
 	cl.rag = fragments.NewReadAccessGraph(cl.cat)
-	cl.rec = history.NewRecorder(cl.cat)
+	if !cfg.SingleNode {
+		// One process of a deployment sees only its own commits: nothing
+		// could audit what it would record, so it records nothing.
+		cl.rec = history.NewRecorder(cl.cat)
+	}
 	cl.tracers = make([]*trace.Recorder, cfg.N)
 	if cfg.TraceCap > 0 {
 		for i := range cl.tracers {
@@ -363,7 +368,8 @@ func (cl *Cluster) Tokens() *fragments.Tokens { return cl.tokens }
 // RAG returns the declared read-access graph.
 func (cl *Cluster) RAG() *fragments.ReadAccessGraph { return cl.rag }
 
-// Recorder returns the history recorder auditing this cluster.
+// Recorder returns the history recorder auditing this cluster — nil (a
+// valid, inert recorder) in a SingleNode process.
 func (cl *Cluster) Recorder() *history.Recorder { return cl.rec }
 
 // Stats returns the cluster's metric counters.

@@ -394,7 +394,6 @@ func (n *Node) commitLocal(t *activeTxn, q txn.Quasi, viaQuasi bool) {
 	} else {
 		st.last = q.Pos
 	}
-	st.appliedLog = append(st.appliedLog, q)
 	n.store.Apply(t.id, q.Fragment, q.Pos, q.Writes, q.Stamp)
 	n.cl.rec.Record(history.TxnRecord{
 		ID: t.id, Type: q.Fragment, UpdateFragment: q.Fragment, Pos: q.Pos,
@@ -687,7 +686,6 @@ func (n *Node) installQuasi(w *quasiWaiter) {
 	} else if w.st.last.Less(w.q.Pos) {
 		w.st.last = w.q.Pos
 	}
-	w.st.appliedLog = append(w.st.appliedLog, w.q)
 	n.cl.stats.QuasiApplied.Add(1)
 	lag := n.cl.sched.Now().Sub(w.q.Stamp)
 	n.cl.stats.QuasiLag.Observe(lag)

@@ -78,13 +78,11 @@ func (n *Node) BeginNoPrepEpoch(f fragments.FragmentID) {
 	st := n.stream(f)
 	oldLast := st.last
 	newEpoch := oldLast.Epoch + 1
-	installed := make([]txn.Quasi, len(st.appliedLog))
-	copy(installed, st.appliedLog)
+	installed := n.installedInEpoch(f, oldLast.Epoch)
 	st.recovering = true
 	st.oldEpoch = oldLast.Epoch
 	st.oldInstalled = oldLast.Seq
 	st.last = txn.FragPos{Epoch: newEpoch, Seq: 0}
-	st.appliedLog = nil
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KMoveEpoch, Frag: f, Seq: newEpoch, Pos: oldLast})
 	}
@@ -94,6 +92,23 @@ func (n *Node) BeginNoPrepEpoch(f fragments.FragmentID) {
 	})
 	n.notifyStreamWaiters(st)
 	n.drainStream(f, st)
+}
+
+// installedInEpoch lists, in installation order, the quasi-transactions
+// of fragment f's given epoch that this node has installed, read back
+// from the store's log. A transaction's id names the node it committed
+// at, which is the quasi-transaction's home.
+func (n *Node) installedInEpoch(f fragments.FragmentID, epoch uint64) []txn.Quasi {
+	var out []txn.Quasi
+	for _, rec := range n.store.Log() {
+		if rec.Fragment == f && rec.Pos.Epoch == epoch {
+			out = append(out, txn.Quasi{
+				Txn: rec.Txn, Fragment: f, Pos: rec.Pos,
+				Home: rec.Txn.Origin, Writes: rec.Writes, Stamp: rec.Stamp,
+			})
+		}
+	}
+	return out
 }
 
 // handleM0 processes an M0 announcement at every other node: install
@@ -139,7 +154,6 @@ func (n *Node) performSwitch(f fragments.FragmentID, st *streamState, m m0Msg) {
 	st.oldEpoch = st.last.Epoch
 	st.oldInstalled = st.last.Seq
 	st.last = txn.FragPos{Epoch: m.NewEpoch, Seq: 0}
-	st.appliedLog = nil
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KEpochSwitch, Frag: f,
 			Seq: m.NewEpoch, Peer: m.NewHome, HasPeer: true})
@@ -216,7 +230,6 @@ func (n *Node) recoverMissing(f fragments.FragmentID, st *streamState, q txn.Qua
 		now := n.cl.sched.Now()
 		nq := txn.Quasi{Txn: newID, Fragment: f, Pos: pos, Home: n.id, Writes: kept, Stamp: now}
 		st.last = pos
-		st.appliedLog = append(st.appliedLog, nq)
 		n.store.Apply(newID, f, pos, kept, now)
 		n.cl.rec.Record(history.TxnRecord{
 			ID: newID, Type: f, UpdateFragment: f, Pos: pos,

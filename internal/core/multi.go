@@ -322,7 +322,6 @@ func (n *Node) handleMultiCommit(m multiCommitMsg) {
 	now := n.cl.sched.Now()
 	q := txn.Quasi{Txn: p.pid, Fragment: p.f, Pos: pos, Home: n.id, Writes: p.writes, Stamp: now}
 	st.last = pos
-	st.appliedLog = append(st.appliedLog, q)
 	n.store.Apply(p.pid, p.f, pos, p.writes, now)
 	n.cl.rec.Record(history.TxnRecord{
 		ID: p.pid, Type: p.f, UpdateFragment: p.f, Pos: pos,

@@ -136,11 +136,6 @@ type streamState struct {
 	// applying is true while a quasi-transaction is parked on locks; the
 	// stream must not advance past it.
 	applying bool
-	// appliedLog keeps the quasi-transactions installed in this epoch,
-	// for M0 construction (only maintained for fragments whose agents
-	// may move without preparation; bounded by workload size).
-	appliedLog []txn.Quasi
-
 	// forward mode (rule B(2)): old-epoch stragglers with positions
 	// beyond oldInstalled are forwarded to forwardTo instead of applied.
 	forward      bool
@@ -246,10 +241,18 @@ type remoteQueue struct {
 }
 
 func newNode(cl *Cluster, id netsim.NodeID) *Node {
+	// The store's log has three readers: SimulateCrashRestart and
+	// BeginNoPrepEpoch, which only the simulator can call, and snapshot
+	// capture, which only compaction triggers. A SingleNode process
+	// without compaction has none of them and keeps no log.
+	newStore := storage.New
+	if cl.cfg.SingleNode && !cl.cfg.Compaction {
+		newStore = storage.NewUnlogged
+	}
 	n := &Node{
 		id:           id,
 		cl:           cl,
-		store:        storage.New(id, cl.cat),
+		store:        newStore(id, cl.cat),
 		tr:           cl.Trace(id),
 		active:       make(map[txn.ID]*activeTxn),
 		streams:      make(map[fragments.FragmentID]*streamState),
@@ -335,6 +338,11 @@ func (n *Node) ID() netsim.NodeID { return n.id }
 
 // Store exposes the node's local database copy (read-only use).
 func (n *Node) Store() *storage.Store { return n.store }
+
+// LockTableEntries reports how many objects have an entry in the node's
+// lock table. Safe from any goroutine; it walks the table under the
+// manager's mutexes, so call it at scrape rates.
+func (n *Node) LockTableEntries() int { return n.locks.TableEntries() }
 
 // Broadcaster exposes the node's broadcast endpoint.
 func (n *Node) Broadcaster() *broadcast.Broadcaster { return n.bcast }

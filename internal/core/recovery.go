@@ -59,7 +59,7 @@ func (n *Node) SimulateCrashRestart() {
 	oldStreams := n.streams
 	n.streams = make(map[fragments.FragmentID]*streamState)
 
-	// Rebuild stream high-water marks and applied logs from the WAL.
+	// Rebuild stream high-water marks from the WAL.
 	for _, rec := range n.store.Log() {
 		if rec.Fragment == "" {
 			continue
@@ -73,10 +73,6 @@ func (n *Node) SimulateCrashRestart() {
 		} else if st.last.Less(rec.Pos) {
 			st.last = rec.Pos
 		}
-		st.appliedLog = append(st.appliedLog, txn.Quasi{
-			Txn: rec.Txn, Fragment: rec.Fragment, Pos: rec.Pos,
-			Home: n.id, Writes: rec.Writes, Stamp: rec.Stamp,
-		})
 	}
 	// Epoch-recovery roles survive only as far as the WAL implies; a
 	// recovering new-home keeps its repackaging duty (its recovered set

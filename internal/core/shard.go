@@ -249,7 +249,6 @@ func (n *Node) installRun(as *applyState, w *quasiWaiter) {
 		n.ensureCataloged(w.f, q.Writes)
 		n.store.ApplyQuasi(q)
 		st.last = q.Pos
-		st.appliedLog = append(st.appliedLog, q)
 		n.cl.stats.QuasiApplied.Add(1)
 		lag := n.cl.sched.Now().Sub(q.Stamp)
 		n.cl.stats.QuasiLag.Observe(lag)

@@ -280,6 +280,8 @@ func (n *Node) DebugVars() rtnet.DebugVars {
 		Broadcast: cl.BroadcastStats(),
 		Registry:  cl.Registry(),
 		Runtime:   true,
+
+		LockTableEntries: cl.LocalNode().LockTableEntries,
 	}
 	for i := 0; i < len(n.Cfg.Addrs); i++ {
 		v.Tracers = append(v.Tracers, cl.Trace(netsim.NodeID(i)))

@@ -369,3 +369,113 @@ func TestSnapshotOfferInstallsAcrossTCP(t *testing.T) {
 		t.Error("node 2 installed a snapshot but no SnapshotOffer left nodes 0 or 1")
 	}
 }
+
+// TestDeployedNodeRetainsOnlyItsData pins what a node in production
+// shape keeps per commit. Three nodes over loopback TCP run a mixed
+// read-locks load (remote read locks, forwarded bumps, local commits
+// and the replica applies they cause); afterwards each node's lock
+// table is empty, its history recorder is inert, its store has numbered
+// every install and retained none of them — and the things that should
+// have grown, did. Structural counts, not byte thresholds.
+func TestDeployedNodeRetainsOnlyItsData(t *testing.T) {
+	const n = 3
+	perNode := 20000 / n
+	if testing.Short() {
+		perNode = 2000 / n
+	}
+	nodes, _ := tcpCluster(t, n, "read-locks", nil)
+	objectsBefore := make([]int, n)
+	for i, nd := range nodes {
+		objectsBefore[i] = nd.Live.Cluster().LocalNode().Store().Len()
+	}
+
+	var failed, bumps atomic.Int64
+	var wg sync.WaitGroup
+	for i := range nodes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			nd := nodes[i]
+			acct := workload.LiveAccount(i)
+			next := (i + 1) % n
+			inFlight := make(chan struct{}, 8) // closed loop, 8 operations in flight per node
+			for k := 0; k < perNode; k++ {
+				var op Op
+				switch k % 10 {
+				case 0, 1:
+					op = Op{Kind: "bump", Amount: 1, Counter: &next}
+				case 2:
+					op = Op{Kind: "enqueue", Item: fmt.Sprintf("it-%d-%d", i, k)}
+				case 3, 4, 5, 6:
+					op = Op{Kind: "deposit", Account: acct, Amount: 50}
+				default:
+					op = Op{Kind: "withdraw", Account: acct, Amount: 30}
+				}
+				isBump := op.Kind == "bump"
+				inFlight <- struct{}{}
+				if err := nd.Do(op, func(r core.TxnResult) {
+					if !r.Committed {
+						failed.Add(1)
+					} else if isBump {
+						bumps.Add(1)
+					}
+					<-inFlight
+				}); err != nil {
+					t.Errorf("node %d: %v", i, err)
+					<-inFlight
+					return
+				}
+			}
+			for k := 0; k < cap(inFlight); k++ { // wait for the tail
+				inFlight <- struct{}{}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if failed.Load() != 0 {
+		t.Fatalf("%d of %d operations did not commit", failed.Load(), n*perNode)
+	}
+
+	deadline := time.Now().Add(30 * time.Second)
+	for i, nd := range nodes {
+		cl := nd.Live.Cluster()
+		local := cl.LocalNode()
+		// Quiesce: every replica has the counter total, and the last remote
+		// read lock's release has arrived.
+		for {
+			var total int64
+			if err := nd.Inspect(func() { total = nd.Live.CounterTotal(netsim.NodeID(i)) }); err != nil {
+				t.Fatal(err)
+			}
+			if total == bumps.Load() && local.LockTableEntries() == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d: counter %d/%d, %d lock table entries after quiescing",
+					i, total, bumps.Load(), local.LockTableEntries())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if rec := cl.Recorder(); rec != nil || rec.Len() != 0 {
+			t.Errorf("node %d: a single-node process built a history recorder (%d records)", i, rec.Len())
+		}
+		var lsn uint64
+		var logged, objects int
+		if err := nd.Inspect(func() {
+			lsn = local.Store().LSN()
+			logged = len(local.Store().Log())
+			objects = local.Store().Len()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if logged != 0 {
+			t.Errorf("node %d: store retained %d log records", i, logged)
+		}
+		if lsn < uint64(n*perNode) {
+			t.Errorf("node %d: %d installs numbered, want at least the %d commits", i, lsn, n*perNode)
+		}
+		if objects <= objectsBefore[i] {
+			t.Errorf("node %d: store has %d objects, had %d before the load", i, objects, objectsBefore[i])
+		}
+	}
+}

@@ -67,28 +67,38 @@ type TxnRecord struct {
 
 // Recorder accumulates TxnRecords from all nodes of a run. It is safe
 // for concurrent use.
+//
+// A nil *Recorder is valid and inert, like a nil trace.Recorder or
+// metrics.Registry: Record discards, the accessors report an empty
+// history and every check passes vacuously. An engine that is one
+// process of a deployment runs with a nil recorder — it sees only its
+// own commits, so no audit could be run on what it would keep.
 type Recorder struct {
 	mu   sync.Mutex
 	cat  *fragments.Catalog
 	recs []TxnRecord
-	byID map[txn.ID]int
 }
 
 // NewRecorder creates a recorder over the fragment catalog.
 func NewRecorder(cat *fragments.Catalog) *Recorder {
-	return &Recorder{cat: cat, byID: make(map[txn.ID]int)}
+	return &Recorder{cat: cat}
 }
 
 // Record appends a committed transaction's audit record.
 func (r *Recorder) Record(rec TxnRecord) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.byID[rec.ID] = len(r.recs)
 	r.recs = append(r.recs, rec)
 }
 
 // Transactions returns a copy of all records, in recording order.
 func (r *Recorder) Transactions() []TxnRecord {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]TxnRecord, len(r.recs))
@@ -98,6 +108,9 @@ func (r *Recorder) Transactions() []TxnRecord {
 
 // Len reports the number of recorded transactions.
 func (r *Recorder) Len() int {
+	if r == nil {
+		return 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.recs)
@@ -334,6 +347,9 @@ func (r *Recorder) CheckGlobal(opts Options) error {
 // serializable: Property 1 holds for every fragment and Property 2
 // has no violations.
 func (r *Recorder) CheckFragmentwise() error {
+	if r == nil {
+		return nil
+	}
 	for _, f := range r.cat.Fragments() {
 		if cyc := r.FragmentGraph(f).FindCycle(); cyc != nil {
 			return fmt.Errorf("history: U(%s) serialization graph has cycle %v (Property 1 violated)", f, cyc)
@@ -349,6 +365,9 @@ func (r *Recorder) CheckFragmentwise() error {
 // history: an edge (tp(T), F) for every read by T of an object in
 // fragment F != tp(T).
 func (r *Recorder) ObservedRAG() *fragments.ReadAccessGraph {
+	if r == nil {
+		return fragments.NewReadAccessGraph(fragments.NewCatalog())
+	}
 	g := fragments.NewReadAccessGraph(r.cat)
 	for _, rec := range r.Transactions() {
 		if rec.Type == "" {

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"reflect"
 	"testing"
 
 	"fragdb/internal/fragments"
@@ -321,5 +322,53 @@ func TestRecorderLenAndTransactionsCopy(t *testing.T) {
 	txns[0].ID = tid(99)
 	if r.Transactions()[0].ID != tid(1) {
 		t.Error("Transactions returns aliased slice")
+	}
+}
+
+// A nil recorder is what a deployed single-process engine runs with.
+// Every exported method must be callable on it — found by reflection, so
+// a method added later is covered without editing this test — and must
+// report an empty history.
+func TestNilRecorderIsInert(t *testing.T) {
+	var r *Recorder
+	rv := reflect.ValueOf(r)
+	for i := 0; i < rv.NumMethod(); i++ {
+		name := rv.Type().Method(i).Name
+		m := rv.Method(i)
+		args := make([]reflect.Value, m.Type().NumIn())
+		for j := range args {
+			args[j] = reflect.Zero(m.Type().In(j))
+		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("(*Recorder)(nil).%s panicked: %v", name, p)
+				}
+			}()
+			for _, out := range m.Call(args) {
+				if err, ok := out.Interface().(error); ok && err != nil {
+					t.Errorf("(*Recorder)(nil).%s = %v, want nil", name, err)
+				}
+			}
+		}()
+	}
+	r.Record(TxnRecord{ID: txn.ID{Origin: 0, Seq: 1}})
+	if r.Len() != 0 || r.Transactions() != nil {
+		t.Error("nil recorder kept a record")
+	}
+	if g := r.GlobalGraph(Options{IncludeReadOnly: true}); g.NumVertices() != 0 {
+		t.Error("nil recorder's global graph has vertices")
+	}
+	if g := r.FragmentGraph("F"); g.NumVertices() != 0 {
+		t.Error("nil recorder's fragment graph has vertices")
+	}
+	if g := r.LocalGraph("F"); g.NumVertices() != 0 {
+		t.Error("nil recorder's local graph has vertices")
+	}
+	if pes := r.PartialEffects(); pes != nil {
+		t.Errorf("nil recorder reports partial effects %v", pes)
+	}
+	if rag := r.ObservedRAG(); len(rag.Vertices()) != 0 || len(rag.Edges()) != 0 {
+		t.Error("nil recorder observed a read-access graph")
 	}
 }

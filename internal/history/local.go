@@ -112,6 +112,9 @@ func (r *Recorder) LocalGraph(f fragments.FragmentID) *Graph {
 // CheckLocalGraphs verifies that every fragment's local serialization
 // graph is acyclic — the premise of the Section 4.2 theorem.
 func (r *Recorder) CheckLocalGraphs() error {
+	if r == nil {
+		return nil
+	}
 	for _, f := range r.cat.Fragments() {
 		if cyc := r.LocalGraph(f).FindCycle(); cyc != nil {
 			return fmt.Errorf("history: l.s.g. of %s has cycle %v", f, cyc)

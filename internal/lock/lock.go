@@ -87,6 +87,10 @@ type request struct {
 	mode Mode
 }
 
+// entry is one object's lock state. It exists only while the object has
+// a holder or a queued request: Release drops it from the table with the
+// last of them (dropIfIdle), so the table's size follows the locks in
+// force, not the objects ever locked.
 type entry struct {
 	holders map[txn.ID]Mode
 	queue   []request
@@ -288,6 +292,14 @@ func (s *lockShard) entryFor(o fragments.ObjectID) *entry {
 		s.table[o] = e
 	}
 	return e
+}
+
+// dropIfIdle forgets o's entry once nothing holds or awaits it. Caller
+// holds the shard's mutex.
+func (s *lockShard) dropIfIdle(o fragments.ObjectID, e *entry) {
+	if len(e.holders) == 0 && len(e.queue) == 0 {
+		delete(s.table, o)
+	}
 }
 
 func (s *lockShard) markHeld(id txn.ID, o fragments.ObjectID) {
@@ -526,6 +538,7 @@ func (m *Manager) Release(id txn.ID) []Grant {
 			}
 		}
 		delete(s.waiting, id)
+		s.dropIfIdle(o, e)
 	}
 	// Collect held objects across the involved shards and release in
 	// global sorted order.
@@ -548,6 +561,7 @@ func (m *Manager) Release(id txn.ID) []Grant {
 		e := s.table[o]
 		delete(e.holders, id)
 		grants = append(grants, m.promoteLocked(s, o, e, &events)...)
+		s.dropIfIdle(o, e)
 	}
 	m.unlockMask(mask)
 	for _, r := range events {
@@ -644,6 +658,20 @@ func (m *Manager) NumHeld(id txn.ID) int {
 	return total
 }
 
+// TableEntries reports how many objects currently have a lock entry —
+// held or awaited — across all shards. It walks the shards under their
+// mutexes, so it is for scrapes and tests, not for the hot path.
+func (m *Manager) TableEntries() int {
+	total := 0
+	for i := 0; i < len(m.shards); i++ {
+		s := m.shards[i]
+		s.mu.Lock()
+		total += len(s.table)
+		s.mu.Unlock()
+	}
+	return total
+}
+
 // String renders a compact dump of the lock table for debugging.
 func (m *Manager) String() string {
 	m.lockAll()
@@ -651,9 +679,6 @@ func (m *Manager) String() string {
 	out := ""
 	for i := 0; i < len(m.shards); i++ {
 		for o, e := range m.shards[i].table {
-			if len(e.holders) == 0 && len(e.queue) == 0 {
-				continue
-			}
 			out += fmt.Sprintf("%s: holders=%v queue=%v\n", o, e.holders, e.queue)
 		}
 	}

@@ -1,6 +1,9 @@
 package lock
 
 import (
+	"fmt"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"fragdb/internal/fragments"
@@ -209,4 +212,139 @@ func TestStringDump(t *testing.T) {
 	if m.String() == "" {
 		t.Error("String dump empty with held locks")
 	}
+}
+
+// leftovers names whatever a manager still retains: table entries, held
+// sets, waiting marks, owner masks. Empty means empty.
+func leftovers(m *Manager) string {
+	m.lockAll()
+	defer m.unlockAll()
+	out := ""
+	for i, s := range m.shards {
+		if len(s.table)+len(s.held)+len(s.waiting) != 0 {
+			out += fmt.Sprintf("shard %d: %d table entries, %d held sets, %d waiting; ",
+				i, len(s.table), len(s.held), len(s.waiting))
+		}
+	}
+	m.ownerMu.Lock()
+	if len(m.owners) != 0 {
+		out += fmt.Sprintf("%d owner masks", len(m.owners))
+	}
+	m.ownerMu.Unlock()
+	return out
+}
+
+// The table follows the locks in force, not the objects ever locked: N
+// cycles over N distinct objects leave nothing behind.
+func TestReleaseForgetsUncontendedObjects(t *testing.T) {
+	for _, k := range []int{1, 8} {
+		m := NewSharded(k, nil)
+		const n = 1000
+		for i := 0; i < n; i++ {
+			tid := id(uint64(i + 1))
+			mustGrant(t, m, tid, fmt.Sprintf("f%d.o%d", i%7, i), Exclusive)
+			mustGrant(t, m, tid, fmt.Sprintf("f%d.r%d", i%5, i), Shared)
+			if got := m.TableEntries(); got != 2 {
+				t.Fatalf("k=%d cycle %d: %d entries while holding two locks", k, i, got)
+			}
+			m.Release(tid)
+		}
+		if got := m.TableEntries(); got != 0 {
+			t.Errorf("k=%d: %d entries after %d cycles, want 0", k, got, n)
+		}
+		if l := leftovers(m); l != "" {
+			t.Errorf("k=%d: %s", k, l)
+		}
+	}
+}
+
+// Contended objects are forgotten too, once every waiter has been
+// granted and has released — and a waiter that gives up while queued
+// (the engine's abort path) takes its request with it.
+func TestReleaseForgetsContendedObjects(t *testing.T) {
+	for _, k := range []int{1, 8} {
+		m := NewSharded(k, nil)
+		mustGrant(t, m, id(1), "f0.hot", Exclusive)
+		mustGrant(t, m, id(1), "f1.side", Shared)
+		mustQueue(t, m, id(2), "f0.hot", Shared)
+		mustQueue(t, m, id(3), "f0.hot", Shared)
+		mustQueue(t, m, id(4), "f0.hot", Exclusive)
+		mustQueue(t, m, id(5), "f0.hot", Exclusive)
+		if g := m.Release(id(5)); len(g) != 0 { // gives up while queued
+			t.Fatalf("k=%d: abandoning a queued request granted %v", k, g)
+		}
+		if g := m.Release(id(1)); len(g) != 2 {
+			t.Fatalf("k=%d: grants after first release = %v, want both readers", k, g)
+		}
+		if got := m.TableEntries(); got != 1 {
+			t.Fatalf("k=%d: %d entries with f0.hot still held, want 1", k, got)
+		}
+		m.Release(id(2))
+		if g := m.Release(id(3)); len(g) != 1 || g[0].Txn != id(4) {
+			t.Fatalf("k=%d: grants after readers left = %v, want the writer", k, g)
+		}
+		m.Release(id(4))
+		if l := leftovers(m); l != "" {
+			t.Errorf("k=%d: %s", k, l)
+		}
+	}
+}
+
+// An entry someone still waits on stays, holder or no holder: dropping
+// it would lose the queued request.
+func TestEntryWithWaiterIsKept(t *testing.T) {
+	m := NewManager()
+	s := m.shards[0]
+	e := s.entryFor(obj("x"))
+	e.queue = append(e.queue, request{id: id(7), mode: Exclusive})
+	s.dropIfIdle(obj("x"), e)
+	if s.table[obj("x")] != e {
+		t.Fatal("entry with a queued request and no holder was dropped")
+	}
+	e.queue = nil
+	e.holders[id(8)] = Shared
+	s.dropIfIdle(obj("x"), e)
+	if s.table[obj("x")] != e {
+		t.Fatal("entry with a holder was dropped")
+	}
+	delete(e.holders, id(8))
+	s.dropIfIdle(obj("x"), e)
+	if len(s.table) != 0 {
+		t.Fatal("idle entry was kept")
+	}
+}
+
+var benchSink int
+
+// BenchmarkLockCycle is the commit path's lock traffic in isolation: an
+// exclusive lock on an object nobody has locked before, then release.
+// retained-B/op is what the manager still holds per cycle after a
+// collection — the number that says whether the table leaks.
+func BenchmarkLockCycle(b *testing.B) {
+	objs := make([]fragments.ObjectID, b.N)
+	for i := range objs {
+		objs[i] = fragments.ObjectID("f" + strconv.Itoa(i%64) + ".o" + strconv.Itoa(i))
+	}
+	m := NewSharded(8, nil)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tid := txn.ID{Origin: 0, Seq: uint64(i + 1)}
+		if ok, _ := m.Acquire(tid, objs[i], Exclusive); ok {
+			benchSink++
+		}
+		benchSink += len(m.Release(tid))
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	if retained < 0 {
+		retained = 0
+	}
+	b.ReportMetric(retained/float64(b.N), "retained-B/op")
+	benchSink += m.TableEntries()
 }

@@ -311,6 +311,40 @@ func TestShardEquivalence(t *testing.T) {
 	}
 }
 
+// Property: whatever happened before — grants, waits, upgrades, denied
+// deadlocks, abandoned requests — once every transaction has released,
+// the manager retains nothing, at any shard count. One pass suffices: a
+// release can only grant to a transaction that has not released yet.
+func TestQuickDrainLeavesNothing(t *testing.T) {
+	f := func(seed int64) bool {
+		seq := genSequence(rand.New(rand.NewSource(seed)), 120)
+		for _, k := range []int{1, 2, 4, 8} {
+			m := NewSharded(k, nil)
+			ids := map[txn.ID]bool{}
+			for _, s := range seq {
+				ids[s.id] = true
+				if s.release {
+					m.Release(s.id)
+				} else {
+					_, _ = m.Acquire(s.id, s.o, s.mode) // denial is followed by a release step
+				}
+			}
+			for id := range ids {
+				m.Release(id)
+			}
+			if l := leftovers(m); l != "" {
+				t.Logf("seed %d k=%d: %s", seed, k, l)
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(19))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestShardPlacementSpread sanity-checks that the default hash actually
 // spreads a realistic object population across shards (a degenerate
 // all-on-one-shard hash would make the equivalence test vacuous).

@@ -10,7 +10,7 @@ import (
 	"fragdb/internal/netsim"
 )
 
-// Metric family names exported by the labeled Registry. The Prometheus
+// Metric family names exported beside the labeled Registry. The Prometheus
 // exporter (rtnet.writeRegistry) must render every one of these — the
 // halint metricexported analyzer machine-checks that a function marked
 // `//halint:metricexporter metrics` references each Fam* constant, so
@@ -49,6 +49,12 @@ const (
 	// join key the spectrum uses to map fragments to transaction
 	// classes.
 	FamFragInfo = "frag_info"
+	// FamLockTableEntries is a depth gauge: objects with a lock entry —
+	// held or awaited — in the node's lock table right now. It is read
+	// from the lock manager at scrape time (the registry keeps no sample
+	// for it); a table that grows with objects ever locked, rather than
+	// with locks in force, shows here first.
+	FamLockTableEntries = "lock_table_entries"
 )
 
 // Label is the key of every labeled sample: the fragment touched and

@@ -25,6 +25,9 @@ type DebugVars struct {
 	// /metrics — the access-pattern matrix cmd/haobs consumes.
 	Registry *metrics.Registry
 	Tracers  []*trace.Recorder
+	// LockTableEntries, when non-nil, is sampled on every scrape for the
+	// lock_table_entries depth gauge.
+	LockTableEntries func() int
 	// Runtime adds Go runtime gauges (goroutines, heap bytes, GC pause
 	// total and cycle count) to /metrics, for correlating engine
 	// behavior with process health.
@@ -100,21 +103,28 @@ func writePrometheus(w http.ResponseWriter, v DebugVars) {
 		writeCountHistogram(w, "broadcast_batch_size",
 			"Payloads per data message, by message.", &b.BatchSize)
 	}
-	if v.Registry != nil {
-		writeRegistry(w, v.Registry)
-	}
+	writeRegistry(w, v)
 	if v.Runtime {
 		writeRuntime(w)
 	}
 }
 
-// writeRegistry renders the labeled registry's metric families. Every
-// Fam* family declared by the metrics package must be rendered here —
-// the declaration below lets halint's metricexported analyzer verify
-// that this function references each family-name constant.
+// writeRegistry renders the metric families the metrics package
+// declares: the lock-table depth gauge and the labeled registry's
+// vectors. Every Fam* family must be rendered here — the declaration
+// below lets halint's metricexported analyzer verify that this function
+// references each family-name constant.
 //
 //halint:metricexporter metrics
-func writeRegistry(w http.ResponseWriter, reg *metrics.Registry) {
+func writeRegistry(w http.ResponseWriter, v DebugVars) {
+	if v.LockTableEntries != nil {
+		fmt.Fprintf(w, "# HELP fragdb_%s Objects with a lock entry (held or awaited) in the lock table.\n# TYPE fragdb_%s gauge\nfragdb_%s %d\n",
+			metrics.FamLockTableEntries, metrics.FamLockTableEntries, metrics.FamLockTableEntries, v.LockTableEntries())
+	}
+	reg := v.Registry
+	if reg == nil {
+		return
+	}
 	counterVec := func(name, help string, samples []metrics.CounterSample) {
 		fmt.Fprintf(w, "# HELP fragdb_%s %s\n# TYPE fragdb_%s counter\n", name, help, name)
 		for _, s := range samples {

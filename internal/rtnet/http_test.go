@@ -60,7 +60,8 @@ func debugFixture() DebugVars {
 	reg.IncDelivered(1)
 	reg.SetFragInfo("BALANCES", metrics.FragInfo{Option: "read-locks"})
 	reg.SetFragInfo("CTR(1)", metrics.FragInfo{Option: "unrestricted", Commutative: true})
-	return DebugVars{Counters: c, Broadcast: b, Registry: reg, Tracers: tracers, Runtime: true}
+	return DebugVars{Counters: c, Broadcast: b, Registry: reg, Tracers: tracers, Runtime: true,
+		LockTableEntries: func() int { return 3 }}
 }
 
 func get(t *testing.T, path string) (int, string) {
@@ -131,6 +132,8 @@ func TestRegistryMetricsEndpoint(t *testing.T) {
 		`fragdb_frag_quasi_lag_seconds_count{frag="CTR(1)",node="1"} 1`,
 		`fragdb_frag_info{frag="BALANCES",option="read-locks",commutative="false"} 1`,
 		`fragdb_frag_info{frag="CTR(1)",option="unrestricted",commutative="true"} 1`,
+		"# TYPE fragdb_lock_table_entries gauge",
+		"fragdb_lock_table_entries 3",
 		"# TYPE fragdb_go_goroutines gauge",
 		"fragdb_go_heap_alloc_bytes",
 		"fragdb_go_gc_pause_total_seconds",

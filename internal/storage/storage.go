@@ -1,6 +1,12 @@
 // Package storage implements the per-node replicated database copy:
-// a versioned key-value store over the fragment catalog, with a
-// write-ahead log of installed transactions and quasi-transactions.
+// a versioned key-value store over the fragment catalog, with an
+// in-memory log of installed transactions and quasi-transactions.
+//
+// The log stands in for a disk WAL: it survives a simulated crash and
+// is read back by the engine's recovery paths. In a process where
+// nothing can read it back it is pure cost — kill -9 erases it anyway —
+// so such a store is built with NewUnlogged and keeps only the LSN
+// counter (DESIGN.md, "What an engine retains per commit").
 //
 // Every node holds a complete copy of the database (the paper assumes
 // full replication for simplicity; Section 3.1). The store is the unit
@@ -78,6 +84,8 @@ type Store struct {
 	logMu sync.Mutex
 	log   []LogRecord
 	lsn   uint64
+	// unlogged stores count LSNs but retain no records (NewUnlogged).
+	unlogged bool
 }
 
 // New creates an empty store for the given node over the catalog.
@@ -86,6 +94,15 @@ func New(node netsim.NodeID, cat *fragments.Catalog) *Store {
 	for i := range s.stripes {
 		s.stripes[i].vals = make(map[fragments.ObjectID]Version)
 	}
+	return s
+}
+
+// NewUnlogged creates a store that installs and numbers records like
+// New's but retains none of them: Log and LogSince stay empty. For a
+// process in which nothing can read the log back.
+func NewUnlogged(node netsim.NodeID, cat *fragments.Catalog) *Store {
+	s := New(node, cat)
+	s.unlogged = true
 	return s
 }
 
@@ -203,10 +220,12 @@ func (s *Store) install(id txn.ID, frag fragments.FragmentID, pos txn.FragPos, q
 	s.logMu.Lock()
 	s.lsn++
 	lsn := s.lsn
-	s.log = append(s.log, LogRecord{
-		LSN: lsn, Txn: id, Fragment: frag, Pos: pos,
-		Quasi: quasi, Writes: writes, Stamp: stamp,
-	})
+	if !s.unlogged {
+		s.log = append(s.log, LogRecord{
+			LSN: lsn, Txn: id, Fragment: frag, Pos: pos,
+			Quasi: quasi, Writes: writes, Stamp: stamp,
+		})
+	}
 	s.logMu.Unlock()
 	return lsn
 }
@@ -218,7 +237,8 @@ func (s *Store) LSN() uint64 {
 	return s.lsn
 }
 
-// Log returns a copy of the write-ahead log.
+// Log returns a copy of the write-ahead log (empty for an unlogged
+// store).
 func (s *Store) Log() []LogRecord {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()

@@ -59,6 +59,30 @@ func TestApplyAtomicAndLogged(t *testing.T) {
 	}
 }
 
+// An unlogged store installs and numbers exactly like a logged one and
+// retains no record of it.
+func TestUnloggedStoreKeepsValuesAndLSNOnly(t *testing.T) {
+	s := NewUnlogged(0, testCatalog(t))
+	id := txn.ID{Origin: 0, Seq: 1}
+	if lsn := s.Apply(id, "F1", txn.FragPos{Seq: 1}, []txn.WriteOp{{Object: "a", Value: 1}}, 100); lsn != 1 {
+		t.Errorf("first lsn = %d", lsn)
+	}
+	q := txn.Quasi{Txn: txn.ID{Origin: 1, Seq: 1}, Fragment: "F2", Pos: txn.FragPos{Seq: 1},
+		Home: 1, Writes: []txn.WriteOp{{Object: "c", Value: 9}}, Stamp: 120}
+	if lsn := s.ApplyQuasi(q); lsn != 2 || s.LSN() != 2 {
+		t.Errorf("second lsn = %d, LSN() = %d", lsn, s.LSN())
+	}
+	if ver, ok := s.GetVersion("a"); !ok || ver.Value != 1 || ver.Txn != id || ver.Pos.Seq != 1 {
+		t.Errorf("version of a = %+v", ver)
+	}
+	if v, _ := s.Get("c"); v != 9 {
+		t.Errorf("c = %v", v)
+	}
+	if len(s.Log()) != 0 || len(s.LogSince(0)) != 0 {
+		t.Errorf("unlogged store retained %d records", len(s.Log()))
+	}
+}
+
 func TestApplyQuasi(t *testing.T) {
 	s := New(1, testCatalog(t))
 	q := txn.Quasi{
