@@ -28,6 +28,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -56,7 +57,6 @@ func main() {
 		accounts   = flag.Int("accounts", 0, "number of bank accounts (default 2 per node)")
 		seed       = flag.Int64("seed", 1, "scheduler seed")
 		majority   = flag.Bool("majority", false, "enable majority commit for non-commutative transactions")
-		opLatency  = flag.Duration("oplatency", 0, "virtual cost per transaction operation (default 100µs)")
 		txnTimeout = flag.Duration("txntimeout", 0, "transaction timeout (default 2s)")
 		traceCap   = flag.Int("trace", 0, "flight-recorder ring size in events (default 4096; negative disables)")
 		plEnable   = flag.Bool("placement", false, "run the adaptive placement controller (commutative fragments only)")
@@ -77,7 +77,6 @@ func main() {
 		Accounts:       *accounts,
 		Seed:           *seed,
 		MajorityCommit: *majority,
-		OpLatency:      *opLatency,
 		TxnTimeout:     *txnTimeout,
 		TraceCap:       *traceCap,
 	})
@@ -137,6 +136,11 @@ type txResponse struct {
 	LatencyMS float64 `json:"latency_ms"`
 }
 
+// maxTxBody caps a /tx request body. An operation encodes in under
+// 200 bytes; the cap only keeps a client from making the node buffer
+// an arbitrary stream.
+const maxTxBody = 64 << 10
+
 // serveTx submits the posted operation and waits for its outcome. The
 // done callback runs on the loop goroutine; the buffered channel keeps
 // it from ever blocking the engine on a slow client.
@@ -146,14 +150,22 @@ func serveTx(w http.ResponseWriter, r *http.Request, node *deploy.Node) {
 		return
 	}
 	var op deploy.Op
-	if err := json.NewDecoder(r.Body).Decode(&op); err != nil {
-		http.Error(w, "bad op: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTxBody)).Decode(&op); err != nil {
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad op: "+err.Error(), status)
 		return
 	}
 	start := time.Now()
 	done := make(chan core.TxnResult, 1)
 	if err := node.Do(op, func(res core.TxnResult) { done <- res }); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		if errors.Is(err, deploy.ErrLoopStopped) {
+			status = http.StatusServiceUnavailable
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	res := <-done

@@ -97,6 +97,20 @@ type SnapshotOffer struct {
 	State any
 }
 
+// Resendable reports whether payload is one of the broadcast's own
+// transport messages — Data, DataBatch, Digest, SnapshotOffer — which
+// anti-entropy sends again if they are lost: the next digest asks for
+// missing entries again, and digests and offers recur every round. A
+// transport may drop these under pressure; everything else it carries
+// is sent once.
+func Resendable(payload any) bool {
+	switch payload.(type) {
+	case Data, DataBatch, Digest, SnapshotOffer:
+		return true
+	}
+	return false
+}
+
 // Handler consumes broadcast messages in per-origin FIFO order. The
 // broadcaster serializes handler invocations (even in real-time mode)
 // and never holds its internal lock while calling, so a handler may
@@ -155,15 +169,19 @@ const (
 	DefaultFullDigestRounds = 4
 )
 
+// repairWindow caps the payload bytes (measured with Config.SizeOf) that
+// one digest's repair ships, summed over streams. It keeps every range
+// well inside one wire frame (wire.MaxFrameDefault is 1 MiB), and it
+// turns a peer that is far behind into a few rounds of ranges rather
+// than one burst its transport's write queue cannot hold.
+const repairWindow = 256 << 10
+
 // Config tunes a Broadcaster.
 type Config struct {
 	// GossipInterval is the anti-entropy period in the Timer's time
 	// unit (nanoseconds of virtual or real time). Zero disables the
 	// periodic digest (tests drive repair manually via Gossip).
 	GossipInterval int64
-	// MaxBatch bounds how many missing messages are sent in response to
-	// one digest, per origin. Zero means unlimited.
-	MaxBatch int
 	// BatchFlushDelay, when positive, enables sender-side batching of
 	// optimistic pushes: Send buffers payloads and ships them as one
 	// DataBatch per peer when the oldest buffered payload has waited
@@ -952,12 +970,13 @@ func (b *Broadcaster) drainOrigin(origin netsim.NodeID) {
 
 // repair answers a peer's digest with the contiguous range of messages
 // the peer is missing from each stream this node has more of — one
-// DataBatch per origin instead of one message per sequence number —
-// recording the digest as the peer's acknowledgment for the compaction
-// watermark (full digests replace the recorded view, delta digests
-// merge into it). A peer that has fallen behind a stream's truncation
-// horizon gets a snapshot offer instead of unservable entries. Caller
-// holds mu.
+// DataBatch per origin (a plain Data for a single entry) instead of one
+// message per sequence number, the ranges together capped at
+// repairWindow bytes — recording the digest as the peer's
+// acknowledgment for the compaction watermark (full digests replace the
+// recorded view, delta digests merge into it). A peer that has fallen
+// behind a stream's truncation horizon gets a snapshot offer instead of
+// unservable entries. Caller holds mu.
 func (b *Broadcaster) repair(from netsim.NodeID, d Digest) {
 	have := b.peerHave[from]
 	if have == nil {
@@ -977,6 +996,7 @@ func (b *Broadcaster) repair(from netsim.NodeID, d Digest) {
 	}
 	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
 	behind := false
+	budget := repairWindow
 	for _, o := range origins {
 		s := b.logs[o]
 		theirs := have[o]
@@ -995,27 +1015,42 @@ func (b *Broadcaster) repair(from netsim.NodeID, d Digest) {
 		if theirs >= hi {
 			continue
 		}
-		n := hi - theirs
-		if b.cfg.MaxBatch > 0 && n > uint64(b.cfg.MaxBatch) {
-			n = uint64(b.cfg.MaxBatch)
-		}
 		lo := theirs - s.base
 		// Full slice expression: the in-flight message aliases the log,
 		// and later appends to s.entries must not grow into it.
-		payloads := s.entries[lo : lo+n : lo+n]
-		if n == 1 || b.cfg.BatchFlushDelay <= 0 {
-			// Batching off: one Data per entry, the pre-batching wire
-			// behaviour, so the ablation axis compares like with like.
-			for i := uint64(0); i < n; i++ {
-				b.sendData(from, Data{Origin: o, Seq: theirs + 1 + i, Payload: payloads[i]}, 1)
-			}
-		} else {
-			b.sendData(from, DataBatch{Origin: o, Start: theirs + 1, Payloads: payloads}, int(n))
+		payloads := b.fitWindow(s.entries[lo:hi-s.base:hi-s.base], &budget)
+		switch len(payloads) {
+		case 0:
+		case 1:
+			b.sendData(from, Data{Origin: o, Seq: theirs + 1, Payload: payloads[0]}, 1)
+		default:
+			b.sendData(from, DataBatch{Origin: o, Start: theirs + 1, Payloads: payloads}, len(payloads))
 		}
 	}
 	if behind && b.cfg.Compaction {
 		b.offerSnapshot(from)
 	}
+}
+
+// fitWindow returns the longest prefix of entries whose sizes (per
+// Config.SizeOf) fit in *budget, and charges it. An entry larger than
+// the whole window still ships, alone, while the budget is untouched —
+// otherwise it could never be repaired. Without SizeOf nothing is
+// measured and every entry fits. Caller holds mu.
+func (b *Broadcaster) fitWindow(entries []any, budget *int) []any {
+	if b.cfg.SizeOf == nil {
+		return entries
+	}
+	k := 0
+	for _, e := range entries {
+		sz := b.cfg.SizeOf(e)
+		if sz > *budget && (k > 0 || *budget < repairWindow) {
+			break
+		}
+		*budget -= sz
+		k++
+	}
+	return entries[:k:k]
 }
 
 // offerSnapshot sends one SnapshotOffer (at most one per peer per

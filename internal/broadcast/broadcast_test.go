@@ -189,25 +189,71 @@ func TestPrefixAndLog(t *testing.T) {
 	}
 }
 
-func TestMaxBatchLimitsRepair(t *testing.T) {
-	r := newRig(t, 2, Config{MaxBatch: 2}, 1)
-	// Node 0 has 5 messages; node 1 has none. One digest round repairs
-	// at most 2.
+// repairRig is a two-node rig whose node 0 has sent missed payloads of
+// size bytes each (per SizeOf) while cut off from node 1, with
+// batching off; seen collects the data messages node 1 receives.
+func repairRig(t *testing.T, missed, size int) (r *rig, seen *[]any) {
+	t.Helper()
+	r = newRig(t, 2, Config{SizeOf: func(any) int { return size }}, 1)
+	seen = new([]any)
+	r.net.SetHandler(1, func(from netsim.NodeID, p any) {
+		if Resendable(p) {
+			if _, digest := p.(Digest); !digest {
+				*seen = append(*seen, p)
+			}
+		}
+		r.bs[1].HandleMessage(from, p)
+	})
 	r.net.Partition([]netsim.NodeID{0}, []netsim.NodeID{1})
-	for i := 0; i < 5; i++ {
+	for i := 0; i < missed; i++ {
 		r.bs[0].Send(i)
 	}
 	r.sched.Run()
 	r.net.Heal()
-	r.bs[1].Gossip()
-	r.sched.Run()
-	if len(r.got[1]) != 2 {
-		t.Fatalf("after one gossip round: %d messages, want 2", len(r.got[1]))
+	return r, seen
+}
+
+// TestRepairShipsRangesInWindow: with batching off, a digest from a
+// peer missing 1 000 entries is answered with one DataBatch, not 1 000
+// Data messages, and the ranges are capped by the repair window — so
+// the peer converges in exactly ⌈bytes/window⌉ digest rounds.
+func TestRepairShipsRangesInWindow(t *testing.T) {
+	const missed, perRound = 1000, 100
+	const size = repairWindow / perRound
+	r, seen := repairRig(t, missed, size)
+	rounds := (missed*size + repairWindow - 1) / repairWindow
+	for round := 1; round <= rounds; round++ {
+		*seen = nil
+		r.bs[1].Gossip()
+		r.sched.Run()
+		if len(*seen) != 1 {
+			t.Fatalf("round %d: %d data messages answered one digest, want 1", round, len(*seen))
+		}
+		batch, ok := (*seen)[0].(DataBatch)
+		if !ok {
+			t.Fatalf("round %d: repair sent %T, want a DataBatch", round, (*seen)[0])
+		}
+		if bytes := len(batch.Payloads) * size; bytes > repairWindow {
+			t.Fatalf("round %d: batch of %d B exceeds the %d B window", round, bytes, repairWindow)
+		}
+		if want := min(round*perRound, missed); len(r.got[1]) != want {
+			t.Fatalf("round %d: delivered %d, want %d", round, len(r.got[1]), want)
+		}
 	}
-	r.bs[1].Gossip()
-	r.sched.Run()
-	if len(r.got[1]) != 4 {
-		t.Fatalf("after two gossip rounds: %d messages, want 4", len(r.got[1]))
+	assertGot(t, r.got[1], wantSeqs(0, 1, missed, func(s uint64) any { return s - 1 }), "converged")
+}
+
+// TestRepairShipsOversizedEntryAlone: an entry larger than the whole
+// window still ships, by itself, or it could never be repaired.
+func TestRepairShipsOversizedEntryAlone(t *testing.T) {
+	r, seen := repairRig(t, 2, 2*repairWindow)
+	for round := 1; round <= 2; round++ {
+		*seen = nil
+		r.bs[1].Gossip()
+		r.sched.Run()
+		if _, ok := (*seen)[0].(Data); len(*seen) != 1 || !ok || len(r.got[1]) != round {
+			t.Fatalf("round %d: sent %v, delivered %d", round, *seen, len(r.got[1]))
+		}
 	}
 }
 

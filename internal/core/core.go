@@ -108,8 +108,10 @@ type Config struct {
 	// NetLatency overrides the network latency model (default: fixed 10ms).
 	NetLatency netsim.LatencyFunc
 	// OpLatency is the virtual time consumed by each transaction
-	// operation (read, write). Default 1ms. Nonzero values let local
-	// transactions interleave with quasi-transaction installation.
+	// operation (read, write). Default 1ms on the simulated network,
+	// where nonzero values let local transactions interleave with
+	// quasi-transaction installation. Over a real Transport zero means
+	// zero: an operation costs the work it does.
 	OpLatency simtime.Duration
 	// GossipInterval is the broadcast anti-entropy period. Default 50ms.
 	GossipInterval simtime.Duration
@@ -198,7 +200,7 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.OpLatency == 0 {
+	if c.OpLatency == 0 && c.Transport == nil {
 		c.OpLatency = time.Millisecond
 	}
 	if c.GossipInterval == 0 {

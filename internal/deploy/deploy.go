@@ -1,5 +1,6 @@
 // Package deploy assembles one real-deployment node: a single-node core
-// engine over a real transport, driven at wall pace by an rtnet.Loop.
+// engine over a real transport, driven on the wall clock by an
+// rtnet.Loop, its operations costing the work they do.
 // cmd/hanode wraps it in a process; tests assemble several in one
 // process (over TCP or the in-process loopback) to check the two
 // deployments behave alike.
@@ -36,9 +37,6 @@ type Config struct {
 	Seed int64
 	// MajorityCommit enables the Section 4.4.1 commit protocol.
 	MajorityCommit bool
-	// OpLatency is the per-operation virtual cost (default 100µs: low
-	// enough for a load harness, nonzero so transactions interleave).
-	OpLatency time.Duration
 	// TxnTimeout bounds blocked transactions (default 2s — deliberately
 	// shorter than the simulator's 5s so unavailability shows up as
 	// fast aborts in availability experiments rather than long stalls).
@@ -119,9 +117,6 @@ func build(cfg Config, raw netsim.Transport, tune func(*core.Config)) (*Node, er
 	if cfg.ID < 0 || cfg.ID >= len(cfg.Addrs) {
 		return nil, fmt.Errorf("deploy: node id %d outside cluster of %d", cfg.ID, len(cfg.Addrs))
 	}
-	if cfg.OpLatency <= 0 {
-		cfg.OpLatency = 100 * time.Microsecond
-	}
 	if cfg.TxnTimeout <= 0 {
 		cfg.TxnTimeout = 2 * time.Second
 	}
@@ -134,7 +129,6 @@ func build(cfg Config, raw netsim.Transport, tune func(*core.Config)) (*Node, er
 	engine := core.Config{
 		N:              len(cfg.Addrs),
 		Seed:           cfg.Seed,
-		OpLatency:      simtime.Duration(cfg.OpLatency),
 		TxnTimeout:     simtime.Duration(cfg.TxnTimeout),
 		MajorityCommit: cfg.MajorityCommit,
 		TraceCap:       cfg.TraceCap,
@@ -282,6 +276,9 @@ func (n *Node) DebugVars() rtnet.DebugVars {
 		Runtime:   true,
 
 		LockTableEntries: cl.LocalNode().LockTableEntries,
+	}
+	if n.TCP != nil {
+		v.TCP = n.TCP.Stats()
 	}
 	for i := 0; i < len(n.Cfg.Addrs); i++ {
 		v.Tracers = append(v.Tracers, cl.Trace(netsim.NodeID(i)))

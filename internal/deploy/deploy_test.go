@@ -370,6 +370,169 @@ func TestSnapshotOfferInstallsAcrossTCP(t *testing.T) {
 	}
 }
 
+// mixedOp is operation k of node i's share of a read-locks load: bumps
+// forwarded to the successor's counter, local enqueues and deposits,
+// and withdrawals that take a remote read lock at the central office.
+func mixedOp(i, k, n int) Op {
+	next := (i + 1) % n
+	switch k % 10 {
+	case 0, 1:
+		return Op{Kind: "bump", Amount: 1, Counter: &next}
+	case 2:
+		return Op{Kind: "enqueue", Item: fmt.Sprintf("it-%d-%d", i, k)}
+	case 3, 4, 5, 6:
+		return Op{Kind: "deposit", Account: workload.LiveAccount(i), Amount: 50}
+	default:
+		return Op{Kind: "withdraw", Account: workload.LiveAccount(i), Amount: 30}
+	}
+}
+
+// closedLoop submits perNode operations op(i, k, len(nodes)) at each
+// node, keeping inFlight of them outstanding per node, and waits for
+// all of them. It returns how many did not commit and how many
+// committed bumps there were.
+func closedLoop(t *testing.T, nodes []*Node, perNode, inFlight int, op func(i, k, n int) Op) (failed, bumps int64) {
+	t.Helper()
+	var nFailed, nBumps atomic.Int64
+	var wg sync.WaitGroup
+	for i := range nodes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			nd := nodes[i]
+			slots := make(chan struct{}, inFlight)
+			for k := 0; k < perNode; k++ {
+				o := op(i, k, len(nodes))
+				isBump := o.Kind == "bump"
+				slots <- struct{}{}
+				if err := nd.Do(o, func(r core.TxnResult) {
+					if !r.Committed {
+						nFailed.Add(1)
+					} else if isBump {
+						nBumps.Add(1)
+					}
+					<-slots
+				}); err != nil {
+					t.Errorf("node %d: %v", i, err)
+					<-slots
+					return
+				}
+			}
+			for k := 0; k < cap(slots); k++ { // wait for the tail
+				slots <- struct{}{}
+			}
+		}(i)
+	}
+	wg.Wait()
+	return nFailed.Load(), nBumps.Load()
+}
+
+// quiesce waits until every replica has the counter total bumps and,
+// with released, the last remote read lock's release has arrived
+// everywhere.
+func quiesce(t *testing.T, nodes []*Node, bumps int64, released bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for i, nd := range nodes {
+		local := nd.Live.Cluster().LocalNode()
+		for {
+			var total int64
+			if err := nd.Inspect(func() { total = nd.Live.CounterTotal(netsim.NodeID(i)) }); err != nil {
+				t.Fatal(err)
+			}
+			if total == bumps && (!released || local.LockTableEntries() == 0) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d: counter %d/%d, %d lock table entries after quiescing",
+					i, total, bumps, local.LockTableEntries())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// TestDeployedNodeDropsOnlyByRule: three nodes over loopback TCP run the
+// read-locks load at 16 operations in flight per node, on a node whose
+// operations cost only the work they do. Nothing may fail or time out,
+// and no send may be lost to a full queue — neither broadcast data nor
+// the lock requests, grants, releases and forwarded operations nothing
+// would re-send. Then node 0 is cut off and healed while the others
+// keep committing: afterwards the drop rule is the only cause of
+// dropped sends.
+func TestDeployedNodeDropsOnlyByRule(t *testing.T) {
+	const n = 3
+	perNode := 12000 / n
+	if testing.Short() {
+		perNode = 1200 / n
+	}
+	nodes, _ := tcpCluster(t, n, "read-locks", nil)
+	checkDrops := func(phase string, wantRule bool) {
+		t.Helper()
+		var rule uint64
+		for i, nd := range nodes {
+			for _, d := range nd.TCP.Stats().SendDrops() {
+				if d.Cause == "drop_rule" {
+					rule += d.N
+				} else if d.N != 0 {
+					t.Errorf("%s: node %d dropped %d sends for %s", phase, i, d.N, d.Cause)
+				}
+			}
+		}
+		if (rule != 0) != wantRule {
+			t.Errorf("%s: %d sends dropped by the drop rule", phase, rule)
+		}
+	}
+
+	failed, bumps := closedLoop(t, nodes, perNode, 16, mixedOp)
+	if failed != 0 {
+		t.Fatalf("%d of %d operations did not commit", failed, n*perNode)
+	}
+	quiesce(t, nodes, bumps, true)
+	checkDrops("under load", false)
+	for i, nd := range nodes {
+		if to := nd.Live.Cluster().Stats().TimedOut.Load(); to != 0 {
+			t.Errorf("node %d timed out %d transactions under load", i, to)
+		}
+	}
+
+	// The cut: node 0 is the central office, so during it every node runs
+	// only operations that need no other node — own-counter bumps,
+	// enqueues, deposits. (The office's own folds of the other nodes'
+	// activity wait for remote read locks and may time out: that is the
+	// read-locks option's price for a partition, not a lost message. A
+	// grant the cut swallowed is reclaimed by its lease, not a release,
+	// so the final wait does not ask for empty lock tables.)
+	cut := func(on bool) {
+		for peer := 1; peer < n; peer++ {
+			if err := nodes[0].SetPeerDrop(peer, on); err != nil {
+				t.Fatal(err)
+			}
+			if err := nodes[peer].SetPeerDrop(0, on); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cut(true)
+	local := func(i, k, n int) Op {
+		switch k % 3 {
+		case 0:
+			return Op{Kind: "bump", Amount: 1}
+		case 1:
+			return Op{Kind: "enqueue", Item: fmt.Sprintf("cut-%d-%d", i, k)}
+		default:
+			return Op{Kind: "deposit", Account: workload.LiveAccount(i), Amount: 5}
+		}
+	}
+	failed, cutBumps := closedLoop(t, nodes, perNode/4, 16, local)
+	if failed != 0 {
+		t.Fatalf("%d operations did not commit during the cut", failed)
+	}
+	cut(false)
+	quiesce(t, nodes, bumps+cutBumps, false)
+	checkDrops("after cut and heal", true)
+}
+
 // TestDeployedNodeRetainsOnlyItsData pins what a node in production
 // shape keeps per commit. Three nodes over loopback TCP run a mixed
 // read-locks load (remote read locks, forwarded bumps, local commits
@@ -389,73 +552,15 @@ func TestDeployedNodeRetainsOnlyItsData(t *testing.T) {
 		objectsBefore[i] = nd.Live.Cluster().LocalNode().Store().Len()
 	}
 
-	var failed, bumps atomic.Int64
-	var wg sync.WaitGroup
-	for i := range nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			nd := nodes[i]
-			acct := workload.LiveAccount(i)
-			next := (i + 1) % n
-			inFlight := make(chan struct{}, 8) // closed loop, 8 operations in flight per node
-			for k := 0; k < perNode; k++ {
-				var op Op
-				switch k % 10 {
-				case 0, 1:
-					op = Op{Kind: "bump", Amount: 1, Counter: &next}
-				case 2:
-					op = Op{Kind: "enqueue", Item: fmt.Sprintf("it-%d-%d", i, k)}
-				case 3, 4, 5, 6:
-					op = Op{Kind: "deposit", Account: acct, Amount: 50}
-				default:
-					op = Op{Kind: "withdraw", Account: acct, Amount: 30}
-				}
-				isBump := op.Kind == "bump"
-				inFlight <- struct{}{}
-				if err := nd.Do(op, func(r core.TxnResult) {
-					if !r.Committed {
-						failed.Add(1)
-					} else if isBump {
-						bumps.Add(1)
-					}
-					<-inFlight
-				}); err != nil {
-					t.Errorf("node %d: %v", i, err)
-					<-inFlight
-					return
-				}
-			}
-			for k := 0; k < cap(inFlight); k++ { // wait for the tail
-				inFlight <- struct{}{}
-			}
-		}(i)
+	failed, bumps := closedLoop(t, nodes, perNode, 8, mixedOp)
+	if failed != 0 {
+		t.Fatalf("%d of %d operations did not commit", failed, n*perNode)
 	}
-	wg.Wait()
-	if failed.Load() != 0 {
-		t.Fatalf("%d of %d operations did not commit", failed.Load(), n*perNode)
-	}
+	quiesce(t, nodes, bumps, true)
 
-	deadline := time.Now().Add(30 * time.Second)
 	for i, nd := range nodes {
 		cl := nd.Live.Cluster()
 		local := cl.LocalNode()
-		// Quiesce: every replica has the counter total, and the last remote
-		// read lock's release has arrived.
-		for {
-			var total int64
-			if err := nd.Inspect(func() { total = nd.Live.CounterTotal(netsim.NodeID(i)) }); err != nil {
-				t.Fatal(err)
-			}
-			if total == bumps.Load() && local.LockTableEntries() == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("node %d: counter %d/%d, %d lock table entries after quiescing",
-					i, total, bumps.Load(), local.LockTableEntries())
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
 		if rec := cl.Recorder(); rec != nil || rec.Len() != 0 {
 			t.Errorf("node %d: a single-node process built a history recorder (%d records)", i, rec.Len())
 		}

@@ -99,8 +99,8 @@ func RunE10(seed int64) *Result {
 		prevLM = shipped
 
 		// --- fragments and agents --------------------------------------
-		// Run the identical scenario twice: push/repair batching off
-		// (one message per quasi, the pre-batching wire behaviour) and
+		// Run the identical scenario twice: push batching off (one
+		// message per fresh quasi; repair ships ranges either way) and
 		// on. Semantics must be identical; only the post-heal message
 		// bill changes.
 		type fdRun struct {

@@ -55,6 +55,11 @@ const (
 	// for it); a table that grows with objects ever locked, rather than
 	// with locks in force, shows here first.
 	FamLockTableEntries = "lock_table_entries"
+	// FamTCPSendDropped counts sends the TCP transport discarded, by
+	// cause: queue_full (broadcast data, which anti-entropy re-sends),
+	// control_full (sent once; must stay 0), drop_rule (a partition
+	// lever), closed, encode. Read from the transport at scrape time.
+	FamTCPSendDropped = "tcp_send_dropped_total"
 )
 
 // Label is the key of every labeled sample: the fragment touched and

@@ -28,6 +28,9 @@ type DebugVars struct {
 	// LockTableEntries, when non-nil, is sampled on every scrape for the
 	// lock_table_entries depth gauge.
 	LockTableEntries func() int
+	// TCP, when non-nil, adds the transport's dropped sends by cause
+	// (tcp_send_dropped_total{cause}).
+	TCP *TCPStats
 	// Runtime adds Go runtime gauges (goroutines, heap bytes, GC pause
 	// total and cycle count) to /metrics, for correlating engine
 	// behavior with process health.
@@ -110,16 +113,24 @@ func writePrometheus(w http.ResponseWriter, v DebugVars) {
 }
 
 // writeRegistry renders the metric families the metrics package
-// declares: the lock-table depth gauge and the labeled registry's
-// vectors. Every Fam* family must be rendered here — the declaration
-// below lets halint's metricexported analyzer verify that this function
-// references each family-name constant.
+// declares: the lock-table depth gauge, the transport's dropped sends
+// and the labeled registry's vectors. Every Fam* family must be
+// rendered here — the declaration below lets halint's metricexported
+// analyzer verify that this function references each family-name
+// constant.
 //
 //halint:metricexporter metrics
 func writeRegistry(w http.ResponseWriter, v DebugVars) {
 	if v.LockTableEntries != nil {
 		fmt.Fprintf(w, "# HELP fragdb_%s Objects with a lock entry (held or awaited) in the lock table.\n# TYPE fragdb_%s gauge\nfragdb_%s %d\n",
 			metrics.FamLockTableEntries, metrics.FamLockTableEntries, metrics.FamLockTableEntries, v.LockTableEntries())
+	}
+	if v.TCP != nil {
+		fmt.Fprintf(w, "# HELP fragdb_%s Sends the TCP transport discarded, by cause.\n# TYPE fragdb_%s counter\n",
+			metrics.FamTCPSendDropped, metrics.FamTCPSendDropped)
+		for _, d := range v.TCP.SendDrops() {
+			fmt.Fprintf(w, "fragdb_%s{cause=%q} %d\n", metrics.FamTCPSendDropped, d.Cause, d.N)
+		}
 	}
 	reg := v.Registry
 	if reg == nil {

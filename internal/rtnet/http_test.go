@@ -60,8 +60,12 @@ func debugFixture() DebugVars {
 	reg.IncDelivered(1)
 	reg.SetFragInfo("BALANCES", metrics.FragInfo{Option: "read-locks"})
 	reg.SetFragInfo("CTR(1)", metrics.FragInfo{Option: "unrestricted", Commutative: true})
+	tcp := &TCPStats{}
+	tcp.dropSend(&tcp.DropRule)
+	tcp.dropSend(&tcp.DropRule)
+	tcp.dropSend(&tcp.QueueFull)
 	return DebugVars{Counters: c, Broadcast: b, Registry: reg, Tracers: tracers, Runtime: true,
-		LockTableEntries: func() int { return 3 }}
+		LockTableEntries: func() int { return 3 }, TCP: tcp}
 }
 
 func get(t *testing.T, path string) (int, string) {
@@ -134,6 +138,12 @@ func TestRegistryMetricsEndpoint(t *testing.T) {
 		`fragdb_frag_info{frag="CTR(1)",option="unrestricted",commutative="true"} 1`,
 		"# TYPE fragdb_lock_table_entries gauge",
 		"fragdb_lock_table_entries 3",
+		"# TYPE fragdb_tcp_send_dropped_total counter",
+		`fragdb_tcp_send_dropped_total{cause="queue_full"} 1`,
+		`fragdb_tcp_send_dropped_total{cause="control_full"} 0`,
+		`fragdb_tcp_send_dropped_total{cause="drop_rule"} 2`,
+		`fragdb_tcp_send_dropped_total{cause="closed"} 0`,
+		`fragdb_tcp_send_dropped_total{cause="encode"} 0`,
 		"# TYPE fragdb_go_goroutines gauge",
 		"fragdb_go_heap_alloc_bytes",
 		"fragdb_go_gc_pause_total_seconds",

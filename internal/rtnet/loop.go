@@ -8,19 +8,31 @@ import (
 	"fragdb/internal/simtime"
 )
 
-// Loop drives a simtime.Scheduler at wall-clock pace: virtual time is
-// pinned to the wall time elapsed since Start, and every scheduled
-// event fires (on the loop goroutine) once the wall clock passes its
-// virtual firing time. This is how the deterministic engine stack runs
-// in a real deployment without any changes: the engine keeps scheduling
-// timeouts and leases on its virtual clock, and the loop makes that
-// clock track reality.
+// Loop drives a simtime.Scheduler on the wall clock: virtual time is
+// the wall time elapsed since Start, and every scheduled event fires
+// (on the loop goroutine) once the wall clock passes its virtual firing
+// time. This is how the deterministic engine stack runs in a real
+// deployment without any changes: the engine keeps scheduling timeouts
+// and leases on its virtual clock, and the loop makes that clock track
+// reality. An event due now runs now; the loop sleeps only when the
+// next event lies in the future and nothing is injected.
 //
 // The scheduler itself stays single-threaded, exactly as in the
 // simulator: only the loop goroutine touches it. External events — a
 // TCP frame arriving, an HTTP request submitting a transaction — enter
 // through Inject, which enqueues a closure for the loop goroutine to
 // run between events. The closure may use the scheduler freely.
+//
+// The loop works in passes, and a pass is bounded on both sides: it
+// sets the clock to the wall, runs the events that were due and pending
+// when it began (not the ones they schedule), then the closures that
+// were injected when it reached them. With zero-cost operations the
+// engine chains same-instant events (After(0) continuations); bounding
+// the pass is what keeps such a chain from starving client submissions
+// and TCP deliveries, and a burst of injections from starving the
+// engine. Setting the clock every pass, with late events running at the
+// pass's time (simtime.Scheduler.RunDue), keeps timeouts, leases and
+// gossip on real time however long a chain lasts.
 type Loop struct {
 	sched   *simtime.Scheduler
 	inject  chan func()
@@ -36,8 +48,7 @@ type Loop struct {
 const injectBuffer = 4096
 
 // maxIdleWait bounds how long the loop sleeps when the scheduler has no
-// pending events, so a scheduler that gains events only via Inject still
-// re-syncs its clock at a human-scale interval.
+// pending events; an injection or Stop wakes it sooner.
 const maxIdleWait = 250 * time.Millisecond
 
 // NewLoop wraps a scheduler. The scheduler must not be used from any
@@ -58,10 +69,10 @@ func (l *Loop) Start() {
 	go l.run()
 }
 
-// Inject schedules fn to run on the loop goroutine, with the virtual
-// clock advanced to the current wall offset first. It blocks when the
-// loop is saturated and reports false (without running fn) once the
-// loop is stopped.
+// Inject schedules fn to run on the loop goroutine in the next pass,
+// after the events due when that pass began, with the virtual clock at
+// the pass's wall offset. It blocks when the loop is saturated and
+// reports false (without running fn) once the loop is stopped.
 func (l *Loop) Inject(fn func()) bool {
 	select {
 	case <-l.stop:
@@ -92,48 +103,59 @@ func (l *Loop) run() {
 	defer close(l.done)
 	timer := time.NewTimer(maxIdleWait)
 	defer timer.Stop()
+	var woke func() // the closure that ended a sleep; it runs first in the next pass
 	for {
-		l.advance()
+		select {
+		case <-l.stop:
+			return
+		default:
+		}
+		more := l.sched.RunDue(simtime.Time(l.Elapsed()))
+		ran := l.drain(woke)
+		woke = nil
+		if more || ran {
+			continue
+		}
 		wait := maxIdleWait
 		if next, ok := l.sched.NextEventTime(); ok {
-			until := time.Duration(next) - l.Elapsed()
-			if until < 0 {
-				until = 0
-			}
-			if until < wait {
+			if until := time.Duration(next) - l.Elapsed(); until < wait {
 				wait = until
+			}
+		}
+		if wait <= 0 {
+			continue
+		}
+		// go.mod predates Go 1.23's timer channels: a timer that fired
+		// while the loop was busy still holds a value, so drain it before
+		// re-arming or the next sleep ends at once.
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
 			}
 		}
 		timer.Reset(wait)
 		select {
 		case <-l.stop:
 			return
-		case fn := <-l.inject:
-			l.advance()
-			fn()
-			l.drain()
+		case woke = <-l.inject:
 		case <-timer.C:
 		}
 	}
 }
 
-// advance runs every event due at the current wall offset and pins the
-// virtual clock to it.
-func (l *Loop) advance() {
-	l.sched.RunUntil(simtime.Time(l.Elapsed()))
-}
-
-// drain runs already-queued injected closures without sleeping, so a
-// burst of arrivals is processed in one wakeup.
-func (l *Loop) drain() {
-	for {
-		select {
-		case fn := <-l.inject:
-			fn()
-		default:
-			return
-		}
+// drain runs first (if non-nil) and then the closures already injected
+// when it is called — not those injected while it runs, which wait for
+// the next pass. It reports whether it ran any.
+func (l *Loop) drain(first func()) bool {
+	n := len(l.inject)
+	if first != nil {
+		first()
 	}
+	for i := 0; i < n; i++ {
+		(<-l.inject)()
+	}
+	return first != nil || n > 0
 }
 
 // ExecTransport wraps a Transport so that every delivered handler runs

@@ -79,6 +79,42 @@ func TestLoopStopDropsPendingAndRefusesInject(t *testing.T) {
 	}
 }
 
+// TestLoopInjectionNotStarvedByEventChain: with zero-cost operations
+// the engine chains same-instant events, each scheduling the next with
+// After(0). A closure injected while such a chain runs must run once
+// at most the events pending at its injection — width here — have run,
+// plus one more pass of them if it arrived after the pass reached the
+// injected closures. Count-based: the chain's budget only bounds the
+// test where the chain starves injections outright.
+func TestLoopInjectionNotStarvedByEventChain(t *testing.T) {
+	sched := simtime.NewScheduler(1)
+	l := NewLoop(sched)
+	l.Start()
+	defer l.Stop()
+
+	const width, budget = 8, 1 << 20
+	var ran atomic.Int64
+	var tick func()
+	tick = func() {
+		if ran.Add(1) < budget {
+			sched.After(0, tick)
+		}
+	}
+	l.Inject(func() {
+		for i := 0; i < width; i++ {
+			sched.After(0, tick)
+		}
+	})
+	for probe := 0; probe < 100; probe++ {
+		got := make(chan int64, 1)
+		l.Inject(func() { got <- ran.Load() })
+		at := ran.Load()
+		if d := <-got - at; d > 2*width {
+			t.Fatalf("probe %d ran after %d chain events, want at most %d", probe, d, 2*width)
+		}
+	}
+}
+
 // TestLoopInjectConcurrency hammers Inject from many goroutines while
 // the injected closures mutate scheduler-owned state without locks —
 // single-threaded execution on the loop goroutine is what makes that

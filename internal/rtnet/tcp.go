@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"fragdb/internal/broadcast"
 	"fragdb/internal/netsim"
 	"fragdb/internal/wire"
 )
@@ -30,6 +32,14 @@ var tcpMagic = [4]byte{'f', 'r', 'a', 'g'}
 // 2: one tag+varint codec for every message (1 had gob behind tag 0).
 const tcpVersion = 2
 
+// controlQueue bounds a peer's control queue: lock requests, grants and
+// releases, 2PC, forwarded operations, majority acks, agent handoffs.
+// Nothing re-sends these, so they must not share the data queue's fate.
+// Their number follows the transactions in flight, not the broadcast's
+// rate, so a fixed bound serves; a send it cannot hold is counted as
+// TCPStats.ControlFull, which should read 0.
+const controlQueue = 1024
+
 // TCPConfig configures a TCP transport for one node of a cluster.
 type TCPConfig struct {
 	// Local is this process's node id; Addrs[Local] is its listen
@@ -47,9 +57,12 @@ type TCPConfig struct {
 	// before any allocation.
 	MaxFrame int
 
-	// WriteQueue bounds the per-peer outbound queue (default 1024).
-	// When a peer is down or slow the queue fills and further sends to
-	// it are dropped — the best-effort semantics of netsim.
+	// WriteQueue bounds the per-peer outbound data queue (default 1024),
+	// which carries the broadcast's own messages (broadcast.Resendable).
+	// When a peer is down or slow it fills and further data sends are
+	// dropped — the best-effort semantics of netsim, which anti-entropy
+	// repairs. Everything else is sent once and goes to the per-peer
+	// control queue (controlQueue), which the writer drains first.
 	WriteQueue int
 
 	// DialBackoffMin/Max bound the reconnect backoff (defaults 50ms and
@@ -59,12 +72,42 @@ type TCPConfig struct {
 
 // TCPStats counts transport-level events; all fields are atomic.
 type TCPStats struct {
-	FramesSent, BytesSent     atomic.Uint64
-	FramesRecv, BytesRecv     atomic.Uint64
-	SendDropped               atomic.Uint64 // queue full, drop rule, or closed
-	RecvDropped               atomic.Uint64 // drop rule or decode error
-	Dials, DialErrors         atomic.Uint64
-	ConnsAccepted, ConnErrors atomic.Uint64
+	FramesSent, BytesSent atomic.Uint64
+	FramesRecv, BytesRecv atomic.Uint64
+	// SendDropped counts every discarded send: the sum of the causes
+	// below.
+	SendDropped atomic.Uint64
+	// QueueFull: the peer's data queue was full (anti-entropy re-sends).
+	// ControlFull: its control queue was full; nothing re-sends these.
+	// DropRule: a SetPeerDrop rule was in force. Closed: the transport
+	// was closed. Encode: the payload has no wire encoding.
+	QueueFull, ControlFull, DropRule, Closed, Encode atomic.Uint64
+	RecvDropped                                      atomic.Uint64 // drop rule or decode error
+	Dials, DialErrors                                atomic.Uint64
+	ConnsAccepted, ConnErrors                        atomic.Uint64
+}
+
+// DropCount is one cause's share of TCPStats.SendDropped.
+type DropCount struct {
+	Cause string
+	N     uint64
+}
+
+// SendDrops lists the dropped sends by cause, in a fixed order.
+func (s *TCPStats) SendDrops() []DropCount {
+	return []DropCount{
+		{"queue_full", s.QueueFull.Load()},
+		{"control_full", s.ControlFull.Load()},
+		{"drop_rule", s.DropRule.Load()},
+		{"closed", s.Closed.Load()},
+		{"encode", s.Encode.Load()},
+	}
+}
+
+// dropSend counts one discarded send under its cause and in the total.
+func (s *TCPStats) dropSend(cause *atomic.Uint64) {
+	cause.Add(1)
+	s.SendDropped.Add(1)
 }
 
 // TCP is a real network transport: each node is a separate process,
@@ -102,11 +145,13 @@ type tcpInbound struct {
 	payload any
 }
 
-// tcpPeer owns the outbound connection to one remote node.
+// tcpPeer owns the outbound connection to one remote node. Its writer
+// drains ctl (frames sent once) before q (broadcast frames).
 type tcpPeer struct {
 	id   netsim.NodeID
 	addr string
 	q    chan []byte
+	ctl  chan []byte
 
 	connected atomic.Bool
 
@@ -164,6 +209,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 			id:   netsim.NodeID(id),
 			addr: cfg.Addrs[id],
 			q:    make(chan []byte, cfg.WriteQueue),
+			ctl:  make(chan []byte, controlQueue),
 		}
 		t.peers[id] = p
 		t.wg.Add(1)
@@ -210,9 +256,11 @@ func (t *TCP) SetPeerDrop(peer netsim.NodeID, drop bool) {
 	}
 }
 
-// Send wire-encodes payload and queues it to the peer. From must be the
-// local node. Sends to unreachable, dropped, or saturated peers are
-// discarded, matching netsim's best-effort contract.
+// Send wire-encodes payload and queues it to the peer — broadcast
+// messages on the data queue, everything else on the control queue.
+// From must be the local node. Send never waits on the network: sends
+// to dropped or saturated peers are discarded, matching netsim's
+// best-effort contract, and counted by cause.
 func (t *TCP) Send(from, to netsim.NodeID, payload any) {
 	if from != t.local {
 		panic(fmt.Sprintf("rtnet: Send from %d on TCP transport of node %d", from, t.local))
@@ -221,10 +269,14 @@ func (t *TCP) Send(from, to netsim.NodeID, payload any) {
 		return
 	}
 	t.mu.Lock()
-	dropped := t.closed || t.drop[to]
+	closed, rule := t.closed, t.drop[to]
 	t.mu.Unlock()
-	if dropped {
-		t.stats.SendDropped.Add(1)
+	switch {
+	case closed:
+		t.stats.dropSend(&t.stats.Closed)
+		return
+	case rule:
+		t.stats.dropSend(&t.stats.DropRule)
 		return
 	}
 	if to == t.local {
@@ -238,13 +290,30 @@ func (t *TCP) Send(from, to netsim.NodeID, payload any) {
 	}
 	frame, err := wire.EncodeFrame(payload)
 	if err != nil {
-		t.stats.SendDropped.Add(1)
+		t.stats.dropSend(&t.stats.Encode)
 		return
 	}
+	q, full := t.peers[to].ctl, &t.stats.ControlFull
+	if broadcast.Resendable(payload) {
+		q, full = t.peers[to].q, &t.stats.QueueFull
+	}
 	select {
-	case t.peers[to].q <- frame:
+	case q <- frame:
+		return
 	default:
-		t.stats.SendDropped.Add(1)
+	}
+	// A full queue usually has a writer that is runnable but not running:
+	// the first send readied it on this goroutine's processor, and a loop
+	// pass that never blocks (a burst of commits, each pushing a frame)
+	// keeps it there until the runtime preempts the pass. Yield once so
+	// it drains the queue; drop only if the queue is still full — the
+	// peer is not keeping up, or the writer waits on a processor this
+	// goroutine cannot hand over (one the collector is marking on).
+	runtime.Gosched()
+	select {
+	case q <- frame:
+	default:
+		t.stats.dropSend(full)
 	}
 }
 
@@ -339,9 +408,12 @@ func (t *TCP) runPeer(p *tcpPeer) {
 	}
 }
 
-// writeLoop sends the handshake and then frames from the queue until an
-// error or shutdown. Frames are batched: after one blocking receive it
-// drains whatever else is queued before flushing.
+// writeLoop sends the handshake and then frames from the queues until
+// an error or shutdown. Frames are batched: after one blocking receive
+// it drains whatever else is queued before flushing. Each frame is
+// taken from the control queue if it holds one, so a backlog of
+// broadcast data never delays a lock request or a 2PC vote by more
+// than the frame being written.
 func (t *TCP) writeLoop(p *tcpPeer, conn net.Conn) {
 	bw := bufio.NewWriter(conn)
 	hello := append([]byte{}, tcpMagic[:]...)
@@ -354,29 +426,43 @@ func (t *TCP) writeLoop(p *tcpPeer, conn net.Conn) {
 		return
 	}
 	for {
-		var frame []byte
-		select {
-		case <-t.stop:
-			return
-		case frame = <-p.q:
+		frame := p.next()
+		if frame == nil {
+			select {
+			case <-t.stop:
+				return
+			case frame = <-p.ctl:
+			case frame = <-p.q:
+			}
 		}
-		for frame != nil {
+		for ; frame != nil; frame = p.next() {
 			if _, err := bw.Write(frame); err != nil {
 				t.stats.ConnErrors.Add(1)
 				return
 			}
 			t.stats.FramesSent.Add(1)
 			t.stats.BytesSent.Add(uint64(len(frame)))
-			select {
-			case frame = <-p.q:
-			default:
-				frame = nil
-			}
 		}
 		if err := bw.Flush(); err != nil {
 			t.stats.ConnErrors.Add(1)
 			return
 		}
+	}
+}
+
+// next takes a queued frame without waiting, control first; nil when
+// both queues are empty.
+func (p *tcpPeer) next() []byte {
+	select {
+	case f := <-p.ctl:
+		return f
+	default:
+	}
+	select {
+	case f := <-p.q:
+		return f
+	default:
+		return nil
 	}
 }
 

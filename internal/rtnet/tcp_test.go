@@ -1,8 +1,12 @@
 package rtnet
 
 import (
+	"bufio"
 	"encoding/binary"
+	"io"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -260,6 +264,146 @@ func TestTCPOversizedFrameKillsConnNotProcess(t *testing.T) {
 	ts[0].Send(0, 1, "still-works")
 	if !waitFor(t, func() bool { return c.len() == 1 }, 5*time.Second) {
 		t.Fatal("delivery broken after oversized frame")
+	}
+}
+
+// TestTCPControlQueueSurvivesStalledReader: a peer stops reading until
+// node 0's data queue for it overflows — the state anti-entropy repair
+// storms used to leave behind. Protocol messages that nothing re-sends
+// must still get through: 200 control sends find room (control_full 0)
+// and every one arrives, in order, once the reader resumes.
+func TestTCPControlQueueSurvivesStalledReader(t *testing.T) {
+	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	tp, err := NewTCP(TCPConfig{
+		Local:      0,
+		Addrs:      []string{ln0.Addr().String(), peer.Addr().String()},
+		Listener:   ln0,
+		WriteQueue: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+
+	resume := make(chan struct{})
+	arrived := make(chan any, 1024)
+	go func() {
+		conn, err := peer.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		<-resume
+		br := bufio.NewReader(conn)
+		var hello [5]byte
+		if _, err := io.ReadFull(br, hello[:]); err != nil {
+			return
+		}
+		if _, err := binary.ReadUvarint(br); err != nil {
+			return
+		}
+		for {
+			frame, err := wire.ReadFrame(br, wire.MaxFrameDefault)
+			if err != nil {
+				return
+			}
+			p, err := wire.Decode(frame)
+			if err != nil {
+				return
+			}
+			if !broadcast.Resendable(p) {
+				arrived <- p
+			}
+		}
+	}()
+
+	// Fill the socket buffers and then the data queue: the writer is
+	// blocked once a long run of data sends in a row finds the queue full.
+	st := tp.Stats()
+	big := strings.Repeat("x", 16<<10)
+	for seq, streak := uint64(1), 0; streak < 1000; seq++ {
+		before := st.QueueFull.Load()
+		tp.Send(0, 1, broadcast.Data{Origin: 0, Seq: seq, Payload: big})
+		if st.QueueFull.Load() > before {
+			streak++
+		} else {
+			streak = 0
+		}
+	}
+	const control = 200
+	for i := 0; i < control; i++ {
+		tp.Send(0, 1, int64(i))
+	}
+	if n := st.ControlFull.Load(); n != 0 {
+		t.Fatalf("control_full = %d with the data queue full, want 0", n)
+	}
+	close(resume)
+	for i := 0; i < control; i++ {
+		select {
+		case p := <-arrived:
+			if p != int64(i) {
+				t.Fatalf("control frame %d arrived as %v", i, p)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d control frames arrived after the reader resumed", i, control)
+		}
+	}
+	if st.SendDropped.Load() != st.QueueFull.Load() {
+		t.Errorf("send_dropped %d, queue_full %d: drops by another cause", st.SendDropped.Load(), st.QueueFull.Load())
+	}
+}
+
+// TestTCPSendYieldsToUnscheduledWriter: on one processor a sender that
+// never blocks keeps the peer's writer from running, so the queue fills
+// although the peer reads everything — a Send that dropped at once
+// would lose all but the first queueful of this 8 192-frame burst
+// (7 167 frames). Send yields before dropping, so the writer drains the
+// queue; what may still be lost is a frame or so that found the writer
+// inside a socket write.
+func TestTCPSendYieldsToUnscheduledWriter(t *testing.T) {
+	ts, _ := newTCPCluster(t, 2)
+	var c collector
+	ts[1].SetHandler(1, c.handler)
+	ts[0].Send(0, 1, "hello")
+	if !waitFor(t, func() bool { return c.len() == 1 }, 5*time.Second) {
+		t.Fatal("no delivery before the burst")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const burst = 8 * 1024
+	for seq := uint64(1); seq <= burst; seq++ {
+		ts[0].Send(0, 1, broadcast.Data{Origin: 0, Seq: seq, Payload: int64(seq)})
+	}
+	lost := int(ts[0].Stats().QueueFull.Load())
+	if lost*64 > burst {
+		t.Fatalf("queue_full = %d after a %d-frame burst to a peer that reads everything", lost, burst)
+	}
+	if !waitFor(t, func() bool { return c.len() == 1+burst-lost }, 10*time.Second) {
+		t.Fatalf("%d of %d frames delivered, %d dropped", c.len()-1, burst, lost)
+	}
+}
+
+// TestTCPWriterTakesControlFirst: with both queues holding frames the
+// writer takes every control frame before any data frame.
+func TestTCPWriterTakesControlFirst(t *testing.T) {
+	p := &tcpPeer{q: make(chan []byte, 4), ctl: make(chan []byte, 4)}
+	p.q <- []byte("d1")
+	p.ctl <- []byte("c1")
+	p.q <- []byte("d2")
+	p.ctl <- []byte("c2")
+	var order []string
+	for f := p.next(); f != nil; f = p.next() {
+		order = append(order, string(f))
+	}
+	if got := strings.Join(order, " "); got != "c1 c2 d1 d2" {
+		t.Fatalf("writer order %q, want control first", got)
 	}
 }
 

@@ -155,13 +155,16 @@ func (s *Scheduler) NextEventTime() (Time, bool) {
 }
 
 // Step executes the single earliest pending event, advancing the clock
-// to its firing time. It reports whether an event was executed.
+// to its firing time (an event RunDue left late runs at the current
+// time). It reports whether an event was executed.
 func (s *Scheduler) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
 	e := heap.Pop(&s.queue).(*Event)
-	s.now = e.when
+	if e.when > s.now {
+		s.now = e.when
+	}
 	s.processed++
 	e.fn()
 	return true
@@ -182,6 +185,26 @@ func (s *Scheduler) RunUntil(t Time) {
 	if t > s.now {
 		s.now = t
 	}
+}
+
+// RunDue advances the clock to t and then executes, in order, the
+// events due by then that were already pending when it was called;
+// events they schedule wait for the next call, even when due at once.
+// An event that runs after its firing time runs late, at the clock's
+// reading: the clock never moves backwards, so At never sees the past.
+// It reports whether due events remain. A wall-clock driver calls it
+// once per pass with the wall offset, so a chain of same-instant
+// continuations can neither starve the work the driver takes between
+// passes nor stop the clock, and the timers with it.
+func (s *Scheduler) RunDue(t Time) (more bool) {
+	if t > s.now {
+		s.now = t
+	}
+	mark := s.nextSeq
+	for len(s.queue) > 0 && s.queue[0].when <= s.now && s.queue[0].seq < mark {
+		s.Step()
+	}
+	return len(s.queue) > 0 && s.queue[0].when <= s.now
 }
 
 // RunFor executes events for the next d of virtual time, as RunUntil.

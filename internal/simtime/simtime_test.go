@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -38,6 +39,34 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 		if got[i] != i {
 			t.Fatalf("same-instant events out of insertion order: %v", got)
 		}
+	}
+}
+
+// TestRunDueRunsOnlyWhatWasPending: events scheduled by a pass wait for
+// the next one even when due at once; late events run at the advanced
+// clock, which never moves backwards; events not yet due stay pending.
+func TestRunDueRunsOnlyWhatWasPending(t *testing.T) {
+	s := NewScheduler(1)
+	ms := func(n int) Time { return Time(time.Duration(n) * time.Millisecond) }
+	var got []string
+	note := func(name string) { got = append(got, fmt.Sprintf("%s@%v", name, s.Now())) }
+	s.At(ms(1), func() {
+		note("a")
+		s.After(0, func() { note("a'") })
+	})
+	s.At(ms(2), func() { note("b") })
+	s.At(ms(9), func() { note("c") })
+	if more := s.RunDue(ms(5)); !more {
+		t.Fatal("RunDue reported nothing due with a same-instant continuation pending")
+	}
+	if more := s.RunDue(ms(6)); more {
+		t.Fatal("second pass left due events")
+	}
+	if want := "[a@5ms b@5ms a'@6ms]"; fmt.Sprint(got) != want {
+		t.Fatalf("ran %v, want %s", got, want)
+	}
+	if next, _ := s.NextEventTime(); s.Now() != ms(6) || next != ms(9) {
+		t.Fatalf("clock %v, next event %v; want 6ms and 9ms", s.Now(), next)
 	}
 }
 
