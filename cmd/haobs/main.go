@@ -194,6 +194,11 @@ func runBenchConvert(files, benchOut string, pr int, commit string, maxOverhead 
 		fmt.Printf("registry overhead (ns/op, /registry vs base):\n%s", obs.FormatOverhead(over))
 	}
 	if maxOverhead > 0 {
+		if len(over) == 0 {
+			// A renamed or deleted benchmark must not disarm the gate.
+			fmt.Println("FAIL: -maxoverhead set but no base and /registry benchmark pair found")
+			return 1
+		}
 		// The gate compares the median across all base/registry pairs:
 		// single cells are too noisy on shared runners to bound hard.
 		med := obs.MedianOverhead(over)

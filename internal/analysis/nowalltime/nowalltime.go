@@ -18,9 +18,11 @@
 //
 // Exempt packages: internal/rtnet (the explicitly wall-clock
 // transport), internal/deploy (the wall-clock deployment harness), and
-// the cmd/ and examples/ binaries. Sanctioned exceptions elsewhere
-// carry `//halint:allow nowalltime -- <why>` on the offending line; the
-// only one today is broadcast.WallTimer, rtnet's timer adapter.
+// the cmd/ and examples/ binaries. The deterministic packages have no
+// wall-clock adapter: a deployed node drives their simtime.Scheduler
+// from rtnet.Loop. Any exception elsewhere must carry
+// `//halint:allow nowalltime -- <why>` on the offending line; the only
+// ones today are deadlock watchdogs in tests that run real goroutines.
 package nowalltime
 
 import (

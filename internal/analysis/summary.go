@@ -436,7 +436,7 @@ func (d *directScan) block(pos token.Pos, desc string, ctx edgeCtx) {
 }
 
 // wall records a direct wall-time/global-rand op unless sanctioned by
-// an allow directive (the WallTimer adapter pattern). Spawned and
+// an allow directive (a test's deadlock watchdog). Spawned and
 // captured contexts still count: handing out a clock-reading callback
 // is the leak.
 func (d *directScan) wall(pos token.Pos, desc string) {

@@ -112,7 +112,7 @@ func Resendable(payload any) bool {
 }
 
 // Handler consumes broadcast messages in per-origin FIFO order. The
-// broadcaster serializes handler invocations (even in real-time mode)
+// broadcaster serializes handler invocations
 // and never holds its internal lock while calling, so a handler may
 // call back into Send.
 type Handler func(origin netsim.NodeID, seq uint64, payload any)
@@ -134,8 +134,9 @@ type Snapshotter interface {
 	InstallState(state any, snapHave, prevHave map[netsim.NodeID]uint64)
 }
 
-// Timer schedules callbacks; the netsim scheduler satisfies it in
-// simulation and a wall-clock adapter satisfies it in real-time runs.
+// Timer schedules callbacks. SchedulerTimer is the one implementation:
+// the scheduler is virtual in simulation and driven on the wall clock
+// by an rtnet.Loop in a deployment.
 type Timer interface {
 	// AfterFunc arranges for fn to run after roughly d. The returned
 	// function cancels the callback if it has not fired.
@@ -334,10 +335,9 @@ type installJob struct {
 }
 
 // Broadcaster is one node's endpoint of the reliable broadcast. All
-// methods are safe for concurrent use: the simulator's single-threaded
-// event loop pays only an uncontended mutex, while the real-time
-// transport's delivery goroutines and the wall-clock gossip timer
-// synchronize on it. Handler invocations are serialized through an
+// methods are safe for concurrent use; the event loop that normally
+// drives it, simulated or an rtnet.Loop, pays only an uncontended
+// mutex. Handler invocations are serialized through an
 // internal delivery queue and made without the lock held, so handlers
 // may re-enter Send.
 type Broadcaster struct {
@@ -449,10 +449,9 @@ func (b *Broadcaster) Stop() {
 	}
 }
 
-// scheduleGossip arms the next gossip round. Caller holds b.mu: a wall-
-// clock timer may fire on another goroutine before AfterFunc returns,
-// and gossipTick re-arms under the lock, so the lock is what orders the
-// two writes of stopGossip.
+// scheduleGossip arms the next gossip round. Caller holds b.mu:
+// gossipTick re-arms under the lock, so the lock is what orders the
+// writes of stopGossip.
 func (b *Broadcaster) scheduleGossip() {
 	b.stopGossip = b.timer.AfterFunc(b.cfg.GossipInterval, b.gossipTick)
 }

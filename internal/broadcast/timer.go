@@ -1,31 +1,16 @@
 package broadcast
 
-import (
-	"time"
+import "fragdb/internal/simtime"
 
-	"fragdb/internal/simtime"
-)
-
-// SchedulerTimer adapts a simtime.Scheduler to the Timer interface for
-// deterministic simulation runs. Delays are virtual nanoseconds.
+// SchedulerTimer adapts a simtime.Scheduler to the Timer interface.
+// Delays are the scheduler's nanoseconds: virtual in simulation, the
+// wall clock's under an rtnet.Loop.
 type SchedulerTimer struct {
 	S *simtime.Scheduler
 }
 
-// AfterFunc schedules fn after d virtual nanoseconds.
+// AfterFunc schedules fn after d scheduler nanoseconds.
 func (t SchedulerTimer) AfterFunc(d int64, fn func()) (cancel func()) {
 	e := t.S.After(simtime.Duration(d), fn)
 	return func() { t.S.Cancel(e) }
-}
-
-// WallTimer is a Timer backed by the real clock, for use with the
-// goroutine-based transport of package rtnet. Delays are real
-// nanoseconds.
-type WallTimer struct{}
-
-// AfterFunc schedules fn after d real nanoseconds.
-func (WallTimer) AfterFunc(d int64, fn func()) (cancel func()) {
-	//halint:allow nowalltime -- WallTimer is the one sanctioned wall-clock adapter; rtnet-backed runs opt into it explicitly, simulations use SchedulerTimer
-	tm := time.AfterFunc(time.Duration(d), fn)
-	return func() { tm.Stop() }
 }

@@ -689,8 +689,11 @@ func (n *Node) installQuasi(w *quasiWaiter) {
 	n.cl.stats.QuasiApplied.Add(1)
 	lag := n.cl.sched.Now().Sub(w.q.Stamp)
 	n.cl.stats.QuasiLag.Observe(lag)
-	n.cl.reg.IncApply(w.f, w.q.Home)
-	n.cl.reg.ObserveQuasiLag(w.f, w.q.Home, lag)
+	if reg := n.cl.reg; reg != nil {
+		h := w.st.applyHandles(reg, w.f, w.q.Home)
+		h.n.Inc()
+		h.lag.Observe(lag)
+	}
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KQuasiApply, Txn: w.q.Txn,
 			Frag: w.f, Pos: w.q.Pos, Peer: w.q.Home, HasPeer: true, Dur: lag})

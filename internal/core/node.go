@@ -7,6 +7,7 @@ import (
 	"fragdb/internal/broadcast"
 	"fragdb/internal/fragments"
 	"fragdb/internal/lock"
+	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
 	"fragdb/internal/simtime"
 	"fragdb/internal/storage"
@@ -164,6 +165,29 @@ type streamState struct {
 	// waiters are callbacks run whenever the stream advances (used by
 	// move-with-sequence-number to wait for a prefix).
 	waiters []func()
+
+	// applied holds the labeled registry's handles for the label
+	// (fragment, appliedHome), so an install skips the two map lookups
+	// that resolving the label costs; a move re-resolves them.
+	applied     *applyHandles
+	appliedHome netsim.NodeID
+}
+
+// applyHandles are the registry cells an install updates.
+type applyHandles struct {
+	n   metrics.Counter
+	lag *metrics.Histogram
+}
+
+// applyHandles returns the stream's registry handles for quasi-
+// transactions homed at home.
+func (st *streamState) applyHandles(reg *metrics.Registry, f fragments.FragmentID, home netsim.NodeID) *applyHandles {
+	if st.applied == nil || st.appliedHome != home {
+		l := metrics.Label{Frag: f, Node: home}
+		st.applied = &applyHandles{n: reg.Applies.At(l), lag: reg.QuasiLag.At(l)}
+		st.appliedHome = home
+	}
+	return st.applied
 }
 
 // Node is one site's database engine.

@@ -2,8 +2,7 @@
 // engine over a real transport, driven on the wall clock by an
 // rtnet.Loop, its operations costing the work they do.
 // cmd/hanode wraps it in a process; tests assemble several in one
-// process (over TCP or the in-process loopback) to check the two
-// deployments behave alike.
+// process, over TCP sockets on the loopback interface.
 package deploy
 
 import (

@@ -84,51 +84,6 @@ func tcpCluster(t *testing.T, n int, option string, tune func(*core.Config)) ([]
 	return nodes, taps
 }
 
-// buildCluster assembles n deployment nodes under the given control
-// option over the requested transport kind ("loopback" or "tcp") and
-// registers cleanup.
-func buildCluster(t *testing.T, n int, kind, option string) []*Node {
-	t.Helper()
-	nodes := make([]*Node, n)
-	switch kind {
-	case "loopback":
-		shared := rtnet.New(n, 2*time.Millisecond)
-		t.Cleanup(shared.Close)
-		addrs := make([]string, n)
-		for i := range addrs {
-			addrs[i] = fmt.Sprintf("loopback-%d", i)
-		}
-		for i := 0; i < n; i++ {
-			nd, err := New(Config{ID: i, Addrs: addrs, Option: option, Accounts: n, Seed: int64(i + 1)}, shared)
-			if err != nil {
-				t.Fatalf("node %d: %v", i, err)
-			}
-			nodes[i] = nd
-			t.Cleanup(nd.Close)
-		}
-	case "tcp":
-		lns, addrs := listen(t, n)
-		for i := 0; i < n; i++ {
-			nd, err := NewTCP(Config{ID: i, Addrs: addrs, Option: option, Accounts: n, Seed: int64(i + 1), Listener: lns[i]})
-			if err != nil {
-				t.Fatalf("node %d: %v", i, err)
-			}
-			nodes[i] = nd
-			t.Cleanup(nd.Close)
-		}
-	default:
-		t.Fatalf("unknown transport kind %q", kind)
-	}
-	return nodes
-}
-
-// runScenario drives the identical workload against a fresh cluster
-// over the given transport kind and returns the converged outcome.
-func runScenario(t *testing.T, kind string) clusterOutcome {
-	t.Helper()
-	return drive(t, kind, buildCluster(t, 3, kind, ""), false)
-}
-
 // drive runs the workload against nodes and waits for every replica to
 // converge. With remoteBump each node's bumps go to its successor's
 // counter, so they execute at another node.
@@ -236,17 +191,36 @@ func drive(t *testing.T, kind string, nodes []*Node, remoteBump bool) clusterOut
 	}
 }
 
-// TestLoopbackTCPEquivalence runs the same 3-node bank/counter/queue
-// workload once over the in-process loopback transport and once over
-// real TCP sockets (codec frames, reconnecting peers) and demands the
-// identical outcome: same commits, same converged totals. This is the
-// check that the TCP path — codec, framing, connection management,
-// loop-threaded delivery — preserves engine semantics exactly.
+// TestLoopbackTCPEquivalence runs a 3-node bank/counter/queue
+// workload over TCP sockets on the loopback interface (codec frames,
+// reconnecting peers, loop-threaded delivery) and demands the outcome
+// equal the one the workload fixes in advance: with no faults and no
+// overdrafts every operation commits, so the counts, the converged
+// totals and the money are known before the run.
 func TestLoopbackTCPEquivalence(t *testing.T) {
-	loop := runScenario(t, "loopback")
-	tcp := runScenario(t, "tcp")
-	if loop != tcp {
-		t.Fatalf("transports diverged:\n loopback: %+v\n tcp:      %+v", loop, tcp)
+	const n, rounds = 3, 8
+	lns, addrs := listen(t, n)
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nd, err := NewTCP(Config{ID: i, Addrs: addrs, Accounts: n, Seed: int64(i + 1), Listener: lns[i]})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		nodes[i] = nd
+		t.Cleanup(nd.Close)
+	}
+	got := drive(t, "tcp", nodes, false)
+	ops := int64(rounds * n)
+	want := clusterOutcome{
+		commits:     4 * ops,
+		deposits:    50 * ops,
+		withdrawals: 30 * ops,
+		counter:     ops,
+		queue:       int(ops),
+		balances:    n*1000 + 50*ops - 30*ops,
+	}
+	if got != want {
+		t.Fatalf("outcome over TCP:\n got  %+v\n want %+v", got, want)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 const benchOutput = `goos: linux
 goarch: amd64
 pkg: fragdb/internal/core
-BenchmarkApplySaturation/uniform/shards=1 	    2000	    52341 ns/op	     812 B/op	      11 allocs/op
-BenchmarkApplySaturation/uniform/shards=1/registry 	    2000	    53900 ns/op
-BenchmarkApplySaturation/skewed/shards=4-4 	    2000	    41000 ns/op	  24390.5 applies/s
+BenchmarkApplySaturation/disjoint 	    2000	    52341 ns/op	     812 B/op	      11 allocs/op
+BenchmarkApplySaturation/disjoint/registry 	    2000	    53900 ns/op
+BenchmarkApplySaturation/skewed-4 	    2000	    41000 ns/op	  24390.5 commits/s
 not a bench line
 BenchmarkBroken 12 nan
 PASS
@@ -26,13 +26,13 @@ func TestParseGoBench(t *testing.T) {
 		t.Fatalf("want 3 results, got %d: %+v", len(results), results)
 	}
 	r := results[0]
-	if r.Name != "BenchmarkApplySaturation/uniform/shards=1" || r.Iters != 2000 {
+	if r.Name != "BenchmarkApplySaturation/disjoint" || r.Iters != 2000 {
 		t.Errorf("result 0: %+v", r)
 	}
 	if r.Metrics["ns/op"] != 52341 || r.Metrics["B/op"] != 812 || r.Metrics["allocs/op"] != 11 {
 		t.Errorf("result 0 metrics: %+v", r.Metrics)
 	}
-	if results[2].Metrics["applies/s"] != 24390.5 {
+	if results[2].Metrics["commits/s"] != 24390.5 {
 		t.Errorf("custom ReportMetric unit: %+v", results[2].Metrics)
 	}
 }
@@ -53,7 +53,7 @@ func TestNewBenchFileAndOverhead(t *testing.T) {
 	}
 
 	over := RegistryOverhead(results)
-	base := "BenchmarkApplySaturation/uniform/shards=1"
+	base := "BenchmarkApplySaturation/disjoint"
 	got, ok := over[base]
 	if !ok {
 		t.Fatalf("no overhead computed: %+v", over)
@@ -78,5 +78,25 @@ func TestMedianOverhead(t *testing.T) {
 	even := map[string]float64{"a": 0.10, "b": -0.20, "c": 0.02, "d": 0.04}
 	if got := MedianOverhead(even); got != 0.03 {
 		t.Errorf("even: want 0.03 (mean of middle pair), got %v", got)
+	}
+}
+
+// TestRegistryOverheadMedianOfRepeats: a cell run several times
+// (go test -count) is compared by its median ns/op, so one outlier run
+// neither trips nor hides the budget.
+func TestRegistryOverheadMedianOfRepeats(t *testing.T) {
+	var results []BenchResult
+	for _, r := range []struct {
+		name string
+		ns   float64
+	}{
+		{"B/c", 100}, {"B/c/registry", 105}, {"B/c", 300},
+		{"B/c/registry", 400}, {"B/c", 110}, {"B/c/registry", 104},
+	} {
+		results = append(results, BenchResult{Name: r.name, Metrics: map[string]float64{"ns/op": r.ns}})
+	}
+	over := RegistryOverhead(results)
+	if want := (105.0 - 110.0) / 110.0; len(over) != 1 || over["B/c"] != want {
+		t.Fatalf("overhead %v, want B/c: %v", over, want)
 	}
 }

@@ -1,3 +1,11 @@
+// Package rtnet runs the engine stack in real time, one node per
+// process: TCP carries its messages between processes, a Loop drives
+// the engine's own simtime.Scheduler on the wall clock, ExecTransport
+// routes every delivery onto that loop's goroutine, and the debug HTTP
+// handler exposes the node's metrics and traces. The engine itself is
+// unchanged: it stays single-threaded, exactly as in the deterministic
+// simulator, which remains the reference environment for experiments
+// and tests.
 package rtnet
 
 import (

@@ -8,13 +8,45 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fragdb/internal/broadcast"
 	"fragdb/internal/netsim"
+	"fragdb/internal/simtime"
 	"fragdb/internal/wire"
 )
+
+// collector gathers deliveries thread-safely.
+type collector struct {
+	mu  sync.Mutex
+	got []any
+}
+
+func (c *collector) handler(from netsim.NodeID, payload any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.got = append(c.got, payload)
+}
+
+func (c *collector) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.got)
+}
+
+func waitFor(t *testing.T, cond func() bool, within time.Duration) bool {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return true
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return cond()
+}
 
 // newTCPCluster builds an n-node TCP transport cluster on ephemeral
 // loopback ports, returning the transports and their addresses.
@@ -438,64 +470,254 @@ func TestTCPDropRules(t *testing.T) {
 	}
 }
 
-// TestTCPBroadcastConvergence runs the reliable broadcast over real TCP
-// with a drop-rule partition mid-stream: after healing, anti-entropy
-// must converge every node, exactly as over netsim and the in-process
-// rtnet.Network. Run under -race.
-func TestTCPBroadcastConvergence(t *testing.T) {
-	const n = 3
-	ts, _ := newTCPCluster(t, n)
-	bs := make([]*broadcast.Broadcaster, n)
-	var mu sync.Mutex
-	got := make([]int, n)
-	for i := 0; i < n; i++ {
-		i := i
-		bs[i] = broadcast.New(netsim.NodeID(i), ts[i], broadcast.WallTimer{},
-			broadcast.Config{GossipInterval: int64(10 * time.Millisecond)},
-			func(origin netsim.NodeID, seq uint64, payload any) {
-				mu.Lock()
-				got[i]++
-				mu.Unlock()
-			})
-		ts[i].SetHandler(netsim.NodeID(i), func(from netsim.NodeID, payload any) {
-			bs[i].HandleMessage(from, payload)
+// loopBroadcaster is one node's reliable broadcast in the deployed
+// shape: TCP deliveries reach it through an ExecTransport onto its
+// Loop, and its gossip runs on the loop's scheduler.
+type loopBroadcaster struct {
+	loop *Loop
+	b    *broadcast.Broadcaster
+}
+
+// do runs fn on the node's loop goroutine and waits for it.
+func (n loopBroadcaster) do(fn func()) {
+	done := make(chan struct{})
+	if n.loop.Inject(func() { fn(); close(done) }) {
+		<-done
+	}
+}
+
+func (n loopBroadcaster) prefix(origin netsim.NodeID) (p uint64) {
+	n.do(func() { p = n.b.Prefix(origin) })
+	return p
+}
+
+// loopBroadcasters starts a broadcaster per transport, each on its own
+// Loop with a SchedulerTimer, stopped at test cleanup.
+func loopBroadcasters(t *testing.T, ts []*TCP, cfg broadcast.Config) []loopBroadcaster {
+	t.Helper()
+	ns := make([]loopBroadcaster, len(ts))
+	for i, tp := range ts {
+		sched := simtime.NewScheduler(int64(i + 1))
+		loop := NewLoop(sched)
+		tr := ExecTransport{Transport: tp, Exec: loop.Inject}
+		id := netsim.NodeID(i)
+		b := broadcast.New(id, tr, broadcast.SchedulerTimer{S: sched}, cfg,
+			func(origin netsim.NodeID, seq uint64, payload any) {})
+		tr.SetHandler(id, func(from netsim.NodeID, payload any) { b.HandleMessage(from, payload) })
+		ns[i] = loopBroadcaster{loop: loop, b: b}
+		loop.Start()
+		t.Cleanup(func() {
+			ns[i].do(b.Stop)
+			loop.Stop()
 		})
 	}
-	defer func() {
-		for _, b := range bs {
-			b.Stop()
-		}
-	}()
+	return ns
+}
 
-	// Partition node 2 away via drop rules on both sides of each link.
-	for _, a := range []int{0, 1} {
-		ts[a].SetPeerDrop(2, true)
-		ts[2].SetPeerDrop(netsim.NodeID(a), true)
+// partition sets (or clears) drop rules on both sides of every link
+// between node and the rest of the cluster.
+func partition(ts []*TCP, node netsim.NodeID, drop bool) {
+	for i, tp := range ts {
+		if netsim.NodeID(i) != node {
+			tp.SetPeerDrop(node, drop)
+			ts[node].SetPeerDrop(netsim.NodeID(i), drop)
+		}
 	}
-	const msgs = 5
-	for i := 0; i < msgs; i++ {
-		bs[0].Send(int64(i))
-	}
-	time.Sleep(50 * time.Millisecond)
-	if bs[2].Prefix(0) != 0 {
-		t.Fatal("partitioned node received messages through drop rules")
-	}
-	for _, a := range []int{0, 1} {
-		ts[a].SetPeerDrop(2, false)
-		ts[2].SetPeerDrop(netsim.NodeID(a), false)
-	}
-	ok := waitFor(t, func() bool {
-		for i := 0; i < n; i++ {
-			if bs[i].Prefix(0) != msgs {
+}
+
+// converged reports whether every node has delivered want entries
+// from each origin in origins.
+func converged(ns []loopBroadcaster, origins []netsim.NodeID, want uint64) bool {
+	for _, n := range ns {
+		for _, o := range origins {
+			if n.prefix(o) != want {
 				return false
 			}
 		}
-		return true
-	}, 10*time.Second)
-	if !ok {
-		for i := 0; i < n; i++ {
-			t.Logf("node %d prefix(0) = %d", i, bs[i].Prefix(0))
+	}
+	return true
+}
+
+// TestTCPBroadcastConvergence runs the reliable broadcast as a deployed
+// node does — TCP, ExecTransport, Loop, SchedulerTimer — with a
+// drop-rule partition mid-stream: after healing, anti-entropy must
+// converge every node, exactly as over netsim. Run under -race.
+func TestTCPBroadcastConvergence(t *testing.T) {
+	ts, _ := newTCPCluster(t, 3)
+	ns := loopBroadcasters(t, ts, broadcast.Config{GossipInterval: int64(10 * time.Millisecond)})
+
+	partition(ts, 2, true)
+	const msgs = 5
+	ns[0].do(func() {
+		for i := 0; i < msgs; i++ {
+			ns[0].b.Send(int64(i))
+		}
+	})
+	time.Sleep(50 * time.Millisecond)
+	if ns[2].prefix(0) != 0 {
+		t.Fatal("partitioned node received messages through drop rules")
+	}
+	partition(ts, 2, false)
+	origins := []netsim.NodeID{0}
+	if !waitFor(t, func() bool { return converged(ns, origins, msgs) }, 10*time.Second) {
+		for i, n := range ns {
+			t.Logf("node %d prefix(0) = %d", i, n.prefix(0))
 		}
 		t.Fatal("broadcast did not converge over TCP after heal")
 	}
+}
+
+// TestRealTimeGossipConcurrency runs a compacting broadcast cluster on
+// TCP and Loops while one goroutine per node injects sends and the
+// test goroutine partitions and heals node 2: client goroutines, TCP
+// delivery goroutines and gossip all reach the broadcaster, and only
+// through its loop. Run under -race.
+func TestRealTimeGossipConcurrency(t *testing.T) {
+	const n, perSender = 3, 50
+	ts, _ := newTCPCluster(t, n)
+	ns := loopBroadcasters(t, ts, broadcast.Config{
+		GossipInterval: int64(2 * time.Millisecond), Compaction: true, CompactRetain: 8})
+
+	var wg sync.WaitGroup
+	for s := range ns {
+		wg.Add(1)
+		go func(node loopBroadcaster) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				node.loop.Inject(func() { node.b.Send(i) })
+				time.Sleep(200 * time.Microsecond)
+			}
+		}(ns[s])
+	}
+	time.Sleep(3 * time.Millisecond)
+	partition(ts, 2, true)
+	time.Sleep(5 * time.Millisecond)
+	partition(ts, 2, false)
+	wg.Wait()
+
+	origins := []netsim.NodeID{0, 1, 2}
+	if !waitFor(t, func() bool { return converged(ns, origins, perSender) }, 10*time.Second) {
+		for i, nd := range ns {
+			for _, o := range origins {
+				t.Logf("node %d prefix(origin %d) = %d", i, o, nd.prefix(o))
+			}
+		}
+		t.Fatal("real-time cluster did not converge")
+	}
+}
+
+// TestCloseDropsAndDrains: a send after Close is discarded and counted
+// under the closed cause, and never delivered.
+func TestCloseDropsAndDrains(t *testing.T) {
+	ts, _ := newTCPCluster(t, 2)
+	var c collector
+	ts[1].SetHandler(1, c.handler)
+	ts[0].Send(0, 1, "a")
+	if !waitFor(t, func() bool { return c.len() == 1 }, 5*time.Second) {
+		t.Fatal("no delivery before Close")
+	}
+	ts[0].Close()
+	ts[0].Send(0, 1, "b")
+	if n := ts[0].Stats().Closed.Load(); n != 1 {
+		t.Fatalf("closed drops = %d after one send past Close, want 1", n)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if c.len() != 1 {
+		t.Error("message delivered after the sender closed")
+	}
+}
+
+// TestSendCloseRace hammers Send from eight goroutines while the
+// transport closes: no send blocks or panics, and every send after
+// Close returned is counted as a closed drop. Run under -race.
+func TestSendCloseRace(t *testing.T) {
+	ts, _ := newTCPCluster(t, 2)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 200; i++ {
+				ts[0].Send(0, 1, int64(i))
+			}
+		}()
+	}
+	close(start)
+	ts[0].Close()
+	before := ts[0].Stats().Closed.Load()
+	ts[0].Send(0, 1, "late")
+	wg.Wait()
+	if after := ts[0].Stats().Closed.Load(); after <= before {
+		t.Fatalf("closed drops %d -> %d across a send after Close", before, after)
+	}
+}
+
+// TestCloseCancelsPending: frames queued for a peer that refuses every
+// dial, behind an hour of backoff, do not hold Close up — it interrupts
+// the backoff instead of waiting it out.
+func TestCloseCancelsPending(t *testing.T) {
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := NewTCP(TCPConfig{Local: 0, Addrs: []string{ln.Addr().String(), deadAddr},
+		Listener: ln, DialBackoffMin: time.Hour, DialBackoffMax: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tp.Close)
+	for i := 0; i < 1000; i++ {
+		tp.Send(0, 1, broadcast.Data{Origin: 0, Seq: uint64(i + 1), Payload: int64(i)})
+	}
+	if !waitFor(t, func() bool { return tp.Stats().DialErrors.Load() >= 1 }, 5*time.Second) {
+		t.Fatal("the dead peer was never dialled")
+	}
+	start := time.Now()
+	tp.Close()
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("Close took %v with an hour of dial backoff pending", d)
+	}
+}
+
+// TestCloseIdempotent closes a receiving transport from four goroutines
+// at once under a send load: every call returns, and no handler runs
+// after the first return. Run under -race.
+func TestCloseIdempotent(t *testing.T) {
+	ts, _ := newTCPCluster(t, 2)
+	var closed atomic.Bool
+	ts[1].SetHandler(1, func(from netsim.NodeID, payload any) {
+		if closed.Load() {
+			t.Error("handler ran after Close returned")
+		}
+	})
+	var senders sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for i := 0; i < 500; i++ {
+				ts[0].Send(0, 1, int64(i))
+			}
+		}()
+	}
+	var closers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		closers.Add(1)
+		go func() {
+			defer closers.Done()
+			ts[1].Close()
+			closed.Store(true)
+		}()
+	}
+	closers.Wait()
+	senders.Wait()
+	ts[1].Close()
 }

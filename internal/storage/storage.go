@@ -72,8 +72,7 @@ type stripe struct {
 }
 
 // Store is one node's copy of the database. It is safe for concurrent
-// use (the real-time transport delivers from multiple goroutines, and
-// the sharded apply path installs from several workers).
+// use.
 type Store struct {
 	node    netsim.NodeID
 	cat     *fragments.Catalog
