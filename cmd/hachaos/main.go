@@ -31,7 +31,7 @@ func main() {
 	var (
 		seeds    = flag.Int("seeds", 64, "seeds per profile")
 		start    = flag.Int64("start", 1, "first seed")
-		profile  = flag.String("profile", "all", `profiles to sweep: comma list of readlocks,acyclic,unrestricted,moving,bank, or "all"`)
+		profile  = flag.String("profile", "all", profileUsage())
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel plan executions")
 		shrink   = flag.Bool("shrink", false, "minimize failing plans")
 		out      = flag.String("out", "", "directory for reproducer bundles (implies -shrink)")
@@ -116,6 +116,21 @@ func main() {
 	fmt.Println("all invariants held")
 }
 
+// profileNames lists every profile -profile accepts, comma-separated.
+func profileNames() string {
+	var names []string
+	for _, p := range chaoskit.AllProfiles() {
+		names = append(names, p.Name)
+	}
+	return strings.Join(names, ",")
+}
+
+// profileUsage is the -profile flag's usage text.
+func profileUsage() string {
+	return "profiles to sweep: comma list of " + profileNames() +
+		`, or "all" (readlocks through bank)`
+}
+
 func selectProfiles(arg string) ([]chaoskit.Profile, error) {
 	if arg == "all" {
 		return append(chaoskit.Profiles(), chaoskit.BankProfile()), nil
@@ -125,7 +140,7 @@ func selectProfiles(arg string) ([]chaoskit.Profile, error) {
 		name = strings.TrimSpace(name)
 		pr, ok := chaoskit.ProfileByName(name)
 		if !ok {
-			return nil, fmt.Errorf("unknown profile %q", name)
+			return nil, fmt.Errorf("unknown profile %q (known: %s)", name, profileNames())
 		}
 		out = append(out, pr)
 	}

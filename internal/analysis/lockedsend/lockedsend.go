@@ -404,8 +404,8 @@ func (w *walker) reportHeldPath(pos token.Pos, held lockState, what, path string
 }
 
 // render prints a simple receiver expression (idents, field
-// selections, and simple index selections — the sharded manager's
-// m.shards[i].mu shape); anything more dynamic is not tracked.
+// selections, and simple index selections such as m.shards[i].mu);
+// anything more dynamic is not tracked.
 func render(e ast.Expr) (string, bool) {
 	switch e := e.(type) {
 	case *ast.Ident:

@@ -10,7 +10,6 @@ import (
 	"fragdb/internal/analysis/mapdeterminism"
 	"fragdb/internal/analysis/metricexported"
 	"fragdb/internal/analysis/nowalltime"
-	"fragdb/internal/analysis/shardorder"
 	"fragdb/internal/analysis/traceexhaustive"
 	"fragdb/internal/analysis/wireencodable"
 )
@@ -21,7 +20,6 @@ func All() []*analysis.Analyzer {
 		nowalltime.Analyzer,
 		lockedsend.Analyzer,
 		mapdeterminism.Analyzer,
-		shardorder.Analyzer,
 		wireencodable.Analyzer,
 		traceexhaustive.Analyzer,
 		metricexported.Analyzer,

@@ -230,21 +230,6 @@ type Config struct {
 	// node's flight recorder. The recorder never calls back into the
 	// broadcaster, so emitting under the broadcaster's lock is safe.
 	Trace *trace.Recorder
-	// Burst, if non-nil, brackets multi-delivery drains: BeginBurst
-	// before the first handler invocation of a drain whose queue holds
-	// more than one delivery (a DataBatch arrival, a repair shipping a
-	// missed suffix), EndBurst after the last. Core's sharded apply
-	// path uses the bracket to coalesce a batch's quasi-transactions
-	// into one shard dispatch — one lock acquisition per fragment
-	// touched per batch. Both calls are made without the broadcaster's
-	// lock held, so the sink may re-enter Send.
-	Burst BurstSink
-}
-
-// BurstSink observes multi-delivery drains (see Config.Burst).
-type BurstSink interface {
-	BeginBurst()
-	EndBurst()
 }
 
 func (c Config) compactRetain() uint64 {
@@ -632,16 +617,6 @@ func (b *Broadcaster) drainDeliveries() {
 		return
 	}
 	b.delivering = true
-	burst := b.cfg.Burst
-	if burst != nil && len(b.deliverQ) > 1 {
-		out := b.takeOutbox()
-		b.mu.Unlock()
-		b.post(out)
-		burst.BeginBurst()
-		b.mu.Lock()
-	} else {
-		burst = nil
-	}
 	for len(b.deliverQ) > 0 {
 		d := b.deliverQ[0]
 		b.deliverQ = b.deliverQ[1:]
@@ -666,15 +641,6 @@ func (b *Broadcaster) drainDeliveries() {
 		}
 	}
 	b.delivering = false
-	if burst != nil {
-		// Cleared delivering first: a Send re-entered from EndBurst
-		// must be able to drain its own delivery.
-		out := b.takeOutbox()
-		b.mu.Unlock()
-		b.post(out)
-		burst.EndBurst()
-		b.mu.Lock()
-	}
 }
 
 // Prefix reports the highest contiguous sequence number delivered for

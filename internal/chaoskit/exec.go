@@ -57,7 +57,6 @@ func bankClusterConfig(p Plan, opts RunOpts) core.Config {
 		LossProb:      p.LossProb,
 		TxnTimeout:    txnTimeout,
 		TraceCap:      opts.TraceCap,
-		ApplyShards:   p.ApplyShards,
 	}
 	cfg.BatchFlushDelay, cfg.BatchMaxCount = batchConfig(p)
 	return cfg
@@ -105,13 +104,6 @@ type Report struct {
 	// lock wait/grant/wound, quasi broadcast, remote apply, commit or
 	// abort with cause — leading up to the failure.
 	Trace string
-	// ApplyParallelismMax is the peak number of simultaneously busy
-	// apply shards observed anywhere in the run (sharded plans only):
-	// the parallel sweep's per-seed proof that appliers overlapped.
-	ApplyParallelismMax int64
-	// CrossShardTxns counts committed transactions whose access set
-	// spanned apply shards (sharded plans only).
-	CrossShardTxns uint64
 }
 
 // Failed reports whether any check failed.
@@ -261,7 +253,6 @@ func executeCounters(p Plan, opts RunOpts) *Report {
 		LossProb:       p.LossProb,
 		TxnTimeout:     txnTimeout,
 		TraceCap:       opts.TraceCap,
-		ApplyShards:    p.ApplyShards,
 		LabeledMetrics: p.Placement,
 	}
 	cfg.BatchFlushDelay, cfg.BatchMaxCount = batchConfig(p)
@@ -447,10 +438,6 @@ func executeCounters(p Plan, opts RunOpts) *Report {
 		}
 		return out
 	})
-	if p.ApplyShards > 1 {
-		rep.ApplyParallelismMax = int64(cl.Stats().ApplyParallelism.Max())
-		rep.CrossShardTxns = cl.Stats().CrossShardTxns.Load()
-	}
 	if rep.Failed() && opts.TraceCap > 0 {
 		rep.Trace = cl.TraceDump(traceDumpTail)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"fragdb/internal/core"
-	"fragdb/internal/lock"
 	"fragdb/internal/simtime"
 )
 
@@ -176,10 +175,6 @@ type Plan struct {
 	// DataBatch messages (sender-side flush timer on the simulated
 	// clock); the invariant ladder must hold unchanged with it on.
 	Batching bool
-	// ApplyShards > 1 enables the sharded apply path (per-fragment
-	// parallel quasi-transaction installation); the invariant ladder
-	// must hold unchanged with it on.
-	ApplyShards int
 	// Placement attaches the adaptive placement controller (labeled
 	// registry on, Step.Origin honored, automatic agent migrations);
 	// the invariant ladder must hold unchanged with it on.
@@ -230,9 +225,6 @@ type Profile struct {
 	Compaction bool
 	// Batching runs every plan with broadcast push batching on.
 	Batching bool
-	// ApplyShards runs every plan with the sharded apply path at this
-	// shard count (0 or 1 keeps the serial path).
-	ApplyShards int
 	// Placement runs every plan with the adaptive placement controller
 	// attached and draws skewed update origins so it has something to
 	// chase.
@@ -318,31 +310,6 @@ func BatchingProfile() Profile {
 	}
 }
 
-// ParallelProfile returns the sharded-apply profile: the per-fragment
-// parallel apply path on at 8 shards, together with push batching
-// (DataBatch runs must coalesce into single acquisitions), compaction
-// (snapshot merges race in-flight runs, exercising install-time
-// revalidation), moving agents, partitions, crashes, and message loss.
-// Plans mix disjoint-fragment updates (overlapping appliers) with
-// overlapping-fragment and cross-shard-read transactions; a
-// deterministic early burst (see Generate) anchors the sweep's
-// per-seed vacuity guards. The invariant ladder audited is unchanged.
-//
-// Majority commit stays off: its ack round-trips decouple the
-// same-instant submissions the parallelism vacuity guard rests on
-// (the dedicated majority sweeps cover that axis).
-func ParallelProfile() Profile {
-	return Profile{
-		Name: "parallel", Option: core.UnrestrictedReads,
-		Moving: true, Compaction: true, Batching: true,
-		ApplyShards: 8,
-		MinN:        3, MaxN: 4, MinFrags: 8, MaxFrags: 8,
-		MinSteps: 40, MaxSteps: 80,
-		MaxFaults: 3, MaxMoves: 2,
-		LossChance: 0.3, MaxLoss: 0.15,
-	}
-}
-
 // PlacementProfile returns the adaptive-placement profile: the
 // controller attached with an aggressive deterministic tuning, update
 // origins skewed away from the initial homes (so the access matrix
@@ -365,29 +332,19 @@ func PlacementProfile() Profile {
 	}
 }
 
-// ProfileByName resolves a profile by name ("readlocks", "acyclic",
-// "unrestricted", "moving", "bank", "compaction", "batching",
-// "parallel", "placement").
+// AllProfiles returns every profile ProfileByName resolves: the
+// sweep's default set (Profiles, then BankProfile) followed by the
+// replay-only extras.
+func AllProfiles() []Profile {
+	return append(Profiles(), BankProfile(), CompactionProfile(), BatchingProfile(), PlacementProfile())
+}
+
+// ProfileByName resolves a profile by name among AllProfiles.
 func ProfileByName(name string) (Profile, bool) {
-	for _, p := range Profiles() {
+	for _, p := range AllProfiles() {
 		if p.Name == name {
 			return p, true
 		}
-	}
-	if b := BankProfile(); b.Name == name {
-		return b, true
-	}
-	if c := CompactionProfile(); c.Name == name {
-		return c, true
-	}
-	if bt := BatchingProfile(); bt.Name == name {
-		return bt, true
-	}
-	if pp := ParallelProfile(); pp.Name == name {
-		return pp, true
-	}
-	if pl := PlacementProfile(); pl.Name == name {
-		return pl, true
 	}
 	return Profile{}, false
 }
@@ -413,7 +370,6 @@ func Generate(seed int64, pr Profile) Plan {
 	// Copied, not drawn: existing profiles' plans stay byte-identical.
 	p.Compaction = pr.Compaction
 	p.Batching = pr.Batching
-	p.ApplyShards = pr.ApplyShards
 	p.Placement = pr.Placement
 	if pr.Bank {
 		p.Option = core.UnrestrictedReads
@@ -498,32 +454,6 @@ func Generate(seed int64, pr Profile) Plan {
 			}
 		}
 		p.Steps = append(p.Steps, st)
-	}
-
-	// Sharded-apply plans get a deterministic early burst, drawn from no
-	// RNG stream: one update per fragment at 50ms (same-instant commits
-	// at every home, so replicas see overlapping disjoint-fragment
-	// applies) plus one update at 60ms reading a fragment on a different
-	// apply shard. Both land before the earliest fault window (100ms),
-	// so the sweep's per-seed vacuity guards — two appliers overlapped,
-	// at least one cross-shard transaction — hold on every seed, not
-	// just in aggregate.
-	if p.ApplyShards > 1 && !pr.Bank {
-		for i := 0; i < p.Frags; i++ {
-			p.Steps = append(p.Steps, Step{
-				At: 50 * time.Millisecond, Frag: i, Kind: StepUpdate,
-			})
-		}
-		s0 := lock.HashShard(string(fragID(0)), p.ApplyShards)
-		for j := 1; j < p.Frags; j++ {
-			if lock.HashShard(string(fragID(j)), p.ApplyShards) != s0 {
-				p.Steps = append(p.Steps, Step{
-					At: 60 * time.Millisecond, Frag: 0, Kind: StepUpdate,
-					Reads: []int{j},
-				})
-				break
-			}
-		}
 	}
 
 	// Placement plans get a deterministic sustained burst, drawn from no
@@ -697,9 +627,6 @@ func (p Plan) GoLiteral() string {
 	}
 	if p.Batching {
 		fmt.Fprintf(&b, "\tBatching: true,\n")
-	}
-	if p.ApplyShards > 0 {
-		fmt.Fprintf(&b, "\tApplyShards: %d,\n", p.ApplyShards)
 	}
 	if p.Placement {
 		fmt.Fprintf(&b, "\tPlacement: true,\n")

@@ -171,18 +171,6 @@ type Config struct {
 	// placement work consumes and the /metrics exporter renders. False
 	// keeps Registry() nil, so the hot paths pay only a nil check.
 	LabeledMetrics bool
-	// ApplyShards, when > 1, shards each node's apply path and lock
-	// manager by fragment: incoming quasi-transactions install
-	// concurrently across that many fragment-hashed shards, one
-	// combined lock acquisition per contiguous run per fragment, with
-	// the per-fragment total order preserved (see internal/core/shard.go
-	// for the determinism contract). 0 or 1 keeps the serial path.
-	ApplyShards int
-	// ApplyLatency is the virtual time an apply shard spends installing
-	// one run of quasi-transactions — the window during which runs on
-	// other shards overlap. Default 500µs when ApplyShards > 1; ignored
-	// on the serial path.
-	ApplyLatency simtime.Duration
 	// Transport, when non-nil, replaces the built-in simulated network:
 	// messages travel over it (e.g. rtnet.TCP in a real deployment)
 	// instead of netsim. Its N must equal Config.N. NetLatency,
@@ -214,9 +202,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MultiLease == 0 {
 		c.MultiLease = 60 * time.Second
-	}
-	if c.ApplyShards > 1 && c.ApplyLatency == 0 {
-		c.ApplyLatency = 500 * time.Microsecond
 	}
 }
 

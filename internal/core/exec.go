@@ -461,9 +461,6 @@ func (n *Node) finalize(t *activeTxn, err error, committed bool) {
 		n.cl.stats.CommitLatency.Observe(now.Sub(t.start))
 		n.cl.reg.IncCommit(t.spec.Fragment, n.origin(t.spec))
 		n.cl.reg.ObserveCommitLatency(t.spec.Fragment, n.origin(t.spec), now.Sub(t.start))
-		if n.cl.cfg.ApplyShards > 1 && n.txnSpansShards(t) {
-			n.cl.stats.CrossShardTxns.Add(1)
-		}
 		if n.tr.Enabled() {
 			n.tr.Emit(trace.Event{Kind: trace.KCommit, Txn: t.id,
 				Frag: t.spec.Fragment, Dur: now.Sub(t.start), Note: t.spec.Label})
@@ -577,15 +574,6 @@ type quasiWaiter struct {
 	// ordered is false for commutative fragments, whose installation
 	// neither blocks nor advances the strict stream sequence.
 	ordered bool
-
-	// Sharded-apply run state (nil/zero on the serial path): the
-	// contiguous run this waiter installs as a group under q.Txn's
-	// locks, its shard, whether the shard slot is held through the
-	// installation, and whether installation is already scheduled.
-	run       []txn.Quasi
-	shardIdx  int
-	slotHeld  bool
-	scheduled bool
 }
 
 // applyQuasi installs a quasi-transaction under exclusive locks,
@@ -721,11 +709,7 @@ func (n *Node) onGrants(grants []lock.Grant) {
 		if w, ok := n.quasiWaiters[g.Txn]; ok {
 			delete(w.remaining, g.Object)
 			if len(w.remaining) == 0 {
-				if w.run != nil {
-					n.scheduleInstall(n.apply, w)
-				} else {
-					n.installQuasi(w)
-				}
+				n.installQuasi(w)
 			}
 			continue
 		}

@@ -208,16 +208,6 @@ type Node struct {
 	// quasiWaiters tracks quasi-transactions blocked on write locks.
 	quasiWaiters map[txn.ID]*quasiWaiter
 
-	// apply is the sharded-apply scheduler; nil when Config.ApplyShards
-	// <= 1 (serial drain). Crash recovery replaces it wholesale.
-	apply *applyState
-	// batchFrags, while a broadcast delivery burst (a DataBatch, a
-	// repair suffix) is being drained, collects fragments whose streams
-	// became drainable; the burst's end dispatches each once, so a
-	// batch costs one lock acquisition per fragment touched. Nil
-	// outside bursts and on the serial path.
-	batchFrags map[fragments.FragmentID]*streamState
-
 	// remoteHeld tracks remote transactions holding locks here (option
 	// 4.1 server side), with their lease-expiry events.
 	remoteHeld map[txn.ID]*remoteHolder
@@ -285,11 +275,6 @@ func newNode(cl *Cluster, id netsim.NodeID) *Node {
 		posQueries:   make(map[uint64]func(netsim.NodeID, txn.FragPos)),
 	}
 	n.locks = n.newLockManager()
-	var burst broadcast.BurstSink
-	if cl.cfg.ApplyShards > 1 {
-		n.apply = newApplyState(cl, id)
-		burst = nodeBurstSink{n}
-	}
 	n.bcast = broadcast.New(id, cl.tr, cl.timer(),
 		broadcast.Config{
 			GossipInterval:  int64(cl.cfg.GossipInterval),
@@ -304,7 +289,6 @@ func newNode(cl *Cluster, id netsim.NodeID) *Node {
 			Registry:        cl.reg,
 			SizeOf:          wire.Size,
 			Trace:           n.tr,
-			Burst:           burst,
 		},
 		n.handleBroadcast)
 	cl.tr.SetHandler(id, n.handleTransport)
@@ -315,22 +299,8 @@ func newNode(cl *Cluster, id netsim.NodeID) *Node {
 // enabled, installs the blocked-path observer that maps lock-manager
 // occurrences onto flight-recorder events. Crash recovery rebuilds the
 // table through the same constructor so the observer survives restarts.
-// With the sharded apply path enabled, the table is sharded by the
-// object's fragment — the same mapping the apply scheduler uses, so a
-// shard worker's acquisitions stay inside its own lock shard.
 func (n *Node) newLockManager() *lock.Manager {
-	var m *lock.Manager
-	if k := n.cl.cfg.ApplyShards; k > 1 {
-		cl := n.cl
-		m = lock.NewSharded(k, func(o fragments.ObjectID) int {
-			if f, ok := cl.cat.FragmentOf(o); ok {
-				return cl.ShardOfFragment(f)
-			}
-			return lock.HashShard(string(o), k)
-		})
-	} else {
-		m = lock.NewManager()
-	}
+	m := lock.NewManager()
 	if n.tr.Enabled() {
 		m.AddObserver(func(id txn.ID, o fragments.ObjectID, mode lock.Mode, ev lock.TraceEvent) {
 			kind := trace.KLockWait
@@ -365,7 +335,7 @@ func (n *Node) Store() *storage.Store { return n.store }
 
 // LockTableEntries reports how many objects have an entry in the node's
 // lock table. Safe from any goroutine; it walks the table under the
-// manager's mutexes, so call it at scrape rates.
+// manager's mutex, so call it at scrape rates.
 func (n *Node) LockTableEntries() int { return n.locks.TableEntries() }
 
 // Broadcaster exposes the node's broadcast endpoint.
@@ -545,14 +515,8 @@ func (n *Node) ingestQuasi(q txn.Quasi) {
 }
 
 // drainStream applies buffered quasi-transactions that are next in
-// order, as long as none parks on locks. With the sharded apply path
-// enabled, installation is handed to the fragment's apply shard
-// instead of happening inline.
+// order, as long as none parks on locks.
 func (n *Node) drainStream(f fragments.FragmentID, st *streamState) {
-	if n.apply != nil {
-		n.dispatchShard(f, st)
-		return
-	}
 	for !st.applying {
 		next := st.last.Next()
 		q, ok := st.pending[next]

@@ -44,11 +44,6 @@ func (n *Node) SimulateCrashRestart() {
 	}
 	// Volatile state: gone.
 	n.locks = n.newLockManager()
-	if n.apply != nil {
-		// Fresh scheduler incarnation: closures scheduled by the old one
-		// check pointer identity and die.
-		n.apply = newApplyState(n.cl, n.id)
-	}
 	n.quasiWaiters = make(map[txn.ID]*quasiWaiter)
 	n.remoteHeld = make(map[txn.ID]*remoteHolder)
 	n.remoteQueued = make(map[txn.ID]remoteQueue)

@@ -14,34 +14,25 @@
 // on callers and never spawns goroutines, so it composes with the
 // deterministic event simulation.
 //
-// # Sharding
+// # Concurrency contract
 //
-// Internally the lock table is split into K fragment-hashed shards
-// (NewSharded), each owning its own table, waiter queues, and held/
-// waiting registries behind its own mutex. The uncontended Acquire fast
-// path touches only the target object's shard, so appliers working on
-// fragments that hash to different shards proceed in parallel. The
-// blocked slow path — which needs the global waits-for graph — and
-// Release — whose grant order must match the unsharded manager — take
-// the involved shards' mutexes in ascending shard-index order, the
-// canonical ordering that keeps the manager itself deadlock-free.
-//
-// With K=1 (NewManager) the manager behaves exactly like the historical
-// single-table implementation; the sharded form is observationally
-// equivalent: the same call sequence yields the same grants, waits,
-// wounds, and deadlock denials (see quick_test.go).
-//
-// Concurrency contract: calls about different transactions may run
-// concurrently; the lifecycle calls of one transaction (its Acquires
-// and its final Release) must be serialized by the caller. Callers park
-// transactions whose requests are queued and resume them when Release
-// reports the requests as granted.
+// One table — the object entries, their waiter queues, and the held and
+// waiting registries — sits behind one mutex. The engine drives the
+// manager from its single event loop; the mutex is there so readers on
+// other goroutines (a /metrics scrape calling TableEntries, a test
+// calling Holds or Holders) see a consistent table. Calls about
+// different transactions may run concurrently; the lifecycle calls of
+// one transaction (its Acquires and its final Release) must be
+// serialized by the caller. Release frees a transaction's objects in
+// sorted object order, so the grant sequence depends only on the call
+// sequence, never on map iteration order. Callers park transactions
+// whose requests are queued and resume them when Release reports the
+// requests as granted.
 package lock
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -69,10 +60,6 @@ func (m Mode) String() string {
 // ErrDeadlock is returned by Acquire when queueing the request would
 // create a cycle in the waits-for graph.
 var ErrDeadlock = errors.New("lock: deadlock detected")
-
-// MaxShards bounds the shard count (the owner registry tracks shard
-// membership in a 64-bit mask).
-const MaxShards = 64
 
 // Grant identifies a queued request that has just been granted by a
 // Release call.
@@ -113,8 +100,8 @@ const (
 )
 
 // traceRec is a deferred OnEvent emission: observer calls happen after
-// the shard mutexes are dropped, so the observer may be slow (or take
-// its own locks) without extending the manager's critical sections.
+// the table mutex is dropped, so the observer may be slow (or take its
+// own locks) without extending the manager's critical sections.
 type traceRec struct {
 	id   txn.ID
 	o    fragments.ObjectID
@@ -122,36 +109,21 @@ type traceRec struct {
 	ev   TraceEvent
 }
 
-// lockShard is one slice of the lock table. All fields are guarded by
-// mu; cross-shard operations take multiple shard mutexes in ascending
-// shard-index order (see lockAll/lockMask).
-type lockShard struct {
+// Manager is a lock table for one node.
+type Manager struct {
+	// mu guards table, held and waiting.
 	mu    sync.Mutex
 	table map[fragments.ObjectID]*entry
-	// held[t] is the set of objects in this shard on which t holds a lock.
+	// held[t] is the set of objects on which t holds a lock.
 	held map[txn.ID]map[fragments.ObjectID]struct{}
-	// waiting[t] is the object in this shard t is queued on (a
-	// transaction waits on at most one request at a time, globally).
+	// waiting[t] is the object t is queued on (a transaction waits on at
+	// most one request at a time).
 	waiting map[txn.ID]fragments.ObjectID
-}
-
-// Manager is a lock table for one node, internally sharded.
-type Manager struct {
-	shards  []*lockShard
-	shardOf func(fragments.ObjectID) int
-
-	// ownerMu guards owners. It is only ever taken while holding shard
-	// mutexes or while holding none, never the other way around, so the
-	// lock order shard → ownerMu is acyclic.
-	ownerMu sync.Mutex
-	// owners[t] is the bitmask of shards where t holds or queues a lock
-	// — the shards Release must visit.
-	owners map[txn.ID]uint64
 
 	// OnEvent, when non-nil, observes blocked-path occurrences (waits,
 	// deferred grants, deadlock denials). Installed by the engine when
 	// flight-recorder tracing is enabled; must not call back into the
-	// Manager. Events are emitted after internal mutexes are dropped.
+	// Manager. Events are emitted after the table mutex is dropped.
 	OnEvent func(id txn.ID, o fragments.ObjectID, mode Mode, ev TraceEvent)
 }
 
@@ -175,138 +147,37 @@ func (m *Manager) AddObserver(fn func(id txn.ID, o fragments.ObjectID, mode Mode
 	}
 }
 
-// NewManager returns an empty single-shard lock table — the exact
-// behavior of the historical unsharded manager.
-func NewManager() *Manager { return NewSharded(1, nil) }
-
-// NewSharded returns an empty lock table split into k shards. shardOf
-// maps an object to its shard index in [0, k); nil selects an FNV-1a
-// hash of the object id. Engines pass a fragment-derived function so
-// all objects of one fragment land on one shard. k is clamped to
-// [1, MaxShards].
-func NewSharded(k int, shardOf func(fragments.ObjectID) int) *Manager {
-	if k < 1 {
-		k = 1
-	}
-	if k > MaxShards {
-		k = MaxShards
-	}
-	m := &Manager{
-		shards: make([]*lockShard, k),
-		owners: make(map[txn.ID]uint64),
-	}
-	for i := range m.shards {
-		m.shards[i] = &lockShard{
-			table:   make(map[fragments.ObjectID]*entry),
-			held:    make(map[txn.ID]map[fragments.ObjectID]struct{}),
-			waiting: make(map[txn.ID]fragments.ObjectID),
-		}
-	}
-	if shardOf == nil {
-		shardOf = func(o fragments.ObjectID) int { return HashShard(string(o), k) }
-	}
-	m.shardOf = shardOf
-	return m
-}
-
-// HashShard maps a string key onto [0, k) with FNV-1a — the default
-// object-to-shard and the engines' fragment-to-shard function, shared
-// so tests and vacuity guards can predict placement.
-func HashShard(key string, k int) int {
-	if k <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(k))
-}
-
-// ShardCount reports the number of shards.
-func (m *Manager) ShardCount() int { return len(m.shards) }
-
-// ShardOf reports the shard index an object maps to.
-func (m *Manager) ShardOf(o fragments.ObjectID) int {
-	i := m.shardOf(o)
-	if i < 0 || i >= len(m.shards) {
-		return 0
-	}
-	return i
-}
-
-// lockAll acquires every shard mutex in ascending shard-index order —
-// the canonical cross-shard ordering (deadlock-freedom of the manager
-// itself is analyzable because every multi-shard path uses it).
-func (m *Manager) lockAll() {
-	for i := 0; i < len(m.shards); i++ {
-		m.shards[i].mu.Lock()
+// NewManager returns an empty lock table.
+func NewManager() *Manager {
+	return &Manager{
+		table:   make(map[fragments.ObjectID]*entry),
+		held:    make(map[txn.ID]map[fragments.ObjectID]struct{}),
+		waiting: make(map[txn.ID]fragments.ObjectID),
 	}
 }
 
-// unlockAll releases every shard mutex.
-func (m *Manager) unlockAll() {
-	for i := 0; i < len(m.shards); i++ {
-		m.shards[i].mu.Unlock()
-	}
-}
-
-// lockMask acquires the mutexes of the shards named in mask, in
-// ascending shard-index order.
-func (m *Manager) lockMask(mask uint64) {
-	for i := 0; i < len(m.shards); i++ {
-		if mask&(1<<uint(i)) != 0 {
-			m.shards[i].mu.Lock()
-		}
-	}
-}
-
-// unlockMask releases the mutexes of the shards named in mask.
-func (m *Manager) unlockMask(mask uint64) {
-	for i := 0; i < len(m.shards); i++ {
-		if mask&(1<<uint(i)) != 0 {
-			m.shards[i].mu.Unlock()
-		}
-	}
-}
-
-// setOwnerBit records that id has state (held or queued) in shard si.
-// Callers hold si's mutex; ownerMu nests inside shard mutexes.
-func (m *Manager) setOwnerBit(id txn.ID, si int) {
-	m.ownerMu.Lock()
-	m.owners[id] |= 1 << uint(si)
-	m.ownerMu.Unlock()
-}
-
-// takeOwnerMask removes and returns id's shard-membership mask.
-func (m *Manager) takeOwnerMask(id txn.ID) uint64 {
-	m.ownerMu.Lock()
-	mask := m.owners[id]
-	delete(m.owners, id)
-	m.ownerMu.Unlock()
-	return mask
-}
-
-func (s *lockShard) entryFor(o fragments.ObjectID) *entry {
-	e, ok := s.table[o]
+func (m *Manager) entryFor(o fragments.ObjectID) *entry {
+	e, ok := m.table[o]
 	if !ok {
 		e = &entry{holders: make(map[txn.ID]Mode)}
-		s.table[o] = e
+		m.table[o] = e
 	}
 	return e
 }
 
 // dropIfIdle forgets o's entry once nothing holds or awaits it. Caller
-// holds the shard's mutex.
-func (s *lockShard) dropIfIdle(o fragments.ObjectID, e *entry) {
+// holds m.mu.
+func (m *Manager) dropIfIdle(o fragments.ObjectID, e *entry) {
 	if len(e.holders) == 0 && len(e.queue) == 0 {
-		delete(s.table, o)
+		delete(m.table, o)
 	}
 }
 
-func (s *lockShard) markHeld(id txn.ID, o fragments.ObjectID) {
-	set, ok := s.held[id]
+func (m *Manager) markHeld(id txn.ID, o fragments.ObjectID) {
+	set, ok := m.held[id]
 	if !ok {
 		set = make(map[fragments.ObjectID]struct{})
-		s.held[id] = set
+		m.held[id] = set
 	}
 	set[o] = struct{}{}
 }
@@ -351,42 +222,28 @@ func queuedAhead(e *entry, id txn.ID, mode Mode) bool {
 // Exclusive upgrades in place when it is the only holder, otherwise the
 // upgrade queues (and is deadlock-checked) like any other request.
 func (m *Manager) Acquire(id txn.ID, o fragments.ObjectID, mode Mode) (bool, error) {
-	si := m.ShardOf(o)
-	s := m.shards[si]
-	// Fast path: an immediate grant needs only the object's own shard.
-	s.mu.Lock()
-	if m.tryGrantLocked(s, si, id, o, mode) {
-		s.mu.Unlock()
-		return true, nil
-	}
-	s.mu.Unlock()
-	// Slow path: the request would wait, so deadlock detection needs the
-	// global waits-for graph — take every shard (ascending order) and
-	// re-evaluate, since the shard may have changed in the gap.
-	m.lockAll()
-	if m.tryGrantLocked(s, si, id, o, mode) {
-		m.unlockAll()
+	m.mu.Lock()
+	e := m.entryFor(o)
+	if m.tryGrantLocked(e, id, o, mode) {
+		m.mu.Unlock()
 		return true, nil
 	}
 	if m.wouldDeadlockLocked(id, o, mode) {
-		m.unlockAll()
+		m.mu.Unlock()
 		m.emit(traceRec{id, o, mode, TraceDeny})
 		return false, ErrDeadlock
 	}
-	e := s.entryFor(o)
 	e.queue = append(e.queue, request{id: id, mode: mode})
-	s.waiting[id] = o
-	m.setOwnerBit(id, si)
-	m.unlockAll()
+	m.waiting[id] = o
+	m.mu.Unlock()
 	m.emit(traceRec{id, o, mode, TraceWait})
 	return false, nil
 }
 
-// tryGrantLocked attempts an immediate grant and reports whether it
-// succeeded (including the already-sufficient and upgrade-in-place
-// cases). Caller holds shard s's mutex.
-func (m *Manager) tryGrantLocked(s *lockShard, si int, id txn.ID, o fragments.ObjectID, mode Mode) bool {
-	e := s.entryFor(o)
+// tryGrantLocked attempts an immediate grant of o's entry e and reports
+// whether it succeeded (including the already-sufficient and
+// upgrade-in-place cases). Caller holds m.mu.
+func (m *Manager) tryGrantLocked(e *entry, id txn.ID, o fragments.ObjectID, mode Mode) bool {
 	if hm, ok := e.holders[id]; ok {
 		if hm == Exclusive || mode == Shared {
 			return true // already sufficient
@@ -400,8 +257,7 @@ func (m *Manager) tryGrantLocked(s *lockShard, si int, id txn.ID, o fragments.Ob
 	}
 	if compatible(e, id, mode) && !queuedAhead(e, id, mode) {
 		e.holders[id] = mode
-		s.markHeld(id, o)
-		m.setOwnerBit(id, si)
+		m.markHeld(id, o)
 		return true
 	}
 	return false
@@ -414,25 +270,8 @@ func (m *Manager) emit(r traceRec) {
 	}
 }
 
-// entryAt resolves an object's entry. Caller holds all shard mutexes.
-func (m *Manager) entryAt(o fragments.ObjectID) *entry {
-	return m.shards[m.ShardOf(o)].table[o]
-}
-
-// waitingOf resolves the object a transaction is queued on, if any.
-// Caller holds all shard mutexes.
-func (m *Manager) waitingOf(id txn.ID) (fragments.ObjectID, bool) {
-	for i := 0; i < len(m.shards); i++ {
-		if o, ok := m.shards[i].waiting[id]; ok {
-			return o, true
-		}
-	}
-	return "", false
-}
-
 // wouldDeadlockLocked checks whether blocking id on object o (with the
-// given mode) closes a cycle in the waits-for graph. Caller holds all
-// shard mutexes (the graph spans shards).
+// given mode) closes a cycle in the waits-for graph. Caller holds m.mu.
 func (m *Manager) wouldDeadlockLocked(id txn.ID, o fragments.ObjectID, mode Mode) bool {
 	// id would wait for: current incompatible holders of o, plus queued
 	// requests it cannot bypass. We approximate the latter by the
@@ -446,7 +285,7 @@ func (m *Manager) wouldDeadlockLocked(id txn.ID, o fragments.ObjectID, mode Mode
 			stack = append(stack, t)
 		}
 	}
-	e := m.entryAt(o)
+	e := m.table[o]
 	for holder, hm := range e.holders {
 		if holder == id {
 			continue
@@ -468,11 +307,11 @@ func (m *Manager) wouldDeadlockLocked(id txn.ID, o fragments.ObjectID, mode Mode
 		}
 		// cur waits on some object; it waits for that object's holders
 		// and conflicting queued requests ahead of it.
-		wo, ok := m.waitingOf(cur)
+		wo, ok := m.waiting[cur]
 		if !ok {
 			continue
 		}
-		we := m.entryAt(wo)
+		we := m.table[wo]
 		var curMode Mode
 		for _, r := range we.queue {
 			if r.id == cur {
@@ -511,59 +350,38 @@ func (m *Manager) wouldDeadlockLocked(id txn.ID, o fragments.ObjectID, mode Mode
 // grant order. The returned transactions' locks are already installed;
 // the caller resumes them.
 //
-// Objects are released in globally sorted object order regardless of
-// shard placement, so the grant sequence is identical to the 1-shard
-// manager's.
+// Objects are released in sorted object order, so the grant sequence
+// does not depend on map iteration order.
 func (m *Manager) Release(id txn.ID) []Grant {
-	mask := m.takeOwnerMask(id)
-	if mask == 0 {
-		return nil
-	}
-	m.lockMask(mask)
+	m.mu.Lock()
 	// Remove a pending queued request, if any.
-	for i := 0; i < len(m.shards); i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		s := m.shards[i]
-		o, ok := s.waiting[id]
-		if !ok {
-			continue
-		}
-		e := s.table[o]
+	if o, ok := m.waiting[id]; ok {
+		e := m.table[o]
 		for qi, r := range e.queue {
 			if r.id == id {
 				e.queue = append(e.queue[:qi], e.queue[qi+1:]...)
 				break
 			}
 		}
-		delete(s.waiting, id)
-		s.dropIfIdle(o, e)
+		delete(m.waiting, id)
+		m.dropIfIdle(o, e)
 	}
-	// Collect held objects across the involved shards and release in
-	// global sorted order.
-	var objs []fragments.ObjectID
-	for i := 0; i < len(m.shards); i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		s := m.shards[i]
-		for o := range s.held[id] {
-			objs = append(objs, o)
-		}
-		delete(s.held, id)
+	held := m.held[id]
+	delete(m.held, id)
+	objs := make([]fragments.ObjectID, 0, len(held))
+	for o := range held {
+		objs = append(objs, o)
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
 	var grants []Grant
 	var events []traceRec
 	for _, o := range objs {
-		s := m.shards[m.ShardOf(o)]
-		e := s.table[o]
+		e := m.table[o]
 		delete(e.holders, id)
-		grants = append(grants, m.promoteLocked(s, o, e, &events)...)
-		s.dropIfIdle(o, e)
+		grants = append(grants, m.promoteLocked(o, e, &events)...)
+		m.dropIfIdle(o, e)
 	}
-	m.unlockMask(mask)
+	m.mu.Unlock()
 	for _, r := range events {
 		m.emit(r)
 	}
@@ -572,10 +390,9 @@ func (m *Manager) Release(id txn.ID) []Grant {
 
 // promoteLocked grants queued requests on o that are now compatible, in
 // FIFO order, stopping at the first incompatible request. Caller holds
-// the object's shard mutex; observer events are appended to events for
-// emission after the mutexes drop.
-func (m *Manager) promoteLocked(s *lockShard, o fragments.ObjectID, e *entry, events *[]traceRec) []Grant {
-	si := m.ShardOf(o)
+// m.mu; observer events are appended to events for emission after the
+// mutex drops.
+func (m *Manager) promoteLocked(o fragments.ObjectID, e *entry, events *[]traceRec) []Grant {
 	var grants []Grant
 	for len(e.queue) > 0 {
 		r := e.queue[0]
@@ -587,13 +404,12 @@ func (m *Manager) promoteLocked(s *lockShard, o fragments.ObjectID, e *entry, ev
 			e.holders[r.id] = Exclusive
 		} else if compatible(e, r.id, r.mode) {
 			e.holders[r.id] = r.mode
-			s.markHeld(r.id, o)
-			m.setOwnerBit(r.id, si)
+			m.markHeld(r.id, o)
 		} else {
 			break
 		}
 		e.queue = e.queue[1:]
-		delete(s.waiting, r.id)
+		delete(m.waiting, r.id)
 		*events = append(*events, traceRec{r.id, o, r.mode, TraceGrant})
 		grants = append(grants, Grant{Txn: r.id, Object: o, Mode: r.mode})
 	}
@@ -603,10 +419,9 @@ func (m *Manager) promoteLocked(s *lockShard, o fragments.ObjectID, e *entry, ev
 // Holds reports whether id currently holds a lock on o of at least the
 // given mode.
 func (m *Manager) Holds(id txn.ID, o fragments.ObjectID, mode Mode) bool {
-	s := m.shards[m.ShardOf(o)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.table[o]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.table[o]
 	if !ok {
 		return false
 	}
@@ -617,10 +432,9 @@ func (m *Manager) Holds(id txn.ID, o fragments.ObjectID, mode Mode) bool {
 // Holders returns the transactions currently holding a lock on o, in
 // deterministic order.
 func (m *Manager) Holders(o fragments.ObjectID) []txn.ID {
-	s := m.shards[m.ShardOf(o)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.table[o]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.table[o]
 	if !ok {
 		return nil
 	}
@@ -634,53 +448,35 @@ func (m *Manager) Holders(o fragments.ObjectID) []txn.ID {
 
 // Waiting reports whether id has a queued (blocked) request.
 func (m *Manager) Waiting(id txn.ID) bool {
-	for i := 0; i < len(m.shards); i++ {
-		s := m.shards[i]
-		s.mu.Lock()
-		_, ok := s.waiting[id]
-		s.mu.Unlock()
-		if ok {
-			return true
-		}
-	}
-	return false
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.waiting[id]
+	return ok
 }
 
 // NumHeld reports how many objects id holds locks on.
 func (m *Manager) NumHeld(id txn.ID) int {
-	total := 0
-	for i := 0; i < len(m.shards); i++ {
-		s := m.shards[i]
-		s.mu.Lock()
-		total += len(s.held[id])
-		s.mu.Unlock()
-	}
-	return total
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.held[id])
 }
 
 // TableEntries reports how many objects currently have a lock entry —
-// held or awaited — across all shards. It walks the shards under their
-// mutexes, so it is for scrapes and tests, not for the hot path.
+// held or awaited. Safe from any goroutine; it takes the table mutex,
+// so it is for scrapes and tests, not for the hot path.
 func (m *Manager) TableEntries() int {
-	total := 0
-	for i := 0; i < len(m.shards); i++ {
-		s := m.shards[i]
-		s.mu.Lock()
-		total += len(s.table)
-		s.mu.Unlock()
-	}
-	return total
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.table)
 }
 
 // String renders a compact dump of the lock table for debugging.
 func (m *Manager) String() string {
-	m.lockAll()
-	defer m.unlockAll()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	out := ""
-	for i := 0; i < len(m.shards); i++ {
-		for o, e := range m.shards[i].table {
-			out += fmt.Sprintf("%s: holders=%v queue=%v\n", o, e.holders, e.queue)
-		}
+	for o, e := range m.table {
+		out += fmt.Sprintf("%s: holders=%v queue=%v\n", o, e.holders, e.queue)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
 	"fragdb/internal/fragments"
@@ -215,46 +216,36 @@ func TestStringDump(t *testing.T) {
 }
 
 // leftovers names whatever a manager still retains: table entries, held
-// sets, waiting marks, owner masks. Empty means empty.
+// sets, waiting marks. Empty means empty.
 func leftovers(m *Manager) string {
-	m.lockAll()
-	defer m.unlockAll()
-	out := ""
-	for i, s := range m.shards {
-		if len(s.table)+len(s.held)+len(s.waiting) != 0 {
-			out += fmt.Sprintf("shard %d: %d table entries, %d held sets, %d waiting; ",
-				i, len(s.table), len(s.held), len(s.waiting))
-		}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.table)+len(m.held)+len(m.waiting) == 0 {
+		return ""
 	}
-	m.ownerMu.Lock()
-	if len(m.owners) != 0 {
-		out += fmt.Sprintf("%d owner masks", len(m.owners))
-	}
-	m.ownerMu.Unlock()
-	return out
+	return fmt.Sprintf("%d table entries, %d held sets, %d waiting",
+		len(m.table), len(m.held), len(m.waiting))
 }
 
 // The table follows the locks in force, not the objects ever locked: N
 // cycles over N distinct objects leave nothing behind.
 func TestReleaseForgetsUncontendedObjects(t *testing.T) {
-	for _, k := range []int{1, 8} {
-		m := NewSharded(k, nil)
-		const n = 1000
-		for i := 0; i < n; i++ {
-			tid := id(uint64(i + 1))
-			mustGrant(t, m, tid, fmt.Sprintf("f%d.o%d", i%7, i), Exclusive)
-			mustGrant(t, m, tid, fmt.Sprintf("f%d.r%d", i%5, i), Shared)
-			if got := m.TableEntries(); got != 2 {
-				t.Fatalf("k=%d cycle %d: %d entries while holding two locks", k, i, got)
-			}
-			m.Release(tid)
+	m := NewManager()
+	const n = 1000
+	for i := 0; i < n; i++ {
+		tid := id(uint64(i + 1))
+		mustGrant(t, m, tid, fmt.Sprintf("f%d.o%d", i%7, i), Exclusive)
+		mustGrant(t, m, tid, fmt.Sprintf("f%d.r%d", i%5, i), Shared)
+		if got := m.TableEntries(); got != 2 {
+			t.Fatalf("cycle %d: %d entries while holding two locks", i, got)
 		}
-		if got := m.TableEntries(); got != 0 {
-			t.Errorf("k=%d: %d entries after %d cycles, want 0", k, got, n)
-		}
-		if l := leftovers(m); l != "" {
-			t.Errorf("k=%d: %s", k, l)
-		}
+		m.Release(tid)
+	}
+	if got := m.TableEntries(); got != 0 {
+		t.Errorf("%d entries after %d cycles, want 0", got, n)
+	}
+	if l := leftovers(m); l != "" {
+		t.Error(l)
 	}
 }
 
@@ -262,31 +253,72 @@ func TestReleaseForgetsUncontendedObjects(t *testing.T) {
 // granted and has released — and a waiter that gives up while queued
 // (the engine's abort path) takes its request with it.
 func TestReleaseForgetsContendedObjects(t *testing.T) {
-	for _, k := range []int{1, 8} {
-		m := NewSharded(k, nil)
-		mustGrant(t, m, id(1), "f0.hot", Exclusive)
-		mustGrant(t, m, id(1), "f1.side", Shared)
-		mustQueue(t, m, id(2), "f0.hot", Shared)
-		mustQueue(t, m, id(3), "f0.hot", Shared)
-		mustQueue(t, m, id(4), "f0.hot", Exclusive)
-		mustQueue(t, m, id(5), "f0.hot", Exclusive)
-		if g := m.Release(id(5)); len(g) != 0 { // gives up while queued
-			t.Fatalf("k=%d: abandoning a queued request granted %v", k, g)
+	m := NewManager()
+	mustGrant(t, m, id(1), "f0.hot", Exclusive)
+	mustGrant(t, m, id(1), "f1.side", Shared)
+	mustQueue(t, m, id(2), "f0.hot", Shared)
+	mustQueue(t, m, id(3), "f0.hot", Shared)
+	mustQueue(t, m, id(4), "f0.hot", Exclusive)
+	mustQueue(t, m, id(5), "f0.hot", Exclusive)
+	if g := m.Release(id(5)); len(g) != 0 { // gives up while queued
+		t.Fatalf("abandoning a queued request granted %v", g)
+	}
+	if g := m.Release(id(1)); len(g) != 2 {
+		t.Fatalf("grants after first release = %v, want both readers", g)
+	}
+	if got := m.TableEntries(); got != 1 {
+		t.Fatalf("%d entries with f0.hot still held, want 1", got)
+	}
+	m.Release(id(2))
+	if g := m.Release(id(3)); len(g) != 1 || g[0].Txn != id(4) {
+		t.Fatalf("grants after readers left = %v, want the writer", g)
+	}
+	m.Release(id(4))
+	if l := leftovers(m); l != "" {
+		t.Error(l)
+	}
+}
+
+// The manager is driven from one goroutine while another reads it, the
+// way a hanode /metrics scrape runs beside the node's event loop. Run
+// under -race; the table must come out empty.
+func TestTableEntriesWhileLocking(t *testing.T) {
+	m := NewManager()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			_ = m.TableEntries()
+			_ = m.Holds(id(1), obj("hot"), Shared)
+			_ = m.Holders(obj("hot"))
 		}
-		if g := m.Release(id(1)); len(g) != 2 {
-			t.Fatalf("k=%d: grants after first release = %v, want both readers", k, g)
+	}()
+	for i := 0; i < 2000; i++ {
+		a, b, c := id(uint64(3*i+1)), id(uint64(3*i+2)), id(uint64(3*i+3))
+		own := fmt.Sprintf("o%d", i)
+		mustGrant(t, m, a, "hot", Exclusive)
+		mustGrant(t, m, a, own, Exclusive)
+		mustQueue(t, m, b, "hot", Shared)
+		mustQueue(t, m, c, "hot", Exclusive)
+		if g := m.Release(a); len(g) != 1 || g[0].Txn != b {
+			t.Fatalf("cycle %d: grants after holder left = %v, want the reader", i, g)
 		}
-		if got := m.TableEntries(); got != 1 {
-			t.Fatalf("k=%d: %d entries with f0.hot still held, want 1", k, got)
+		if g := m.Release(b); len(g) != 1 || g[0].Txn != c {
+			t.Fatalf("cycle %d: grants after reader left = %v, want the writer", i, g)
 		}
-		m.Release(id(2))
-		if g := m.Release(id(3)); len(g) != 1 || g[0].Txn != id(4) {
-			t.Fatalf("k=%d: grants after readers left = %v, want the writer", k, g)
-		}
-		m.Release(id(4))
-		if l := leftovers(m); l != "" {
-			t.Errorf("k=%d: %s", k, l)
-		}
+		m.Release(c)
+	}
+	close(done)
+	wg.Wait()
+	if l := leftovers(m); l != "" {
+		t.Error(l)
 	}
 }
 
@@ -294,22 +326,21 @@ func TestReleaseForgetsContendedObjects(t *testing.T) {
 // it would lose the queued request.
 func TestEntryWithWaiterIsKept(t *testing.T) {
 	m := NewManager()
-	s := m.shards[0]
-	e := s.entryFor(obj("x"))
+	e := m.entryFor(obj("x"))
 	e.queue = append(e.queue, request{id: id(7), mode: Exclusive})
-	s.dropIfIdle(obj("x"), e)
-	if s.table[obj("x")] != e {
+	m.dropIfIdle(obj("x"), e)
+	if m.table[obj("x")] != e {
 		t.Fatal("entry with a queued request and no holder was dropped")
 	}
 	e.queue = nil
 	e.holders[id(8)] = Shared
-	s.dropIfIdle(obj("x"), e)
-	if s.table[obj("x")] != e {
+	m.dropIfIdle(obj("x"), e)
+	if m.table[obj("x")] != e {
 		t.Fatal("entry with a holder was dropped")
 	}
 	delete(e.holders, id(8))
-	s.dropIfIdle(obj("x"), e)
-	if len(s.table) != 0 {
+	m.dropIfIdle(obj("x"), e)
+	if len(m.table) != 0 {
 		t.Fatal("idle entry was kept")
 	}
 }
@@ -325,7 +356,7 @@ func BenchmarkLockCycle(b *testing.B) {
 	for i := range objs {
 		objs[i] = fragments.ObjectID("f" + strconv.Itoa(i%64) + ".o" + strconv.Itoa(i))
 	}
-	m := NewSharded(8, nil)
+	m := NewManager()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -51,16 +51,6 @@ type Counters struct {
 	// It measures how stale replicas run — the quantity partitions
 	// stretch (Section 2.2's propagation delay).
 	QuasiLag Histogram
-
-	// ApplyParallelism is the distribution of busy apply shards
-	// observed each time a shard picks up a run of quasi-transactions,
-	// recorded as a count (1 "nanosecond" per busy shard, the BatchSize
-	// convention). Max() > 1 proves appliers actually overlapped.
-	ApplyParallelism Histogram
-	// CrossShardTxns counts committed transactions whose declared
-	// read/write set spans more than one apply shard — the transactions
-	// the fragment-ID shard-ordering protocol exists for.
-	CrossShardTxns atomic.Uint64
 }
 
 // Availability returns Committed / Offered (1 when nothing offered).

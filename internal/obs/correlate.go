@@ -78,7 +78,7 @@ func stage(k trace.Kind) int {
 		return 3
 	case trace.KQuasiSend:
 		return 4
-	case trace.KQuasiApply, trace.KQuasiForward, trace.KRecover, trace.KShardApply:
+	case trace.KQuasiApply, trace.KQuasiForward, trace.KRecover:
 		return 5
 	default:
 		return 6

@@ -13,19 +13,13 @@
 // compared by the mutual-consistency checker: after quiescence and full
 // propagation, all copies of every fragment must be identical.
 //
-// The value map is striped: each object hashes to one of valStripes
-// lock-striped segments, so concurrent appliers installing disjoint
-// fragments (see core's sharded apply path) do not serialize on a
-// single store mutex. The write-ahead log keeps its own mutex; log
-// append order defines LSN order. Operations spanning several stripes
-// (snapshots, merges, multi-stripe installs) take stripe locks in
-// ascending stripe-index order, mirroring the lock manager's shard
-// ordering protocol.
+// One value map and the log sit behind one RWMutex. The engine installs
+// from a single goroutine; the mutex is there for readers on other
+// goroutines (scrapes, tests, drivers inspecting a live node).
 package storage
 
 import (
 	"fmt"
-	"hash/fnv"
 	"reflect"
 	"sort"
 	"sync"
@@ -60,40 +54,24 @@ type LogRecord struct {
 	Stamp    simtime.Time
 }
 
-// valStripes is the number of lock stripes over the value map. A small
-// power of two: enough to keep 8 concurrent appliers from colliding
-// often, small enough that whole-store operations stay cheap.
-const valStripes = 16
-
-// stripe is one lock-striped segment of the value map.
-type stripe struct {
-	mu   sync.RWMutex
-	vals map[fragments.ObjectID]Version
-}
-
 // Store is one node's copy of the database. It is safe for concurrent
 // use.
 type Store struct {
-	node    netsim.NodeID
-	cat     *fragments.Catalog
-	stripes [valStripes]stripe
+	node netsim.NodeID
+	cat  *fragments.Catalog
 
-	// logMu guards the write-ahead log; it nests inside stripe locks on
-	// the install path and is never held while taking a stripe lock.
-	logMu sync.Mutex
-	log   []LogRecord
-	lsn   uint64
+	// mu guards vals, log and lsn.
+	mu   sync.RWMutex
+	vals map[fragments.ObjectID]Version
+	log  []LogRecord
+	lsn  uint64
 	// unlogged stores count LSNs but retain no records (NewUnlogged).
 	unlogged bool
 }
 
 // New creates an empty store for the given node over the catalog.
 func New(node netsim.NodeID, cat *fragments.Catalog) *Store {
-	s := &Store{node: node, cat: cat}
-	for i := range s.stripes {
-		s.stripes[i].vals = make(map[fragments.ObjectID]Version)
-	}
-	return s
+	return &Store{node: node, cat: cat, vals: make(map[fragments.ObjectID]Version)}
 }
 
 // NewUnlogged creates a store that installs and numbers records like
@@ -111,53 +89,15 @@ func (s *Store) Node() netsim.NodeID { return s.node }
 // Catalog returns the fragment catalog the store was built over.
 func (s *Store) Catalog() *fragments.Catalog { return s.cat }
 
-// stripeOf maps an object to its stripe index.
-func stripeOf(o fragments.ObjectID) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(o))
-	return int(h.Sum32() % valStripes)
-}
-
-// lockAllStripes write-locks every stripe in ascending stripe-index
-// order (whole-store operations: snapshots, merges).
-func (s *Store) lockAllStripes() {
-	for i := 0; i < valStripes; i++ {
-		s.stripes[i].mu.Lock()
-	}
-}
-
-// unlockAllStripes releases every stripe's write lock.
-func (s *Store) unlockAllStripes() {
-	for i := 0; i < valStripes; i++ {
-		s.stripes[i].mu.Unlock()
-	}
-}
-
-// rlockAllStripes read-locks every stripe in ascending stripe-index
-// order.
-func (s *Store) rlockAllStripes() {
-	for i := 0; i < valStripes; i++ {
-		s.stripes[i].mu.RLock()
-	}
-}
-
-// runlockAllStripes releases every stripe's read lock.
-func (s *Store) runlockAllStripes() {
-	for i := 0; i < valStripes; i++ {
-		s.stripes[i].mu.RUnlock()
-	}
-}
-
 // Load installs an initial value outside any transaction (database
 // population before the simulation starts).
 func (s *Store) Load(o fragments.ObjectID, v any) error {
 	if _, ok := s.cat.FragmentOf(o); !ok {
 		return fmt.Errorf("storage: load of object %q not in catalog", o)
 	}
-	st := &s.stripes[stripeOf(o)]
-	st.mu.Lock()
-	st.vals[o] = Version{Value: v}
-	st.mu.Unlock()
+	s.mu.Lock()
+	s.vals[o] = Version{Value: v}
+	s.mu.Unlock()
 	return nil
 }
 
@@ -173,10 +113,9 @@ func (s *Store) Get(o fragments.ObjectID) (any, bool) {
 
 // GetVersion returns the full version record for an object.
 func (s *Store) GetVersion(o fragments.ObjectID) (Version, bool) {
-	st := &s.stripes[stripeOf(o)]
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	ver, ok := st.vals[o]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ver, ok := s.vals[o]
 	return ver, ok
 }
 
@@ -192,55 +131,39 @@ func (s *Store) ApplyQuasi(q txn.Quasi) uint64 {
 	return s.install(q.Txn, q.Fragment, q.Pos, true, q.Writes, q.Stamp)
 }
 
-// install writes the values under their stripes' locks — taken in
-// ascending stripe-index order when the write set spans stripes — then
-// appends the log record under the log mutex. Atomicity of the value
-// updates against readers is provided by the callers' lock-manager
-// isolation (an installer holds exclusive object locks), not by the
-// store; the stripes only protect map integrity.
+// install writes the values and appends the log record under the
+// store's mutex. Atomicity of the value updates against transactions is
+// provided by the callers' lock-manager isolation (an installer holds
+// exclusive object locks), not by the store; the mutex only protects
+// map and log integrity.
 func (s *Store) install(id txn.ID, frag fragments.FragmentID, pos txn.FragPos, quasi bool, writes []txn.WriteOp, stamp simtime.Time) uint64 {
-	var mask uint32
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, w := range writes {
-		mask |= 1 << uint(stripeOf(w.Object))
+		s.vals[w.Object] = Version{Value: w.Value, Txn: id, Stamp: stamp, Pos: pos}
 	}
-	for i := 0; i < valStripes; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			s.stripes[i].mu.Lock()
-		}
-	}
-	for _, w := range writes {
-		s.stripes[stripeOf(w.Object)].vals[w.Object] = Version{Value: w.Value, Txn: id, Stamp: stamp, Pos: pos}
-	}
-	for i := 0; i < valStripes; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			s.stripes[i].mu.Unlock()
-		}
-	}
-	s.logMu.Lock()
 	s.lsn++
-	lsn := s.lsn
 	if !s.unlogged {
 		s.log = append(s.log, LogRecord{
-			LSN: lsn, Txn: id, Fragment: frag, Pos: pos,
+			LSN: s.lsn, Txn: id, Fragment: frag, Pos: pos,
 			Quasi: quasi, Writes: writes, Stamp: stamp,
 		})
 	}
-	s.logMu.Unlock()
-	return lsn
+	return s.lsn
 }
 
 // LSN returns the log sequence number of the last installed record.
 func (s *Store) LSN() uint64 {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.lsn
 }
 
 // Log returns a copy of the write-ahead log (empty for an unlogged
 // store).
 func (s *Store) Log() []LogRecord {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make([]LogRecord, len(s.log))
 	copy(out, s.log)
 	return out
@@ -248,8 +171,8 @@ func (s *Store) Log() []LogRecord {
 
 // LogSince returns a copy of log records with LSN > after.
 func (s *Store) LogSince(after uint64) []LogRecord {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].LSN > after })
 	out := make([]LogRecord, len(s.log)-i)
 	copy(out, s.log[i:])
@@ -258,13 +181,11 @@ func (s *Store) LogSince(after uint64) []LogRecord {
 
 // Snapshot returns a copy of all current object values.
 func (s *Store) Snapshot() map[fragments.ObjectID]any {
-	s.rlockAllStripes()
-	defer s.runlockAllStripes()
-	out := make(map[fragments.ObjectID]any)
-	for i := range s.stripes {
-		for o, v := range s.stripes[i].vals {
-			out[o] = v.Value
-		}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[fragments.ObjectID]any, len(s.vals))
+	for o, v := range s.vals {
+		out[o] = v.Value
 	}
 	return out
 }
@@ -278,10 +199,10 @@ func (s *Store) FragmentSnapshot(frag fragments.FragmentID) map[fragments.Object
 	if !ok {
 		return out
 	}
-	s.rlockAllStripes()
-	defer s.runlockAllStripes()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for _, o := range f.Objects() {
-		if v, ok := s.stripes[stripeOf(o)].vals[o]; ok {
+		if v, ok := s.vals[o]; ok {
 			out[o] = v
 		}
 	}
@@ -293,23 +214,21 @@ func (s *Store) FragmentSnapshot(frag fragments.FragmentID) map[fragments.Object
 // "transport a copy of the fragment stored at X to store it in place of
 // the copy of the fragment at site Y").
 func (s *Store) InstallFragmentSnapshot(frag fragments.FragmentID, snap map[fragments.ObjectID]Version) {
-	s.lockAllStripes()
-	defer s.unlockAllStripes()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for o, v := range snap {
-		s.stripes[stripeOf(o)].vals[o] = v
+		s.vals[o] = v
 	}
 }
 
 // VersionSnapshot returns a copy of every object's full version record
 // (used by snapshot catch-up, which needs Pos provenance to merge).
 func (s *Store) VersionSnapshot() map[fragments.ObjectID]Version {
-	s.rlockAllStripes()
-	defer s.runlockAllStripes()
-	out := make(map[fragments.ObjectID]Version)
-	for i := range s.stripes {
-		for o, v := range s.stripes[i].vals {
-			out[o] = v
-		}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[fragments.ObjectID]Version, len(s.vals))
+	for o, v := range s.vals {
+		out[o] = v
 	}
 	return out
 }
@@ -322,14 +241,13 @@ func (s *Store) VersionSnapshot() map[fragments.ObjectID]Version {
 // stream event, so no WAL record is appended — durability of installed
 // snapshots is the caller's concern. Returns how many objects changed.
 func (s *Store) MergeSnapshot(snap map[fragments.ObjectID]Version) int {
-	s.lockAllStripes()
-	defer s.unlockAllStripes()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	changed := 0
 	for o, v := range snap {
-		vals := s.stripes[stripeOf(o)].vals
-		cur, ok := vals[o]
+		cur, ok := s.vals[o]
 		if !ok || cur.Pos.Less(v.Pos) {
-			vals[o] = v
+			s.vals[o] = v
 			changed++
 		}
 	}
@@ -374,11 +292,7 @@ func (s *Store) FragmentDiff(other *Store, frag fragments.FragmentID) []fragment
 
 // Len reports the number of objects with a value.
 func (s *Store) Len() int {
-	s.rlockAllStripes()
-	defer s.runlockAllStripes()
-	total := 0
-	for i := range s.stripes {
-		total += len(s.stripes[i].vals)
-	}
-	return total
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.vals)
 }

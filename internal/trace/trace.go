@@ -150,10 +150,6 @@ const (
 	KMoveFail
 	// KElect: an election reconstituted a fragment's token.
 	KElect
-	// KShardApply: an apply shard picked up a run of pending
-	// quasi-transactions for one fragment; Seq carries the shard index
-	// and Arg the run length.
-	KShardApply
 
 	kindCount // number of kinds; keep last
 )
@@ -197,7 +193,6 @@ var kindNames = [kindCount]string{
 	KMoveDone:         "move-done",
 	KMoveFail:         "move-fail",
 	KElect:            "elect",
-	KShardApply:       "shard-apply",
 }
 
 // String returns the kind's compact name.
