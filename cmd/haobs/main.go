@@ -9,10 +9,9 @@
 //	haobs -targets ... -once -out spectrum.json
 //
 // With -gobench it instead converts `go test -bench` output into the
-// BENCH_prN.json trajectory artifact (and can enforce the registry
-// overhead budget):
+// fragdb-bench/1 trajectory artifact:
 //
-//	haobs -gobench bench-apply.txt,bench-wire.txt -pr 8 -benchout BENCH_pr8.json -maxoverhead 0.05
+//	haobs -gobench bench-apply.txt,bench-wire.txt -pr 8 -benchout bench-go-pr8.json
 package main
 
 import (
@@ -40,16 +39,15 @@ func main() {
 		top       = flag.Int("top", 8, "hotspot rows to print")
 		timelines = flag.Int("timelines", 3, "cross-node timelines to print per poll")
 
-		gobench     = flag.String("gobench", "", "convert `go test -bench` output files (comma-separated) to a bench artifact and exit")
-		benchOut    = flag.String("benchout", "", "bench artifact path (with -gobench)")
-		pr          = flag.Int("pr", 0, "PR number stamped into the bench artifact")
-		commit      = flag.String("commit", "", "git commit stamped into the bench artifact")
-		maxOverhead = flag.Float64("maxoverhead", 0, "fail if the median /registry bench-cell overhead (relative ns/op) exceeds this (0 = no check)")
+		gobench  = flag.String("gobench", "", "convert `go test -bench` output files (comma-separated) to a bench artifact and exit")
+		benchOut = flag.String("benchout", "", "bench artifact path (with -gobench)")
+		pr       = flag.Int("pr", 0, "PR number stamped into the bench artifact")
+		commit   = flag.String("commit", "", "git commit stamped into the bench artifact")
 	)
 	flag.Parse()
 
 	if *gobench != "" {
-		os.Exit(runBenchConvert(*gobench, *benchOut, *pr, *commit, *maxOverhead))
+		os.Exit(runBenchConvert(*gobench, *benchOut, *pr, *commit))
 	}
 	os.Exit(watch(strings.Split(*targets, ","), *interval, *duration, *once, *out, *traceN, *top, *timelines))
 }
@@ -149,8 +147,8 @@ func writeSnapshot(path string, snap *obs.Snapshot) error {
 }
 
 // runBenchConvert parses go-bench output files into the versioned
-// bench artifact and optionally enforces the registry overhead budget.
-func runBenchConvert(files, benchOut string, pr int, commit string, maxOverhead float64) int {
+// bench artifact.
+func runBenchConvert(files, benchOut string, pr int, commit string) int {
 	var results []obs.BenchResult
 	for _, f := range strings.Split(files, ",") {
 		f = strings.TrimSpace(f)
@@ -187,27 +185,6 @@ func runBenchConvert(files, benchOut string, pr int, commit string, maxOverhead 
 			return 1
 		}
 		fmt.Printf("wrote %s (%d results)\n", benchOut, len(bf.Results))
-	}
-
-	over := obs.RegistryOverhead(results)
-	if len(over) > 0 {
-		fmt.Printf("registry overhead (ns/op, /registry vs base):\n%s", obs.FormatOverhead(over))
-	}
-	if maxOverhead > 0 {
-		if len(over) == 0 {
-			// A renamed or deleted benchmark must not disarm the gate.
-			fmt.Println("FAIL: -maxoverhead set but no base and /registry benchmark pair found")
-			return 1
-		}
-		// The gate compares the median across all base/registry pairs:
-		// single cells are too noisy on shared runners to bound hard.
-		med := obs.MedianOverhead(over)
-		if med > maxOverhead {
-			fmt.Printf("FAIL: median registry overhead %.2f%% exceeds budget %.2f%%\n",
-				med*100, maxOverhead*100)
-			return 1
-		}
-		fmt.Printf("median registry overhead %.2f%% within %.1f%% budget\n", med*100, maxOverhead*100)
 	}
 	return 0
 }

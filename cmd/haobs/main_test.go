@@ -1,9 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fragdb/internal/obs"
 )
 
 // writeBench writes go-bench output to a file in a test directory.
@@ -16,23 +19,29 @@ func writeBench(t *testing.T, out string) string {
 	return path
 }
 
-// TestOverheadGateNeedsAPair: with a budget set, output holding no
-// base and /registry pair fails the gate rather than passing it with
-// a median of nothing.
-func TestOverheadGateNeedsAPair(t *testing.T) {
-	noPair := writeBench(t, "BenchmarkApplySaturation/disjoint \t 1000\t 2000 ns/op\n")
-	if code := runBenchConvert(noPair, "", 0, "", 0.05); code == 0 {
-		t.Fatal("gate passed with no base and /registry pair")
+// TestBenchConvertNeedsResults: output holding no benchmark line fails
+// the conversion rather than writing an empty artifact; otherwise every
+// result lands in the artifact under the stamped PR.
+func TestBenchConvertNeedsResults(t *testing.T) {
+	empty := writeBench(t, "PASS\nok  \tfragdb/internal/core\t1.0s\n")
+	if code := runBenchConvert(empty, "", 0, ""); code == 0 {
+		t.Fatal("conversion passed with no benchmark results")
 	}
-	if code := runBenchConvert(noPair, "", 0, "", 0); code != 0 {
-		t.Fatalf("conversion without a budget exited %d", code)
+	in := writeBench(t, "BenchmarkApplySaturation/disjoint \t 1000\t 2000 ns/op\n"+
+		"BenchmarkLockCycle \t 1000\t 1200 ns/op\n")
+	out := filepath.Join(t.TempDir(), "bench.json")
+	if code := runBenchConvert(in, out, 25, "abc"); code != 0 {
+		t.Fatalf("conversion exited %d", code)
 	}
-	pair := writeBench(t, "BenchmarkApplySaturation/disjoint \t 1000\t 2000 ns/op\n"+
-		"BenchmarkApplySaturation/disjoint/registry \t 1000\t 2040 ns/op\n")
-	if code := runBenchConvert(pair, "", 0, "", 0.05); code != 0 {
-		t.Fatalf("gate failed a 2%% overhead under a 5%% budget: exit %d", code)
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := runBenchConvert(pair, "", 0, "", 0.01); code == 0 {
-		t.Fatal("gate passed a 2% overhead over a 1% budget")
+	var bf obs.BenchFile
+	if err := json.Unmarshal(data, &bf); err != nil {
+		t.Fatal(err)
+	}
+	if bf.PR != 25 || bf.Commit != "abc" || len(bf.Results) != 2 {
+		t.Fatalf("artifact: pr %d commit %q, %d results", bf.PR, bf.Commit, len(bf.Results))
 	}
 }

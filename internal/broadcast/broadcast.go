@@ -42,7 +42,6 @@ package broadcast
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
@@ -218,10 +217,6 @@ type Config struct {
 	// Metrics, if non-nil, receives the compaction gauges and counters.
 	// One value may be shared by all nodes of a cluster.
 	Metrics *metrics.Broadcast
-	// Registry, if non-nil, counts per-origin payload deliveries in the
-	// labeled registry (broadcast_stream_delivered_total). Nil-safe:
-	// a nil Registry records nothing.
-	Registry *metrics.Registry
 	// SizeOf, if non-nil, measures payloads for the LogBytes gauge
 	// (e.g. wire.Size). Nil skips byte accounting.
 	SizeOf func(payload any) int
@@ -509,13 +504,12 @@ func (b *Broadcaster) post(out []outMsg) {
 
 // sendData queues one Data or DataBatch message carrying n payloads to a
 // peer, maintaining the amortization counters (messages sent vs.
-// payloads carried) and the batch-size histogram. Caller holds mu.
+// payloads carried). Caller holds mu.
 func (b *Broadcaster) sendData(to netsim.NodeID, msg any, n int) {
 	b.queueSend(to, msg)
 	if m := b.cfg.Metrics; m != nil {
 		m.DataSends.Add(1)
 		m.PayloadsSent.Add(uint64(n))
-		m.BatchSize.Observe(time.Duration(n))
 	}
 }
 
@@ -633,7 +627,6 @@ func (b *Broadcaster) drainDeliveries() {
 		}
 		b.mu.Unlock()
 		b.post(out)
-		b.cfg.Registry.IncDelivered(d.origin)
 		b.handler(d.origin, d.seq, d.payload)
 		b.mu.Lock()
 		if b.delivered[d.origin] < d.seq {

@@ -253,7 +253,6 @@ func executeCounters(p Plan, opts RunOpts) *Report {
 		LossProb:       p.LossProb,
 		TxnTimeout:     txnTimeout,
 		TraceCap:       opts.TraceCap,
-		LabeledMetrics: p.Placement,
 	}
 	cfg.BatchFlushDelay, cfg.BatchMaxCount = batchConfig(p)
 	cl := core.NewCluster(cfg)

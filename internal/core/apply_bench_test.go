@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fragdb/internal/fragments"
+	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
 	"fragdb/internal/txn"
 )
@@ -29,10 +30,10 @@ func applyFrag(i int) fragments.FragmentID { return fragments.FragmentID(fmt.Spr
 // over an injected transport — node 0 of four, holding applyFrags
 // fragments whose agents live at nodes 1–3, so every update it installs
 // arrives as a remote quasi-transaction.
-func applyReplica(tb testing.TB, labeled bool) *Cluster {
+func applyReplica(tb testing.TB) *Cluster {
 	tb.Helper()
 	cl := NewCluster(Config{N: 4, Seed: 1, Transport: sinkNet{4},
-		SingleNode: true, LocalNode: 0, LabeledMetrics: labeled})
+		SingleNode: true, LocalNode: 0})
 	for i := 0; i < applyFrags; i++ {
 		f := applyFrag(i)
 		if err := cl.Catalog().AddFragment(f, fragments.ObjectID(f+"/a"), fragments.ObjectID(f+"/b")); err != nil {
@@ -92,58 +93,57 @@ func feedReplica(cl *Cluster, qs []txn.Quasi) {
 
 // TestApplyReplicaInstallsEveryQuasi pins what BenchmarkApplySaturation
 // measures: every quasi-transaction fed is installed, in stream order,
+// and counted once in the labeled registry under its fragment and home,
 // so the benchmark cannot pass while applying nothing.
 func TestApplyReplicaInstallsEveryQuasi(t *testing.T) {
 	const total = 2000
-	for _, labeled := range []bool{false, true} {
-		cl := applyReplica(t, labeled)
-		qs := applyStream(total, true)
-		feedReplica(cl, qs)
-		if got := cl.Stats().QuasiApplied.Load(); got != total {
-			t.Fatalf("labeled=%v: applied %d of %d", labeled, got, total)
+	cl := applyReplica(t)
+	qs := applyStream(total, true)
+	feedReplica(cl, qs)
+	if got := cl.Stats().QuasiApplied.Load(); got != total {
+		t.Fatalf("applied %d of %d", got, total)
+	}
+	last := map[fragments.ObjectID]int64{}
+	perLabel := map[metrics.Label]uint64{}
+	for _, q := range qs {
+		last[q.Writes[0].Object] = q.Writes[0].Value.(int64)
+		perLabel[metrics.Label{Frag: q.Fragment, Node: q.Home}]++
+	}
+	for o, want := range last {
+		if v, _ := cl.LocalNode().Store().Get(o); v != want {
+			t.Errorf("%s = %v, want %v", o, v, want)
 		}
-		last := map[fragments.ObjectID]int64{}
-		for _, q := range qs {
-			last[q.Writes[0].Object] = q.Writes[0].Value.(int64)
-		}
-		for o, want := range last {
-			if v, _ := cl.LocalNode().Store().Get(o); v != want {
-				t.Errorf("labeled=%v: %s = %v, want %v", labeled, o, v, want)
-			}
+	}
+	for l, want := range perLabel {
+		if got := cl.Registry().Applies.Get(l); got != want {
+			t.Errorf("registry applies %+v = %d, want %d", l, got, want)
 		}
 	}
 }
 
 // BenchmarkApplySaturation measures the replica apply path a deployed
 // node runs — handleBroadcast → ingestQuasi → drainStream → applyQuasi,
-// the engine's serial apply — in commits/s, on a disjoint (uniform over
-// 64 fragments) and a skewed (80 % onto four) stream. Each cell also
-// runs with the labeled metrics registry on (/registry); CI compares
-// the pairs to enforce the registry-overhead budget.
+// the engine's serial apply, labeled registry included — in commits/s,
+// on a disjoint (uniform over 64 fragments) and a skewed (80 % onto
+// four) stream.
 func BenchmarkApplySaturation(b *testing.B) {
 	for _, wl := range []struct {
 		name   string
 		skewed bool
 	}{{"disjoint", false}, {"skewed", true}} {
-		for _, labeled := range []bool{false, true} {
-			name := wl.name
-			if labeled {
-				name += "/registry"
+		b.Run(wl.name, func(b *testing.B) {
+			cl := applyReplica(b)
+			qs := applyStream(b.N, wl.skewed)
+			runtime.GC()
+			b.ResetTimer()
+			feedReplica(cl, qs)
+			b.StopTimer()
+			if got := cl.Stats().QuasiApplied.Load(); got != uint64(b.N) {
+				b.Fatalf("applied %d of %d quasi-transactions", got, b.N)
 			}
-			b.Run(name, func(b *testing.B) {
-				cl := applyReplica(b, labeled)
-				qs := applyStream(b.N, wl.skewed)
-				runtime.GC()
-				b.ResetTimer()
-				feedReplica(cl, qs)
-				b.StopTimer()
-				if got := cl.Stats().QuasiApplied.Load(); got != uint64(b.N) {
-					b.Fatalf("applied %d of %d quasi-transactions", got, b.N)
-				}
-				if s := b.Elapsed().Seconds(); s > 0 {
-					b.ReportMetric(float64(b.N)/s, "commits/s")
-				}
-			})
-		}
+			if s := b.Elapsed().Seconds(); s > 0 {
+				b.ReportMetric(float64(b.N)/s, "commits/s")
+			}
+		})
 	}
 }

@@ -164,13 +164,6 @@ type Config struct {
 	// Zero disables tracing entirely: no events are constructed and the
 	// hot paths pay only a nil check.
 	TraceCap int
-	// LabeledMetrics enables the per-fragment labeled registry
-	// (internal/metrics.Registry): reads, writes, commits, aborts by
-	// cause, lock waits, quasi lag, and remote-lock denials keyed by
-	// (fragment, origin node) — the access-pattern matrix the adaptive
-	// placement work consumes and the /metrics exporter renders. False
-	// keeps Registry() nil, so the hot paths pay only a nil check.
-	LabeledMetrics bool
 	// Transport, when non-nil, replaces the built-in simulated network:
 	// messages travel over it (e.g. rtnet.TCP in a real deployment)
 	// instead of netsim. Its N must equal Config.N. NetLatency,
@@ -235,8 +228,7 @@ type Cluster struct {
 	rec    *history.Recorder
 	stats  *metrics.Counters
 	bstats *metrics.Broadcast
-	// reg is the labeled per-fragment registry; nil (inert) unless
-	// Config.LabeledMetrics is set.
+	// reg is the labeled per-fragment registry, always built.
 	reg   *metrics.Registry
 	nodes []*Node
 
@@ -299,12 +291,10 @@ func NewCluster(cfg Config) *Cluster {
 		tokens:      fragments.NewTokens(),
 		stats:       &metrics.Counters{},
 		bstats:      &metrics.Broadcast{},
+		reg:         metrics.NewRegistry(),
 		commutative: make(map[fragments.FragmentID]bool),
 		fragOptions: make(map[fragments.FragmentID]ControlOption),
 		replicas:    make(map[fragments.FragmentID]map[netsim.NodeID]bool),
-	}
-	if cfg.LabeledMetrics {
-		cl.reg = metrics.NewRegistry()
 	}
 	if cfg.Transport != nil {
 		if cfg.Transport.N() != cfg.N {
@@ -366,8 +356,7 @@ func (cl *Cluster) Stats() *metrics.Counters { return cl.stats }
 // log entries, compaction and snapshot-catch-up counters).
 func (cl *Cluster) BroadcastStats() *metrics.Broadcast { return cl.bstats }
 
-// Registry returns the labeled per-fragment metrics registry — nil (a
-// valid, inert registry) unless Config.LabeledMetrics is set.
+// Registry returns the labeled per-fragment metrics registry.
 func (cl *Cluster) Registry() *metrics.Registry { return cl.reg }
 
 // Trace returns node i's flight recorder — nil (a valid, inert
@@ -501,13 +490,11 @@ func (cl *Cluster) Start() error {
 	// Publish each cataloged fragment's class metadata (control option,
 	// commutativity) to the labeled registry: the join key observers use
 	// to map fragments to the paper's availability classes.
-	if cl.reg != nil {
-		for _, f := range cl.cat.Fragments() {
-			cl.reg.SetFragInfo(f, metrics.FragInfo{
-				Option:      cl.optionFor(f).String(),
-				Commutative: cl.IsCommutative(f),
-			})
-		}
+	for _, f := range cl.cat.Fragments() {
+		cl.reg.SetFragInfo(f, metrics.FragInfo{
+			Option:      cl.optionFor(f).String(),
+			Commutative: cl.IsCommutative(f),
+		})
 	}
 	cl.started = true
 	return nil

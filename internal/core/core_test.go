@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fragdb/internal/fragments"
+	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
 	"fragdb/internal/simtime"
 )
@@ -88,6 +89,12 @@ func TestUpdateCommitsAndPropagates(t *testing.T) {
 	}
 	if cl.Stats().Committed.Load() != 1 {
 		t.Errorf("stats: %v", cl.Stats())
+	}
+	// The labeled registry is on in every cluster, no Config switch: one
+	// commit of F0 at its home and one install at each of the other two.
+	f0 := metrics.Label{Frag: "F0", Node: 0}
+	if c, a := cl.Registry().Commits.Get(f0), cl.Registry().Applies.Get(f0); c != 1 || a != 2 {
+		t.Errorf("registry: F0 commits %d, applies %d; want 1 and 2", c, a)
 	}
 }
 

@@ -226,10 +226,8 @@ func (n *Node) handleRead(t *activeTxn, req request) bool {
 
 // finishRead delivers the read value after the per-operation latency.
 func (n *Node) finishRead(t *activeTxn, req request) {
-	if reg := n.cl.reg; reg != nil {
-		if f, ok := n.cl.cat.FragmentOf(req.obj); ok {
-			reg.IncRead(f, n.origin(t.spec))
-		}
+	if f, ok := n.cl.cat.FragmentOf(req.obj); ok {
+		n.cl.reg.IncRead(f, n.origin(t.spec))
 	}
 	n.cl.sched.After(n.cl.cfg.OpLatency, func() {
 		if t.finished {
@@ -291,13 +289,11 @@ func (n *Node) handleWrite(t *activeTxn, req request) bool {
 // finishWrite buffers the write in the transaction workspace after the
 // per-operation latency.
 func (n *Node) finishWrite(t *activeTxn, req request) {
-	if reg := n.cl.reg; reg != nil {
-		f := t.spec.Fragment
-		if ff, ok := n.cl.cat.FragmentOf(req.obj); ok {
-			f = ff
-		}
-		reg.IncWrite(f, n.origin(t.spec))
+	f := t.spec.Fragment
+	if ff, ok := n.cl.cat.FragmentOf(req.obj); ok {
+		f = ff
 	}
+	n.cl.reg.IncWrite(f, n.origin(t.spec))
 	n.cl.sched.After(n.cl.cfg.OpLatency, func() {
 		if t.finished {
 			t.respCh <- response{err: causeOf(t)}
@@ -677,11 +673,7 @@ func (n *Node) installQuasi(w *quasiWaiter) {
 	n.cl.stats.QuasiApplied.Add(1)
 	lag := n.cl.sched.Now().Sub(w.q.Stamp)
 	n.cl.stats.QuasiLag.Observe(lag)
-	if reg := n.cl.reg; reg != nil {
-		h := w.st.applyHandles(reg, w.f, w.q.Home)
-		h.n.Inc()
-		h.lag.Observe(lag)
-	}
+	w.st.appliesAt(n.cl.reg, w.f, w.q.Home).Inc()
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KQuasiApply, Txn: w.q.Txn,
 			Frag: w.f, Pos: w.q.Pos, Peer: w.q.Home, HasPeer: true, Dur: lag})

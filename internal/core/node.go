@@ -166,28 +166,21 @@ type streamState struct {
 	// move-with-sequence-number to wait for a prefix).
 	waiters []func()
 
-	// applied holds the labeled registry's handles for the label
-	// (fragment, appliedHome), so an install skips the two map lookups
-	// that resolving the label costs; a move re-resolves them.
-	applied     *applyHandles
+	// applied is the labeled registry's applies cell for the label
+	// (fragment, appliedHome), so an install skips the map lookup that
+	// resolving the label costs; a move re-resolves it.
+	applied     *metrics.Counter
 	appliedHome netsim.NodeID
 }
 
-// applyHandles are the registry cells an install updates.
-type applyHandles struct {
-	n   metrics.Counter
-	lag *metrics.Histogram
-}
-
-// applyHandles returns the stream's registry handles for quasi-
-// transactions homed at home.
-func (st *streamState) applyHandles(reg *metrics.Registry, f fragments.FragmentID, home netsim.NodeID) *applyHandles {
+// appliesAt returns the stream's applies counter for quasi-transactions
+// homed at home.
+func (st *streamState) appliesAt(reg *metrics.Registry, f fragments.FragmentID, home netsim.NodeID) metrics.Counter {
 	if st.applied == nil || st.appliedHome != home {
-		l := metrics.Label{Frag: f, Node: home}
-		st.applied = &applyHandles{n: reg.Applies.At(l), lag: reg.QuasiLag.At(l)}
-		st.appliedHome = home
+		c := reg.Applies.At(metrics.Label{Frag: f, Node: home})
+		st.applied, st.appliedHome = &c, home
 	}
-	return st.applied
+	return *st.applied
 }
 
 // Node is one site's database engine.
@@ -286,7 +279,6 @@ func newNode(cl *Cluster, id netsim.NodeID) *Node {
 			PeerLiveRounds:  cl.cfg.PeerLiveRounds,
 			Snapshot:        nodeSnapshotter{n},
 			Metrics:         cl.bstats,
-			Registry:        cl.reg,
 			SizeOf:          wire.Size,
 			Trace:           n.tr,
 		},
@@ -295,10 +287,11 @@ func newNode(cl *Cluster, id netsim.NodeID) *Node {
 	return n
 }
 
-// newLockManager builds the node's lock table and, when tracing is
-// enabled, installs the blocked-path observer that maps lock-manager
-// occurrences onto flight-recorder events. Crash recovery rebuilds the
-// table through the same constructor so the observer survives restarts.
+// newLockManager builds the node's lock table with the observer that
+// counts queued acquisitions in the labeled registry and, when tracing is
+// enabled, the blocked-path observer that maps lock-manager occurrences
+// onto flight-recorder events. Crash recovery rebuilds the table through
+// the same constructor so the observers survive restarts.
 func (n *Node) newLockManager() *lock.Manager {
 	m := lock.NewManager()
 	if n.tr.Enabled() {
@@ -313,17 +306,15 @@ func (n *Node) newLockManager() *lock.Manager {
 			n.tr.Emit(trace.Event{Kind: kind, Txn: id, Obj: o, Note: mode.String()})
 		})
 	}
-	if reg := n.cl.reg; reg != nil {
-		cl := n.cl
-		m.AddObserver(func(id txn.ID, o fragments.ObjectID, mode lock.Mode, ev lock.TraceEvent) {
-			if ev != lock.TraceWait {
-				return
-			}
-			if f, ok := cl.cat.FragmentOf(o); ok {
-				reg.IncLockWait(f, id.Origin)
-			}
-		})
-	}
+	cl := n.cl
+	m.AddObserver(func(id txn.ID, o fragments.ObjectID, mode lock.Mode, ev lock.TraceEvent) {
+		if ev != lock.TraceWait {
+			return
+		}
+		if f, ok := cl.cat.FragmentOf(o); ok {
+			cl.reg.IncLockWait(f, id.Origin)
+		}
+	})
 	return m
 }
 

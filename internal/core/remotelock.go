@@ -29,10 +29,8 @@ import (
 func (n *Node) serveLockRequest(m lockReqMsg) {
 	granted, err := n.locks.Acquire(m.Txn, m.Object, lock.Shared)
 	if err != nil {
-		if reg := n.cl.reg; reg != nil {
-			if f, ok := n.cl.cat.FragmentOf(m.Object); ok {
-				reg.IncRemoteDeny(f, m.From)
-			}
+		if f, ok := n.cl.cat.FragmentOf(m.Object); ok {
+			n.cl.reg.IncRemoteDeny(f, m.From)
 		}
 		n.cl.tr.Send(n.id, m.From, lockDenyMsg{Txn: m.Txn, Object: m.Object})
 		return

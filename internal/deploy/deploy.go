@@ -131,7 +131,6 @@ func build(cfg Config, raw netsim.Transport, tune func(*core.Config)) (*Node, er
 		TxnTimeout:     simtime.Duration(cfg.TxnTimeout),
 		MajorityCommit: cfg.MajorityCommit,
 		TraceCap:       cfg.TraceCap,
-		LabeledMetrics: true,
 		Transport:      rtnet.ExecTransport{Transport: raw, Exec: gate.run},
 		SingleNode:     true,
 		LocalNode:      netsim.NodeID(cfg.ID),

@@ -107,9 +107,6 @@ type Broadcast struct {
 	// PayloadsSent/DataSends is the batching amortization ratio: with
 	// batching off it is exactly 1.
 	PayloadsSent atomic.Uint64
-	// BatchSize is the distribution of payloads per data message on the
-	// wire, observed as a count (1 "nanosecond" per payload).
-	BatchSize Histogram
 }
 
 // Amortization returns PayloadsSent / DataSends — the mean payloads
@@ -120,14 +117,6 @@ func (b *Broadcast) Amortization() float64 {
 		return 1
 	}
 	return float64(b.PayloadsSent.Load()) / float64(sends)
-}
-
-// String renders the broadcast gauges and counters on one line.
-func (b *Broadcast) String() string {
-	return fmt.Sprintf("log-entries=%d log-bytes=%d compacted=%d snapshots=%d/%d pending-dropped=%d data-sends=%d payloads=%d amortization=%.2f",
-		b.LogEntries.Load(), b.LogBytes.Load(), b.CompactedSeqs.Load(),
-		b.SnapshotsInstalled.Load(), b.SnapshotsSent.Load(), b.PendingDropped.Load(),
-		b.DataSends.Load(), b.PayloadsSent.Load(), b.Amortization())
 }
 
 // Chaos aggregates the counters of a chaoskit campaign: plans run,

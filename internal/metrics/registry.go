@@ -37,13 +37,9 @@ const (
 	// FamFragForwards counts old-epoch quasi-transactions forwarded to
 	// a moved agent's new home (§4.4.3 rule B(2)).
 	FamFragForwards = "frag_forwards_total"
-	// FamFragCommitLatency / FamFragQuasiLag are per-fragment latency
-	// histograms (submit→commit, and home stamp→remote install).
+	// FamFragCommitLatency is the per-fragment submit→commit latency
+	// histogram.
 	FamFragCommitLatency = "frag_commit_latency_seconds"
-	FamFragQuasiLag      = "frag_quasi_lag_seconds"
-	// FamStreamDelivered counts broadcast payloads delivered per origin
-	// node (fragment label empty: delivery precedes fragment routing).
-	FamStreamDelivered = "broadcast_stream_delivered_total"
 	// FamFragInfo is an info-style gauge (value always 1) carrying each
 	// cataloged fragment's control option and commutativity class — the
 	// join key the spectrum uses to map fragments to transaction
@@ -63,8 +59,7 @@ const (
 )
 
 // Label is the key of every labeled sample: the fragment touched and
-// the node the activity originated at. Either half may be zero-valued
-// (e.g. stream deliveries carry no fragment). Cardinality is bounded by
+// the node the activity originated at. Cardinality is bounded by
 // catalog size × cluster size — both small, fixed properties of a
 // deployment — so the vectors never need eviction.
 type Label struct {
@@ -219,16 +214,6 @@ func (h *HistogramVec) Observe(l Label, d time.Duration) {
 	hist.(*Histogram).Observe(d)
 }
 
-// At returns the label's histogram, creating it on first use — the
-// stable-handle counterpart of CounterVec.At for hot paths.
-func (h *HistogramVec) At(l Label) *Histogram {
-	hist, ok := h.m.Load(l)
-	if !ok {
-		hist, _ = h.m.LoadOrStore(l, &Histogram{})
-	}
-	return hist.(*Histogram)
-}
-
 // Get returns the label's histogram, or nil when never observed.
 func (h *HistogramVec) Get(l Label) *Histogram {
 	if hist, ok := h.m.Load(l); ok {
@@ -265,9 +250,8 @@ type FragInfo struct {
 }
 
 // Registry is the labeled metrics surface of one node (or one process
-// in single-node deployment mode). A nil *Registry is valid and makes
-// every method a no-op, so the engine's hot paths pay only a nil check
-// when labeled metrics are disabled.
+// in single-node deployment mode). Every cluster builds one, simulated
+// or deployed; there is no switch that turns it off.
 //
 // Label cardinality contract: Frag ranges over the fragment catalog,
 // Node over cluster members, Cause over a fixed engine-side set —
@@ -282,8 +266,6 @@ type Registry struct {
 	Applies       CounterVec
 	Forwards      CounterVec
 	CommitLatency HistogramVec
-	QuasiLag      HistogramVec
-	Delivered     CounterVec
 
 	mu    sync.Mutex
 	frags map[fragments.FragmentID]FragInfo
@@ -296,103 +278,54 @@ func NewRegistry() *Registry {
 
 // IncRead counts one declared read of frag originating at node.
 func (r *Registry) IncRead(f fragments.FragmentID, n netsim.NodeID) {
-	if r == nil {
-		return
-	}
 	r.Reads.Inc(Label{f, n})
 }
 
 // IncWrite counts one declared write of frag originating at node.
 func (r *Registry) IncWrite(f fragments.FragmentID, n netsim.NodeID) {
-	if r == nil {
-		return
-	}
 	r.Writes.Inc(Label{f, n})
 }
 
 // IncCommit counts one committed transaction attributed to frag.
 func (r *Registry) IncCommit(f fragments.FragmentID, n netsim.NodeID) {
-	if r == nil {
-		return
-	}
 	r.Commits.Inc(Label{f, n})
 }
 
 // ObserveCommitLatency records a committed transaction's latency.
 func (r *Registry) ObserveCommitLatency(f fragments.FragmentID, n netsim.NodeID, d time.Duration) {
-	if r == nil {
-		return
-	}
 	r.CommitLatency.Observe(Label{f, n}, d)
 }
 
 // IncAbort counts one aborted transaction with its cause.
 func (r *Registry) IncAbort(f fragments.FragmentID, n netsim.NodeID, cause string) {
-	if r == nil {
-		return
-	}
 	r.Aborts.Inc(Label{f, n}, cause)
 }
 
 // IncLockWait counts one lock acquisition that queued behind a holder.
 func (r *Registry) IncLockWait(f fragments.FragmentID, n netsim.NodeID) {
-	if r == nil {
-		return
-	}
 	r.LockWaits.Inc(Label{f, n})
 }
 
 // IncRemoteDeny counts one remote lock request denied at the home.
 func (r *Registry) IncRemoteDeny(f fragments.FragmentID, n netsim.NodeID) {
-	if r == nil {
-		return
-	}
 	r.RemoteDenials.Inc(Label{f, n})
 }
 
 // IncApply counts one quasi-transaction installed for frag, labeled
 // with the originating home node.
 func (r *Registry) IncApply(f fragments.FragmentID, home netsim.NodeID) {
-	if r == nil {
-		return
-	}
 	r.Applies.Inc(Label{f, home})
-}
-
-// ObserveQuasiLag records a quasi-transaction's propagation lag.
-func (r *Registry) ObserveQuasiLag(f fragments.FragmentID, home netsim.NodeID, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.QuasiLag.Observe(Label{f, home}, d)
 }
 
 // IncForward counts one old-epoch quasi-transaction forwarded onward.
 func (r *Registry) IncForward(f fragments.FragmentID, n netsim.NodeID) {
-	if r == nil {
-		return
-	}
 	r.Forwards.Inc(Label{f, n})
-}
-
-// IncDelivered counts one broadcast payload delivered from origin.
-func (r *Registry) IncDelivered(origin netsim.NodeID) {
-	if r == nil {
-		return
-	}
-	r.Delivered.Inc(Label{Node: origin})
 }
 
 // SetFragInfo records (or updates) a fragment's class metadata.
 func (r *Registry) SetFragInfo(f fragments.FragmentID, info FragInfo) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.frags == nil {
-		r.frags = make(map[fragments.FragmentID]FragInfo)
-	}
 	r.frags[f] = info
 }
 
@@ -404,9 +337,6 @@ type FragInfoSample struct {
 
 // FragInfos returns the cataloged fragment metadata sorted by id.
 func (r *Registry) FragInfos() []FragInfoSample {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]FragInfoSample, 0, len(r.frags))

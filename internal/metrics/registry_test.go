@@ -77,26 +77,6 @@ func TestHistogramVec(t *testing.T) {
 	}
 }
 
-func TestRegistryNilSafe(t *testing.T) {
-	var r *Registry
-	// Every method must be a no-op on a nil receiver.
-	r.IncRead("F", 0)
-	r.IncWrite("F", 0)
-	r.IncCommit("F", 0)
-	r.ObserveCommitLatency("F", 0, time.Millisecond)
-	r.IncAbort("F", 0, "timeout")
-	r.IncLockWait("F", 0)
-	r.IncRemoteDeny("F", 0)
-	r.IncApply("F", 1)
-	r.ObserveQuasiLag("F", 1, time.Millisecond)
-	r.IncForward("F", 0)
-	r.IncDelivered(2)
-	r.SetFragInfo("F", FragInfo{Option: "read-locks"})
-	if got := r.FragInfos(); got != nil {
-		t.Fatalf("nil registry FragInfos = %+v, want nil", got)
-	}
-}
-
 func TestRegistryFragInfo(t *testing.T) {
 	r := NewRegistry()
 	r.SetFragInfo("CTR(1)", FragInfo{Option: "unrestricted", Commutative: true})

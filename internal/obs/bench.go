@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -86,77 +85,4 @@ func NewBenchFile(pr int, source, commit string, takenUnixMS int64, results []Be
 		Schema: BenchSchema, PR: pr, Source: source,
 		Commit: commit, TakenUnixMS: takenUnixMS, Results: sorted,
 	}
-}
-
-// RegistryOverhead compares BenchmarkApplySaturation cells with and
-// without the labeled registry: for every `<cell>/registry` result it
-// finds the matching base cell and reports the relative ns/op overhead.
-// A cell run several times (go test -count) counts with its median
-// ns/op. Used by CI to enforce the <5% registry-overhead budget.
-func RegistryOverhead(results []BenchResult) map[string]float64 {
-	runs := map[string][]float64{}
-	for _, r := range results {
-		if v, ok := r.Metrics["ns/op"]; ok {
-			runs[r.Name] = append(runs[r.Name], v)
-		}
-	}
-	out := map[string]float64{}
-	for name, vs := range runs {
-		i := strings.Index(name, "/registry")
-		if i < 0 {
-			continue
-		}
-		baseName := name[:i] + name[i+len("/registry"):]
-		bvs, ok := runs[baseName]
-		if !ok {
-			continue
-		}
-		if bv := median(bvs); bv != 0 {
-			out[baseName] = (median(vs) - bv) / bv
-		}
-	}
-	return out
-}
-
-// MedianOverhead reduces a RegistryOverhead map to its median value —
-// the number the CI budget gate compares. Individual cells are noisy
-// on shared CI runners (the same cell varies 2x between runs), so the
-// gate uses the median across all base/registry pairs: a real
-// regression in the registry hot path shifts every pair, while runner
-// noise scatters symmetrically around the true overhead. Returns 0 for
-// an empty map.
-func MedianOverhead(over map[string]float64) float64 {
-	vals := make([]float64, 0, len(over))
-	for _, v := range over {
-		vals = append(vals, v)
-	}
-	return median(vals)
-}
-
-// median returns the middle value of vals (the mean of the middle pair
-// for an even count; 0 when empty). It sorts vals in place.
-func median(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sort.Float64s(vals)
-	mid := len(vals) / 2
-	if len(vals)%2 == 1 {
-		return vals[mid]
-	}
-	return (vals[mid-1] + vals[mid]) / 2
-}
-
-// FormatOverhead renders RegistryOverhead as sorted percentage lines.
-func FormatOverhead(over map[string]float64) string {
-	names := make([]string, 0, len(over))
-	for n := range over {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s: %+.2f%%\n", n, over[n]*100)
-	}
-	return b.String()
 }

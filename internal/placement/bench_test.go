@@ -44,7 +44,7 @@ func runSkewedLoad(tb testing.TB, adaptive bool, skew float64) loadResult {
 		phaseLen       = 4 * time.Second // simulated
 	)
 	lv, err := workload.NewLive(workload.LiveConfig{
-		Cluster: core.Config{N: n, Seed: 7, LabeledMetrics: true},
+		Cluster: core.Config{N: n, Seed: 7},
 	})
 	if err != nil {
 		tb.Fatal(err)

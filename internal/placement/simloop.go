@@ -23,9 +23,8 @@ type SimLoop struct {
 	Started, Completed, Failed int
 }
 
-// AttachSim starts a placement loop on a netsim cluster. The cluster
-// must run with LabeledMetrics (a nil registry never produces rates,
-// so the loop would idle forever).
+// AttachSim starts a placement loop on a netsim cluster, fed by the
+// cluster's labeled registry.
 func AttachSim(cl *core.Cluster, cfg Config) *SimLoop {
 	lp := &SimLoop{cl: cl, ctrl: NewController(cfg)}
 	cl.Sched().After(lp.ctrl.Config().Interval, lp.tick)

@@ -18,7 +18,7 @@ import (
 func TestSimLoopMigratesHotAgent(t *testing.T) {
 	const n = 3
 	lv, err := workload.NewLive(workload.LiveConfig{
-		Cluster: core.Config{N: n, Seed: 11, LabeledMetrics: true},
+		Cluster: core.Config{N: n, Seed: 11},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,12 +10,8 @@ import (
 )
 
 // FromRegistry snapshots a labeled metrics registry's cumulative
-// per-(fragment, origin) read/write counters as an access matrix. A
-// nil registry (labeled metrics disabled) yields a nil matrix.
+// per-(fragment, origin) read/write counters as an access matrix.
 func FromRegistry(reg *metrics.Registry) Matrix {
-	if reg == nil {
-		return nil
-	}
 	m := make(Matrix)
 	for _, s := range reg.Reads.Samples() {
 		if s.Frag == "" {

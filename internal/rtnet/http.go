@@ -21,7 +21,7 @@ type DebugVars struct {
 	Counters  *metrics.Counters
 	Broadcast *metrics.Broadcast
 	// Registry, when non-nil, adds the labeled per-fragment families
-	// (frag_*_total, frag_info, broadcast_stream_delivered_total) to
+	// (frag_*_total, frag_commit_latency_seconds, frag_info) to
 	// /metrics — the access-pattern matrix cmd/haobs consumes.
 	Registry *metrics.Registry
 	Tracers  []*trace.Recorder
@@ -103,8 +103,6 @@ func writePrometheus(w http.ResponseWriter, v DebugVars) {
 		fmt.Fprintf(w, "# HELP fragdb_broadcast_amortization Payloads per data message (batching win).\n"+
 			"# TYPE fragdb_broadcast_amortization gauge\nfragdb_broadcast_amortization %g\n",
 			b.Amortization())
-		writeCountHistogram(w, "broadcast_batch_size",
-			"Payloads per data message, by message.", &b.BatchSize)
 	}
 	writeRegistry(w, v)
 	if v.Runtime {
@@ -156,8 +154,6 @@ func writeRegistry(w http.ResponseWriter, v DebugVars) {
 		"Quasi-transactions installed, per fragment and origin home.", reg.Applies.Samples())
 	counterVec(metrics.FamFragForwards,
 		"Old-epoch quasi-transactions forwarded, per fragment and origin.", reg.Forwards.Samples())
-	counterVec(metrics.FamStreamDelivered,
-		"Broadcast payloads delivered, per origin node.", reg.Delivered.Samples())
 
 	fmt.Fprintf(w, "# HELP fragdb_%s Aborted transactions per fragment, node, and cause.\n# TYPE fragdb_%s counter\n",
 		metrics.FamFragAborts, metrics.FamFragAborts)
@@ -183,8 +179,6 @@ func writeRegistry(w http.ResponseWriter, v DebugVars) {
 	}
 	histVec(metrics.FamFragCommitLatency,
 		"Submit-to-commit latency per fragment and home node.", reg.CommitLatency.Samples())
-	histVec(metrics.FamFragQuasiLag,
-		"Propagation lag per fragment and origin home.", reg.QuasiLag.Samples())
 
 	fmt.Fprintf(w, "# HELP fragdb_%s Fragment class metadata (control option, commutativity); value is always 1.\n# TYPE fragdb_%s gauge\n",
 		metrics.FamFragInfo, metrics.FamFragInfo)
@@ -226,22 +220,6 @@ func writeHistogram(w http.ResponseWriter, name, help string, h *metrics.Histogr
 	}
 	fmt.Fprintf(w, "fragdb_%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
 	fmt.Fprintf(w, "fragdb_%s_sum %g\n", name, s.Sum.Seconds())
-	fmt.Fprintf(w, "fragdb_%s_count %d\n", name, s.Count)
-}
-
-// writeCountHistogram renders a histogram whose samples are plain
-// counts (stored as nanosecond ticks), so bucket bounds are unitless
-// integers rather than seconds.
-func writeCountHistogram(w http.ResponseWriter, name, help string, h *metrics.Histogram) {
-	s := h.Snapshot()
-	fmt.Fprintf(w, "# HELP fragdb_%s %s\n# TYPE fragdb_%s histogram\n", name, help, name)
-	cum := uint64(0)
-	for _, b := range s.Buckets() {
-		cum += b.Count
-		fmt.Fprintf(w, "fragdb_%s_bucket{le=\"%d\"} %d\n", name, int64(b.Upper), cum)
-	}
-	fmt.Fprintf(w, "fragdb_%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
-	fmt.Fprintf(w, "fragdb_%s_sum %d\n", name, int64(s.Sum))
 	fmt.Fprintf(w, "fragdb_%s_count %d\n", name, s.Count)
 }
 

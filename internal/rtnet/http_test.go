@@ -29,9 +29,6 @@ func debugFixture() DebugVars {
 	b.CompactedSeqs.Add(5)
 	b.DataSends.Add(3)
 	b.PayloadsSent.Add(12)
-	b.BatchSize.Observe(1)
-	b.BatchSize.Observe(3)
-	b.BatchSize.Observe(8)
 
 	var now simtime.Time
 	clock := func() simtime.Time { now = now.Add(time.Millisecond); return now }
@@ -55,9 +52,7 @@ func debugFixture() DebugVars {
 	reg.IncLockWait("BALANCES", 1)
 	reg.IncRemoteDeny("BALANCES", 2)
 	reg.IncApply("CTR(1)", 1)
-	reg.ObserveQuasiLag("CTR(1)", 1, 12*time.Millisecond)
 	reg.IncForward("CTR(1)", 1)
-	reg.IncDelivered(1)
 	reg.SetFragInfo("BALANCES", metrics.FragInfo{Option: "read-locks"})
 	reg.SetFragInfo("CTR(1)", metrics.FragInfo{Option: "unrestricted", Commutative: true})
 	tcp := &TCPStats{}
@@ -102,10 +97,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"fragdb_broadcast_data_sends_total 3",
 		"fragdb_broadcast_payloads_sent_total 12",
 		"fragdb_broadcast_amortization 4",
-		"# TYPE fragdb_broadcast_batch_size histogram",
-		`fragdb_broadcast_batch_size_bucket{le="+Inf"} 3`,
-		"fragdb_broadcast_batch_size_sum 12",
-		"fragdb_broadcast_batch_size_count 3",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q\n%s", want, body)
@@ -131,9 +122,7 @@ func TestRegistryMetricsEndpoint(t *testing.T) {
 		`fragdb_frag_remote_denials_total{frag="BALANCES",node="2"} 1`,
 		`fragdb_frag_applies_total{frag="CTR(1)",node="1"} 1`,
 		`fragdb_frag_forwards_total{frag="CTR(1)",node="1"} 1`,
-		`fragdb_broadcast_stream_delivered_total{frag="",node="1"} 1`,
 		`fragdb_frag_commit_latency_seconds_count{frag="BALANCES",node="0"} 1`,
-		`fragdb_frag_quasi_lag_seconds_count{frag="CTR(1)",node="1"} 1`,
 		`fragdb_frag_info{frag="BALANCES",option="read-locks",commutative="false"} 1`,
 		`fragdb_frag_info{frag="CTR(1)",option="unrestricted",commutative="true"} 1`,
 		"# TYPE fragdb_lock_table_entries gauge",
