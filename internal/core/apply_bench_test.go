@@ -135,6 +135,7 @@ func BenchmarkApplySaturation(b *testing.B) {
 			cl := applyReplica(b)
 			qs := applyStream(b.N, wl.skewed)
 			runtime.GC()
+			b.ReportAllocs()
 			b.ResetTimer()
 			feedReplica(cl, qs)
 			b.StopTimer()

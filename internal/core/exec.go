@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"fragdb/internal/fragments"
 	"fragdb/internal/history"
@@ -77,15 +77,13 @@ func (n *Node) startTxn(spec TxnSpec, done func(TxnResult)) {
 	}
 	n.nextTxnSeq++
 	t := &activeTxn{
-		id:           txn.ID{Origin: n.id, Seq: n.nextTxnSeq},
-		spec:         spec,
-		node:         n,
-		reqCh:        make(chan request),
-		respCh:       make(chan response),
-		writeVals:    make(map[fragments.ObjectID]any),
-		remoteLocked: make(map[netsim.NodeID]bool),
-		start:        n.cl.sched.Now(),
-		done:         done,
+		id:     txn.ID{Origin: n.id, Seq: n.nextTxnSeq},
+		spec:   spec,
+		node:   n,
+		reqCh:  make(chan request),
+		respCh: make(chan response),
+		start:  n.cl.sched.Now(),
+		done:   done,
 	}
 	n.active[t.id] = t
 	if n.tr.Enabled() {
@@ -303,6 +301,9 @@ func (n *Node) finishWrite(t *activeTxn, req request) {
 		if _, seen := t.writeVals[req.obj]; !seen {
 			t.writeOrder = append(t.writeOrder, req.obj)
 		}
+		if t.writeVals == nil {
+			t.writeVals = make(map[fragments.ObjectID]any)
+		}
 		t.writeVals[req.obj] = req.val
 		t.respCh <- response{}
 		n.serve(t)
@@ -327,10 +328,12 @@ func (n *Node) finishTxn(t *activeTxn, progErr error) {
 	}
 	if t.spec.Fragment == "" || len(t.writeOrder) == 0 {
 		// Read-only commit: record for auditing, release, done.
-		n.cl.rec.Record(history.TxnRecord{
-			ID: t.id, Type: n.agentType(t.spec.Agent), ReadOnly: true,
-			Reads: t.reads, Node: n.id, Commit: n.cl.sched.Now(),
-		})
+		if n.cl.rec != nil {
+			n.cl.rec.Record(history.TxnRecord{
+				ID: t.id, Type: n.agentType(t.spec.Agent), ReadOnly: true,
+				Reads: t.reads, Node: n.id, Commit: n.cl.sched.Now(),
+			})
+		}
 		n.finalize(t, nil, true)
 		return
 	}
@@ -367,7 +370,7 @@ func (n *Node) finishTxn(t *activeTxn, progErr error) {
 func (t *activeTxn) finalWrites() []txn.WriteOp {
 	objs := make([]fragments.ObjectID, len(t.writeOrder))
 	copy(objs, t.writeOrder)
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
+	slices.Sort(objs)
 	out := make([]txn.WriteOp, len(objs))
 	for i, o := range objs {
 		out[i] = txn.WriteOp{Object: o, Value: t.writeVals[o]}
@@ -391,11 +394,13 @@ func (n *Node) commitLocal(t *activeTxn, q txn.Quasi, viaQuasi bool) {
 		st.last = q.Pos
 	}
 	n.store.Apply(t.id, q.Fragment, q.Pos, q.Writes, q.Stamp)
-	n.cl.rec.Record(history.TxnRecord{
-		ID: t.id, Type: q.Fragment, UpdateFragment: q.Fragment, Pos: q.Pos,
-		Writes: sortedWriteObjects(q.Writes), Reads: t.reads,
-		Node: n.id, Commit: n.cl.sched.Now(),
-	})
+	if n.cl.rec != nil {
+		n.cl.rec.Record(history.TxnRecord{
+			ID: t.id, Type: q.Fragment, UpdateFragment: q.Fragment, Pos: q.Pos,
+			Writes: sortedWriteObjects(q.Writes), Reads: t.reads,
+			Node: n.id, Commit: n.cl.sched.Now(),
+		})
+	}
 	n.finalize(t, nil, true)
 	if viaQuasi {
 		if n.tr.Enabled() {
@@ -447,7 +452,7 @@ func (n *Node) finalize(t *activeTxn, err error, committed bool) {
 	for peer := range t.remoteLocked {
 		peers = append(peers, peer)
 	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	slices.Sort(peers)
 	for _, peer := range peers {
 		n.cl.tr.Send(n.id, peer, lockReleaseMsg{Txn: t.id})
 	}
@@ -563,9 +568,11 @@ func (n *Node) abortBlocked(t *activeTxn, cause error) {
 
 // quasiWaiter tracks a quasi-transaction acquiring its write locks.
 type quasiWaiter struct {
-	q         txn.Quasi
-	f         fragments.FragmentID
-	st        *streamState
+	q  txn.Quasi
+	f  fragments.FragmentID
+	st *streamState
+	// remaining holds the write locks still queued; made only when one
+	// queues.
 	remaining map[fragments.ObjectID]bool
 	// ordered is false for commutative fragments, whose installation
 	// neither blocks nor advances the strict stream sequence.
@@ -578,15 +585,13 @@ type quasiWaiter struct {
 // node and cannot be aborted).
 func (n *Node) applyQuasi(f fragments.FragmentID, st *streamState, q txn.Quasi) {
 	st.applying = true
-	n.acquireAndInstall(&quasiWaiter{q: q, f: f, st: st, ordered: true,
-		remaining: make(map[fragments.ObjectID]bool)})
+	n.acquireAndInstall(&quasiWaiter{q: q, f: f, st: st, ordered: true})
 }
 
 // applyQuasiUnordered installs a commutative fragment's
 // quasi-transaction without stream sequencing.
 func (n *Node) applyQuasiUnordered(f fragments.FragmentID, st *streamState, q txn.Quasi) {
-	n.acquireAndInstall(&quasiWaiter{q: q, f: f, st: st, ordered: false,
-		remaining: make(map[fragments.ObjectID]bool)})
+	n.acquireAndInstall(&quasiWaiter{q: q, f: f, st: st, ordered: false})
 }
 
 // acquireAndInstall takes the quasi-transaction's write locks (wounding
@@ -597,7 +602,8 @@ func (n *Node) acquireAndInstall(w *quasiWaiter) {
 		n.quasiWaiters = make(map[txn.ID]*quasiWaiter)
 	}
 	n.quasiWaiters[q.Txn] = w
-	for _, o := range sortedWriteObjects(q.Writes) {
+	for _, wo := range writesInObjectOrder(q.Writes) {
+		o := wo.Object
 		granted, err := n.locks.Acquire(q.Txn, o, lock.Exclusive)
 		if err != nil {
 			// Deadlock: wound the local holders and retry.
@@ -611,6 +617,9 @@ func (n *Node) acquireAndInstall(w *quasiWaiter) {
 			}
 		}
 		if !granted {
+			if w.remaining == nil {
+				w.remaining = make(map[fragments.ObjectID]bool)
+			}
 			w.remaining[o] = true
 		}
 	}

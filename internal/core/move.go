@@ -231,10 +231,12 @@ func (n *Node) recoverMissing(f fragments.FragmentID, st *streamState, q txn.Qua
 		nq := txn.Quasi{Txn: newID, Fragment: f, Pos: pos, Home: n.id, Writes: kept, Stamp: now}
 		st.last = pos
 		n.store.Apply(newID, f, pos, kept, now)
-		n.cl.rec.Record(history.TxnRecord{
-			ID: newID, Type: f, UpdateFragment: f, Pos: pos,
-			Writes: sortedWriteObjects(kept), Node: n.id, Commit: now,
-		})
+		if n.cl.rec != nil {
+			n.cl.rec.Record(history.TxnRecord{
+				ID: newID, Type: f, UpdateFragment: f, Pos: pos,
+				Writes: sortedWriteObjects(kept), Node: n.id, Commit: now,
+			})
+		}
 		n.bcast.Send(nq)
 		if n.cl.onQuasiApplied != nil {
 			n.cl.onQuasiApplied(n.id, nq)

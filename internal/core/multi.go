@@ -110,16 +110,14 @@ func (n *Node) startMultiTxn(spec TxnSpec, done func(TxnResult)) {
 	}
 	n.nextTxnSeq++
 	t := &activeTxn{
-		id:           txn.ID{Origin: n.id, Seq: n.nextTxnSeq},
-		spec:         spec,
-		node:         n,
-		multi:        true,
-		reqCh:        make(chan request),
-		respCh:       make(chan response),
-		writeVals:    make(map[fragments.ObjectID]any),
-		remoteLocked: make(map[netsim.NodeID]bool),
-		start:        n.cl.sched.Now(),
-		done:         done,
+		id:     txn.ID{Origin: n.id, Seq: n.nextTxnSeq},
+		spec:   spec,
+		node:   n,
+		multi:  true,
+		reqCh:  make(chan request),
+		respCh: make(chan response),
+		start:  n.cl.sched.Now(),
+		done:   done,
 	}
 	n.active[t.id] = t
 	timeout := spec.Timeout
@@ -284,10 +282,12 @@ func (n *Node) decideMulti(mc *multiCoord, commit bool, cause error) {
 	if commit {
 		// The coordinator's read set is recorded for auditing (its parts
 		// are recorded at the participants as they install).
-		n.cl.rec.Record(history.TxnRecord{
-			ID: mc.t.id, ReadOnly: true, Reads: mc.t.reads,
-			Node: n.id, Commit: n.cl.sched.Now(),
-		})
+		if n.cl.rec != nil {
+			n.cl.rec.Record(history.TxnRecord{
+				ID: mc.t.id, ReadOnly: true, Reads: mc.t.reads,
+				Node: n.id, Commit: n.cl.sched.Now(),
+			})
+		}
 		n.finalize(mc.t, nil, true)
 	} else {
 		n.finalize(mc.t, cause, false)
@@ -323,10 +323,12 @@ func (n *Node) handleMultiCommit(m multiCommitMsg) {
 	q := txn.Quasi{Txn: p.pid, Fragment: p.f, Pos: pos, Home: n.id, Writes: p.writes, Stamp: now}
 	st.last = pos
 	n.store.Apply(p.pid, p.f, pos, p.writes, now)
-	n.cl.rec.Record(history.TxnRecord{
-		ID: p.pid, Type: p.f, UpdateFragment: p.f, Pos: pos,
-		Writes: sortedWriteObjects(p.writes), Node: n.id, Commit: now,
-	})
+	if n.cl.rec != nil {
+		n.cl.rec.Record(history.TxnRecord{
+			ID: p.pid, Type: p.f, UpdateFragment: p.f, Pos: pos,
+			Writes: sortedWriteObjects(p.writes), Node: n.id, Commit: now,
+		})
+	}
 	delete(n.multiParts, partKey{mid: p.mid, f: p.f})
 	delete(n.multiByPid, p.pid)
 	grants := n.locks.Release(p.pid)

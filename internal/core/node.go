@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fragdb/internal/broadcast"
@@ -596,5 +598,18 @@ func sortedWriteObjects(ws []txn.WriteOp) []fragments.ObjectID {
 		out = append(out, w.Object)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// writesInObjectOrder returns ws in sorted object order: ws itself when
+// it already is (finalWrites emits a home commit's writes so), else a
+// sorted copy.
+func writesInObjectOrder(ws []txn.WriteOp) []txn.WriteOp {
+	byObject := func(a, b txn.WriteOp) int { return cmp.Compare(a.Object, b.Object) }
+	if slices.IsSortedFunc(ws, byObject) {
+		return ws
+	}
+	out := slices.Clone(ws)
+	slices.SortFunc(out, byObject)
 	return out
 }

@@ -88,6 +88,9 @@ func (n *Node) handleLockGrant(m lockGrantMsg) {
 		return // stale or duplicate grant
 	}
 	t.pendingRemote = nil
+	if t.remoteLocked == nil {
+		t.remoteLocked = make(map[netsim.NodeID]bool)
+	}
 	t.remoteLocked[m.From] = true
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KRemoteLockGrant, Txn: m.Txn,

@@ -89,11 +89,13 @@ type activeTxn struct {
 	respCh chan response
 
 	// workspace: writes buffered until commit; reads see own writes.
+	// writeVals is made on the first write.
 	writeVals  map[fragments.ObjectID]any
 	writeOrder []fragments.ObjectID
 	reads      []history.ReadObs
 
-	// remoteLocked tracks nodes holding remote read locks for us.
+	// remoteLocked tracks nodes holding remote read locks for us; made
+	// on the first remote grant.
 	remoteLocked map[netsim.NodeID]bool
 	// pendingRemote is the object of an outstanding remote lock request
 	// (at most one at a time; the program is blocked on it).

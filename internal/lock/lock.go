@@ -33,6 +33,7 @@ package lock
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -74,13 +75,40 @@ type request struct {
 	mode Mode
 }
 
+// String renders the request as "T(origin#seq):mode" for String dumps.
+func (r request) String() string { return fmt.Sprintf("%v:%v", r.id, r.mode) }
+
 // entry is one object's lock state. It exists only while the object has
 // a holder or a queued request: Release drops it from the table with the
 // last of them (dropIfIdle), so the table's size follows the locks in
-// force, not the objects ever locked.
+// force, not the objects ever locked. holders is a slice, not a map: a
+// holder set is one exclusive holder or a few shared ones, so a linear
+// scan beats hashing and an idle entry keeps its capacity for reuse.
 type entry struct {
-	holders map[txn.ID]Mode
+	holders []request
 	queue   []request
+}
+
+// holderAt returns the index of id among e's holders, or -1.
+func (e *entry) holderAt(id txn.ID) int {
+	for i, h := range e.holders {
+		if h.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// addHolder records id as a new holder of e in the given mode.
+func (e *entry) addHolder(id txn.ID, mode Mode) {
+	e.holders = append(e.holders, request{id: id, mode: mode})
+}
+
+// removeHolder forgets id's hold on e, if any.
+func (e *entry) removeHolder(id txn.ID) {
+	if i := e.holderAt(id); i >= 0 {
+		e.holders = slices.Delete(e.holders, i, i+1)
+	}
 }
 
 // TraceEvent classifies a lock-manager occurrence reported to the
@@ -111,14 +139,25 @@ type traceRec struct {
 
 // Manager is a lock table for one node.
 type Manager struct {
-	// mu guards table, held and waiting.
+	// mu guards table, held, waiting, the free lists and visited.
 	mu    sync.Mutex
 	table map[fragments.ObjectID]*entry
-	// held[t] is the set of objects on which t holds a lock.
-	held map[txn.ID]map[fragments.ObjectID]struct{}
+	// held[t] lists the objects on which t holds a lock, each once, in
+	// grant order.
+	held map[txn.ID][]fragments.ObjectID
 	// waiting[t] is the object t is queued on (a transaction waits on at
 	// most one request at a time).
 	waiting map[txn.ID]fragments.ObjectID
+
+	// freeEntries and freeHeld hold idle entries and emptied held lists
+	// for reuse, so a lock cycle allocates nothing once the table has
+	// seen its peak. Each is bounded by the peak number of locked
+	// objects (entries) and lock-holding transactions (held lists).
+	freeEntries []*entry
+	freeHeld    [][]fragments.ObjectID
+
+	// visited is wouldDeadlockLocked's search set, kept between calls.
+	visited map[txn.ID]bool
 
 	// OnEvent, when non-nil, observes blocked-path occurrences (waits,
 	// deferred grants, deadlock denials). Installed by the engine when
@@ -151,45 +190,61 @@ func (m *Manager) AddObserver(fn func(id txn.ID, o fragments.ObjectID, mode Mode
 func NewManager() *Manager {
 	return &Manager{
 		table:   make(map[fragments.ObjectID]*entry),
-		held:    make(map[txn.ID]map[fragments.ObjectID]struct{}),
+		held:    make(map[txn.ID][]fragments.ObjectID),
 		waiting: make(map[txn.ID]fragments.ObjectID),
+		visited: make(map[txn.ID]bool),
 	}
 }
 
+// entryFor returns o's entry, installing a recycled or fresh one when o
+// has none. Caller holds m.mu.
 func (m *Manager) entryFor(o fragments.ObjectID) *entry {
 	e, ok := m.table[o]
 	if !ok {
-		e = &entry{holders: make(map[txn.ID]Mode)}
+		if n := len(m.freeEntries); n > 0 {
+			e = m.freeEntries[n-1]
+			m.freeEntries[n-1] = nil
+			m.freeEntries = m.freeEntries[:n-1]
+		} else {
+			e = new(entry)
+		}
 		m.table[o] = e
 	}
 	return e
 }
 
-// dropIfIdle forgets o's entry once nothing holds or awaits it. Caller
-// holds m.mu.
+// dropIfIdle forgets o's entry once nothing holds or awaits it, and
+// keeps the entry, empty, for reuse. Caller holds m.mu.
 func (m *Manager) dropIfIdle(o fragments.ObjectID, e *entry) {
 	if len(e.holders) == 0 && len(e.queue) == 0 {
 		delete(m.table, o)
+		m.freeEntries = append(m.freeEntries, e)
 	}
 }
 
+// markHeld records that id now holds o. Callers invoke it only when id
+// becomes a new holder of o, so the list never repeats an object.
+// Caller holds m.mu.
 func (m *Manager) markHeld(id txn.ID, o fragments.ObjectID) {
-	set, ok := m.held[id]
+	objs, ok := m.held[id]
 	if !ok {
-		set = make(map[fragments.ObjectID]struct{})
-		m.held[id] = set
+		if n := len(m.freeHeld); n > 0 {
+			objs = m.freeHeld[n-1]
+			m.freeHeld[n-1] = nil
+			m.freeHeld = m.freeHeld[:n-1]
+		}
 	}
-	set[o] = struct{}{}
+	m.held[id] = append(objs, o)
 }
 
 // compatible reports whether a request by id with the given mode can be
 // granted given the current holders of e.
 func compatible(e *entry, id txn.ID, mode Mode) bool {
-	for holder, hm := range e.holders {
-		if holder == id {
+	for _, h := range e.holders {
+		if h.id == id {
 			continue // self-compatibility handled by caller (upgrade)
 		}
-		if mode == Exclusive || hm == Exclusive {
+		if mode == Exclusive || h.mode == Exclusive {
 			return false
 		}
 	}
@@ -244,19 +299,19 @@ func (m *Manager) Acquire(id txn.ID, o fragments.ObjectID, mode Mode) (bool, err
 // whether it succeeded (including the already-sufficient and
 // upgrade-in-place cases). Caller holds m.mu.
 func (m *Manager) tryGrantLocked(e *entry, id txn.ID, o fragments.ObjectID, mode Mode) bool {
-	if hm, ok := e.holders[id]; ok {
-		if hm == Exclusive || mode == Shared {
+	if i := e.holderAt(id); i >= 0 {
+		if e.holders[i].mode == Exclusive || mode == Shared {
 			return true // already sufficient
 		}
 		// Upgrade S -> X in place when sole holder.
 		if len(e.holders) == 1 {
-			e.holders[id] = Exclusive
+			e.holders[i].mode = Exclusive
 			return true
 		}
 		return false
 	}
 	if compatible(e, id, mode) && !queuedAhead(e, id, mode) {
-		e.holders[id] = mode
+		e.addHolder(id, mode)
 		m.markHeld(id, o)
 		return true
 	}
@@ -277,7 +332,8 @@ func (m *Manager) wouldDeadlockLocked(id txn.ID, o fragments.ObjectID, mode Mode
 	// requests it cannot bypass. We approximate the latter by the
 	// holders only and the existing queue's transitive waits; this is
 	// the standard conservative waits-for construction.
-	visited := make(map[txn.ID]bool)
+	visited := m.visited
+	clear(visited)
 	var stack []txn.ID
 	push := func(t txn.ID) {
 		if t != id && !visited[t] {
@@ -286,12 +342,12 @@ func (m *Manager) wouldDeadlockLocked(id txn.ID, o fragments.ObjectID, mode Mode
 		}
 	}
 	e := m.table[o]
-	for holder, hm := range e.holders {
-		if holder == id {
+	for _, h := range e.holders {
+		if h.id == id {
 			continue
 		}
-		if mode == Exclusive || hm == Exclusive {
-			push(holder)
+		if mode == Exclusive || h.mode == Exclusive {
+			push(h.id)
 		}
 	}
 	for _, r := range e.queue {
@@ -319,15 +375,15 @@ func (m *Manager) wouldDeadlockLocked(id txn.ID, o fragments.ObjectID, mode Mode
 				break
 			}
 		}
-		for holder, hm := range we.holders {
-			if holder == cur {
+		for _, h := range we.holders {
+			if h.id == cur {
 				continue
 			}
-			if curMode == Exclusive || hm == Exclusive {
-				if holder == id {
+			if curMode == Exclusive || h.mode == Exclusive {
+				if h.id == id {
 					return true
 				}
-				push(holder)
+				push(h.id)
 			}
 		}
 		for _, r := range we.queue {
@@ -359,27 +415,27 @@ func (m *Manager) Release(id txn.ID) []Grant {
 		e := m.table[o]
 		for qi, r := range e.queue {
 			if r.id == id {
-				e.queue = append(e.queue[:qi], e.queue[qi+1:]...)
+				e.queue = slices.Delete(e.queue, qi, qi+1)
 				break
 			}
 		}
 		delete(m.waiting, id)
 		m.dropIfIdle(o, e)
 	}
-	held := m.held[id]
+	objs, ok := m.held[id]
 	delete(m.held, id)
-	objs := make([]fragments.ObjectID, 0, len(held))
-	for o := range held {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
+	slices.Sort(objs)
 	var grants []Grant
 	var events []traceRec
 	for _, o := range objs {
 		e := m.table[o]
-		delete(e.holders, id)
-		grants = append(grants, m.promoteLocked(o, e, &events)...)
+		e.removeHolder(id)
+		grants = m.promoteLocked(o, e, grants, &events)
 		m.dropIfIdle(o, e)
+	}
+	if ok {
+		clear(objs) // drop the object names; the list's capacity is what is kept
+		m.freeHeld = append(m.freeHeld, objs[:0])
 	}
 	m.mu.Unlock()
 	for _, r := range events {
@@ -389,30 +445,30 @@ func (m *Manager) Release(id txn.ID) []Grant {
 }
 
 // promoteLocked grants queued requests on o that are now compatible, in
-// FIFO order, stopping at the first incompatible request. Caller holds
-// m.mu; observer events are appended to events for emission after the
-// mutex drops.
-func (m *Manager) promoteLocked(o fragments.ObjectID, e *entry, events *[]traceRec) []Grant {
-	var grants []Grant
-	for len(e.queue) > 0 {
-		r := e.queue[0]
-		if hm, ok := e.holders[r.id]; ok && r.mode == Exclusive && hm == Shared {
-			// queued upgrade
+// FIFO order, stopping at the first incompatible request, and appends
+// them to grants. Caller holds m.mu; observer events are appended to
+// events for emission after the mutex drops.
+func (m *Manager) promoteLocked(o fragments.ObjectID, e *entry, grants []Grant, events *[]traceRec) []Grant {
+	n := 0
+	for _, r := range e.queue {
+		if i := e.holderAt(r.id); i >= 0 {
+			// A holder queues only to upgrade S -> X.
 			if len(e.holders) != 1 {
 				break
 			}
-			e.holders[r.id] = Exclusive
+			e.holders[i].mode = Exclusive
 		} else if compatible(e, r.id, r.mode) {
-			e.holders[r.id] = r.mode
+			e.addHolder(r.id, r.mode)
 			m.markHeld(r.id, o)
 		} else {
 			break
 		}
-		e.queue = e.queue[1:]
+		n++
 		delete(m.waiting, r.id)
 		*events = append(*events, traceRec{r.id, o, r.mode, TraceGrant})
 		grants = append(grants, Grant{Txn: r.id, Object: o, Mode: r.mode})
 	}
+	e.queue = slices.Delete(e.queue, 0, n)
 	return grants
 }
 
@@ -425,8 +481,8 @@ func (m *Manager) Holds(id txn.ID, o fragments.ObjectID, mode Mode) bool {
 	if !ok {
 		return false
 	}
-	hm, ok := e.holders[id]
-	return ok && (hm == Exclusive || mode == Shared)
+	i := e.holderAt(id)
+	return i >= 0 && (e.holders[i].mode == Exclusive || mode == Shared)
 }
 
 // Holders returns the transactions currently holding a lock on o, in
@@ -438,9 +494,9 @@ func (m *Manager) Holders(o fragments.ObjectID) []txn.ID {
 	if !ok {
 		return nil
 	}
-	out := make([]txn.ID, 0, len(e.holders))
-	for id := range e.holders {
-		out = append(out, id)
+	out := make([]txn.ID, len(e.holders))
+	for i, h := range e.holders {
+		out[i] = h.id
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out

@@ -247,6 +247,10 @@ func TestReleaseForgetsUncontendedObjects(t *testing.T) {
 	if l := leftovers(m); l != "" {
 		t.Error(l)
 	}
+	// The free lists are bounded by the peak: two objects, one holder.
+	if e, h := len(m.freeEntries), len(m.freeHeld); e != 2 || h != 1 {
+		t.Errorf("free lists hold %d entries, %d held lists; want 2, 1", e, h)
+	}
 }
 
 // Contended objects are forgotten too, once every waiter has been
@@ -333,15 +337,100 @@ func TestEntryWithWaiterIsKept(t *testing.T) {
 		t.Fatal("entry with a queued request and no holder was dropped")
 	}
 	e.queue = nil
-	e.holders[id(8)] = Shared
+	e.addHolder(id(8), Shared)
 	m.dropIfIdle(obj("x"), e)
 	if m.table[obj("x")] != e {
 		t.Fatal("entry with a holder was dropped")
 	}
-	delete(e.holders, id(8))
+	e.removeHolder(id(8))
 	m.dropIfIdle(obj("x"), e)
 	if len(m.table) != 0 {
 		t.Fatal("idle entry was kept")
+	}
+}
+
+// Once the table has seen a workload's peak, a lock cycle reuses the
+// entries and held lists it freed: the commit path's uncontended
+// acquire-release, a pair of readers, and a sole reader's upgrade all
+// run without allocating.
+func TestLockCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	a, b, x := id(1), id(2), obj("f0.x")
+	for _, tc := range []struct {
+		name  string
+		cycle func(m *Manager)
+	}{
+		{"X acquire+release", func(m *Manager) {
+			m.Acquire(a, x, Exclusive)
+			m.Release(a)
+		}},
+		{"S+S pair", func(m *Manager) {
+			m.Acquire(a, x, Shared)
+			m.Acquire(b, x, Shared)
+			m.Release(a)
+			m.Release(b)
+		}},
+		{"sole-holder S->X upgrade", func(m *Manager) {
+			m.Acquire(a, x, Shared)
+			m.Acquire(a, x, Exclusive)
+			m.Release(a)
+		}},
+	} {
+		m := NewManager()
+		if n := testing.AllocsPerRun(100, func() { tc.cycle(m) }); n != 0 {
+			t.Errorf("%s: %v allocations per cycle, want 0", tc.name, n)
+		}
+		if l := leftovers(m); l != "" {
+			t.Errorf("%s: %s", tc.name, l)
+		}
+	}
+}
+
+// A recycled entry or held list starts clean: nothing of the
+// transactions, queued requests or objects it served before shows
+// through the public API.
+func TestRecycledEntryIsClean(t *testing.T) {
+	m := NewManager()
+	// Leave x's entry with a used queue and t1's held list with two
+	// objects, then free both.
+	mustGrant(t, m, id(1), "x", Exclusive)
+	mustGrant(t, m, id(1), "w", Shared)
+	mustQueue(t, m, id(2), "x", Shared)
+	mustQueue(t, m, id(3), "x", Exclusive)
+	m.Release(id(1))
+	m.Release(id(2))
+	m.Release(id(3))
+	if got := m.TableEntries(); got != 0 {
+		t.Fatalf("%d entries after every release, want 0", got)
+	}
+	// t4 reuses an entry and a held list on an unrelated object.
+	mustGrant(t, m, id(4), "y", Shared)
+	if got := m.Holders(obj("y")); len(got) != 1 || got[0] != id(4) {
+		t.Fatalf("Holders(y) = %v, want [%v]", got, id(4))
+	}
+	if got := m.NumHeld(id(4)); got != 1 {
+		t.Fatalf("NumHeld(t4) = %d, want 1", got)
+	}
+	for _, old := range []txn.ID{id(1), id(2), id(3)} {
+		if m.Holds(old, obj("y"), Shared) || m.NumHeld(old) != 0 {
+			t.Fatalf("%v still shows as a holder", old)
+		}
+	}
+	// No stale queued exclusive: a second reader is granted at once, and
+	// t4 upgrades only once it is alone again.
+	mustGrant(t, m, id(5), "y", Shared)
+	mustQueue(t, m, id(4), "y", Exclusive)
+	if g := m.Release(id(5)); len(g) != 1 || g[0].Txn != id(4) || g[0].Mode != Exclusive {
+		t.Fatalf("grants = %v, want t4's upgrade alone", g)
+	}
+	if got := m.TableEntries(); got != 1 {
+		t.Fatalf("%d entries while only y is held, want 1", got)
+	}
+	m.Release(id(4))
+	if l := leftovers(m); l != "" {
+		t.Error(l)
 	}
 }
 
