@@ -3,30 +3,18 @@
 // correctness arguments lean on (see DESIGN.md, "Determinism & locking
 // contract").
 //
-// Standalone (the canonical mode, used by CI):
-//
 //	go run ./cmd/halint ./...
 //	go run ./cmd/halint -only nowalltime ./internal/core
 //
-// Findings print as "file:line:col: [analyzer] message"; the exit
-// status is 1 when there are findings, 2 on driver errors.
-//
-// The binary also speaks enough of the go vet unitchecker protocol to
-// be used as `go vet -vettool=$(which halint) ./...`: in that mode only
-// the syntax-level analyzers run (go vet hands the tool one package's
-// files at a time, so the cross-package type analysis that wireencodable
-// needs is not available; run the standalone mode for full coverage).
+// The whole module is always loaded and analyzed; package patterns
+// only narrow which findings print. Findings print as
+// "file:line:col: [analyzer] message"; the exit status is 1 when there
+// are findings, 2 on driver errors.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,29 +28,12 @@ func main() {
 }
 
 func run(args []string) int {
-	// go vet probes the tool with -V=full before anything else; the
-	// line must end in a buildID derived from the binary so the build
-	// cache invalidates when halint changes. Then it asks for the
-	// tool's flag definitions as JSON.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Printf("halint version devel buildID=%s\n", selfID())
-		return 0
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return 0
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return unitcheck(args[0])
-	}
-
 	fs := flag.NewFlagSet("halint", flag.ExitOnError)
 	only := fs.String("only", "", "run only the named analyzer (comma-separated list)")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	asGitHub := fs.Bool("github", false, "emit findings as GitHub Actions ::error annotations (in addition to the plain lines)")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: halint [-only name,...] [-json|-github] [packages]\n\n")
+		fmt.Fprintf(fs.Output(), "usage: halint [-only name,...] [-github] [packages]\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -122,9 +93,6 @@ func run(args []string) int {
 	analysis.SortDiagnostics(prog.Fset, diags)
 	diags = filterPatterns(prog, diags, fs.Args(), wd)
 
-	if *asJSON {
-		return emitJSON(prog, diags, wd)
-	}
 	for _, d := range diags {
 		pos := prog.Fset.Position(d.Pos)
 		rel := relPath(wd, pos.Filename)
@@ -152,42 +120,6 @@ func relPath(wd, file string) string {
 		return file
 	}
 	return rel
-}
-
-// jsonDiagnostic is the -json wire shape (stable: tooling parses it).
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// emitJSON prints findings as a JSON array (always an array, [] when
-// clean) and returns the exit code.
-func emitJSON(prog *analysis.Program, diags []analysis.Diagnostic, wd string) int {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		pos := prog.Fset.Position(d.Pos)
-		out = append(out, jsonDiagnostic{
-			File:     relPath(wd, pos.Filename),
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, "halint:", err)
-		return 2
-	}
-	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "halint: %d finding(s)\n", len(diags))
-		return 1
-	}
-	return 0
 }
 
 // githubEscape applies the workflow-command data escaping rules.
@@ -227,94 +159,4 @@ func filterPatterns(prog *analysis.Program, diags []analysis.Diagnostic, pattern
 		}
 	}
 	return out
-}
-
-// selfID hashes the running binary for the -V=full build ID.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		return "unknown"
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:16])
-}
-
-// vetConfig is the slice of the unitchecker .cfg file halint needs.
-type vetConfig struct {
-	ImportPath string
-	GoFiles    []string
-	VetxOutput string
-	VetxOnly   bool
-}
-
-// unitcheck implements the go vet -vettool protocol for the
-// syntax-level analyzers: one package's files, no cross-package types.
-func unitcheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "halint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "halint:", err)
-		return 1
-	}
-	// go vet requires the facts file to exist even though halint
-	// records no facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "halint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "halint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return 0
-	}
-	pkg := &analysis.Package{
-		Path:  cfg.ImportPath,
-		Name:  files[0].Name.Name,
-		Files: files,
-	}
-	prog := &analysis.Program{Fset: fset, Pkgs: []*analysis.Package{pkg}}
-
-	var diags []analysis.Diagnostic
-	for _, a := range registry.All() {
-		if a.NeedsTypes {
-			continue
-		}
-		ds, err := analysis.Run(prog, a)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "halint:", err)
-			return 1
-		}
-		diags = append(diags, ds...)
-	}
-	diags = append(diags, analysis.DirectiveDiagnostics(prog)...)
-	analysis.SortDiagnostics(fset, diags)
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

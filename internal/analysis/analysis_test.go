@@ -97,9 +97,6 @@ var b = 2
 
 //halint:allow lockedsend -- justified
 var c = 3
-
-//halint:blocking
-func d() {}
 `)
 	diags := analysis.DirectiveDiagnostics(prog)
 	if len(diags) != 2 {

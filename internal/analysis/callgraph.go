@@ -15,7 +15,7 @@ import (
 //
 //   - Static calls (package functions, concrete methods) produce one
 //     edge to the callee.
-//   - Interface method calls produce one Dynamic edge to every declared
+//   - Interface method calls produce one edge to every declared
 //     method in the program whose receiver type implements the
 //     interface (module-local implementations only — the stub stdlib
 //     has no method sets to dispatch into).
@@ -41,9 +41,6 @@ import (
 type CallEdge struct {
 	Callee *types.Func
 	Pos    token.Pos
-	// Dynamic marks interface-dispatch edges: the callee is one of
-	// possibly many implementations.
-	Dynamic bool
 	// Spawned marks calls performed on a freshly spawned goroutine.
 	Spawned bool
 	// Capture marks function/method values taken but not called here,
@@ -79,11 +76,6 @@ func (prog *Program) CallGraph() *CallGraph {
 	}
 	return prog.cg
 }
-
-// Node returns the graph node for a declared function, or nil for
-// functions without bodies in the program (stub stdlib, interface
-// methods).
-func (cg *CallGraph) Node(fn *types.Func) *FuncNode { return cg.nodes[fn] }
 
 // Funcs returns every declared function in deterministic order.
 func (cg *CallGraph) Funcs() []*FuncNode {
@@ -127,19 +119,6 @@ func (cg *CallGraph) CalleesAt(pkg *Package, call *ast.CallExpr) []*FuncNode {
 		return []*FuncNode{n}
 	}
 	return nil
-}
-
-// StaticCalleeAt returns the single statically-resolved callee node of
-// a call expression, or nil for dynamic dispatch (interface methods,
-// function values) and unresolved callees. Analyzers that must not
-// second-guess the composition root's choice of implementation
-// (nowalltime's boundary check) use this instead of CalleesAt.
-func (cg *CallGraph) StaticCalleeAt(pkg *Package, call *ast.CallExpr) *FuncNode {
-	fn := cg.ResolveCall(pkg, call)
-	if fn == nil || isInterfaceMethod(fn) {
-		return nil
-	}
-	return cg.nodes[fn]
 }
 
 // FuncName renders a compact human name: "core.applyBatch",
@@ -405,7 +384,7 @@ func (b *edgeScan) addEdges(fn *types.Func, pos token.Pos, ctx edgeCtx) {
 	if isInterfaceMethod(fn) {
 		for _, impl := range b.cg.implementations(fn) {
 			b.node.Edges = append(b.node.Edges, CallEdge{
-				Callee: impl, Pos: pos, Dynamic: true,
+				Callee: impl, Pos: pos,
 				Spawned: ctx.spawned, Capture: ctx.capture,
 			})
 		}

@@ -177,9 +177,9 @@ func caller(p *q) { p.push(2) }
 }
 
 // TestInterfaceDispatch: a call through an interface fans out to every
-// module-local implementation in CalleesAt, resolves to nothing in
-// StaticCalleeAt, and carries the blocking implementation's MayBlock
-// into the dispatching function's summary.
+// module-local implementation in CalleesAt and carries the blocking
+// implementation's MayBlock into the dispatching function's summary; a
+// concrete method call resolves to its one callee.
 func TestInterfaceDispatch(t *testing.T) {
 	prog := loadFixture(t, map[string]string{"i": `package i
 
@@ -208,9 +208,6 @@ func direct(b *blocking) { b.Put(2) }
 	if len(callees) != 2 {
 		t.Fatalf("CalleesAt(drive) = %v, want both Put implementations", names)
 	}
-	if cg.StaticCalleeAt(pkg, dyn) != nil {
-		t.Error("StaticCalleeAt on an interface call should be nil")
-	}
 	if sum := cg.Summary(nodeByName(t, cg, "i.drive")); sum == nil || !sum.MayBlock {
 		t.Error("i.drive: MayBlock = false, want true via the blocking implementation")
 	}
@@ -218,9 +215,5 @@ func direct(b *blocking) { b.Put(2) }
 	pkg, stat := callIn(t, prog, "i", "direct")
 	if got := cg.CalleesAt(pkg, stat); len(got) != 1 || cg.FuncName(got[0].Obj) != "i.blocking.Put" {
 		t.Errorf("CalleesAt(direct) resolved wrong: %+v", got)
-	}
-	sc := cg.StaticCalleeAt(pkg, stat)
-	if sc == nil || cg.FuncName(sc.Obj) != "i.blocking.Put" {
-		t.Errorf("StaticCalleeAt(direct) = %v, want i.blocking.Put", sc)
 	}
 }

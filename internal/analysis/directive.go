@@ -7,31 +7,21 @@ import (
 	"strings"
 )
 
-// Directive comments steer the analyzers:
+// The one directive comment:
 //
 //	//halint:allow <analyzer>[,<analyzer>] -- <justification>
 //	    suppresses the named analyzers (or "all") on this line and the
 //	    next; the justification after " -- " is mandatory.
-//	//halint:blocking
-//	    on a function declaration, marks calls to it as blocking for
-//	    the lockedsend analyzer.
-//	//halint:exhaustive <TypeName>
-//	    on the line above a switch statement, makes traceexhaustive
-//	    require a case for every constant of that type.
-//	//halint:metricexporter <pkg>
-//	    on a function declaration, marks it as the Prometheus exporter
-//	    for the named package's Fam* metric families; metricexported
-//	    requires it to reference every one.
 const directivePrefix = "//halint:"
 
 type directive struct {
-	kind string // "allow", "blocking", "exhaustive", ...
+	kind string // "allow"; anything else is reported as unknown
 	args string // text after the kind, before any " -- " justification
 	why  string // justification after " -- " (allow only)
 	line int
 	pos  token.Pos
 	// used is set when the directive suppresses at least one finding
-	// (or sanctions a summary/type-level site); the stale-allow audit
+	// (or sanctions a type-level site); the stale-allow audit
 	// reports allows that never fire, so suppressions rot loudly
 	// instead of silently outliving the code they excused.
 	used bool
@@ -118,7 +108,7 @@ func (prog *Program) allowedAt(pos token.Pos, analyzer string) bool {
 // StaleAllowDiagnostics reports every allow directive that suppressed
 // zero findings. Valid only after the full suite has run over the
 // program (a subset run would see unexercised allows as stale);
-// cmd/halint therefore skips it under -only and in vettool mode.
+// cmd/halint therefore skips it under -only.
 func StaleAllowDiagnostics(prog *Program) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range prog.Pkgs {
@@ -144,59 +134,29 @@ func StaleAllowDiagnostics(prog *Program) []Diagnostic {
 
 // DirectiveDiagnostics lints the directives themselves: an allow
 // without a justification defeats the audit trail the escape hatch
-// exists to keep, so it is a finding in its own right.
+// exists to keep, so it is a finding in its own right, and so is any
+// directive other than allow.
 func DirectiveDiagnostics(prog *Program) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range pkg.fileDirectives(prog.Fset, f) {
-				switch d.kind {
-				case "allow":
-					if d.why == "" {
-						diags = append(diags, Diagnostic{
-							Pos:      d.pos,
-							Analyzer: "halint",
-							Message:  `allow directive needs a justification: //halint:allow <analyzer> -- <why>`,
-						})
-					}
-				case "blocking", "exhaustive", "metricexporter":
-					// shape checked by their consumers
-				default:
+				switch {
+				case d.kind != "allow":
 					diags = append(diags, Diagnostic{
 						Pos:      d.pos,
 						Analyzer: "halint",
 						Message:  "unknown halint directive " + directivePrefix + d.kind,
+					})
+				case d.why == "":
+					diags = append(diags, Diagnostic{
+						Pos:      d.pos,
+						Analyzer: "halint",
+						Message:  `allow directive needs a justification: //halint:allow <analyzer> -- <why>`,
 					})
 				}
 			}
 		}
 	}
 	return diags
-}
-
-// FuncIsBlocking reports whether a function declaration carries the
-// //halint:blocking directive (checked against the doc comment's
-// lines).
-func FuncIsBlocking(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(c.Text, directivePrefix+"blocking") {
-			return true
-		}
-	}
-	return false
-}
-
-// ExhaustiveTypeAt returns the type name named by an
-// //halint:exhaustive directive on the given line or the line above,
-// or "".
-func (p *Package) ExhaustiveTypeAt(fset *token.FileSet, f *ast.File, line int) string {
-	for _, d := range p.fileDirectives(fset, f) {
-		if d.kind == "exhaustive" && (d.line == line || d.line == line-1) {
-			return d.args
-		}
-	}
-	return ""
 }

@@ -1,9 +1,8 @@
 // Package lockedsend flags blocking operations performed while a
 // sync.Mutex or sync.RWMutex is held: channel sends and receives,
-// selects without a default, sync WaitGroup/Cond Wait calls,
-// time.Sleep, and calls to functions marked `//halint:blocking`. A
-// goroutine that blocks while holding a lock turns every other
-// contender into a convoy — and, as the PR 2 rtnet race showed
+// selects without a default, sync WaitGroup/Cond Wait calls, and
+// time.Sleep. A goroutine that blocks while holding a lock turns every
+// other contender into a convoy — and, as the PR 2 rtnet race showed
 // (inflight.Add racing Close's Wait after an early RUnlock), the
 // lock/blocking-op interleavings are exactly where the real-time
 // transport's bugs live.
@@ -37,7 +36,6 @@ import (
 	"go/token"
 	"regexp"
 	"strings"
-	"sync"
 
 	"fragdb/internal/analysis"
 )
@@ -53,52 +51,12 @@ var Analyzer = &analysis.Analyzer{
 // run under the caller's mutex.
 var callerHoldsRE = regexp.MustCompile(`(?i)caller(s)? (must )?hold(s)? .{0,12}mu`)
 
-// blockingIndex caches, per Program, the functions marked
-// //halint:blocking: package-level functions by "pkgPath.Name" and
-// method names globally.
-type blockingIndex struct {
-	funcs   map[string]bool // "pkgPath.FuncName"
-	methods map[string]bool // bare method name
-}
-
-var (
-	indexMu sync.Mutex
-	indexes = map[*analysis.Program]*blockingIndex{}
-)
-
-func indexFor(prog *analysis.Program) *blockingIndex {
-	indexMu.Lock()
-	defer indexMu.Unlock()
-	if idx, ok := indexes[prog]; ok {
-		return idx
-	}
-	idx := &blockingIndex{funcs: map[string]bool{}, methods: map[string]bool{}}
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !analysis.FuncIsBlocking(fd) {
-					continue
-				}
-				if fd.Recv != nil {
-					idx.methods[fd.Name.Name] = true
-				} else {
-					idx.funcs[pkg.BasePath()+"."+fd.Name.Name] = true
-				}
-			}
-		}
-	}
-	indexes[prog] = idx
-	return idx
-}
-
 func run(pass *analysis.Pass) error {
-	idx := indexFor(pass.Prog)
 	for _, f := range pass.Pkg.Files {
 		imports := analysis.ImportNames(f)
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				w := &walker{pass: pass, idx: idx, imports: imports}
+				w := &walker{pass: pass, imports: imports}
 				w.checkFunc(fd)
 			}
 		}
@@ -120,7 +78,6 @@ func (s lockState) clone() lockState {
 
 type walker struct {
 	pass    *analysis.Pass
-	idx     *blockingIndex
 	imports map[string]string
 }
 
@@ -356,30 +313,20 @@ func (w *walker) scanFuncLits(call *ast.CallExpr, held lockState) {
 
 // blockingCall classifies calls that block the current goroutine.
 func (w *walker) blockingCall(call *ast.CallExpr) (string, bool) {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		name := fun.Sel.Name
-		if id, ok := fun.X.(*ast.Ident); ok {
-			if path, imported := w.imports[id.Name]; imported {
-				if path == "time" && name == "Sleep" {
-					return "time.Sleep", true
-				}
-				if w.idx.funcs[path+"."+name] {
-					return "call to blocking function " + id.Name + "." + name, true
-				}
-				return "", false
+	fun, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	if id, ok := fun.X.(*ast.Ident); ok {
+		if path, imported := w.imports[id.Name]; imported {
+			if path == "time" && fun.Sel.Name == "Sleep" {
+				return "time.Sleep", true
 			}
+			return "", false
 		}
-		if name == "Wait" && len(call.Args) == 0 {
-			return "Wait call", true
-		}
-		if w.idx.methods[name] {
-			return "call to blocking method " + name, true
-		}
-	case *ast.Ident:
-		if w.idx.funcs[w.pass.Pkg.BasePath()+"."+fun.Name] {
-			return "call to blocking function " + fun.Name, true
-		}
+	}
+	if fun.Sel.Name == "Wait" && len(call.Args) == 0 {
+		return "Wait call", true
 	}
 	return "", false
 }

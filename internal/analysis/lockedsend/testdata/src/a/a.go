@@ -89,18 +89,6 @@ func (n *node) relockLocked() {
 	n.ch <- 2 // want `channel send while holding n\.mu`
 }
 
-// fetch stands in for an RPC-ish helper marked blocking by hand.
-//
-//halint:blocking
-func fetch() {}
-
-func (n *node) callsBlocking() {
-	n.mu.Lock()
-	fetch() // want `call to blocking function fetch while holding n\.mu`
-	n.mu.Unlock()
-	fetch() // released: quiet
-}
-
 // sanctioned shows the escape hatch.
 func (n *node) sanctioned() {
 	n.mu.Lock()

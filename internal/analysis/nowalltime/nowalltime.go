@@ -14,7 +14,9 @@
 //   - any use of the process-global math/rand (or rand/v2) source —
 //     constructing seeded generators (rand.New, rand.NewSource, ...)
 //     and naming generator types (*rand.Rand) remain fine;
-//   - dot-imports of either package, which would defeat the check.
+//   - dot-imports of either package, which would defeat the check;
+//   - in non-test files, an import of an exempt package: calling into
+//     the wall-clock world is reading the wall clock one step removed.
 //
 // Exempt packages: internal/rtnet (the explicitly wall-clock
 // transport), internal/deploy (the wall-clock deployment harness), and
@@ -81,49 +83,29 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Pkg.Files {
+		if !strings.HasSuffix(pass.Pkg.Path, analysis.TestSuffix) {
+			checkImports(pass, f)
+		}
 		checkFile(pass, f)
-		checkTransitive(pass, f)
 	}
 	return nil
 }
 
-// checkTransitive flags calls that cross the determinism boundary: a
-// static call from this (deterministic) package to a function defined
-// in a wall-clock package (rtnet, deploy, cmd, examples) whose
-// call-graph summary reaches a clock or global-rand operation. Direct
-// uses inside deterministic packages self-report through checkFile, so
-// only the boundary crossing is flagged — with the call path to the
-// offending operation.
-//
-// Interface dispatch is deliberately excluded: a call through
-// netsim.Transport may land in rtnet under the deployment harness, but
-// which implementation is wired is the composition root's decision —
-// the deterministic caller is clean, and the root (deploy/cmd) is
-// already outside the contract. Only naming a wall-clock function
-// directly crosses the boundary in the source.
-func checkTransitive(pass *analysis.Pass, f *ast.File) {
-	if !pass.Pkg.Typed() {
-		return
+// checkImports flags an import of a wall-clock package (rtnet, deploy,
+// cmd, examples) from a deterministic package's non-test file. The
+// direction is one way: a deployed node's composition root wires the
+// deterministic engine to rtnet, never the reverse. Test files may
+// import across — a simulator test can drive a real transport.
+func checkImports(pass *analysis.Pass, f *ast.File) {
+	for _, imp := range f.Imports {
+		path, err := strconv.Unquote(imp.Path.Value)
+		if err != nil || Deterministic(path) {
+			continue
+		}
+		pass.Reportf(imp.Pos(),
+			"deterministic package %s imports wall-clock package %s: the composition root (deploy, cmd) wires the two together, never the engine (or justify with //halint:allow nowalltime -- <why>)",
+			pass.Pkg.BasePath(), path)
 	}
-	cg := pass.Prog.CallGraph()
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := cg.StaticCalleeAt(pass.Pkg, call)
-		if callee == nil || Deterministic(callee.Pkg.Path) {
-			return true // dynamic, unresolved, or flagged at its own direct use
-		}
-		sum := cg.Summary(callee)
-		if sum == nil || !sum.WallTime {
-			return true
-		}
-		pass.Reportf(call.Pos(),
-			"call into wall-clock package from deterministic package %s: %s (route time through simtime, or justify with //halint:allow nowalltime -- <why>)",
-			pass.Pkg.BasePath(), cg.WallPath(callee))
-		return true
-	})
 }
 
 func checkFile(pass *analysis.Pass, f *ast.File) {

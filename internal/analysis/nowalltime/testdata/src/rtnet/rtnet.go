@@ -9,13 +9,5 @@ func wall() time.Time {
 	return time.Now()
 }
 
-// Dial blocks on the real clock: the wall-clock helper a deterministic
-// package must not name.
+// Dial blocks on the real clock.
 func Dial() { time.Sleep(time.Millisecond) }
-
-// Clock ticks on the real clock; it exists so the core fixture can
-// dispatch to it through an interface.
-type Clock struct{}
-
-// Tick sleeps for real.
-func (Clock) Tick() { time.Sleep(time.Millisecond) }

@@ -8,9 +8,7 @@ import (
 	"fragdb/internal/analysis"
 	"fragdb/internal/analysis/lockedsend"
 	"fragdb/internal/analysis/mapdeterminism"
-	"fragdb/internal/analysis/metricexported"
 	"fragdb/internal/analysis/nowalltime"
-	"fragdb/internal/analysis/traceexhaustive"
 	"fragdb/internal/analysis/wireencodable"
 )
 
@@ -21,8 +19,6 @@ func All() []*analysis.Analyzer {
 		lockedsend.Analyzer,
 		mapdeterminism.Analyzer,
 		wireencodable.Analyzer,
-		traceexhaustive.Analyzer,
-		metricexported.Analyzer,
 	}
 }
 

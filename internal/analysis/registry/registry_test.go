@@ -11,8 +11,8 @@ import (
 // TestAll pins the suite roster.
 func TestAll(t *testing.T) {
 	all := registry.All()
-	if len(all) != 6 {
-		t.Fatalf("suite has %d analyzers, want 6", len(all))
+	if len(all) != 4 {
+		t.Fatalf("suite has %d analyzers, want 4", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -10,29 +10,20 @@ import (
 )
 
 // Per-function summaries, computed over the call graph to a fixed
-// point. Each bit answers one whole-program question the analyzers
-// need:
+// point. Each bit answers one whole-program question an analyzer
+// needs:
 //
 //	MayBlock   — can calling this function block the calling goroutine
-//	             (channel ops, select without default, Wait, time.Sleep,
-//	             //halint:blocking) before it returns? Spawned calls and
-//	             captured function values do not count: starting a
-//	             goroutine or taking a method value never blocks.
-//	WallTime   — does this function (or anything it calls, on any
-//	             goroutine) read the wall clock or the global math/rand?
-//	             Direct uses carrying //halint:allow nowalltime are
-//	             sanctioned adapters and do not set the bit.
+//	             (channel ops, select without default, Wait, time.Sleep)
+//	             before it returns? Spawned calls and captured function
+//	             values do not count: starting a goroutine or taking a
+//	             method value never blocks. Read by lockedsend.
 //	Sinks      — which decision sinks does the function reach: a wire or
 //	             channel send, a trace emit, a codec/output encode, or a
 //	             move-protocol (controller decision) call? Capture edges
 //	             count: registering an order-sensitive callback leaks
-//	             ordering just as surely as calling it.
-//	AcquiresLock — does the function body itself take a mutex
-//	             (x.Lock()/x.RLock())? Direct, not propagated: callers
-//	             care whether a callee grabs locks of its own.
-//	MapRange   — does the function (transitively) iterate a map with
-//	             range? Informational; mapdeterminism reports at the
-//	             range site itself.
+//	             ordering just as surely as calling it. Read by
+//	             mapdeterminism.
 //
 // Every positive bit carries a witness chain for diagnostics: the
 // direct operation's position and kind, or the callee through which
@@ -82,15 +73,10 @@ type witness struct {
 
 // Summary is one function's fixed-point facts.
 type Summary struct {
-	MayBlock     bool
-	WallTime     bool
-	AcquiresLock bool
-	MapRange     bool
-	Sinks        [NumSinks]bool
+	MayBlock bool
+	Sinks    [NumSinks]bool
 
 	blockW witness
-	wallW  witness
-	mapW   witness
 	sinkW  [NumSinks]witness
 }
 
@@ -106,19 +92,11 @@ func (cg *CallGraph) Summary(fn *FuncNode) *Summary {
 	return fn.summary
 }
 
-// SummaryOf is Summary keyed by the types object.
-func (cg *CallGraph) SummaryOf(fn *FuncNode) *Summary { return cg.Summary(fn) }
-
 // directOps extracts one function's direct facts into its summary.
 func (cg *CallGraph) directOps(n *FuncNode) {
 	s := &Summary{}
 	n.summary = s
-	if FuncIsBlocking(n.Decl) {
-		s.MayBlock = true
-		s.blockW = witness{pos: n.Decl.Pos(), desc: "//halint:blocking directive"}
-	}
-	imports := ImportNames(n.File)
-	d := &directScan{cg: cg, node: n, sum: s, imports: imports}
+	d := &directScan{cg: cg, node: n, sum: s, imports: ImportNames(n.File)}
 	d.stmts(n.Decl.Body.List, edgeCtx{})
 }
 
@@ -193,12 +171,6 @@ func (d *directScan) stmt(s ast.Stmt, ctx edgeCtx) {
 		d.stmt(s.Post, ctx)
 		d.stmts(s.Body.List, ctx)
 	case *ast.RangeStmt:
-		if d.isMapRange(s) {
-			d.sum.MapRange = true
-			if d.sum.mapW.desc == "" {
-				d.sum.mapW = witness{pos: s.For, desc: "range over map"}
-			}
-		}
 		d.expr(s.X, ctx)
 		d.stmts(s.Body.List, ctx)
 	case *ast.SwitchStmt:
@@ -301,58 +273,32 @@ func (d *directScan) callAndArgs(call *ast.CallExpr, ctx edgeCtx) {
 	}
 }
 
-// classifyCall records direct lock, blocking, wall-time, and sink facts
-// of one call.
+// classifyCall records the direct blocking and sink facts of one call.
 func (d *directScan) classifyCall(call *ast.CallExpr, ctx edgeCtx) {
-	info := d.node.Pkg.Info
-	fn := calleeOf(info, call)
-
-	// Lock acquisition (syntactic, matching lockedsend's model).
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && len(call.Args) == 0 {
-		switch sel.Sel.Name {
-		case "Lock", "RLock":
-			if !ctx.capture {
-				d.sum.AcquiresLock = true
-			}
-		}
-	}
-
 	// Sink classification, shared with mapdeterminism's direct check.
-	if k, desc, ok := classifySink(d.cg, fn, d.imports, call); ok {
+	if k, desc, ok := classifySink(d.cg, calleeOf(d.node.Pkg.Info, call), d.imports, call); ok {
 		d.sink(k, call.Pos(), desc)
 	}
 
-	// Syntactic classification through import names: stub stdlib
-	// callees never resolve, so time and math/rand are matched by the
-	// file's import table, exactly like the intraprocedural analyzers.
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-		name := sel.Sel.Name
-		if id, ok := sel.X.(*ast.Ident); ok {
-			if path, imported := d.imports[id.Name]; imported {
-				switch {
-				case path == "time" && name == "Sleep":
-					d.block(call.Pos(), "time.Sleep", ctx)
-					d.wall(call.Pos(), "time.Sleep")
-				case path == "time" && BannedTime[name]:
-					d.wall(call.Pos(), "time."+name)
-				case (path == "math/rand" || path == "math/rand/v2") && !AllowedRand[name]:
-					d.wall(call.Pos(), id.Name+"."+name)
-				}
-				return
+	// Syntactic classification: stub stdlib callees never resolve, so
+	// time.Sleep is matched through the file's import table, and any
+	// other package-qualified call is not a direct blocking op.
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	if id, ok := sel.X.(*ast.Ident); ok {
+		if path, imported := d.imports[id.Name]; imported {
+			if path == "time" && sel.Sel.Name == "Sleep" {
+				d.block(call.Pos(), "time.Sleep", ctx)
 			}
-		}
-		// Unqualified method calls: the Wait-call heuristic (WaitGroup,
-		// Cond, Inflight counters) and //halint:blocking methods.
-		if name == "Wait" && len(call.Args) == 0 {
-			d.block(call.Pos(), "Wait call", ctx)
+			return
 		}
 	}
-	if fn != nil {
-		if n := d.cg.nodes[fn]; n != nil && FuncIsBlocking(n.Decl) {
-			// Recorded transitively too, but a direct witness reads
-			// better than a one-hop chain.
-			d.block(call.Pos(), "call to blocking function "+d.cg.FuncName(fn), ctx)
-		}
+	// Unqualified method calls: the Wait-call heuristic (WaitGroup,
+	// Cond, Inflight counters).
+	if sel.Sel.Name == "Wait" && len(call.Args) == 0 {
+		d.block(call.Pos(), "Wait call", ctx)
 	}
 }
 
@@ -435,20 +381,6 @@ func (d *directScan) block(pos token.Pos, desc string, ctx edgeCtx) {
 	}
 }
 
-// wall records a direct wall-time/global-rand op unless sanctioned by
-// an allow directive (a test's deadlock watchdog). Spawned and
-// captured contexts still count: handing out a clock-reading callback
-// is the leak.
-func (d *directScan) wall(pos token.Pos, desc string) {
-	if d.cg.prog.allowedAt(pos, "nowalltime") {
-		return
-	}
-	if !d.sum.WallTime {
-		d.sum.WallTime = true
-		d.sum.wallW = witness{pos: pos, desc: desc}
-	}
-}
-
 // sink records a direct sink op; all contexts count (ordering leaks
 // through spawned goroutines and registered callbacks alike).
 func (d *directScan) sink(k Sink, pos token.Pos, desc string) {
@@ -456,20 +388,6 @@ func (d *directScan) sink(k Sink, pos token.Pos, desc string) {
 		d.sum.Sinks[k] = true
 		d.sum.sinkW[k] = witness{pos: pos, desc: desc}
 	}
-}
-
-// isMapRange reports whether a range statement iterates a map.
-func (d *directScan) isMapRange(s *ast.RangeStmt) bool {
-	info := d.node.Pkg.Info
-	if info == nil {
-		return false
-	}
-	tv, ok := info.Types[s.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, isMap := tv.Type.Underlying().(*types.Map)
-	return isMap
 }
 
 // summarize computes every function's direct facts, then propagates
@@ -496,16 +414,6 @@ func (cg *CallGraph) summarize() {
 					s.blockW = witness{pos: e.Pos, via: cn}
 					changed = true
 				}
-				if !s.WallTime && cs.WallTime && !e.Capture {
-					s.WallTime = true
-					s.wallW = witness{pos: e.Pos, via: cn}
-					changed = true
-				}
-				if !s.MapRange && cs.MapRange {
-					s.MapRange = true
-					s.mapW = witness{pos: e.Pos, via: cn}
-					changed = true
-				}
 				for k := 0; k < NumSinks; k++ {
 					if !s.Sinks[k] && cs.Sinks[k] {
 						s.Sinks[k] = true
@@ -518,42 +426,10 @@ func (cg *CallGraph) summarize() {
 	}
 }
 
-// Origin follows a witness chain to the function holding the direct
-// operation. kind selects the chain: "block", "wall", or a Sink.
-func (cg *CallGraph) wallOrigin(n *FuncNode) *FuncNode {
-	seen := map[*FuncNode]bool{}
-	for n != nil && !seen[n] {
-		seen[n] = true
-		if n.summary == nil || n.summary.wallW.via == nil {
-			return n
-		}
-		n = n.summary.wallW.via
-	}
-	return n
-}
-
-// WallTimeOriginPkg returns the import path of the package holding the
-// wall-time operation a function's WallTime bit traces back to ("" when
-// the bit is unset).
-func (cg *CallGraph) WallTimeOriginPkg(n *FuncNode) string {
-	if n == nil || n.summary == nil || !n.summary.WallTime {
-		return ""
-	}
-	if o := cg.wallOrigin(n); o != nil {
-		return o.Pkg.BasePath()
-	}
-	return ""
-}
-
 // BlockPath renders the call chain behind a function's MayBlock bit:
 // "core.flush → broadcast.Broadcaster.Send → channel send (broadcast.go:471)".
 func (cg *CallGraph) BlockPath(n *FuncNode) string {
 	return cg.path(n, func(s *Summary) witness { return s.blockW })
-}
-
-// WallPath renders the chain behind WallTime.
-func (cg *CallGraph) WallPath(n *FuncNode) string {
-	return cg.path(n, func(s *Summary) witness { return s.wallW })
 }
 
 // SinkPath renders the chain behind one sink bit.
@@ -586,21 +462,4 @@ func (cg *CallGraph) path(n *FuncNode, pick func(*Summary) witness) string {
 func (cg *CallGraph) shortPos(pos token.Pos) string {
 	p := cg.prog.Fset.Position(pos)
 	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
-}
-
-// BannedTime lists the package time functions that read or wait on the
-// real clock (shared with the nowalltime analyzer).
-var BannedTime = map[string]bool{
-	"Now": true, "Sleep": true, "After": true, "AfterFunc": true,
-	"Tick": true, "NewTicker": true, "NewTimer": true,
-	"Since": true, "Until": true,
-}
-
-// AllowedRand lists the math/rand selectors that do NOT touch the
-// global source (shared with the nowalltime analyzer).
-var AllowedRand = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-	"NewPCG": true, "NewChaCha8": true,
-	"Rand": true, "Source": true, "Source64": true,
-	"Zipf": true, "PCG": true, "ChaCha8": true,
 }

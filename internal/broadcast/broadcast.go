@@ -162,12 +162,13 @@ const (
 	// DefaultBatchMaxBytes flushes a pending push batch once its
 	// payloads measure this many encoded bytes (per Config.SizeOf).
 	DefaultBatchMaxBytes = 16 << 10
-	// DefaultFullDigestRounds is the delta-digest resync cadence: every
-	// this-many gossip rounds the full prefix vector is sent instead of
-	// the delta, bounding how long a peer with lost or stale state can
-	// misjudge this node's streams.
-	DefaultFullDigestRounds = 4
 )
+
+// fullDigestRounds is the delta-digest resync cadence: every this-many
+// gossip rounds the full prefix vector is sent instead of the delta,
+// bounding how long a peer with lost or stale state can misjudge this
+// node's streams.
+const fullDigestRounds = 4
 
 // repairWindow caps the payload bytes (measured with Config.SizeOf) that
 // one digest's repair ships, summed over streams. It keeps every range
@@ -197,9 +198,6 @@ type Config struct {
 	// flush threshold, measured with SizeOf; negative or nil SizeOf
 	// disables the byte trigger).
 	BatchMaxBytes int
-	// FullDigestRounds overrides DefaultFullDigestRounds (values <= 1
-	// send a full digest every round, disabling deltas).
-	FullDigestRounds int
 	// Compaction enables acked-prefix log truncation and snapshot
 	// catch-up. Without it, every stream is retained in full.
 	Compaction bool
@@ -276,16 +274,6 @@ func (c Config) batchMaxBytes() int {
 	default:
 		return DefaultBatchMaxBytes
 	}
-}
-
-func (c Config) fullDigestRounds() uint64 {
-	if c.FullDigestRounds > 1 {
-		return uint64(c.FullDigestRounds)
-	}
-	if c.FullDigestRounds != 0 {
-		return 1 // full digest every round
-	}
-	return DefaultFullDigestRounds
 }
 
 // stream is one origin's log as retained locally: entries[i] carries
@@ -721,7 +709,7 @@ func (b *Broadcaster) gossipLocked() {
 	// the liveness heartbeat for the compaction watermark). The full
 	// vector is built once and shared across peers — in-flight messages
 	// alias it, so it is never mutated after this round.
-	full := b.round%b.cfg.fullDigestRounds() == 0
+	full := b.round%fullDigestRounds == 0
 	var fullHave map[netsim.NodeID]uint64
 	for p := 0; p < b.tr.N(); p++ {
 		id := netsim.NodeID(p)

@@ -105,14 +105,6 @@ type Config struct {
 	Option ControlOption
 	// Seed seeds the deterministic scheduler.
 	Seed int64
-	// NetLatency overrides the network latency model (default: fixed 10ms).
-	NetLatency netsim.LatencyFunc
-	// OpLatency is the virtual time consumed by each transaction
-	// operation (read, write). Default 1ms on the simulated network,
-	// where nonzero values let local transactions interleave with
-	// quasi-transaction installation. Over a real Transport zero means
-	// zero: an operation costs the work it does.
-	OpLatency simtime.Duration
 	// GossipInterval is the broadcast anti-entropy period. Default 50ms.
 	GossipInterval simtime.Duration
 	// TxnTimeout aborts transactions blocked longer than this. Default 5s.
@@ -130,9 +122,6 @@ type Config struct {
 	// timeouts, to keep the 2PC in-doubt window from causing false
 	// aborts.
 	MultiLease simtime.Duration
-	// Topology restricts the network to the given undirected links
-	// (default: full mesh).
-	Topology [][2]netsim.NodeID
 	// LossProb makes every link drop messages independently with this
 	// probability; the broadcast layer's anti-entropy recovers. Direct
 	// request/reply protocols (remote locks, 2PC, majority acks) see
@@ -166,8 +155,8 @@ type Config struct {
 	TraceCap int
 	// Transport, when non-nil, replaces the built-in simulated network:
 	// messages travel over it (e.g. rtnet.TCP in a real deployment)
-	// instead of netsim. Its N must equal Config.N. NetLatency,
-	// Topology, and LossProb are then ignored and Net() returns nil —
+	// instead of netsim. Its N must equal Config.N. LossProb is then
+	// ignored and Net() returns nil —
 	// faults come from the real network or the transport's own levers.
 	Transport netsim.Transport
 	// SingleNode builds only LocalNode's engine in this process; the
@@ -180,10 +169,13 @@ type Config struct {
 	LocalNode netsim.NodeID
 }
 
+// simOpLatency is the virtual time each transaction operation (read,
+// write) consumes on the simulated network, where it lets local
+// transactions interleave with quasi-transaction installation. Over a
+// real Transport an operation costs the work it does and no more.
+const simOpLatency = time.Millisecond
+
 func (c *Config) fillDefaults() {
-	if c.OpLatency == 0 && c.Transport == nil {
-		c.OpLatency = time.Millisecond
-	}
 	if c.GossipInterval == 0 {
 		c.GossipInterval = 50 * time.Millisecond
 	}
@@ -232,8 +224,9 @@ type Cluster struct {
 	reg   *metrics.Registry
 	nodes []*Node
 
-	// tracers holds one flight recorder per node when Config.TraceCap is
-	// positive; all nil entries otherwise (a nil Recorder is inert).
+	// tracers holds a flight recorder for each node this process runs,
+	// built with the node, when Config.TraceCap is positive; every other
+	// entry is nil (a nil Recorder is inert).
 	tracers []*trace.Recorder
 
 	// onRecovered, if set, is invoked at a moved agent's new home node
@@ -274,6 +267,10 @@ type Cluster struct {
 	// move between nodes with no preparatory protocol at all.
 	commutative map[fragments.FragmentID]bool
 
+	// opLatency is simOpLatency on the simulated network, zero over an
+	// injected Transport.
+	opLatency simtime.Duration
+
 	started bool
 }
 
@@ -309,17 +306,12 @@ func NewCluster(cfg Config) *Cluster {
 		// (analytic for the hot types, memoized rejection for the
 		// simulation-internal ones), so every cluster meters wire bytes.
 		opts := []netsim.Option{netsim.WithSizeFunc(wire.Size)}
-		if cfg.NetLatency != nil {
-			opts = append(opts, netsim.WithLatency(cfg.NetLatency))
-		}
-		if cfg.Topology != nil {
-			opts = append(opts, netsim.WithTopology(cfg.Topology))
-		}
 		if cfg.LossProb > 0 {
 			opts = append(opts, netsim.WithLoss(cfg.LossProb))
 		}
 		cl.net = netsim.New(cl.sched, cfg.N, opts...)
 		cl.tr = cl.net
+		cl.opLatency = simOpLatency
 	}
 	cl.rag = fragments.NewReadAccessGraph(cl.cat)
 	if !cfg.SingleNode {
@@ -328,11 +320,6 @@ func NewCluster(cfg Config) *Cluster {
 		cl.rec = history.NewRecorder(cl.cat)
 	}
 	cl.tracers = make([]*trace.Recorder, cfg.N)
-	if cfg.TraceCap > 0 {
-		for i := range cl.tracers {
-			cl.tracers[i] = trace.NewRecorder(netsim.NodeID(i), cfg.TraceCap, cl.sched.Now)
-		}
-	}
 	return cl
 }
 
@@ -360,7 +347,8 @@ func (cl *Cluster) BroadcastStats() *metrics.Broadcast { return cl.bstats }
 func (cl *Cluster) Registry() *metrics.Registry { return cl.reg }
 
 // Trace returns node i's flight recorder — nil (a valid, inert
-// recorder) when tracing is disabled.
+// recorder) when tracing is disabled, before Start, and for a node this
+// process does not run.
 func (cl *Cluster) Trace(i netsim.NodeID) *trace.Recorder { return cl.tracers[i] }
 
 // TraceDump renders the trailing tail events of every node's flight

@@ -227,7 +227,7 @@ func (n *Node) finishRead(t *activeTxn, req request) {
 	if f, ok := n.cl.cat.FragmentOf(req.obj); ok {
 		n.cl.reg.IncRead(f, n.origin(t.spec))
 	}
-	n.cl.sched.After(n.cl.cfg.OpLatency, func() {
+	n.cl.sched.After(n.cl.opLatency, func() {
 		if t.finished {
 			t.respCh <- response{err: causeOf(t)}
 			n.serve(t)
@@ -292,7 +292,7 @@ func (n *Node) finishWrite(t *activeTxn, req request) {
 		f = ff
 	}
 	n.cl.reg.IncWrite(f, n.origin(t.spec))
-	n.cl.sched.After(n.cl.cfg.OpLatency, func() {
+	n.cl.sched.After(n.cl.opLatency, func() {
 		if t.finished {
 			t.respCh <- response{err: causeOf(t)}
 			n.serve(t)

@@ -258,11 +258,14 @@ func newNode(cl *Cluster, id netsim.NodeID) *Node {
 	if cl.cfg.SingleNode && !cl.cfg.Compaction {
 		newStore = storage.NewUnlogged
 	}
+	if cl.cfg.TraceCap > 0 {
+		cl.tracers[id] = trace.NewRecorder(id, cl.cfg.TraceCap, cl.sched.Now)
+	}
 	n := &Node{
 		id:           id,
 		cl:           cl,
 		store:        newStore(id, cl.cat),
-		tr:           cl.Trace(id),
+		tr:           cl.tracers[id],
 		active:       make(map[txn.ID]*activeTxn),
 		streams:      make(map[fragments.FragmentID]*streamState),
 		remoteHeld:   make(map[txn.ID]*remoteHolder),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -36,35 +37,43 @@ func (o *orderNet) Send(from, to netsim.NodeID, payload any) {
 // resolution that precedes it must iterate fragments in ID order:
 // ranging over the parts/homes maps let the wire order — and with it
 // the whole downstream delivery schedule — vary between identical
-// seeded runs. Found by halint's mapdeterminism analyzer; the loop is
-// repeated because the map-order bug this guards against only
-// manifests probabilistically per run.
+// seeded runs. Found by halint's mapdeterminism analyzer. The map-order
+// bug this guards against shows only with some probability per map
+// walk, so the transaction writes more fragments than a small map
+// holds (Go iterates a small map's slots in order from a random start,
+// which leaves a short key list sorted most of the time) and runs
+// several rounds.
 func TestMultiFragment2PCMessagesLeaveInFragmentOrder(t *testing.T) {
+	const frags = 10
+	var objs []fragments.ObjectID
+	for i := 0; i < frags; i++ {
+		objs = append(objs, fragments.ObjectID(fmt.Sprintf("o%02d", i)))
+	}
 	for round := 0; round < 4; round++ {
 		tr := &orderNet{n: 4, handlers: make([]netsim.Handler, 4)}
 		cl := NewCluster(Config{N: 4, Option: UnrestrictedReads, Seed: 23, Transport: tr})
 		tr.sched = cl.Sched()
-		cl.Catalog().AddFragment("FA", "a")
-		cl.Catalog().AddFragment("FB", "b")
-		cl.Catalog().AddFragment("FC", "c")
-		cl.Tokens().Assign("FA", "node:0", 0)
-		cl.Tokens().Assign("FB", "node:1", 1)
-		cl.Tokens().Assign("FC", "node:2", 2)
+		for i, o := range objs {
+			f := fragments.FragmentID(fmt.Sprintf("F%02d", i))
+			home := netsim.NodeID(i % 3)
+			cl.Catalog().AddFragment(f, o)
+			cl.Tokens().Assign(f, fragments.AgentID(fmt.Sprintf("agent:%d", i)), home)
+		}
 		if err := cl.Start(); err != nil {
 			t.Fatal(err)
 		}
-		cl.Load("a", int64(0))
-		cl.Load("b", int64(0))
-		cl.Load("c", int64(0))
+		for _, o := range objs {
+			cl.Load(o, int64(0))
+		}
 
 		// Coordinate at node 3, which homes none of the written
 		// fragments — a written fragment homed at the coordinator would
 		// contend with the coordinator's own workspace locks.
 		var res TxnResult
 		cl.Node(3).SubmitMulti(TxnSpec{
-			Label: "threeway",
+			Label: "fan-out",
 			Program: func(tx *Tx) error {
-				for _, o := range []fragments.ObjectID{"a", "b", "c"} {
+				for _, o := range objs {
 					if err := tx.Write(o, int64(1)); err != nil {
 						return err
 					}
@@ -89,7 +98,7 @@ func TestMultiFragment2PCMessagesLeaveInFragmentOrder(t *testing.T) {
 				commits = append(commits, string(msg.Fragment))
 			}
 		}
-		if len(prepares) != 3 || len(commits) < 2 {
+		if len(prepares) != frags || len(commits) != frags {
 			t.Fatalf("round %d: unexpected 2PC traffic: prepares=%v commits=%v", round, prepares, commits)
 		}
 		if !sort.StringsAreSorted(prepares) {

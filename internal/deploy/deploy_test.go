@@ -558,3 +558,24 @@ func TestDeployedNodeRetainsOnlyItsData(t *testing.T) {
 		}
 	}
 }
+
+// TestDeployedNodeTracesOnlyItself: a deployed process runs one engine,
+// so it keeps one flight-recorder ring — its own. The peers' entries
+// are nil rather than rings nothing in this process writes.
+func TestDeployedNodeTracesOnlyItself(t *testing.T) {
+	nodes, _ := tcpCluster(t, 3, "read-locks", nil)
+	for i, nd := range nodes {
+		tracers := nd.DebugVars().Tracers
+		if len(tracers) != len(nodes) {
+			t.Fatalf("node %d: %d tracer slots, want one per cluster member (%d)", i, len(tracers), len(nodes))
+		}
+		for j, tr := range tracers {
+			if got, want := tr.Enabled(), j == i; got != want {
+				t.Errorf("node %d: recorder for node %d enabled = %v, want %v", i, j, got, want)
+			}
+		}
+		if tr := tracers[i]; tr.Node() != netsim.NodeID(i) {
+			t.Errorf("node %d: local recorder is labeled node %d", i, tr.Node())
+		}
+	}
+}

@@ -22,10 +22,6 @@ type PlacementConfig struct {
 	// homed fragments (updates execute at the home, labeled with their
 	// origin).
 	MetricsAddrs []string
-	// Controller tunes the decision policy. CommutativeOnly is forced
-	// on: a deployed node moves agents with the broadcast token
-	// handoff, which is only safe for fully commutative fragments.
-	Controller placement.Config
 }
 
 // Placement is a running adaptive placement loop on one deployed node.
@@ -50,13 +46,12 @@ func (n *Node) StartPlacement(cfg PlacementConfig) *Placement {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
 	}
-	cfg.Controller.CommutativeOnly = true
-	if cfg.Controller.Interval <= 0 {
-		cfg.Controller.Interval = cfg.Interval
-	}
 	p := &Placement{
-		node:   n,
-		ctrl:   placement.NewController(cfg.Controller),
+		node: n,
+		// CommutativeOnly: a deployed node moves agents with the
+		// broadcast token handoff, which is only safe for fully
+		// commutative fragments.
+		ctrl:   placement.NewController(placement.Config{Interval: cfg.Interval, CommutativeOnly: true}),
 		src:    placement.NewScrapeSource(),
 		cfg:    cfg,
 		client: &http.Client{Timeout: 2 * time.Second},

@@ -11,10 +11,9 @@ import (
 )
 
 // Metric family names exported beside the labeled Registry. The Prometheus
-// exporter (rtnet.writeRegistry) must render every one of these — the
-// halint metricexported analyzer machine-checks that a function marked
-// `//halint:metricexporter metrics` references each Fam* constant, so
-// adding a family here without teaching the exporter about it fails CI.
+// exporter (rtnet.writeRegistry) must render every one of these:
+// rtnet's TestEveryFamilyRendered reads this file's Fam* constants and
+// fails on a family /metrics does not declare.
 const (
 	// FamFragReads / FamFragWrites count declared read and write
 	// accesses per (fragment, origin node) at the home node — the

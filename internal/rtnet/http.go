@@ -113,11 +113,7 @@ func writePrometheus(w http.ResponseWriter, v DebugVars) {
 // writeRegistry renders the metric families the metrics package
 // declares: the lock-table depth gauge, the transport's dropped sends
 // and the labeled registry's vectors. Every Fam* family must be
-// rendered here — the declaration below lets halint's metricexported
-// analyzer verify that this function references each family-name
-// constant.
-//
-//halint:metricexporter metrics
+// rendered here; TestEveryFamilyRendered fails on one that is not.
 func writeRegistry(w http.ResponseWriter, v DebugVars) {
 	if v.LockTableEntries != nil {
 		fmt.Fprintf(w, "# HELP fragdb_%s Objects with a lock entry (held or awaited) in the lock table.\n# TYPE fragdb_%s gauge\nfragdb_%s %d\n",

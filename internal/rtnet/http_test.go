@@ -3,8 +3,13 @@ package rtnet
 import (
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http/httptest"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -144,6 +149,58 @@ func TestRegistryMetricsEndpoint(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("full body:\n%s", body)
+	}
+}
+
+// TestEveryFamilyRendered holds the exporter to the metrics package's
+// family list: it reads every Fam* constant out of internal/metrics'
+// source, so a family added there and never rendered here fails, and
+// requires /metrics — with every DebugVars field set and a sample in
+// every registry vector — to declare each one.
+func TestEveryFamilyRendered(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "metrics", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var fams []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, id := range vs.Names {
+					if !strings.HasPrefix(id.Name, "Fam") || i >= len(vs.Values) {
+						continue
+					}
+					lit, ok := vs.Values[i].(*ast.BasicLit)
+					if !ok || lit.Kind != token.STRING {
+						t.Fatalf("%s: family constant %s is not a string literal", fset.Position(id.Pos()), id.Name)
+					}
+					fam, _ := strconv.Unquote(lit.Value)
+					fams = append(fams, fam)
+				}
+			}
+		}
+	}
+	if len(fams) == 0 {
+		t.Fatal("no Fam* constants found in internal/metrics")
+	}
+	_, body := get(t, "/metrics")
+	for _, fam := range fams {
+		if !strings.Contains(body, "# TYPE fragdb_"+fam+" ") {
+			t.Errorf("/metrics declares no family fragdb_%s", fam)
+		}
 	}
 }
 

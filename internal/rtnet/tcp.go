@@ -60,11 +60,6 @@ type TCPConfig struct {
 	// exchange the resulting addresses.
 	Listener net.Listener
 
-	// MaxFrame caps the declared length of inbound frames (default
-	// wire.MaxFrameDefault). Larger declarations kill the connection
-	// before any allocation.
-	MaxFrame int
-
 	// WriteQueue bounds the per-peer outbound data queue (default 1024),
 	// which carries the broadcast's own messages (broadcast.Resendable).
 	// When a peer is down or slow it fills and further data sends are
@@ -178,9 +173,6 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	}
 	if int(cfg.Local) < 0 || int(cfg.Local) >= n {
 		return nil, fmt.Errorf("rtnet: local node %d outside cluster of %d", cfg.Local, n)
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = wire.MaxFrameDefault
 	}
 	if cfg.WriteQueue <= 0 {
 		cfg.WriteQueue = 1024
@@ -535,7 +527,9 @@ func (t *TCP) readLoop(conn net.Conn) {
 	}
 	from := netsim.NodeID(id)
 	for {
-		frame, err := wire.ReadFrame(br, t.cfg.MaxFrame)
+		// A declared length over wire.MaxFrameDefault kills the
+		// connection before any allocation.
+		frame, err := wire.ReadFrame(br, wire.MaxFrameDefault)
 		if err != nil {
 			if err != io.EOF {
 				t.stats.ConnErrors.Add(1)
