@@ -102,61 +102,53 @@ func BenchmarkTxnThroughput(b *testing.B) {
 
 // BenchmarkQuasiPropagation measures the full commit-and-replicate path
 // for clusters of increasing size: a burst of updates committed
-// back-to-back, all replicas installed. The batching axis toggles the
-// push coalescer; "msgs-per-quasi" is the network messages the burst
-// cost divided by its size — the amortization the batch layer buys.
+// back-to-back, all replicas installed. "msgs-per-quasi" is the network
+// messages the burst cost divided by its size.
 func BenchmarkQuasiPropagation(b *testing.B) {
 	const burst = 16
-	for _, batching := range []bool{false, true} {
-		for _, n := range []int{3, 5, 9, 17} {
-			b.Run(fmt.Sprintf("batching=%v/nodes=%d", batching, n), func(b *testing.B) {
-				b.ReportAllocs()
-				cfg := fragdb.Config{N: n, Option: fragdb.UnrestrictedReads, Seed: 1}
-				if batching {
-					cfg.BatchFlushDelay = 5 * time.Millisecond
-					cfg.BatchMaxCount = burst
+	for _, n := range []int{3, 5, 9, 17} {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			cl := fragdb.NewCluster(fragdb.Config{N: n, Option: fragdb.UnrestrictedReads, Seed: 1})
+			// Distinct objects so the burst commits concurrently instead
+			// of deadlocking on one record.
+			objs := make([]fragdb.ObjectID, burst)
+			for j := range objs {
+				objs[j] = fragdb.ObjectID(fmt.Sprintf("x%d", j))
+			}
+			cl.Catalog().AddFragment("F", objs...)
+			cl.Tokens().Assign("F", fragdb.NodeAgent(0), 0)
+			if err := cl.Start(); err != nil {
+				b.Fatal(err)
+			}
+			for _, o := range objs {
+				cl.Load(o, int64(0))
+			}
+			defer cl.Shutdown()
+			var msgs float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				before := cl.Net().Stats().Sent
+				for j := 0; j < burst; j++ {
+					obj := objs[j]
+					cl.Node(0).Submit(fragdb.TxnSpec{
+						Agent: fragdb.NodeAgent(0), Fragment: "F",
+						Program: func(tx *fragdb.Tx) error {
+							v, err := tx.ReadInt(obj)
+							if err != nil {
+								return err
+							}
+							return tx.Write(obj, v+1)
+						},
+					}, nil)
 				}
-				cl := fragdb.NewCluster(cfg)
-				// Distinct objects so the burst commits concurrently instead
-				// of deadlocking on one record.
-				objs := make([]fragdb.ObjectID, burst)
-				for j := range objs {
-					objs[j] = fragdb.ObjectID(fmt.Sprintf("x%d", j))
+				if !cl.Settle(time.Minute) { // commit + full propagation
+					b.Fatal("did not converge")
 				}
-				cl.Catalog().AddFragment("F", objs...)
-				cl.Tokens().Assign("F", fragdb.NodeAgent(0), 0)
-				if err := cl.Start(); err != nil {
-					b.Fatal(err)
-				}
-				for _, o := range objs {
-					cl.Load(o, int64(0))
-				}
-				defer cl.Shutdown()
-				var msgs float64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					before := cl.Net().Stats().Sent
-					for j := 0; j < burst; j++ {
-						obj := objs[j]
-						cl.Node(0).Submit(fragdb.TxnSpec{
-							Agent: fragdb.NodeAgent(0), Fragment: "F",
-							Program: func(tx *fragdb.Tx) error {
-								v, err := tx.ReadInt(obj)
-								if err != nil {
-									return err
-								}
-								return tx.Write(obj, v+1)
-							},
-						}, nil)
-					}
-					if !cl.Settle(time.Minute) { // commit + full propagation
-						b.Fatal("did not converge")
-					}
-					msgs += float64(cl.Net().Stats().Sent - before)
-				}
-				b.ReportMetric(msgs/float64(b.N)/burst, "msgs-per-quasi")
-			})
-		}
+				msgs += float64(cl.Net().Stats().Sent - before)
+			}
+			b.ReportMetric(msgs/float64(b.N)/burst, "msgs-per-quasi")
+		})
 	}
 }
 
@@ -204,61 +196,53 @@ func BenchmarkPartitionRepair(b *testing.B) {
 // convergence. Small misses repair from the retained tail; misses past
 // the horizon go through snapshot transfer plus tail. Either way the
 // virtual time to converge should grow with the miss, not with total
-// history. The batching axis additionally ships repair ranges as
-// contiguous batches; "msgs-after-heal" counts the network messages
+// history. "msgs-after-heal" counts the network messages
 // heal-to-convergence cost.
 func BenchmarkRepairAfterHeal(b *testing.B) {
-	for _, batching := range []bool{false, true} {
-		for _, missed := range []int{10, 50, 200} {
-			b.Run(fmt.Sprintf("batching=%v/missed=%d", batching, missed), func(b *testing.B) {
-				b.ReportAllocs()
-				var totalVirtual time.Duration
-				var msgs float64
-				for i := 0; i < b.N; i++ {
-					cfg := fragdb.Config{
-						N: 3, Option: fragdb.UnrestrictedReads, Seed: int64(i + 1),
-						Compaction: true, CompactRetain: 16,
-					}
-					if batching {
-						cfg.BatchFlushDelay = 2 * time.Millisecond
-						cfg.BatchMaxCount = 16
-					}
-					cl := fragdb.NewCluster(cfg)
-					cl.Catalog().AddFragment("F", "x")
-					cl.Tokens().Assign("F", fragdb.NodeAgent(0), 0)
-					if err := cl.Start(); err != nil {
-						b.Fatal(err)
-					}
-					cl.Load("x", int64(0))
-					cl.Net().Partition([]fragdb.NodeID{0, 1}, []fragdb.NodeID{2})
-					for j := 0; j < missed; j++ {
-						cl.Node(0).Submit(fragdb.TxnSpec{
-							Agent: fragdb.NodeAgent(0), Fragment: "F",
-							Program: func(tx *fragdb.Tx) error {
-								v, err := tx.ReadInt("x")
-								if err != nil {
-									return err
-								}
-								return tx.Write("x", v+1)
-							},
-						}, nil)
-						cl.RunFor(10 * time.Millisecond)
-					}
-					healAt := cl.Now()
-					sentAtHeal := cl.Net().Stats().Sent
-					cl.Net().Heal()
-					if !cl.Settle(5 * time.Minute) {
-						b.Fatal("did not converge")
-					}
-					totalVirtual += time.Duration(cl.Now().Sub(healAt))
-					msgs += float64(cl.Net().Stats().Sent - sentAtHeal)
-					cl.Shutdown()
+	for _, missed := range []int{10, 50, 200} {
+		b.Run(fmt.Sprintf("missed=%d", missed), func(b *testing.B) {
+			b.ReportAllocs()
+			var totalVirtual time.Duration
+			var msgs float64
+			for i := 0; i < b.N; i++ {
+				cl := fragdb.NewCluster(fragdb.Config{
+					N: 3, Option: fragdb.UnrestrictedReads, Seed: int64(i + 1),
+					Compaction: true, CompactRetain: 16,
+				})
+				cl.Catalog().AddFragment("F", "x")
+				cl.Tokens().Assign("F", fragdb.NodeAgent(0), 0)
+				if err := cl.Start(); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(totalVirtual.Nanoseconds())/float64(b.N)/1e6,
-					"virtual-ms-to-converge")
-				b.ReportMetric(msgs/float64(b.N), "msgs-after-heal")
-			})
-		}
+				cl.Load("x", int64(0))
+				cl.Net().Partition([]fragdb.NodeID{0, 1}, []fragdb.NodeID{2})
+				for j := 0; j < missed; j++ {
+					cl.Node(0).Submit(fragdb.TxnSpec{
+						Agent: fragdb.NodeAgent(0), Fragment: "F",
+						Program: func(tx *fragdb.Tx) error {
+							v, err := tx.ReadInt("x")
+							if err != nil {
+								return err
+							}
+							return tx.Write("x", v+1)
+						},
+					}, nil)
+					cl.RunFor(10 * time.Millisecond)
+				}
+				healAt := cl.Now()
+				sentAtHeal := cl.Net().Stats().Sent
+				cl.Net().Heal()
+				if !cl.Settle(5 * time.Minute) {
+					b.Fatal("did not converge")
+				}
+				totalVirtual += time.Duration(cl.Now().Sub(healAt))
+				msgs += float64(cl.Net().Stats().Sent - sentAtHeal)
+				cl.Shutdown()
+			}
+			b.ReportMetric(float64(totalVirtual.Nanoseconds())/float64(b.N)/1e6,
+				"virtual-ms-to-converge")
+			b.ReportMetric(msgs/float64(b.N), "msgs-after-heal")
+		})
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 )
 
 // Every profile -profile accepts is named in its usage text and in the
-// unknown-profile error, and the removed parallel profile is rejected.
+// unknown-profile error, and the removed parallel and batching profiles
+// are rejected.
 func TestProfileFlagNamesEveryProfile(t *testing.T) {
 	usage := profileUsage()
 	names := []string{"readlocks", "acyclic", "unrestricted", "moving", "bank",
-		"compaction", "batching", "placement"}
+		"compaction", "placement"}
 	for _, p := range chaoskit.AllProfiles() {
 		names = append(names, p.Name)
 	}
@@ -27,13 +28,15 @@ func TestProfileFlagNamesEveryProfile(t *testing.T) {
 			t.Errorf("selectProfiles(%q) = %v, %v", name, got, err)
 		}
 	}
-	_, err := selectProfiles("parallel")
-	if err == nil {
-		t.Fatal("-profile parallel accepted")
-	}
-	for _, name := range names {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("unknown-profile error %q does not list %q", err, name)
+	for _, removed := range []string{"parallel", "batching"} {
+		_, err := selectProfiles(removed)
+		if err == nil {
+			t.Fatalf("-profile %s accepted", removed)
+		}
+		for _, name := range names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("unknown-profile error %q does not list %q", err, name)
+			}
 		}
 	}
 }

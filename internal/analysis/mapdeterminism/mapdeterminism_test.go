@@ -13,7 +13,7 @@ import (
 // collect-sort-range idiom; ignores non-critical packages; and honors
 // the allow directive.
 func TestFixtures(t *testing.T) {
-	analysistest.Run(t, analysistest.Testdata(t), mapdeterminism.Analyzer, "core", "util")
+	analysistest.Run(t, analysistest.Testdata(t), mapdeterminism.Analyzer, "core", "util", "broadcast")
 }
 
 // TestCritical pins the package classification rule.

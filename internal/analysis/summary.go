@@ -35,7 +35,8 @@ type Sink int
 
 const (
 	// SinkSend is a wire or channel send: netsim/rtnet/broadcast Send
-	// methods, or a raw channel send statement.
+	// methods, broadcast's queueSend (its outbox posts in queue order),
+	// or a raw channel send statement.
 	SinkSend Sink = iota
 	// SinkTrace is a flight-recorder emit (trace.Recorder.Emit).
 	SinkTrace
@@ -312,6 +313,10 @@ func classifySink(cg *CallGraph, fn *types.Func, imports map[string]string, call
 		name := fn.Name()
 		switch {
 		case name == "Send" && (pkgSegment(path, "netsim") || pkgSegment(path, "rtnet") || pkgSegment(path, "broadcast")):
+			return SinkSend, cg.FuncName(fn), true
+		case name == "queueSend" && pkgSegment(path, "broadcast"):
+			// The outbox is posted in queue order once the lock is
+			// released, so queue order is wire order.
 			return SinkSend, cg.FuncName(fn), true
 		case name == "Emit" && pkgSegment(path, "trace"):
 			return SinkTrace, cg.FuncName(fn), true

@@ -127,7 +127,7 @@ func NewLogMerge(sched *simtime.Scheduler, net *netsim.Network, gossip simtime.D
 			fined:   make(map[key]bool),
 			voided:  make(map[key]bool),
 		}
-		n.bcast = broadcast.New(id, net, broadcast.SchedulerTimer{S: sched},
+		n.bcast = broadcast.New(id, net, sched,
 			broadcast.Config{GossipInterval: int64(gossip)},
 			func(origin netsim.NodeID, seq uint64, payload any) {
 				n.ingest(payload.(Entry))

@@ -33,74 +33,6 @@ func assertGot(t *testing.T, got, want []string, label string) {
 	}
 }
 
-// TestBatchCountFlush: sends up to the count threshold flush
-// immediately as one DataBatch per peer, cutting the per-payload
-// message count while preserving FIFO delivery.
-func TestBatchCountFlush(t *testing.T) {
-	m := &metrics.Broadcast{}
-	cfg := Config{
-		BatchFlushDelay: int64(10 * time.Millisecond),
-		BatchMaxCount:   4,
-		Metrics:         m,
-	}
-	r := newRig(t, 3, cfg, 1)
-	defer r.stopAll()
-	for i := 0; i < 4; i++ {
-		r.bs[0].Send(i)
-	}
-	r.sched.Run()
-	want := wantSeqs(0, 1, 4, func(s uint64) any { return s - 1 })
-	for node := 0; node < 3; node++ {
-		assertGot(t, r.got[node], want, fmt.Sprintf("node %d", node))
-	}
-	// One DataBatch of 4 to each of 2 peers: 2 data sends, 8 payloads.
-	if sends := m.DataSends.Load(); sends != 2 {
-		t.Errorf("data sends = %d, want 2 (one batch per peer)", sends)
-	}
-	if pay := m.PayloadsSent.Load(); pay != 8 {
-		t.Errorf("payloads sent = %d, want 8", pay)
-	}
-	if got := m.Amortization(); got != 4 {
-		t.Errorf("amortization = %v, want 4", got)
-	}
-}
-
-// TestBatchTimerFlush: a partial batch below every threshold ships when
-// the flush timer fires — on the simulated clock, so virtual time alone
-// drives it.
-func TestBatchTimerFlush(t *testing.T) {
-	cfg := Config{
-		BatchFlushDelay: int64(10 * time.Millisecond),
-		BatchMaxCount:   100,
-	}
-	r := newRig(t, 2, cfg, 1)
-	defer r.stopAll()
-	r.bs[0].Send("a")
-	r.bs[0].Send("b")
-	r.sched.RunFor(9 * time.Millisecond)
-	if len(r.got[1]) != 0 {
-		t.Fatalf("batch shipped before flush delay: %v", r.got[1])
-	}
-	r.sched.RunFor(10 * time.Millisecond)
-	assertGot(t, r.got[1], []string{"N0/1/a", "N0/2/b"}, "after flush")
-}
-
-// TestBatchByteFlush: the byte threshold (measured with SizeOf) trips a
-// flush before the count threshold or timer.
-func TestBatchByteFlush(t *testing.T) {
-	cfg := Config{
-		BatchFlushDelay: int64(time.Hour), // timer must not be the trigger
-		BatchMaxCount:   100,
-		BatchMaxBytes:   8,
-		SizeOf:          func(p any) int { s, _ := p.(string); return len(s) },
-	}
-	r := newRig(t, 2, cfg, 1)
-	defer r.stopAll()
-	r.bs[0].Send("abcdefgh") // >= 8 bytes encoded: flushes alone
-	r.sched.RunFor(20 * time.Millisecond)
-	assertGot(t, r.got[1], []string{"N0/1/abcdefgh"}, "after byte flush")
-}
-
 // TestBatchStraddlesCompactionHorizon: a DataBatch whose range begins
 // below the receiver's prefix (already delivered or superseded by a
 // snapshot) delivers exactly the new suffix, in order — the stale
@@ -153,11 +85,12 @@ func TestBatchOutOfOrderBuffered(t *testing.T) {
 // later); elements within the window still buffer.
 func TestBatchBeyondPendingWindowDropped(t *testing.T) {
 	m := &metrics.Broadcast{}
-	r := newRig(t, 2, Config{PendingWindow: 4, Metrics: m}, 1)
+	r := newRig(t, 2, Config{Metrics: m}, 1)
 	defer r.stopAll()
-	r.bs[1].HandleMessage(0, DataBatch{Origin: 0, Start: 3, Payloads: []any{"p3", "p4", "p5", "p6"}})
+	// Seqs pendingWindow-1 and pendingWindow fit; the next two do not.
+	r.bs[1].HandleMessage(0, DataBatch{Origin: 0, Start: pendingWindow - 1, Payloads: []any{"a", "b", "c", "d"}})
 	if got := r.bs[1].PendingSize(); got != 2 {
-		t.Fatalf("pending = %d, want 2 (seqs 3,4 buffered; 5,6 beyond window)", got)
+		t.Fatalf("pending = %d, want 2 (two seqs buffered, two beyond window)", got)
 	}
 	if got := m.PendingDropped.Load(); got != 2 {
 		t.Fatalf("pending-dropped = %d, want 2", got)
@@ -169,7 +102,7 @@ func TestBatchBeyondPendingWindowDropped(t *testing.T) {
 // one message per sequence number.
 func TestBatchedRepairRange(t *testing.T) {
 	m := &metrics.Broadcast{}
-	r := newRig(t, 2, Config{BatchFlushDelay: int64(10 * time.Millisecond), Metrics: m}, 1)
+	r := newRig(t, 2, Config{Metrics: m}, 1)
 	defer r.stopAll()
 	r.net.Partition([]netsim.NodeID{0}, []netsim.NodeID{1})
 	const missed = 50
@@ -247,20 +180,17 @@ func TestDeltaDigestsShrinkAndStillRepair(t *testing.T) {
 	assertGot(t, r.got[1], []string{"N0/1/x", "N0/2/y"}, "after heal")
 }
 
-// TestBatchingEventualDeliveryUnderPartitions is the eventual-delivery
-// property test rerun with batching and delta digests enabled: random
-// sends race a partition/heal schedule and every node must still
-// converge to identical per-origin FIFO histories. (Compaction plus
-// batching under partitions is exercised end-to-end by the chaoskit
-// batching sweep, where snapshot catch-up is accounted for by the
-// database-level audits.)
-func TestBatchingEventualDeliveryUnderPartitions(t *testing.T) {
+// TestEventualFIFODeliveryUnderPartitions: random sends from every node
+// race a partition/heal schedule, with delta digests and range repair
+// filling what the cuts dropped. Every node must deliver every send
+// exactly once, each origin's stream strictly in order — a stronger
+// check than the property test's prefix agreement. (Compaction under
+// partitions is exercised end-to-end by the chaoskit compaction sweep,
+// where snapshot catch-up is accounted for by the database-level
+// audits.)
+func TestEventualFIFODeliveryUnderPartitions(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		cfg := Config{
-			GossipInterval:  int64(20 * time.Millisecond),
-			BatchFlushDelay: int64(5 * time.Millisecond),
-			BatchMaxCount:   4,
-		}
+		cfg := Config{GossipInterval: int64(20 * time.Millisecond)}
 		const n = 4
 		r := newRig(t, n, cfg, seed)
 		rng := r.sched.Rand()

@@ -45,6 +45,7 @@ import (
 
 	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
+	"fragdb/internal/simtime"
 	"fragdb/internal/trace"
 )
 
@@ -57,10 +58,9 @@ type Data struct {
 }
 
 // DataBatch carries a contiguous run of one origin's stream in a single
-// transport message: Payloads[i] has sequence number Start+i. Senders
-// coalesce optimistic pushes into batches (Config.BatchFlushDelay) and
-// ship anti-entropy repair as contiguous ranges, amortizing per-message
-// transport and codec cost across many payloads.
+// transport message: Payloads[i] has sequence number Start+i. Anti-entropy
+// repair ships each stream's missing range as one DataBatch, amortizing
+// per-message transport and codec cost across many payloads.
 type DataBatch struct {
 	Origin   netsim.NodeID
 	Start    uint64
@@ -133,15 +133,6 @@ type Snapshotter interface {
 	InstallState(state any, snapHave, prevHave map[netsim.NodeID]uint64)
 }
 
-// Timer schedules callbacks. SchedulerTimer is the one implementation:
-// the scheduler is virtual in simulation and driven on the wall clock
-// by an rtnet.Loop in a deployment.
-type Timer interface {
-	// AfterFunc arranges for fn to run after roughly d. The returned
-	// function cancels the callback if it has not fired.
-	AfterFunc(d int64, fn func()) (cancel func())
-}
-
 // Tuning defaults, applied when the corresponding Config field is zero.
 const (
 	// DefaultCompactRetain is the per-stream slack kept below a node's
@@ -153,16 +144,11 @@ const (
 	// silence before a peer stops gating the compaction watermark (and
 	// will be caught up by snapshot on return).
 	DefaultPeerLiveRounds = 4
-	// DefaultPendingWindow bounds the out-of-order buffer per origin:
-	// arrivals beyond prefix+window are dropped (anti-entropy refills).
-	DefaultPendingWindow = 512
-	// DefaultBatchMaxCount flushes a pending push batch once it holds
-	// this many payloads, regardless of the flush timer.
-	DefaultBatchMaxCount = 16
-	// DefaultBatchMaxBytes flushes a pending push batch once its
-	// payloads measure this many encoded bytes (per Config.SizeOf).
-	DefaultBatchMaxBytes = 16 << 10
 )
+
+// pendingWindow bounds the out-of-order buffer per origin: arrivals
+// beyond prefix+pendingWindow are dropped (anti-entropy refills).
+const pendingWindow = 512
 
 // fullDigestRounds is the delta-digest resync cadence: every this-many
 // gossip rounds the full prefix vector is sent instead of the delta,
@@ -179,25 +165,11 @@ const repairWindow = 256 << 10
 
 // Config tunes a Broadcaster.
 type Config struct {
-	// GossipInterval is the anti-entropy period in the Timer's time
-	// unit (nanoseconds of virtual or real time). Zero disables the
-	// periodic digest (tests drive repair manually via Gossip).
+	// GossipInterval is the anti-entropy period in scheduler
+	// nanoseconds (virtual, or the wall clock's under an rtnet.Loop).
+	// Zero disables the periodic digest (tests drive repair manually via
+	// Gossip).
 	GossipInterval int64
-	// BatchFlushDelay, when positive, enables sender-side batching of
-	// optimistic pushes: Send buffers payloads and ships them as one
-	// DataBatch per peer when the oldest buffered payload has waited
-	// this long (in the Timer's time unit), or sooner when a count/byte
-	// threshold trips. Zero keeps the immediate per-payload push. The
-	// timer comes from the same Timer as gossip, so simulated runs stay
-	// deterministic (no wall-clock on the simulated path).
-	BatchFlushDelay int64
-	// BatchMaxCount overrides DefaultBatchMaxCount (the payload-count
-	// flush threshold; negative disables the count trigger).
-	BatchMaxCount int
-	// BatchMaxBytes overrides DefaultBatchMaxBytes (the encoded-bytes
-	// flush threshold, measured with SizeOf; negative or nil SizeOf
-	// disables the byte trigger).
-	BatchMaxBytes int
 	// Compaction enables acked-prefix log truncation and snapshot
 	// catch-up. Without it, every stream is retained in full.
 	Compaction bool
@@ -205,9 +177,6 @@ type Config struct {
 	CompactRetain int
 	// PeerLiveRounds overrides DefaultPeerLiveRounds.
 	PeerLiveRounds int
-	// PendingWindow overrides DefaultPendingWindow (negative: unbounded,
-	// the pre-compaction behavior).
-	PendingWindow int
 	// Snapshot supplies application state for snapshot catch-up. With
 	// Compaction and a nil Snapshot, offers carry a nil State and only
 	// fast-forward the broadcast prefixes (pure-broadcast tests).
@@ -215,8 +184,8 @@ type Config struct {
 	// Metrics, if non-nil, receives the compaction gauges and counters.
 	// One value may be shared by all nodes of a cluster.
 	Metrics *metrics.Broadcast
-	// SizeOf, if non-nil, measures payloads for the LogBytes gauge
-	// (e.g. wire.Size). Nil skips byte accounting.
+	// SizeOf, if non-nil, measures payloads for the LogBytes gauge and
+	// the repair window (e.g. wire.Size). Nil skips byte accounting.
 	SizeOf func(payload any) int
 	// Trace, if non-nil, records housekeeping events (compaction,
 	// snapshot offers and installs, pending-window drops) in the owning
@@ -241,39 +210,6 @@ func (c Config) peerLiveRounds() uint64 {
 		return uint64(c.PeerLiveRounds)
 	}
 	return DefaultPeerLiveRounds
-}
-
-func (c Config) pendingWindow() uint64 {
-	switch {
-	case c.PendingWindow > 0:
-		return uint64(c.PendingWindow)
-	case c.PendingWindow < 0:
-		return 0 // unbounded
-	default:
-		return DefaultPendingWindow
-	}
-}
-
-func (c Config) batchMaxCount() int {
-	switch {
-	case c.BatchMaxCount > 0:
-		return c.BatchMaxCount
-	case c.BatchMaxCount < 0:
-		return 0 // count trigger disabled
-	default:
-		return DefaultBatchMaxCount
-	}
-}
-
-func (c Config) batchMaxBytes() int {
-	switch {
-	case c.BatchMaxBytes > 0:
-		return c.BatchMaxBytes
-	case c.BatchMaxBytes < 0:
-		return 0 // byte trigger disabled
-	default:
-		return DefaultBatchMaxBytes
-	}
 }
 
 // stream is one origin's log as retained locally: entries[i] carries
@@ -311,7 +247,7 @@ type installJob struct {
 type Broadcaster struct {
 	node    netsim.NodeID
 	tr      netsim.Transport
-	timer   Timer
+	sched   *simtime.Scheduler
 	cfg     Config
 	handler Handler
 
@@ -342,13 +278,6 @@ type Broadcaster struct {
 	// against it.
 	digestSent map[netsim.NodeID]map[netsim.NodeID]uint64
 
-	// batch buffers this node's own payloads awaiting a coalesced push:
-	// batch[i] has seq batchStart+i, batchBytes their measured size.
-	batch      []any
-	batchStart uint64
-	batchBytes int
-	stopFlush  func()
-
 	deliverQ   []delivery
 	delivering bool
 
@@ -360,8 +289,8 @@ type Broadcaster struct {
 	// lockedsend analyzer enforces this discipline).
 	outbox []outMsg
 
-	stopGossip func()
-	stopped    bool
+	gossipEv *simtime.Event
+	stopped  bool
 }
 
 // outMsg is one queued outbound transport message.
@@ -374,11 +303,14 @@ type outMsg struct {
 // handler receives every message from every origin (including the
 // node's own sends, which are delivered locally and immediately, so all
 // nodes — origin included — process each stream in the same order).
-func New(node netsim.NodeID, tr netsim.Transport, timer Timer, cfg Config, h Handler) *Broadcaster {
+// Gossip rounds run on sched: virtual in simulation, driven on the wall
+// clock by an rtnet.Loop in a deployment. sched may be nil when
+// cfg.GossipInterval is zero.
+func New(node netsim.NodeID, tr netsim.Transport, sched *simtime.Scheduler, cfg Config, h Handler) *Broadcaster {
 	b := &Broadcaster{
 		node:      node,
 		tr:        tr,
-		timer:     timer,
+		sched:     sched,
 		cfg:       cfg,
 		handler:   h,
 		logs:      make(map[netsim.NodeID]*stream),
@@ -390,7 +322,7 @@ func New(node netsim.NodeID, tr netsim.Transport, timer Timer, cfg Config, h Han
 
 		digestSent: make(map[netsim.NodeID]map[netsim.NodeID]uint64),
 	}
-	if cfg.GossipInterval > 0 && timer != nil {
+	if cfg.GossipInterval > 0 && sched != nil {
 		b.mu.Lock()
 		b.scheduleGossip()
 		b.mu.Unlock()
@@ -401,27 +333,22 @@ func New(node netsim.NodeID, tr netsim.Transport, timer Timer, cfg Config, h Han
 // Node returns the owning node id.
 func (b *Broadcaster) Node() netsim.NodeID { return b.node }
 
-// Stop cancels the periodic gossip and any pending batch flush.
+// Stop cancels the periodic gossip.
 func (b *Broadcaster) Stop() {
 	b.mu.Lock()
 	b.stopped = true
-	stop := b.stopGossip
-	flush := b.stopFlush
-	b.stopFlush = nil
+	ev := b.gossipEv
 	b.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-	if flush != nil {
-		flush()
+	if ev != nil {
+		b.sched.Cancel(ev)
 	}
 }
 
 // scheduleGossip arms the next gossip round. Caller holds b.mu:
 // gossipTick re-arms under the lock, so the lock is what orders the
-// writes of stopGossip.
+// writes of gossipEv.
 func (b *Broadcaster) scheduleGossip() {
-	b.stopGossip = b.timer.AfterFunc(b.cfg.GossipInterval, b.gossipTick)
+	b.gossipEv = b.sched.After(simtime.Duration(b.cfg.GossipInterval), b.gossipTick)
 }
 
 func (b *Broadcaster) gossipTick() {
@@ -448,19 +375,14 @@ func (b *Broadcaster) stream(origin netsim.NodeID) *stream {
 }
 
 // Send broadcasts payload: it is appended to this node's own stream,
-// delivered locally, and pushed to every peer — immediately, or through
-// the coalescing batch buffer when Config.BatchFlushDelay is set. It
-// returns the message's sequence number in the node's stream.
+// delivered locally, and pushed to every peer at once. It returns the
+// message's sequence number in the node's stream.
 func (b *Broadcaster) Send(payload any) uint64 {
 	b.mu.Lock()
 	b.nextSeq++
 	seq := b.nextSeq
 	b.appendEntry(b.node, payload)
-	if b.cfg.BatchFlushDelay > 0 {
-		b.bufferPush(seq, payload)
-	} else {
-		b.pushAll(Data{Origin: b.node, Seq: seq, Payload: payload}, 1)
-	}
+	b.pushAll(Data{Origin: b.node, Seq: seq, Payload: payload})
 	b.drainDeliveries()
 	out := b.takeOutbox()
 	b.mu.Unlock()
@@ -491,8 +413,8 @@ func (b *Broadcaster) post(out []outMsg) {
 }
 
 // sendData queues one Data or DataBatch message carrying n payloads to a
-// peer, maintaining the amortization counters (messages sent vs.
-// payloads carried). Caller holds mu.
+// peer, maintaining the data-send counters (messages sent vs. payloads
+// carried). Caller holds mu.
 func (b *Broadcaster) sendData(to netsim.NodeID, msg any, n int) {
 	b.queueSend(to, msg)
 	if m := b.cfg.Metrics; m != nil {
@@ -501,74 +423,15 @@ func (b *Broadcaster) sendData(to netsim.NodeID, msg any, n int) {
 	}
 }
 
-// pushAll sends msg (carrying n payloads) to every peer. Caller holds
-// mu.
-func (b *Broadcaster) pushAll(msg any, n int) {
+// pushAll sends msg to every peer. It takes msg already boxed, so all
+// peers' sends share one allocation. Caller holds mu.
+func (b *Broadcaster) pushAll(msg any) {
 	for p := 0; p < b.tr.N(); p++ {
 		if netsim.NodeID(p) == b.node {
 			continue
 		}
-		b.sendData(netsim.NodeID(p), msg, n)
+		b.sendData(netsim.NodeID(p), msg, 1)
 	}
-}
-
-// bufferPush queues one of our own payloads for a coalesced DataBatch
-// push. The buffer flushes when the count or byte threshold trips;
-// otherwise the flush timer — armed when the buffer goes non-empty, on
-// the same Timer as gossip so simulated runs stay deterministic — ships
-// it within BatchFlushDelay. Caller holds mu.
-func (b *Broadcaster) bufferPush(seq uint64, payload any) {
-	if len(b.batch) == 0 {
-		b.batchStart = seq
-		b.batchBytes = 0
-		if b.timer != nil {
-			b.stopFlush = b.timer.AfterFunc(b.cfg.BatchFlushDelay, b.flushTick)
-		}
-	}
-	b.batch = append(b.batch, payload)
-	if b.cfg.SizeOf != nil {
-		b.batchBytes += b.cfg.SizeOf(payload)
-	}
-	if c := b.cfg.batchMaxCount(); c > 0 && len(b.batch) >= c {
-		b.flushLocked()
-		return
-	}
-	if bb := b.cfg.batchMaxBytes(); bb > 0 && b.cfg.SizeOf != nil && b.batchBytes >= bb {
-		b.flushLocked()
-	}
-}
-
-func (b *Broadcaster) flushTick() {
-	b.mu.Lock()
-	if !b.stopped {
-		b.flushLocked()
-	}
-	out := b.takeOutbox()
-	b.mu.Unlock()
-	b.post(out)
-}
-
-// flushLocked ships the buffered own-stream payloads as one DataBatch
-// per peer (a plain Data when a single payload is pending) and cancels
-// the armed flush timer. Caller holds mu.
-func (b *Broadcaster) flushLocked() {
-	if stop := b.stopFlush; stop != nil {
-		b.stopFlush = nil
-		stop() // no-op if the timer is what brought us here
-	}
-	if len(b.batch) == 0 {
-		return
-	}
-	var msg any
-	if len(b.batch) == 1 {
-		msg = Data{Origin: b.node, Seq: b.batchStart, Payload: b.batch[0]}
-	} else {
-		msg = DataBatch{Origin: b.node, Start: b.batchStart, Payloads: b.batch}
-	}
-	b.pushAll(msg, len(b.batch))
-	// The in-flight message aliases the slice; start a fresh one.
-	b.batch = nil
-	b.batchBytes = 0
 }
 
 // appendEntry extends origin's stream by one delivered entry and queues
@@ -675,7 +538,7 @@ func (b *Broadcaster) LogSize() int {
 }
 
 // PendingSize reports buffered out-of-order messages across all
-// origins (bounded per origin by Config.PendingWindow).
+// origins (at most pendingWindow per origin).
 func (b *Broadcaster) PendingSize() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -698,7 +561,6 @@ func (b *Broadcaster) Gossip() {
 }
 
 func (b *Broadcaster) gossipLocked() {
-	b.flushLocked() // ship buffered pushes before advertising their seqs
 	b.round++
 	if b.cfg.Compaction {
 		b.compactLocked()
@@ -874,7 +736,7 @@ func (b *Broadcaster) receive(m Data) {
 		b.appendEntry(m.Origin, m.Payload)
 		b.drainOrigin(m.Origin)
 	default:
-		if w := b.cfg.pendingWindow(); w > 0 && m.Seq > prefix+w {
+		if m.Seq > prefix+pendingWindow {
 			// Beyond the out-of-order window: drop. The sender's digest
 			// exchange will re-ship it once the gap closes.
 			if t := b.cfg.Trace; t.Enabled() {
@@ -953,11 +815,6 @@ func (b *Broadcaster) repair(from netsim.NodeID, d Digest) {
 			continue
 		}
 		hi := s.prefix()
-		if o == b.node && len(b.batch) > 0 && b.batchStart-1 < hi {
-			// Our buffered tail is about to ship via flush; serving it
-			// here too would just double-send it.
-			hi = b.batchStart - 1
-		}
 		if theirs >= hi {
 			continue
 		}

@@ -30,7 +30,7 @@ func newRig(t *testing.T, n int, cfg Config, seed int64) *rig {
 	r.bs = make([]*Broadcaster, n)
 	for i := 0; i < n; i++ {
 		i := i
-		r.bs[i] = New(netsim.NodeID(i), r.net, SchedulerTimer{r.sched}, cfg,
+		r.bs[i] = New(netsim.NodeID(i), r.net, r.sched, cfg,
 			func(origin netsim.NodeID, seq uint64, payload any) {
 				r.got[i] = append(r.got[i], fmt.Sprintf("%v/%d/%v", origin, seq, payload))
 			})
@@ -155,7 +155,7 @@ func TestMultiHopLineTopology(t *testing.T) {
 	bs := make([]*Broadcaster, 3)
 	for i := 0; i < 3; i++ {
 		i := i
-		bs[i] = New(netsim.NodeID(i), net, SchedulerTimer{sched},
+		bs[i] = New(netsim.NodeID(i), net, sched,
 			Config{GossipInterval: int64(30 * time.Millisecond)},
 			func(o netsim.NodeID, s uint64, p any) {
 				got[i] = append(got[i], fmt.Sprintf("%v/%d/%v", o, s, p))
@@ -190,8 +190,8 @@ func TestPrefixAndLog(t *testing.T) {
 }
 
 // repairRig is a two-node rig whose node 0 has sent missed payloads of
-// size bytes each (per SizeOf) while cut off from node 1, with
-// batching off; seen collects the data messages node 1 receives.
+// size bytes each (per SizeOf) while cut off from node 1; seen collects
+// the data messages node 1 receives.
 func repairRig(t *testing.T, missed, size int) (r *rig, seen *[]any) {
 	t.Helper()
 	r = newRig(t, 2, Config{SizeOf: func(any) int { return size }}, 1)
@@ -213,10 +213,10 @@ func repairRig(t *testing.T, missed, size int) (r *rig, seen *[]any) {
 	return r, seen
 }
 
-// TestRepairShipsRangesInWindow: with batching off, a digest from a
-// peer missing 1 000 entries is answered with one DataBatch, not 1 000
-// Data messages, and the ranges are capped by the repair window — so
-// the peer converges in exactly ⌈bytes/window⌉ digest rounds.
+// TestRepairShipsRangesInWindow: a digest from a peer missing 1 000
+// entries is answered with one DataBatch, not 1 000 Data messages, and
+// the ranges are capped by the repair window — so the peer converges in
+// exactly ⌈bytes/window⌉ digest rounds.
 func TestRepairShipsRangesInWindow(t *testing.T) {
 	const missed, perRound = 1000, 100
 	const size = repairWindow / perRound

@@ -89,7 +89,7 @@ func TestSnapshotCatchUpAfterHorizon(t *testing.T) {
 			Snapshot:       snaps[i],
 			Metrics:        m,
 		}
-		r.bs[i] = New(netsim.NodeID(i), r.net, SchedulerTimer{r.sched}, cfg,
+		r.bs[i] = New(netsim.NodeID(i), r.net, r.sched, cfg,
 			func(origin netsim.NodeID, seq uint64, payload any) {
 				r.got[i] = append(r.got[i], fmt.Sprintf("%v/%d/%v", origin, seq, payload))
 			})
@@ -180,15 +180,14 @@ func TestSnapshotOfferStaleIgnored(t *testing.T) {
 }
 
 // TestPendingWindowBoundsBuffer floods a gap with far-future sequence
-// numbers: the out-of-order buffer must stay within PendingWindow and
+// numbers: the out-of-order buffer must stay within pendingWindow and
 // the dropped messages must still arrive eventually via anti-entropy.
 func TestPendingWindowBoundsBuffer(t *testing.T) {
 	m := &metrics.Broadcast{}
-	const window = 16
-	const history = 200
+	const window = pendingWindow
+	const history = window + 200
 	cfg := Config{
 		GossipInterval: int64(20 * time.Millisecond),
-		PendingWindow:  window,
 		Metrics:        m,
 	}
 	r := newRig(t, 2, cfg, 1)
@@ -243,10 +242,10 @@ func TestReentrantSendFromHandler(t *testing.T) {
 	net := netsim.New(sched, 2, netsim.WithLatency(netsim.FixedLatency(5*time.Millisecond)))
 	var got []string
 	bs := make([]*Broadcaster, 2)
-	bs[0] = New(0, net, SchedulerTimer{sched}, Config{}, func(o netsim.NodeID, s uint64, p any) {
+	bs[0] = New(0, net, sched, Config{}, func(o netsim.NodeID, s uint64, p any) {
 		got = append(got, fmt.Sprintf("%v/%d/%v", o, s, p))
 	})
-	bs[1] = New(1, net, SchedulerTimer{sched}, Config{}, func(o netsim.NodeID, s uint64, p any) {
+	bs[1] = New(1, net, sched, Config{}, func(o netsim.NodeID, s uint64, p any) {
 		if o == 0 {
 			bs[1].Send(fmt.Sprintf("echo-%v", p)) // re-entrant
 		}

@@ -97,99 +97,18 @@ func TestCompactionSweep(t *testing.T) {
 	t.Logf("compaction sweep: %s", chaos.String())
 }
 
-// TestBatchingSweep re-runs the full standard sweep with broadcast push
-// batching forced on (flush timer on the simulated clock, count-capped
-// DataBatch coalescing): 16 seeds x 4 option groups = 64 plans by
-// default. Like Compaction, Batching is copied into the plan outside
-// the RNG draws, so every plan is byte-identical to its TestSweep twin
-// except the flag — any new invariant failure is attributable to batch
-// coalescing, range repair, or delta digests, not to a different fault
-// schedule. The invariant ladder (per-origin FIFO via the stream
-// audits, mutual consistency after heal, serializability per option)
-// must hold unchanged.
-func TestBatchingSweep(t *testing.T) {
-	perProfile := *seedsFlag
-	if testing.Short() {
-		perProfile = 4
-	}
-	profiles := Profiles()
-	for i := range profiles {
-		profiles[i].Batching = true
-	}
-	chaos := &metrics.Chaos{}
-	res := Sweep(profiles, 1, perProfile, SweepOpts{
-		Workers: 4,
-		Chaos:   chaos,
-	})
-	if got, want := len(res.Reports), 4*perProfile; got != want {
-		t.Fatalf("executed %d plans, want %d", got, want)
-	}
-	for _, rep := range res.Reports {
-		if !rep.Plan.Batching {
-			t.Fatal("plan generated without batching despite profile flag")
-		}
-	}
-	for _, rep := range res.Failures() {
-		t.Errorf("invariant failure under batching: %s", rep.String())
-		for _, c := range rep.Failures() {
-			t.Errorf("  %s: %v", c.Name, c.Err)
-		}
-	}
-	if chaos.TxnsCommitted.Load() == 0 {
-		t.Error("batching sweep committed no transactions (vacuous)")
-	}
-	if chaos.FaultsInjected.Load() == 0 {
-		t.Error("batching sweep injected no faults (vacuous)")
-	}
-	t.Logf("batching sweep: %s", chaos.String())
-}
-
-// TestBatchingChaosProfile drives the dedicated batching profile —
-// batching and compaction on together with partitions, crashes, agent
-// moves, and message loss — and checks the runs are not vacuous:
-// DataBatch messages actually amortized payloads (the amortization
-// ratio from the shared Broadcast metrics exceeds 1 in aggregate).
-func TestBatchingChaosProfile(t *testing.T) {
-	seeds := 8
-	if testing.Short() {
-		seeds = 2
-	}
-	pr := BatchingProfile()
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		p := Generate(seed, pr)
-		if !p.Batching || !p.Compaction {
-			t.Fatalf("seed %d: batching profile generated Batching=%v Compaction=%v",
-				seed, p.Batching, p.Compaction)
-		}
-		rep := Execute(p, RunOpts{})
-		if rep.Failed() {
-			t.Errorf("seed %d failed: %s", seed, rep.String())
-			for _, c := range rep.Failures() {
-				t.Errorf("  %s: %v", c.Name, c.Err)
-			}
-		}
-		if rep.Broadcast == nil {
-			continue
-		}
-		if sends := rep.Broadcast.DataSends.Load(); sends == 0 {
-			t.Errorf("seed %d: no data messages recorded (vacuous)", seed)
-		} else if ratio := rep.Broadcast.Amortization(); ratio <= 1.0 {
-			t.Logf("seed %d: amortization %.2f (batch thresholds never hit)", seed, ratio)
-		}
-	}
-}
-
-// TestMajorityCommitEpochSwitchRace replays the counterexample the
-// 64-seed batching sweep first surfaced at seed 20: a no-preparation
+// TestMajorityCommitEpochSwitchRace replays a plan whose no-preparation
 // move's M0 switches a fragment's epoch at the old home while one of
-// the home's own transactions is awaiting majority acknowledgments —
-// the batching flush delay pushes the commit decision past the switch.
-// The home must not install the quasi at its dead-epoch position (that
-// regressed the stream below the switch and wedged every new-epoch
-// quasi behind the gap, failing liveness and mutual consistency); it
-// aborts the transaction instead, like a prepared move's fence.
+// the home's own transactions is still awaiting majority
+// acknowledgments, which the plan's lossy links keep in flight across
+// the switch. The home must not install the quasi at its dead-epoch
+// position (that regressed the stream below the switch and wedged every
+// new-epoch quasi behind the gap, failing liveness and mutual
+// consistency); it aborts the transaction instead, like a prepared
+// move's fence. Seed 20 is the one seed of 1–128 of the compaction
+// profile that fails without that epoch guard.
 func TestMajorityCommitEpochSwitchRace(t *testing.T) {
-	p := Generate(20, BatchingProfile())
+	p := Generate(20, CompactionProfile())
 	if !p.MajorityCommit || len(p.Moves) == 0 {
 		t.Fatalf("plan no longer exercises majority commit + moves (majority=%v moves=%d)",
 			p.MajorityCommit, len(p.Moves))

@@ -12,7 +12,6 @@ import (
 	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
 	"fragdb/internal/placement"
-	"fragdb/internal/simtime"
 	"fragdb/internal/workload"
 )
 
@@ -28,28 +27,10 @@ const txnTimeout = 2 * time.Second
 // proves nothing. Ignored by plans with Compaction false.
 const chaosCompactRetain = 8
 
-// Batch tuning for plans with Batching true: an aggressive flush delay
-// against the cluster's 50ms gossip interval, with a small count cap so
-// chaos workloads actually exercise both flush triggers. The timer runs
-// on the plan's deterministic scheduler.
-const (
-	chaosBatchFlushDelay = 5 * time.Millisecond
-	chaosBatchMaxCount   = 8
-)
-
-// batchConfig returns the core batching fields for a plan (zeroes when
-// the plan does not batch).
-func batchConfig(p Plan) (flush simtime.Duration, count int) {
-	if !p.Batching {
-		return 0, 0
-	}
-	return chaosBatchFlushDelay, chaosBatchMaxCount
-}
-
 // bankClusterConfig builds the banking workload's cluster config from a
 // plan (the bank forces its own option and topology).
 func bankClusterConfig(p Plan, opts RunOpts) core.Config {
-	cfg := core.Config{
+	return core.Config{
 		N:             p.N,
 		Seed:          p.Seed,
 		Compaction:    p.Compaction,
@@ -58,8 +39,6 @@ func bankClusterConfig(p Plan, opts RunOpts) core.Config {
 		TxnTimeout:    txnTimeout,
 		TraceCap:      opts.TraceCap,
 	}
-	cfg.BatchFlushDelay, cfg.BatchMaxCount = batchConfig(p)
-	return cfg
 }
 
 // settleBudget is the extra virtual time a run may spend converging
@@ -91,10 +70,6 @@ type Report struct {
 	AutoMoves int
 	// Checks is the full invariant ladder, in evaluation order.
 	Checks []Check
-	// Broadcast is the run's cluster-wide broadcast metrics (log
-	// gauges, batching amortization counters); nil when the cluster
-	// never started.
-	Broadcast *metrics.Broadcast
 	// DOT is the global serialization graph (Graphviz), captured only
 	// when some check failed, for repro dumps.
 	DOT string
@@ -254,9 +229,7 @@ func executeCounters(p Plan, opts RunOpts) *Report {
 		TxnTimeout:     txnTimeout,
 		TraceCap:       opts.TraceCap,
 	}
-	cfg.BatchFlushDelay, cfg.BatchMaxCount = batchConfig(p)
 	cl := core.NewCluster(cfg)
-	rep.Broadcast = cl.BroadcastStats()
 	for i := 0; i < p.Frags; i++ {
 		if err := cl.Catalog().AddFragment(fragID(i), ctrObj(i)); err != nil {
 			panic(err)
@@ -470,7 +443,6 @@ func executeBank(p Plan, opts RunOpts) *Report {
 		return rep
 	}
 	cl := bank.Cluster()
-	rep.Broadcast = cl.BroadcastStats()
 
 	scheduleFaults(cl, p)
 

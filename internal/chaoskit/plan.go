@@ -171,10 +171,6 @@ type Plan struct {
 	// Compaction enables broadcast log truncation + snapshot catch-up;
 	// the invariant ladder must hold unchanged with it on.
 	Compaction bool
-	// Batching coalesces the broadcast's optimistic pushes into
-	// DataBatch messages (sender-side flush timer on the simulated
-	// clock); the invariant ladder must hold unchanged with it on.
-	Batching bool
 	// Placement attaches the adaptive placement controller (labeled
 	// registry on, Step.Origin honored, automatic agent migrations);
 	// the invariant ladder must hold unchanged with it on.
@@ -223,8 +219,6 @@ type Profile struct {
 	MajorityChance float64
 	// Compaction runs every plan with broadcast log compaction on.
 	Compaction bool
-	// Batching runs every plan with broadcast push batching on.
-	Batching bool
 	// Placement runs every plan with the adaptive placement controller
 	// attached and draws skewed update origins so it has something to
 	// chase.
@@ -293,23 +287,6 @@ func CompactionProfile() Profile {
 	}
 }
 
-// BatchingProfile returns the propagation-pipeline profile: push
-// batching and compaction both on, moving agents, partitions, crashes,
-// and message loss — the full invariant ladder must hold while
-// DataBatch coalescing, contiguous-range repair, and delta digests
-// carry every stream.
-func BatchingProfile() Profile {
-	return Profile{
-		Name: "batching", Option: core.UnrestrictedReads,
-		Moving: true, Compaction: true, Batching: true,
-		MajorityChance: 0.35,
-		MinN:           3, MaxN: 5, MinFrags: 3, MaxFrags: 5,
-		MinSteps: 100, MaxSteps: 240,
-		MaxFaults: 3, MaxMoves: 2,
-		LossChance: 0.3, MaxLoss: 0.15,
-	}
-}
-
 // PlacementProfile returns the adaptive-placement profile: the
 // controller attached with an aggressive deterministic tuning, update
 // origins skewed away from the initial homes (so the access matrix
@@ -336,7 +313,7 @@ func PlacementProfile() Profile {
 // sweep's default set (Profiles, then BankProfile) followed by the
 // replay-only extras.
 func AllProfiles() []Profile {
-	return append(Profiles(), BankProfile(), CompactionProfile(), BatchingProfile(), PlacementProfile())
+	return append(Profiles(), BankProfile(), CompactionProfile(), PlacementProfile())
 }
 
 // ProfileByName resolves a profile by name among AllProfiles.
@@ -369,7 +346,6 @@ func Generate(seed int64, pr Profile) Plan {
 	p.Frags = topo.IntBetween(pr.MinFrags, pr.MaxFrags)
 	// Copied, not drawn: existing profiles' plans stay byte-identical.
 	p.Compaction = pr.Compaction
-	p.Batching = pr.Batching
 	p.Placement = pr.Placement
 	if pr.Bank {
 		p.Option = core.UnrestrictedReads
@@ -624,9 +600,6 @@ func (p Plan) GoLiteral() string {
 	}
 	if p.Compaction {
 		fmt.Fprintf(&b, "\tCompaction: true,\n")
-	}
-	if p.Batching {
-		fmt.Fprintf(&b, "\tBatching: true,\n")
 	}
 	if p.Placement {
 		fmt.Fprintf(&b, "\tPlacement: true,\n")

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"time"
 
-	"fragdb/internal/broadcast"
 	"fragdb/internal/fragments"
 	"fragdb/internal/history"
 	"fragdb/internal/metrics"
@@ -136,18 +135,6 @@ type Config struct {
 	// package defaults).
 	CompactRetain  int
 	PeerLiveRounds int
-	// BatchFlushDelay, when positive, batches the broadcast's optimistic
-	// pushes: committed quasi-transactions (and the control messages
-	// riding the broadcast) coalesce into DataBatch messages flushed
-	// when the oldest waits this long, or sooner when BatchMaxCount/
-	// BatchMaxBytes trips. The flush timer runs on the cluster's
-	// scheduler, so simulated runs stay deterministic. Zero keeps the
-	// immediate per-payload push.
-	BatchFlushDelay simtime.Duration
-	// BatchMaxCount and BatchMaxBytes tune the batch flush thresholds
-	// (zero: broadcast package defaults).
-	BatchMaxCount int
-	BatchMaxBytes int
 	// TraceCap, when positive, enables the per-node flight recorder with
 	// a ring buffer of that many events per node (see internal/trace).
 	// Zero disables tracing entirely: no events are constructed and the
@@ -678,9 +665,4 @@ func (cl *Cluster) CheckMutualConsistency() error {
 		}
 	}
 	return nil
-}
-
-// timer adapts the scheduler for the broadcast layer.
-func (cl *Cluster) timer() broadcast.Timer {
-	return broadcast.SchedulerTimer{S: cl.sched}
 }

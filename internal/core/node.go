@@ -273,19 +273,16 @@ func newNode(cl *Cluster, id netsim.NodeID) *Node {
 		posQueries:   make(map[uint64]func(netsim.NodeID, txn.FragPos)),
 	}
 	n.locks = n.newLockManager()
-	n.bcast = broadcast.New(id, cl.tr, cl.timer(),
+	n.bcast = broadcast.New(id, cl.tr, cl.sched,
 		broadcast.Config{
-			GossipInterval:  int64(cl.cfg.GossipInterval),
-			BatchFlushDelay: int64(cl.cfg.BatchFlushDelay),
-			BatchMaxCount:   cl.cfg.BatchMaxCount,
-			BatchMaxBytes:   cl.cfg.BatchMaxBytes,
-			Compaction:      cl.cfg.Compaction,
-			CompactRetain:   cl.cfg.CompactRetain,
-			PeerLiveRounds:  cl.cfg.PeerLiveRounds,
-			Snapshot:        nodeSnapshotter{n},
-			Metrics:         cl.bstats,
-			SizeOf:          wire.Size,
-			Trace:           n.tr,
+			GossipInterval: int64(cl.cfg.GossipInterval),
+			Compaction:     cl.cfg.Compaction,
+			CompactRetain:  cl.cfg.CompactRetain,
+			PeerLiveRounds: cl.cfg.PeerLiveRounds,
+			Snapshot:       nodeSnapshotter{n},
+			Metrics:        cl.bstats,
+			SizeOf:         wire.Size,
+			Trace:          n.tr,
 		},
 		n.handleBroadcast)
 	cl.tr.SetHandler(id, n.handleTransport)

@@ -30,7 +30,7 @@ func RunE10(seed int64) *Result {
 		Claim: "free-for-all reconciliation work grows with partition length; fragments/agents resumes its stream with no back-outs and centralized corrective actions",
 		Header: []string{"partition", "ops", "logmerge entries", "logmerge fines(dup)",
 			"logmerge backouts", "fragdb quasis", "fragdb fines", "fragdb commit p50/p95/p99",
-			"heal msgs off→on", "heal bytes off→on", "both consistent"},
+			"heal msgs", "heal bytes", "both consistent"},
 	}
 	durations := []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second}
 	growingLM, growingFD := true, true
@@ -99,90 +99,57 @@ func RunE10(seed int64) *Result {
 		prevLM = shipped
 
 		// --- fragments and agents --------------------------------------
-		// Run the identical scenario twice: push batching off (one
-		// message per fresh quasi; repair ships ranges either way) and
-		// on. Semantics must be identical; only the post-heal message
-		// bill changes.
-		type fdRun struct {
-			quasis  uint64
-			fines   int
-			lat     string
-			msgs    uint64
-			bytes   uint64
-			consist bool
+		b, err := workload.NewBank(workload.BankConfig{
+			Cluster:        core.Config{N: 3, Seed: seed, TraceCap: TraceCap},
+			CentralNode:    0,
+			Accounts:       []string{"A"},
+			CustomerHome:   map[string]netsim.NodeID{"A": 1},
+			InitialBalance: int64(ops * 40),
+			OverdraftFine:  50,
+		})
+		if err != nil {
+			panic(err)
 		}
-		runFragDB := func(batching bool) fdRun {
-			ccfg := core.Config{N: 3, Seed: seed, TraceCap: TraceCap}
-			if batching {
-				ccfg.BatchFlushDelay = 5 * time.Millisecond
-				ccfg.BatchMaxCount = 16
-			}
-			b, err := workload.NewBank(workload.BankConfig{
-				Cluster:        ccfg,
-				CentralNode:    0,
-				Accounts:       []string{"A"},
-				CustomerHome:   map[string]netsim.NodeID{"A": 1},
-				InitialBalance: int64(ops * 40),
-				OverdraftFine:  50,
-			})
-			if err != nil {
-				panic(err)
-			}
-			cl := b.Cluster()
-			cl.Net().Partition([]netsim.NodeID{0, 1}, []netsim.NodeID{2})
-			b.MoveCustomer("A", 2) // the withdrawing customer is cut off
-			for i := 0; i < ops; i++ {
-				at := simtime.Time(time.Duration(i*100) * time.Millisecond)
-				cl.Sched().At(at, func() { b.Withdraw(2, "A", 30, nil) })
-			}
-			cl.RunFor(simtime.Duration(dur))
-			quasisBefore := cl.Stats().QuasiApplied.Load()
-			statsBefore := cl.Net().Stats()
-			cl.Net().Heal()
-			cl.Settle(120 * time.Second)
-			statsAfter := cl.Net().Stats()
-			out := fdRun{
-				quasis:  cl.Stats().QuasiApplied.Load() - quasisBefore,
-				fines:   int(cl.Stats().CorrectiveActions.Load()),
-				lat:     quantiles(&cl.Stats().CommitLatency),
-				msgs:    statsAfter.Sent - statsBefore.Sent,
-				bytes:   statsAfter.Bytes - statsBefore.Bytes,
-				consist: cl.CheckMutualConsistency() == nil,
-			}
-			if TraceCap > 0 {
-				r.TraceDumps = append(r.TraceDumps,
-					fmt.Sprintf("-- fragdb partition=%v batching=%v --\n%s",
-						dur, batching, cl.TraceDump(traceTail)))
-			}
-			cl.Shutdown()
-			return out
+		cl := b.Cluster()
+		cl.Net().Partition([]netsim.NodeID{0, 1}, []netsim.NodeID{2})
+		b.MoveCustomer("A", 2) // the withdrawing customer is cut off
+		for i := 0; i < ops; i++ {
+			at := simtime.Time(time.Duration(i*100) * time.Millisecond)
+			cl.Sched().At(at, func() { b.Withdraw(2, "A", 30, nil) })
 		}
-		fdOff := runFragDB(false)
-		fdOn := runFragDB(true)
-		if !fdOff.consist || !fdOn.consist {
+		cl.RunFor(simtime.Duration(dur))
+		quasisBefore := cl.Stats().QuasiApplied.Load()
+		statsBefore := cl.Net().Stats()
+		cl.Net().Heal()
+		cl.Settle(120 * time.Second)
+		statsAfter := cl.Net().Stats()
+		fdQuasis := cl.Stats().QuasiApplied.Load() - quasisBefore
+		fdFines := int(cl.Stats().CorrectiveActions.Load())
+		fdLat := quantiles(&cl.Stats().CommitLatency)
+		if cl.CheckMutualConsistency() != nil {
 			allConsistent = false
 		}
-		if fdOff.quasis != fdOn.quasis || fdOff.fines != fdOn.fines {
-			// Batching must be invisible above the wire.
-			allConsistent = false
+		if TraceCap > 0 {
+			r.TraceDumps = append(r.TraceDumps,
+				fmt.Sprintf("-- fragdb partition=%v --\n%s", dur, cl.TraceDump(traceTail)))
 		}
-		if int(fdOff.quasis) < prevFD {
+		cl.Shutdown()
+		if int(fdQuasis) < prevFD {
 			growingFD = false
 		}
-		prevFD = int(fdOff.quasis)
+		prevFD = int(fdQuasis)
 
 		r.AddRow(dur.String(), fmt.Sprintf("%dx2", ops),
 			fmt.Sprint(shipped), fmt.Sprintf("%d(%d)", lmFines, lmDup),
 			fmt.Sprint(backouts),
-			fmt.Sprint(fdOff.quasis), fmt.Sprint(fdOff.fines), fdOff.lat,
-			fmt.Sprintf("%d→%d", fdOff.msgs, fdOn.msgs),
-			fmt.Sprintf("%d→%d", fdOff.bytes, fdOn.bytes),
+			fmt.Sprint(fdQuasis), fmt.Sprint(fdFines), fdLat,
+			fmt.Sprint(statsAfter.Sent-statsBefore.Sent),
+			fmt.Sprint(statsAfter.Bytes-statsBefore.Bytes),
 			yesNo(allConsistent))
 	}
 	r.Pass = growingLM && growingFD && allConsistent
 	r.AddNote("both systems' post-heal work grows with partition length, but fragments/agents ships an ordered stream with zero replay decisions and zero back-outs")
 	r.AddNote("logmerge fines can duplicate (parenthesized); fragdb fines are centralized")
 	r.AddNote("the backout column runs the same free-for-all under the back-out repair: merged-log replay voids overdrawing withdrawals — fragdb never backs anything out")
-	r.AddNote("heal msgs/bytes run the fragdb scenario twice, batching off→on: same quasis, fines, and final state, fewer post-heal messages")
 	return r
 }

@@ -103,20 +103,9 @@ type Broadcast struct {
 	// DataSends counts Data/DataBatch messages handed to the transport
 	// (optimistic pushes and anti-entropy repair, per destination).
 	DataSends atomic.Uint64
-	// PayloadsSent counts the payloads those messages carried.
-	// PayloadsSent/DataSends is the batching amortization ratio: with
-	// batching off it is exactly 1.
+	// PayloadsSent counts the payloads those messages carried. Every
+	// push carries one; a repair range carries its whole run.
 	PayloadsSent atomic.Uint64
-}
-
-// Amortization returns PayloadsSent / DataSends — the mean payloads
-// carried per data message (1 when nothing was sent).
-func (b *Broadcast) Amortization() float64 {
-	sends := b.DataSends.Load()
-	if sends == 0 {
-		return 1
-	}
-	return float64(b.PayloadsSent.Load()) / float64(sends)
 }
 
 // Chaos aggregates the counters of a chaoskit campaign: plans run,

@@ -98,11 +98,8 @@ func writePrometheus(w http.ResponseWriter, v DebugVars) {
 			fmt.Fprintf(w, "# HELP fragdb_%s %s\n# TYPE fragdb_%s counter\nfragdb_%s %d\n",
 				name, help, name, name, val)
 		}
-		counter("broadcast_data_sends_total", "Data messages sent (batched or single).", b.DataSends.Load())
+		counter("broadcast_data_sends_total", "Data messages sent (pushes and repair ranges).", b.DataSends.Load())
 		counter("broadcast_payloads_sent_total", "Payloads carried by data messages.", b.PayloadsSent.Load())
-		fmt.Fprintf(w, "# HELP fragdb_broadcast_amortization Payloads per data message (batching win).\n"+
-			"# TYPE fragdb_broadcast_amortization gauge\nfragdb_broadcast_amortization %g\n",
-			b.Amortization())
 	}
 	writeRegistry(w, v)
 	if v.Runtime {

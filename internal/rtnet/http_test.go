@@ -101,7 +101,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"fragdb_broadcast_compacted_seqs 5",
 		"fragdb_broadcast_data_sends_total 3",
 		"fragdb_broadcast_payloads_sent_total 12",
-		"fragdb_broadcast_amortization 4",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q\n%s", want, body)

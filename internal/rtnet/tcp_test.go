@@ -492,7 +492,7 @@ func (n loopBroadcaster) prefix(origin netsim.NodeID) (p uint64) {
 }
 
 // loopBroadcasters starts a broadcaster per transport, each on its own
-// Loop with a SchedulerTimer, stopped at test cleanup.
+// Loop whose scheduler paces its gossip, stopped at test cleanup.
 func loopBroadcasters(t *testing.T, ts []*TCP, cfg broadcast.Config) []loopBroadcaster {
 	t.Helper()
 	ns := make([]loopBroadcaster, len(ts))
@@ -501,7 +501,7 @@ func loopBroadcasters(t *testing.T, ts []*TCP, cfg broadcast.Config) []loopBroad
 		loop := NewLoop(sched)
 		tr := ExecTransport{Transport: tp, Exec: loop.Inject}
 		id := netsim.NodeID(i)
-		b := broadcast.New(id, tr, broadcast.SchedulerTimer{S: sched}, cfg,
+		b := broadcast.New(id, tr, sched, cfg,
 			func(origin netsim.NodeID, seq uint64, payload any) {})
 		tr.SetHandler(id, func(from netsim.NodeID, payload any) { b.HandleMessage(from, payload) })
 		ns[i] = loopBroadcaster{loop: loop, b: b}
@@ -539,7 +539,7 @@ func converged(ns []loopBroadcaster, origins []netsim.NodeID, want uint64) bool 
 }
 
 // TestTCPBroadcastConvergence runs the reliable broadcast as a deployed
-// node does — TCP, ExecTransport, Loop, SchedulerTimer — with a
+// node does — TCP, ExecTransport, a Loop driving the scheduler — with a
 // drop-rule partition mid-stream: after healing, anti-entropy must
 // converge every node, exactly as over netsim. Run under -race.
 func TestTCPBroadcastConvergence(t *testing.T) {

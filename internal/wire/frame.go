@@ -24,9 +24,9 @@ import (
 
 // MaxFrameDefault bounds frame payloads when the caller passes
 // maxFrame <= 0. 1 MiB is far above any message this protocol emits
-// (the largest are DataBatches capped by the broadcast's
-// BatchMaxBytes) while keeping the worst-case per-frame allocation
-// harmless.
+// (the largest are repair DataBatches, capped by the broadcast's
+// 256 KiB repair window) while keeping the worst-case per-frame
+// allocation harmless.
 const MaxFrameDefault = 1 << 20
 
 // Framing errors. ErrFrameTooBig and ErrFrameCorrupt are protocol
