@@ -176,10 +176,12 @@ func TestCompactionLongHistory(t *testing.T) {
 }
 
 // TestBankSweep runs the banking workload profile: conservation of
-// money (balances = initial + committed activity - fines) under
-// partitions and customer moves.
+// money (balances = initial + committed activity - fines) and a
+// RECORDED mark for every ACTIVITY entry, under partitions and customer
+// moves. Sixteen seeds include plans whose office folds several
+// quasi-transactions into one pair (seeds 9, 12 and 14 among them).
 func TestBankSweep(t *testing.T) {
-	perProfile := 8
+	perProfile := 16
 	if testing.Short() {
 		perProfile = 3
 	}

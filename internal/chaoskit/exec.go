@@ -420,7 +420,8 @@ func executeCounters(p Plan, opts RunOpts) *Report {
 // executeBank runs the banking workload and audits conservation: after
 // the central office has processed all activity, each recorded balance
 // must equal the initial balance plus committed deposits, minus
-// committed withdrawals and assessed fines.
+// committed withdrawals and assessed fines. It also audits that every
+// replica holds a RECORDED mark for each ACTIVITY entry it holds.
 func executeBank(p Plan, opts RunOpts) *Report {
 	rep := &Report{Plan: p}
 	accounts := make([]string, p.Frags)
@@ -505,13 +506,28 @@ func executeBank(p Plan, opts RunOpts) *Report {
 					acct, got, want, initialBalance, committedAmount[i], fines[acct])}}
 			}
 		}
-		return []Check{{Name: "conservation"}}
+		return []Check{{Name: "conservation"}, {Name: "recorded", Err: checkRecorded(cl, bank, accounts)}}
 	})
 	if rep.Failed() && opts.TraceCap > 0 {
 		rep.Trace = cl.TraceDump(traceDumpTail)
 	}
 	cl.Shutdown()
 	return rep
+}
+
+// checkRecorded requires that the central office marked, in RECORDED,
+// every ACTIVITY entry that any replica holds: a settled entry without
+// its mark is counted twice by that replica's local view.
+func checkRecorded(cl *core.Cluster, bank *workload.Bank, accounts []string) error {
+	for i := 0; i < cl.Config().N; i++ {
+		for _, acct := range accounts {
+			if missing := bank.Unrecorded(netsim.NodeID(i), acct); len(missing) > 0 {
+				return fmt.Errorf("node %d, account %s: %d entries without a RECORDED mark, first %s",
+					i, acct, len(missing), missing[0])
+			}
+		}
+	}
+	return nil
 }
 
 // audit evaluates the invariant ladder on a settled cluster and appends

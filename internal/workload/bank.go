@@ -95,16 +95,31 @@ type Bank struct {
 
 	// queue serializes the central office's processing: one
 	// BALANCES+RECORDED pair at a time, so its own transactions never
-	// deadlock with each other.
+	// deadlock with each other. A quasi-transaction that arrives while
+	// its account already has an item waiting here joins that item as
+	// one more group (see onQuasi), so the pair that is running sets the
+	// size of the next one.
 	queue []bankWork
 	busy  bool
+	fold  bool // false under the Section 4.1 option
 
 	letters []Letter
 }
 
+// foldCap bounds the entries one fold absorbs. At the simulator's 1 ms
+// operation latency a fold of k entries reads for k ms; 256 keeps a
+// full fold far inside the default transaction timeout, so a backlog
+// drains in several folds instead of timing out and retrying forever.
+const foldCap = 256
+
+// bankWork is one BALANCES+RECORDED pair's input: the entries of one or
+// more quasi-transactions on acct's ACTIVITY fragment, in arrival
+// order. Each quasi-transaction's entries form a group; cuts lists
+// where each group after the first starts in entries.
 type bankWork struct {
 	acct    string
 	entries []fragments.ObjectID
+	cuts    []int
 }
 
 // CustomerAgent names the agent owning account acct's ACTIVITY fragment.
@@ -179,6 +194,7 @@ func NewBank(cfg BankConfig) (*Bank, error) {
 		fine:       cfg.OverdraftFine,
 		perNodeSeq: make(map[string]uint64),
 		processed:  make(map[fragments.ObjectID]bool),
+		fold:       !cfg.ReadLockOption,
 	}
 	cl.OnQuasiApplied(b.onQuasi)
 	return b, nil
@@ -246,6 +262,13 @@ func (b *Bank) operation(node netsim.NodeID, acct string, amount int64,
 // installed at the central node, a transaction on BALANCES applies it
 // to the balance (assessing a fine if the balance goes negative), and a
 // transaction on RECORDED marks the entries processed (Section 2).
+//
+// The office folds what is queued: if acct already has an item waiting
+// to run, the update's entries join it as one more group, as long as
+// the item stays within foldCap entries. Under the Section 4.1 option
+// every ACTIVITY read is a remote read lock held while BALANCES is
+// locked, so a fold's length would grow with its entries times the
+// round trip; there each update keeps a pair of its own.
 func (b *Bank) onQuasi(node netsim.NodeID, q txn.Quasi) {
 	if node != b.central {
 		return
@@ -266,6 +289,18 @@ func (b *Bank) onQuasi(node netsim.NodeID, q txn.Quasi) {
 	if len(entries) == 0 {
 		return
 	}
+	// Under folding the queue holds at most a few items per account, so
+	// the scan is short; under Section 4.1 it grows without bound.
+	for i := len(b.queue) - 1; b.fold && i >= 0; i-- {
+		if item := &b.queue[i]; item.acct == acct {
+			if len(item.entries)+len(entries) > foldCap {
+				break
+			}
+			item.cuts = append(item.cuts, len(item.entries))
+			item.entries = append(item.entries, entries...)
+			return
+		}
+	}
 	b.queue = append(b.queue, bankWork{acct: acct, entries: entries})
 	b.kick()
 }
@@ -283,30 +318,39 @@ func (b *Bank) kick() {
 
 // runWork executes one BALANCES transaction followed by its RECORDED
 // companion — two single-fragment transactions, per the paper's
-// footnote on replacing multi-fragment transactions by groups.
+// footnote on replacing multi-fragment transactions by groups. BALANCES
+// adds the groups in arrival order and checks for an overdraft after
+// each one, so a fold assesses the same fines as one pair per group.
 func (b *Bank) runWork(item bankWork) {
-	central := fragments.NodeAgent(b.central)
 	acct, entries := item.acct, item.entries
+	var letters []Letter
 	b.cl.Node(b.central).Submit(core.TxnSpec{
-		Agent: central, Fragment: "BALANCES", Label: "record:" + acct,
+		Agent: fragments.NodeAgent(b.central), Fragment: "BALANCES", Label: "record:" + acct,
 		Program: func(tx *core.Tx) error {
 			bal, err := tx.ReadInt(balObj(acct))
 			if err != nil {
 				return err
 			}
-			for _, e := range entries {
-				v, err := tx.ReadInt(e)
-				if err != nil {
-					return err
+			start := 0
+			for g := 0; g <= len(item.cuts); g++ {
+				end := len(entries)
+				if g < len(item.cuts) {
+					end = item.cuts[g]
 				}
-				bal += v
-			}
-			if bal < 0 && b.fine > 0 {
-				b.letters = append(b.letters, Letter{
-					Account: acct, Balance: bal, Fine: b.fine, At: b.cl.Now(),
-				})
-				b.cl.Stats().CorrectiveActions.Add(1)
-				bal -= b.fine
+				for _, e := range entries[start:end] {
+					v, err := tx.ReadInt(e)
+					if err != nil {
+						return err
+					}
+					bal += v
+				}
+				start = end
+				if bal < 0 && b.fine > 0 {
+					letters = append(letters, Letter{
+						Account: acct, Balance: bal, Fine: b.fine, At: b.cl.Now(),
+					})
+					bal -= b.fine
+				}
 			}
 			return tx.Write(balObj(acct), bal)
 		},
@@ -316,20 +360,34 @@ func (b *Bank) runWork(item bankWork) {
 			b.runWork(item)
 			return
 		}
-		b.cl.Node(b.central).Submit(core.TxnSpec{
-			Agent: central, Fragment: recordedFragment(acct), Label: "mark:" + acct,
-			Program: func(tx *core.Tx) error {
-				for _, e := range entries {
-					if err := tx.Write(fragments.ObjectID("rec:"+string(e)), true); err != nil {
-						return err
-					}
+		b.letters = append(b.letters, letters...)
+		b.cl.Stats().CorrectiveActions.Add(uint64(len(letters)))
+		b.record(item)
+	})
+}
+
+// record marks a committed BALANCES transaction's entries in RECORDED.
+// It retries until it commits: BALANCES already holds the entries and
+// processed their ids, so a lost mark would make LocalView count them
+// twice.
+func (b *Bank) record(item bankWork) {
+	b.cl.Node(b.central).Submit(core.TxnSpec{
+		Agent: fragments.NodeAgent(b.central), Fragment: recordedFragment(item.acct), Label: "mark:" + item.acct,
+		Program: func(tx *core.Tx) error {
+			for _, e := range item.entries {
+				if err := tx.Write(fragments.ObjectID("rec:"+string(e)), true); err != nil {
+					return err
 				}
-				return nil
-			},
-		}, func(core.TxnResult) {
-			b.busy = false
-			b.kick()
-		})
+			}
+			return nil
+		},
+	}, func(r core.TxnResult) {
+		if !r.Committed {
+			b.record(item)
+			return
+		}
+		b.busy = false
+		b.kick()
 	})
 }
 
@@ -348,22 +406,33 @@ func (b *Bank) Balance(node netsim.NodeID, acct string) int64 {
 // node's replicas of BALANCES, ACTIVITY(acct), and RECORDED(acct).
 func (b *Bank) LocalView(node netsim.NodeID, acct string) int64 {
 	view := b.Balance(node, acct)
+	store := b.cl.Node(node).Store()
+	for _, entry := range b.Unrecorded(node, acct) {
+		v, _ := store.Get(entry)
+		view += v.(int64)
+	}
+	return view
+}
+
+// Unrecorded lists the ACTIVITY entries of acct replicated at node that
+// carry no RECORDED mark there, in catalog order.
+func (b *Bank) Unrecorded(node netsim.NodeID, acct string) []fragments.ObjectID {
 	frag, ok := b.cl.Catalog().Fragment(activityFragment(acct))
 	if !ok {
-		return view
+		return nil
 	}
 	store := b.cl.Node(node).Store()
+	var out []fragments.ObjectID
 	for _, entry := range frag.Objects() {
-		v, known := store.Get(entry)
-		if !known {
+		if _, known := store.Get(entry); !known {
 			continue // not yet replicated here
 		}
 		if rec, _ := store.Get(fragments.ObjectID("rec:" + string(entry))); rec == true {
 			continue // already reflected in the balance
 		}
-		view += v.(int64)
+		out = append(out, entry)
 	}
-	return view
+	return out
 }
 
 // MoveCustomer relocates an account's customer agent to another node.

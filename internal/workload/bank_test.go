@@ -2,10 +2,12 @@ package workload
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"fragdb/internal/core"
+	"fragdb/internal/fragments"
 	"fragdb/internal/netsim"
 )
 
@@ -224,4 +226,218 @@ func TestCustomerMovesFreelyDuringPartition(t *testing.T) {
 	if err := cl.CheckMutualConsistency(); err != nil {
 		t.Error(err)
 	}
+}
+
+// officeTxns counts the committed transactions that updated fragment f.
+func officeTxns(cl *core.Cluster, f fragments.FragmentID) int {
+	n := 0
+	for _, rec := range cl.Recorder().Transactions() {
+		if rec.UpdateFragment == f {
+			n++
+		}
+	}
+	return n
+}
+
+// checkAllRecorded fails the test unless every ACTIVITY entry of acct
+// on every node has its RECORDED mark there, and every node's balance
+// and local view equal want.
+func checkAllRecorded(t *testing.T, b *Bank, acct string, want int64) {
+	t.Helper()
+	for i := 0; i < b.Cluster().Config().N; i++ {
+		n := netsim.NodeID(i)
+		if missing := b.Unrecorded(n, acct); len(missing) > 0 {
+			t.Errorf("node %d: %d entries without a RECORDED mark, first %s", i, len(missing), missing[0])
+		}
+		if got, view := b.Balance(n, acct), b.LocalView(n, acct); got != want || view != want {
+			t.Errorf("node %d: balance=%d view=%d, want %d/%d", i, got, view, want, want)
+		}
+	}
+}
+
+// TestOfficeFoldsQueuedDeposits: deposits that reach the office while a
+// pair is running join one queued item, so the office runs fewer
+// BALANCES+RECORDED pairs than it receives quasi-transactions.
+func TestOfficeFoldsQueuedDeposits(t *testing.T) {
+	b := newBank(t, 8)
+	cl := b.Cluster()
+	defer cl.Shutdown()
+	const n = 20
+	committed := 0
+	for i := 0; i < n; i++ {
+		b.Deposit(1, "00001", 5, func(r core.TxnResult) {
+			if r.Committed {
+				committed++
+			}
+		})
+	}
+	if !cl.Settle(30 * time.Second) {
+		t.Fatal("did not settle")
+	}
+	if committed != n {
+		t.Fatalf("committed %d of %d deposits", committed, n)
+	}
+	pairs := officeTxns(cl, "BALANCES")
+	if pairs >= n {
+		t.Errorf("office ran %d BALANCES transactions for %d deposits, want fewer", pairs, n)
+	}
+	if marks := officeTxns(cl, recordedFragment("00001")); marks != pairs {
+		t.Errorf("%d RECORDED transactions for %d BALANCES transactions", marks, pairs)
+	}
+	checkAllRecorded(t, b, "00001", 300+n*5)
+	if err := cl.CheckMutualConsistency(); err != nil {
+		t.Error(err)
+	}
+}
+
+// letterKey drops a letter's time, which depends on when the office
+// ran, not on what it decided.
+func letterKey(ls []Letter) []Letter {
+	out := make([]Letter, len(ls))
+	for i, l := range ls {
+		out[i] = Letter{Account: l.Account, Balance: l.Balance, Fine: l.Fine}
+	}
+	return out
+}
+
+// TestFoldFinesLikeSequential: an overdraft followed by a covering
+// deposit in the same fold is fined exactly as when each
+// quasi-transaction has a pair of its own — the office checks the
+// balance after each group, not once per fold.
+func TestFoldFinesLikeSequential(t *testing.T) {
+	run := func(fold bool) (*Bank, []Letter) {
+		b := newBank(t, 9)
+		b.fold = fold
+		cl := b.Cluster()
+		defer cl.Shutdown()
+		// A backlog keeps the office busy while an overdraft and the
+		// deposit that covers it arrive one after another; both
+		// withdrawals are admitted against the unabsorbed balance.
+		for i := 0; i < 40; i++ {
+			b.Deposit(1, "00001", 1, nil)
+		}
+		cl.RunFor(20 * time.Millisecond)
+		for _, amount := range []int64{-200, -200, 500} {
+			if amount < 0 {
+				b.Withdraw(1, "00001", -amount, nil)
+			} else {
+				b.Deposit(1, "00001", amount, nil)
+			}
+			cl.RunFor(5 * time.Millisecond)
+		}
+		if !cl.Settle(30 * time.Second) {
+			t.Fatal("did not settle")
+		}
+		checkAllRecorded(t, b, "00001", 300+40-200-200-50+500)
+		return b, letterKey(b.Letters())
+	}
+	_, seq := run(false)
+	folded, fold := run(true)
+	if len(seq) != 1 || seq[0].Balance != 300+40-400 {
+		t.Fatalf("sequential letters = %+v, want one at balance %d", seq, 300+40-400)
+	}
+	if !reflect.DeepEqual(fold, seq) {
+		t.Errorf("folded letters = %+v, sequential = %+v", fold, seq)
+	}
+	// The three operations did share one BALANCES transaction.
+	shared := false
+	for _, rec := range folded.Cluster().Recorder().Transactions() {
+		read := make(map[fragments.ObjectID]bool)
+		for _, r := range rec.Reads {
+			read[r.Object] = true
+		}
+		if rec.UpdateFragment == "BALANCES" &&
+			read["act:00001:1:41"] && read["act:00001:1:42"] && read["act:00001:1:43"] {
+			shared = true
+		}
+	}
+	if !shared {
+		t.Error("the three operations never shared a fold")
+	}
+}
+
+// TestReadLockOfficeDoesNotFold: under the Section 4.1 option each
+// quasi-transaction keeps a BALANCES+RECORDED pair of its own.
+func TestReadLockOfficeDoesNotFold(t *testing.T) {
+	b, err := NewBank(BankConfig{
+		Cluster:        core.Config{N: 3, Seed: 10},
+		CentralNode:    0,
+		Accounts:       []string{"00001"},
+		CustomerHome:   map[string]netsim.NodeID{"00001": 1},
+		InitialBalance: 300,
+		OverdraftFine:  50,
+		ReadLockOption: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := b.Cluster()
+	defer cl.Shutdown()
+	const n = 10
+	for i := 0; i < n; i++ {
+		b.Deposit(1, "00001", 5, nil)
+	}
+	if !cl.Settle(30 * time.Second) {
+		t.Fatal("did not settle")
+	}
+	if pairs := officeTxns(cl, "BALANCES"); pairs != n {
+		t.Errorf("office ran %d BALANCES transactions for %d deposits, want %d", pairs, n, n)
+	}
+	checkAllRecorded(t, b, "00001", 300+n*5)
+}
+
+// TestFoldSplitsAtCap: a backlog larger than foldCap drains in several
+// folds of at most foldCap entries each, and every one commits.
+func TestFoldSplitsAtCap(t *testing.T) {
+	b := newBank(t, 11)
+	cl := b.Cluster()
+	defer cl.Shutdown()
+	const n = 2*foldCap + 10
+	for i := 0; i < n; i++ {
+		b.Deposit(1, "00001", 1, nil)
+	}
+	if !cl.Settle(60 * time.Second) {
+		t.Fatal("did not settle")
+	}
+	folds := 0
+	for _, rec := range cl.Recorder().Transactions() {
+		if rec.UpdateFragment != "BALANCES" {
+			continue
+		}
+		folds++
+		if entries := len(rec.Reads) - 1; entries > foldCap {
+			t.Errorf("a fold read %d entries, cap %d", entries, foldCap)
+		}
+	}
+	if folds < 3 || folds >= n {
+		t.Errorf("%d folds for %d deposits, want at least 3 and fewer than %d", folds, n, n)
+	}
+	checkAllRecorded(t, b, "00001", 300+n)
+}
+
+// TestRecordedRetriedAfterCrash: the central node crashes while the
+// RECORDED half of a pair runs. The BALANCES half has committed, so the
+// office must retry the marks; otherwise LocalView would count the
+// deposit twice forever.
+func TestRecordedRetriedAfterCrash(t *testing.T) {
+	b := newBank(t, 12)
+	cl := b.Cluster()
+	defer cl.Shutdown()
+	b.Deposit(1, "00001", 150, nil)
+	crashed := false
+	for end := cl.Now().Add(time.Second); cl.Now() < end; {
+		cl.RunFor(100 * time.Microsecond)
+		if b.Balance(0, "00001") == 450 && cl.ActiveTxnCount() > 0 {
+			cl.Node(0).SimulateCrashRestart()
+			crashed = true
+			break
+		}
+	}
+	if !crashed {
+		t.Fatal("never saw the RECORDED half running")
+	}
+	if !cl.Settle(30 * time.Second) {
+		t.Fatal("did not settle")
+	}
+	checkAllRecorded(t, b, "00001", 450)
 }

@@ -2,7 +2,7 @@
 # smoke.sh — CI smoke test of the real deployment: start a 3-process
 # cluster, drive it briefly with haload, and assert that operations
 # commit, every peer link connects, and the replicas expose consistent
-# commutative totals. Artifacts (per-node logs, the haload JSON report)
+# commutative totals and identical bank balances. Artifacts (per-node logs, the haload JSON report)
 # stay in $RUNDIR for upload.
 set -euo pipefail
 
@@ -45,4 +45,19 @@ for _ in $(seq 1 100); do
 done
 [ "${converged:-0}" = 1 ] || fail "counter totals did not converge: $counters"
 
-echo "SMOKE OK: $committed commits, counters converged at $(echo "$counters" | head -1)"
+# The central office folds ACTIVITY into BALANCES at node 0; once it
+# has caught up, every replica must hold the same balances.
+for _ in $(seq 1 100); do
+  balances=$(for i in 0 1 2; do
+    curl -fsS "http://127.0.0.1:$((8100 + i))/state" |
+      sed -n '/"balances"/,/}/p' | tr -d ' \n'
+    echo
+  done)
+  [ "$(echo "$balances" | sort -u | wc -l)" = 1 ] && agreed=1 && break
+  agreed=0
+  sleep 0.2
+done
+[ "${agreed:-0}" = 1 ] || fail "balances differ across replicas: $balances"
+
+echo "SMOKE OK: $committed commits, counters converged at $(echo "$counters" | head -1)," \
+  "balances agree: $(echo "$balances" | head -1)"
