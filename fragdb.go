@@ -42,7 +42,10 @@
 //	cl.Node(0).Submit(fragdb.TxnSpec{
 //	    Agent: fragdb.NodeAgent(0), Fragment: "F",
 //	    Program: func(tx *fragdb.Tx) error {
-//	        v, _ := tx.ReadInt("x")
+//	        v, err := tx.ReadInt("x")
+//	        if err != nil {
+//	            return err
+//	        }
 //	        return tx.Write("x", v+1)
 //	    },
 //	}, nil)

@@ -11,7 +11,11 @@
 // The check runs in the determinism-critical packages (core,
 // placement, chaoskit, broadcast, agentmove, obs — the engine,
 // decision, and observation layers whose outputs must be functions of
-// (seed, plan) or of the scraped inputs alone). Sink reachability is
+// (seed, plan) or of the scraped inputs alone). One sink counts in
+// every package: a transaction operation ((*core.Tx).Read, ReadInt,
+// Write, Think). A program reruns against the log of its answered
+// operations, and one that issues them in map order diverges from it
+// and pays for each operation again. Sink reachability is
 // interprocedural: the loop body's calls are resolved through the
 // module call graph, so a send hidden two helpers down is still found,
 // and reported with its call path.
@@ -66,9 +70,10 @@ func Critical(path string) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	if !Critical(pass.Pkg.Path) || !pass.Pkg.Typed() {
+	if !pass.Pkg.Typed() {
 		return nil
 	}
+	critical := Critical(pass.Pkg.Path)
 	cg := pass.Prog.CallGraph()
 	for _, f := range pass.Pkg.Files {
 		imports := analysis.ImportNames(f)
@@ -80,7 +85,7 @@ func run(pass *analysis.Pass) error {
 			if !isMapRange(pass, rs) {
 				return true
 			}
-			if sinkDesc, ok := bodyReachesSink(pass, cg, imports, rs.Body); ok {
+			if sinkDesc, ok := bodyReachesSink(pass, cg, imports, rs.Body, critical); ok {
 				pass.Reportf(rs.For,
 					"map iteration order reaches a decision sink: %s; iterate a sorted key slice instead, or justify with //halint:allow mapdeterminism -- <why>",
 					sinkDesc)
@@ -104,20 +109,24 @@ func isMapRange(pass *analysis.Pass, rs *ast.RangeStmt) bool {
 // bodyReachesSink walks the loop body (including nested function
 // literals — a callback built per-key carries the order with it)
 // looking for a direct sink or a call whose summary reaches one.
-func bodyReachesSink(pass *analysis.Pass, cg *analysis.CallGraph, imports map[string]string, body *ast.BlockStmt) (string, bool) {
+// Outside the critical packages only transaction operations count.
+func bodyReachesSink(pass *analysis.Pass, cg *analysis.CallGraph, imports map[string]string, body *ast.BlockStmt, critical bool) (string, bool) {
 	var desc string
 	found := false
+	counts := func(k analysis.Sink) bool { return critical || k == analysis.SinkTxOp }
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
 			return false
 		}
 		switch n := n.(type) {
 		case *ast.SendStmt:
-			desc, found = "channel send in the loop body", true
-			return false
+			if critical {
+				desc, found = "channel send in the loop body", true
+				return false
+			}
 		case *ast.CallExpr:
 			// Direct sink at this call?
-			if k, what, ok := cg.CallSink(pass.Pkg, imports, n); ok {
+			if k, what, ok := cg.CallSink(pass.Pkg, imports, n); ok && counts(k) {
 				desc = what + " (" + k.String() + ") in the loop body"
 				found = true
 				return false
@@ -130,7 +139,7 @@ func bodyReachesSink(pass *analysis.Pass, cg *analysis.CallGraph, imports map[st
 					continue
 				}
 				for k := analysis.SinkSend; int(k) < analysis.NumSinks; k++ {
-					if sum.HasSink(k) {
+					if sum.HasSink(k) && counts(k) {
 						desc = "the loop body reaches a " + k.String() + " via " + cg.SinkPath(callee, k)
 						found = true
 						return false

@@ -10,10 +10,10 @@ import (
 // TestFixtures proves the analyzer flags map ranges whose bodies reach
 // a sink directly, transitively (with the call path), or through a
 // per-key closure; stays quiet on aggregation, string building, and the
-// collect-sort-range idiom; ignores non-critical packages; and honors
-// the allow directive.
+// collect-sort-range idiom; in non-critical packages flags only
+// transaction operations; and honors the allow directive.
 func TestFixtures(t *testing.T) {
-	analysistest.Run(t, analysistest.Testdata(t), mapdeterminism.Analyzer, "core", "util", "broadcast")
+	analysistest.Run(t, analysistest.Testdata(t), mapdeterminism.Analyzer, "core", "util", "broadcast", "workload")
 }
 
 // TestCritical pins the package classification rule.

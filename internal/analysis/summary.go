@@ -46,7 +46,13 @@ const (
 	// SinkDecision is a move-protocol call (internal/agentmove): the
 	// actuation of a placement decision.
 	SinkDecision
-	NumSinks = 4
+	// SinkTxOp is an operation of a transaction program
+	// ((*core.Tx).Read, ReadInt, Write, Think). A program reruns from a
+	// log of its answered operations, so it must issue them in the same
+	// order every run; unlike the other sinks it counts in every
+	// package, since programs live outside the engine.
+	SinkTxOp
+	NumSinks = 5
 )
 
 // String names a sink for diagnostics.
@@ -60,6 +66,8 @@ func (s Sink) String() string {
 		return "encode/output"
 	case SinkDecision:
 		return "move decision"
+	case SinkTxOp:
+		return "transaction operation"
 	}
 	return "sink"
 }
@@ -324,6 +332,8 @@ func classifySink(cg *CallGraph, fn *types.Func, imports map[string]string, call
 			return SinkEncode, cg.FuncName(fn), true
 		case pkgSegment(path, "agentmove") && ast.IsExported(name):
 			return SinkDecision, cg.FuncName(fn), true
+		case txOps[name] && pkgSegment(path, "core") && recvNamed(fn) == "Tx":
+			return SinkTxOp, cg.FuncName(fn), true
 		}
 		return 0, "", false
 	}
@@ -344,6 +354,9 @@ func classifySink(cg *CallGraph, fn *types.Func, imports map[string]string, call
 	}
 	return 0, "", false
 }
+
+// txOps names the methods of core.Tx that are program operations.
+var txOps = map[string]bool{"Read": true, "ReadInt": true, "Write": true, "Think": true}
 
 // processStream reports whether an Fprint destination is recognizably a
 // process output stream (os.Stdout / os.Stderr). With the stub stdlib

@@ -83,8 +83,6 @@ var (
 	ErrWounded = errors.New("core: transaction wounded by remote update")
 	// ErrNoMajority: majority commit could not assemble a majority.
 	ErrNoMajority = errors.New("core: no majority of nodes reachable")
-	// ErrAborted: operation on a transaction that is already aborted.
-	ErrAborted = errors.New("core: transaction already aborted")
 	// ErrUnknownObject: read of an object in no cataloged fragment.
 	ErrUnknownObject = errors.New("core: object not in any fragment")
 	// ErrAgentMoving: the fragment's agent is mid-move and not accepting

@@ -9,6 +9,7 @@ import (
 	"fragdb/internal/history"
 	"fragdb/internal/lock"
 	"fragdb/internal/netsim"
+	"fragdb/internal/simtime"
 	"fragdb/internal/trace"
 	"fragdb/internal/txn"
 )
@@ -22,7 +23,8 @@ import (
 // one node at a time", Section 3.1).
 func (n *Node) Submit(spec TxnSpec, done func(TxnResult)) {
 	n.cl.stats.Offered.Add(1)
-	n.cl.sched.After(0, func() { n.startTxn(spec, done) })
+	submitted := n.cl.sched.Now()
+	n.cl.sched.After(0, func() { n.startTxn(spec, done, submitted) })
 }
 
 // origin resolves the accounting origin of a submission: the explicit
@@ -54,7 +56,7 @@ func (n *Node) reject(spec TxnSpec, done func(TxnResult), err error) {
 	}
 }
 
-func (n *Node) startTxn(spec TxnSpec, done func(TxnResult)) {
+func (n *Node) startTxn(spec TxnSpec, done func(TxnResult), submitted simtime.Time) {
 	if spec.Fragment != "" {
 		if _, ok := n.cl.cat.Fragment(spec.Fragment); !ok {
 			n.reject(spec, done, fmt.Errorf("core: unknown fragment %q", spec.Fragment))
@@ -75,18 +77,24 @@ func (n *Node) startTxn(spec TxnSpec, done func(TxnResult)) {
 			return
 		}
 	}
+	n.begin(spec, done, submitted, false)
+}
+
+// begin registers a transaction submitted at the given time, arms its
+// timeout and runs its program.
+func (n *Node) begin(spec TxnSpec, done func(TxnResult), submitted simtime.Time, multi bool) {
 	n.nextTxnSeq++
 	t := &activeTxn{
-		id:     txn.ID{Origin: n.id, Seq: n.nextTxnSeq},
-		spec:   spec,
-		node:   n,
-		reqCh:  make(chan request),
-		respCh: make(chan response),
-		start:  n.cl.sched.Now(),
-		done:   done,
+		id:    txn.ID{Origin: n.id, Seq: n.nextTxnSeq},
+		spec:  spec,
+		node:  n,
+		multi: multi,
+		start: submitted,
+		done:  done,
 	}
+	t.tx.t = t
 	n.active[t.id] = t
-	if n.tr.Enabled() {
+	if !multi && n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KSubmit, Txn: t.id,
 			Frag: spec.Fragment, Note: spec.Label})
 	}
@@ -95,78 +103,74 @@ func (n *Node) startTxn(spec TxnSpec, done func(TxnResult)) {
 		timeout = n.cl.cfg.TxnTimeout
 	}
 	t.timeoutEv = n.cl.sched.After(timeout, func() { n.timeoutTxn(t) })
-	go func() {
-		err := spec.Program(&Tx{t: t})
-		t.reqCh <- request{kind: reqDone, err: err}
-	}()
-	n.serve(t)
+	n.run(t)
 }
 
-// serve consumes the transaction program's requests until one of them
-// requires waiting (a lock queue, a remote lock, a scheduled response),
-// at which point it returns; the continuation re-enters serve.
-func (n *Node) serve(t *activeTxn) {
-	for {
-		req := <-t.reqCh
-		if req.kind == reqDone {
-			n.finishTxn(t, req.err)
-			return
-		}
-		if t.finished {
-			t.respCh <- response{err: causeOf(t)}
-			continue
-		}
-		if t.poisoned != nil {
-			t.respCh <- response{err: t.poisoned}
-			continue
-		}
-		var cont bool
-		switch req.kind {
-		case reqThink:
-			d := req.think
-			n.cl.sched.After(d, func() {
-				t.respCh <- response{}
-				n.serve(t)
-			})
-			cont = false
-		case reqRead:
-			cont = n.handleRead(t, req)
-		case reqWrite:
-			cont = n.handleWrite(t, req)
-		}
-		if !cont {
-			return
-		}
+// run executes the program from the start against the transaction's
+// log. A run that ends waiting is discarded: the answer it waits for
+// runs the program again.
+func (n *Node) run(t *activeTxn) {
+	t.cursor = 0
+	t.waiting = false
+	clear(t.writeVals)
+	t.writeOrder = t.writeOrder[:0]
+	err := t.spec.Program(&t.tx)
+	if !t.waiting {
+		n.finishTxn(t, err)
 	}
 }
 
-func causeOf(t *activeTxn) error {
-	if t.poisoned != nil {
-		return t.poisoned
-	}
-	return ErrAborted
+// resume logs an answer that arrived while the program waited and runs
+// the program again.
+func (n *Node) resume(t *activeTxn, e request) {
+	t.log = append(t.log, e)
+	n.run(t)
 }
 
-// poison marks the transaction as doomed and responds to the current
-// request with the cause. The program is expected to return the error.
-func (n *Node) poison(t *activeTxn, err error) {
+// exec hands an operation past the end of the log to the engine.
+func (n *Node) exec(t *activeTxn, req request) request {
+	switch req.kind {
+	case reqRead:
+		return n.handleRead(t, req)
+	case reqWrite:
+		return n.handleWrite(t, req)
+	}
+	// A Think: the run waits out its duration.
+	n.cl.sched.After(req.think, func() {
+		if !t.finished {
+			n.resume(t, request{kind: reqThink})
+		}
+	})
+	return t.wait()
+}
+
+// poison marks the transaction as doomed and answers the current
+// operation with the cause. The program is expected to return the error.
+func (n *Node) poison(t *activeTxn, req request, err error) request {
 	t.poisoned = err
-	t.respCh <- response{err: err}
+	req.err = err
+	return t.answer(req)
 }
 
-// handleRead processes a read request. It returns true when serve
-// should keep consuming requests, false when the response was deferred.
-func (n *Node) handleRead(t *activeTxn, req request) bool {
-	o := req.obj
-	if v, ok := t.writeVals[o]; ok {
-		// Read-your-own-writes from the transaction workspace.
-		t.respCh <- response{val: v, known: true}
-		return true
+// remoteRead sends a Section 4.1 lock request for o to home; the run
+// waits for the grant or deny.
+func (n *Node) remoteRead(t *activeTxn, req request, frag fragments.FragmentID, home netsim.NodeID) request {
+	n.cl.reg.IncRead(frag, n.origin(t.spec))
+	t.pendingRemote = &req
+	if n.tr.Enabled() {
+		n.tr.Emit(trace.Event{Kind: trace.KRemoteLockWait, Txn: t.id,
+			Obj: req.obj, Peer: home, HasPeer: true})
 	}
+	n.cl.tr.Send(n.id, home, lockReqMsg{Txn: t.id, Object: req.obj, From: n.id})
+	return t.wait()
+}
+
+// handleRead processes a read past the log.
+func (n *Node) handleRead(t *activeTxn, req request) request {
+	o := req.obj
 	frag, ok := n.cl.cat.FragmentOf(o)
 	if !ok {
-		n.poison(t, fmt.Errorf("%w: %q", ErrUnknownObject, o))
-		return true
+		return n.poison(t, req, fmt.Errorf("%w: %q", ErrUnknownObject, o))
 	}
 	foreign := t.spec.Fragment == "" || frag != t.spec.Fragment
 	opt := n.cl.optionFor(t.spec.Fragment)
@@ -174,14 +178,7 @@ func (n *Node) handleRead(t *activeTxn, req request) bool {
 	// read it remotely at the agent's home node, whatever the option.
 	if !n.cl.IsReplica(frag, n.id) {
 		if home, ok := n.cl.tokens.HomeOfFragment(frag); ok && home != n.id {
-			n.cl.reg.IncRead(frag, n.origin(t.spec))
-			t.pendingRemote = &req
-			if n.tr.Enabled() {
-				n.tr.Emit(trace.Event{Kind: trace.KRemoteLockWait, Txn: t.id,
-					Obj: o, Peer: home, HasPeer: true})
-			}
-			n.cl.tr.Send(n.id, home, lockReqMsg{Txn: t.id, Object: o, From: n.id})
-			return false
+			return n.remoteRead(t, req, frag, home)
 		}
 	}
 	// Section 4.2: update transactions must stay within the declared
@@ -189,132 +186,102 @@ func (n *Node) handleRead(t *activeTxn, req request) bool {
 	// allows them to violate the restrictions).
 	if opt == AcyclicReads && t.spec.Fragment != "" && foreign {
 		if !n.cl.rag.HasEdge(t.spec.Fragment, frag) {
-			n.poison(t, fmt.Errorf("%w: %s reading %s", ErrUndeclaredRead, t.spec.Fragment, frag))
-			return true
+			return n.poison(t, req, fmt.Errorf("%w: %s reading %s", ErrUndeclaredRead, t.spec.Fragment, frag))
 		}
 	}
 	// Section 4.1: reads outside the updated fragment acquire a lock at
 	// the owning agent's home node and read the authoritative copy.
 	if opt == ReadLocks && foreign {
 		if home, ok := n.cl.tokens.HomeOfFragment(frag); ok && home != n.id {
-			n.cl.reg.IncRead(frag, n.origin(t.spec))
-			t.pendingRemote = &req
-			if n.tr.Enabled() {
-				n.tr.Emit(trace.Event{Kind: trace.KRemoteLockWait, Txn: t.id,
-					Obj: o, Peer: home, HasPeer: true})
-			}
-			n.cl.tr.Send(n.id, home, lockReqMsg{Txn: t.id, Object: o, From: n.id})
-			return false
+			return n.remoteRead(t, req, frag, home)
 		}
 	}
-	granted, err := n.locks.Acquire(t.id, o, lock.Shared)
-	if err != nil {
-		n.cl.stats.Deadlocks.Add(1)
-		n.poison(t, ErrDeadlock)
-		return true
-	}
-	if !granted {
-		r := req
-		t.parked = &r
-		return false
-	}
-	n.finishRead(t, req)
-	return false
+	return n.acquire(t, req, lock.Shared)
 }
 
-// finishRead delivers the read value after the per-operation latency.
-func (n *Node) finishRead(t *activeTxn, req request) {
-	if f, ok := n.cl.cat.FragmentOf(req.obj); ok {
-		n.cl.reg.IncRead(f, n.origin(t.spec))
-	}
-	n.cl.sched.After(n.cl.opLatency, func() {
-		if t.finished {
-			t.respCh <- response{err: causeOf(t)}
-			n.serve(t)
-			return
-		}
-		ver, known := n.store.GetVersion(req.obj)
-		obs := history.ReadObs{Object: req.obj}
-		var val any
-		if known {
-			obs.FromTxn = ver.Txn
-			obs.Pos = ver.Pos
-			val = ver.Value
-		}
-		t.reads = append(t.reads, obs)
-		t.respCh <- response{val: val, known: known}
-		n.serve(t)
-	})
-}
-
-// handleWrite processes a write request.
-func (n *Node) handleWrite(t *activeTxn, req request) bool {
+// handleWrite processes a write past the log.
+func (n *Node) handleWrite(t *activeTxn, req request) request {
 	if t.multi {
 		// Multi-fragment transactions may write any EXISTING object;
 		// the 2PC participants (the fragments' agents) authorize the
 		// writes at prepare time.
 		if _, ok := n.cl.cat.FragmentOf(req.obj); !ok {
-			n.poison(t, fmt.Errorf("%w: %q (multi-fragment writes need existing objects)", ErrUnknownObject, req.obj))
-			return true
+			return n.poison(t, req, fmt.Errorf("%w: %q (multi-fragment writes need existing objects)", ErrUnknownObject, req.obj))
 		}
 	} else {
 		if t.spec.Fragment == "" {
-			n.poison(t, ErrReadOnlyTxn)
-			return true
+			return n.poison(t, req, ErrReadOnlyTxn)
 		}
 		// Initiation requirement: the written object must lie in the
 		// transaction's fragment; new objects are created in it.
 		if err := n.cl.cat.EnsureObject(t.spec.Fragment, req.obj); err != nil {
-			n.poison(t, err)
-			return true
+			return n.poison(t, req, err)
 		}
 	}
-	granted, err := n.locks.Acquire(t.id, req.obj, lock.Exclusive)
+	return n.acquire(t, req, lock.Exclusive)
+}
+
+// acquire takes the operation's local lock: granted, it completes;
+// queued, the run waits on the grant.
+func (n *Node) acquire(t *activeTxn, req request, mode lock.Mode) request {
+	granted, err := n.locks.Acquire(t.id, req.obj, mode)
 	if err != nil {
 		n.cl.stats.Deadlocks.Add(1)
-		n.poison(t, ErrDeadlock)
-		return true
+		return n.poison(t, req, ErrDeadlock)
 	}
 	if !granted {
 		r := req
 		t.parked = &r
-		return false
+		return t.wait()
 	}
-	n.finishWrite(t, req)
-	return false
+	return n.granted(t, req)
 }
 
-// finishWrite buffers the write in the transaction workspace after the
-// per-operation latency.
-func (n *Node) finishWrite(t *activeTxn, req request) {
-	f := t.spec.Fragment
-	if ff, ok := n.cl.cat.FragmentOf(req.obj); ok {
-		f = ff
+// granted completes an operation that holds its lock. A running
+// program on a zero-latency node gets the answer inline; otherwise it
+// arrives after the per-operation latency and the program runs again.
+func (n *Node) granted(t *activeTxn, req request) request {
+	f, ok := n.cl.cat.FragmentOf(req.obj)
+	if req.kind == reqRead {
+		if ok {
+			n.cl.reg.IncRead(f, n.origin(t.spec))
+		}
+	} else {
+		if !ok {
+			f = t.spec.Fragment
+		}
+		n.cl.reg.IncWrite(f, n.origin(t.spec))
 	}
-	n.cl.reg.IncWrite(f, n.origin(t.spec))
+	if n.cl.opLatency == 0 && !t.waiting {
+		return t.answer(n.complete(t, req))
+	}
 	n.cl.sched.After(n.cl.opLatency, func() {
-		if t.finished {
-			t.respCh <- response{err: causeOf(t)}
-			n.serve(t)
-			return
+		if !t.finished {
+			n.resume(t, n.complete(t, req))
 		}
-		if _, seen := t.writeVals[req.obj]; !seen {
-			t.writeOrder = append(t.writeOrder, req.obj)
-		}
-		if t.writeVals == nil {
-			t.writeVals = make(map[fragments.ObjectID]any)
-		}
-		t.writeVals[req.obj] = req.val
-		t.respCh <- response{}
-		n.serve(t)
 	})
+	return t.wait()
+}
+
+// complete answers a granted operation: a read takes the stored value
+// and records what it observed; a write is buffered by whoever logs it.
+func (n *Node) complete(t *activeTxn, req request) request {
+	if req.kind == reqWrite {
+		return req
+	}
+	ver, known := n.store.GetVersion(req.obj)
+	obs := history.ReadObs{Object: req.obj}
+	if known {
+		obs.FromTxn = ver.Txn
+		obs.Pos = ver.Pos
+		req.val = ver.Value
+	}
+	t.reads = append(t.reads, obs)
+	return req
 }
 
 // finishTxn handles the program's completion: commit or abort.
 func (n *Node) finishTxn(t *activeTxn, progErr error) {
-	if t.finalizedFlag {
-		return // engine aborted it earlier; nothing more to do
-	}
 	if progErr == nil {
 		progErr = t.poisoned
 	}
@@ -432,14 +399,10 @@ func (n *Node) agentType(a fragments.AgentID) fragments.FragmentID {
 // releases its locks everywhere, updates counters, and invokes the
 // completion callback.
 func (n *Node) finalize(t *activeTxn, err error, committed bool) {
-	if t.finalizedFlag {
+	if t.finished {
 		return
 	}
-	t.finalizedFlag = true
 	t.finished = true
-	if t.poisoned == nil && err != nil {
-		t.poisoned = err
-	}
 	n.cl.sched.Cancel(t.timeoutEv)
 	if t.majorityEv != nil {
 		n.cl.sched.Cancel(t.majorityEv)
@@ -518,49 +481,34 @@ func abortCause(err error) string {
 
 // timeoutTxn aborts a transaction that has been blocked too long.
 func (n *Node) timeoutTxn(t *activeTxn) {
-	if t.finalizedFlag {
+	if t.finished {
 		return
 	}
 	n.cl.stats.TimedOut.Add(1)
 	n.abortBlocked(t, ErrTimeout)
 }
 
-// abortBlocked aborts a transaction from outside its own request flow:
-// a timeout, a wound by a quasi-transaction, or a failed majority. The
-// transaction is necessarily not mid-request (the engine is between
-// events), so it is parked on a lock, awaiting a remote grant, awaiting
-// a majority, awaiting a scheduled response, or thinking.
+// abortBlocked aborts a transaction from outside its program: a
+// timeout, a wound by a quasi-transaction, a crash, or a failed
+// majority. The program is not running (the engine is between events):
+// its run waits on a lock, a remote grant or a scheduled answer, or
+// the program completed and the transaction awaits a majority or a
+// two-phase commit. The program never runs again.
 func (n *Node) abortBlocked(t *activeTxn, cause error) {
-	if t.finalizedFlag {
+	if t.finished {
 		return
 	}
-	t.finished = true
-	t.poisoned = cause
 	waitingMaj := t.waitingMajority
-	waitingMulti := t.waitingMulti
 	t.waitingMajority = false
-	t.waitingMulti = false
-	if waitingMulti {
+	if t.waitingMulti {
+		// The program already completed; tell participants to abort.
+		t.waitingMulti = false
 		n.abortMulti(t)
 	}
 	n.finalize(t, cause, false)
-	switch {
-	case waitingMulti:
-		// The program already completed; participants were told to abort.
-	case waitingMaj:
+	if waitingMaj {
 		// The program already completed; cancel the prepared quasi.
 		n.bcast.Send(abortCmdMsg{Txn: t.id, Fragment: t.spec.Fragment})
-	case t.parked != nil:
-		t.parked = nil
-		t.respCh <- response{err: cause}
-		n.serve(t)
-	case t.pendingRemote != nil:
-		t.pendingRemote = nil
-		t.respCh <- response{err: cause}
-		n.serve(t)
-	default:
-		// A response event is scheduled (finishRead/finishWrite/Think);
-		// its closure observes t.finished and responds with the cause.
 	}
 }
 
@@ -724,11 +672,7 @@ func (n *Node) onGrants(grants []lock.Grant) {
 		if t, ok := n.active[g.Txn]; ok && t.parked != nil && t.parked.obj == g.Object {
 			req := *t.parked
 			t.parked = nil
-			if req.kind == reqRead {
-				n.finishRead(t, req)
-			} else {
-				n.finishWrite(t, req)
-			}
+			n.granted(t, req)
 			continue
 		}
 		if rq, ok := n.remoteQueued[g.Txn]; ok && rq.obj == g.Object {

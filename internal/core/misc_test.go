@@ -176,11 +176,13 @@ func TestRemoteLockDenyOnServerDeadlock(t *testing.T) {
 		}, nil)
 	})
 	cl.Settle(60 * time.Second)
+	// The deny is logged as the second read's answer: the rerun after it
+	// sees ErrRemoteDenied there, and the transaction aborts with it.
 	if !errors.Is(readErr, ErrRemoteDenied) {
 		t.Errorf("readErr = %v, want ErrRemoteDenied", readErr)
 	}
-	if res.Committed {
-		t.Error("deadlocked remote reader committed")
+	if res.Committed || !errors.Is(res.Err, ErrRemoteDenied) {
+		t.Errorf("deadlocked remote reader: %+v, want aborted with ErrRemoteDenied", res)
 	}
 	// T1 proceeded once the denial released T0's remote locks.
 	if v, _ := cl.Node(0).Store().Get("F1/b"); v != int64(2) {

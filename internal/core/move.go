@@ -35,7 +35,7 @@ func (n *Node) SetMoveBlocked(f fragments.FragmentID, blocked bool) {
 // command discarding its prepared quasi-transaction at remote nodes.
 func (n *Node) FenceMoving(f fragments.FragmentID) {
 	for _, t := range n.activeSnapshot() {
-		if t.spec.Fragment == f && !t.finalizedFlag {
+		if t.spec.Fragment == f && !t.finished {
 			if n.tr.Enabled() {
 				n.tr.Emit(trace.Event{Kind: trace.KMoveFence, Txn: t.id, Frag: f})
 			}

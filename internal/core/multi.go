@@ -100,36 +100,16 @@ type partKey struct {
 // commits only if every written fragment's agent home votes yes.
 func (n *Node) SubmitMulti(spec TxnSpec, done func(TxnResult)) {
 	n.cl.stats.Offered.Add(1)
-	n.cl.sched.After(0, func() { n.startMultiTxn(spec, done) })
+	submitted := n.cl.sched.Now()
+	n.cl.sched.After(0, func() { n.startMultiTxn(spec, done, submitted) })
 }
 
-func (n *Node) startMultiTxn(spec TxnSpec, done func(TxnResult)) {
+func (n *Node) startMultiTxn(spec TxnSpec, done func(TxnResult), submitted simtime.Time) {
 	if spec.Fragment != "" {
 		n.reject(spec, done, fmt.Errorf("core: SubmitMulti takes no Fragment (writes choose their fragments)"))
 		return
 	}
-	n.nextTxnSeq++
-	t := &activeTxn{
-		id:     txn.ID{Origin: n.id, Seq: n.nextTxnSeq},
-		spec:   spec,
-		node:   n,
-		multi:  true,
-		reqCh:  make(chan request),
-		respCh: make(chan response),
-		start:  n.cl.sched.Now(),
-		done:   done,
-	}
-	n.active[t.id] = t
-	timeout := spec.Timeout
-	if timeout == 0 {
-		timeout = n.cl.cfg.TxnTimeout
-	}
-	t.timeoutEv = n.cl.sched.After(timeout, func() { n.timeoutTxn(t) })
-	go func() {
-		err := spec.Program(&Tx{t: t})
-		t.reqCh <- request{kind: reqDone, err: err}
-	}()
-	n.serve(t)
+	n.begin(spec, done, submitted, true)
 }
 
 // startMulti begins the two-phase commit after the program completed.

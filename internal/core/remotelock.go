@@ -79,7 +79,7 @@ func (n *Node) expireRemote(id txn.ID) {
 // read.
 func (n *Node) handleLockGrant(m lockGrantMsg) {
 	t, ok := n.active[m.Txn]
-	if !ok || t.finalizedFlag {
+	if !ok || t.finished {
 		// We aborted while the grant was in flight: release it.
 		n.cl.tr.Send(n.id, m.From, lockReleaseMsg{Txn: m.Txn})
 		return
@@ -102,15 +102,15 @@ func (n *Node) handleLockGrant(m lockGrantMsg) {
 		obs.Pos = m.Version.Pos
 	}
 	t.reads = append(t.reads, obs)
-	t.respCh <- response{val: m.Value, known: m.Known}
-	n.serve(t)
+	n.resume(t, request{kind: reqRead, obj: m.Object, val: m.Value})
 }
 
-// handleLockDeny aborts the local transaction whose remote request was
-// refused by the serving node's deadlock detection.
+// handleLockDeny dooms the local transaction whose remote request was
+// refused by the serving node's deadlock detection: the program runs
+// again and sees ErrRemoteDenied at that read.
 func (n *Node) handleLockDeny(m lockDenyMsg) {
 	t, ok := n.active[m.Txn]
-	if !ok || t.finalizedFlag || t.pendingRemote == nil || t.pendingRemote.obj != m.Object {
+	if !ok || t.finished || t.pendingRemote == nil || t.pendingRemote.obj != m.Object {
 		return
 	}
 	n.cl.stats.Deadlocks.Add(1)
@@ -119,8 +119,7 @@ func (n *Node) handleLockDeny(m lockDenyMsg) {
 	}
 	t.pendingRemote = nil
 	t.poisoned = ErrRemoteDenied
-	t.respCh <- response{err: ErrRemoteDenied}
-	n.serve(t)
+	n.resume(t, request{kind: reqRead, obj: m.Object, err: ErrRemoteDenied})
 }
 
 // handleLockRelease frees every lock the remote transaction holds here.

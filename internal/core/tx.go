@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"fragdb/internal/fragments"
@@ -20,9 +21,19 @@ type TxnSpec struct {
 	Fragment fragments.FragmentID
 	// Label tags the transaction for results and debugging.
 	Label string
-	// Program is the transaction body. It runs on its own goroutine and
-	// interacts with the database only through the Tx handle. A non-nil
-	// return aborts the transaction.
+	// Program is the transaction body. It runs on the node's event loop
+	// and interacts with the database only through the Tx handle. A
+	// non-nil return aborts the transaction.
+	//
+	// A program may run several times. An operation that must wait (a
+	// queued lock, a remote read lock, the simulator's per-operation
+	// latency, a Think) does not block: it and every later operation of
+	// that run return an error, and that run's return value is ignored.
+	// Once the answer arrives the program runs again from the start,
+	// its earlier operations answered from a log. So a program must be
+	// a deterministic function of what its operations return — the
+	// same operations in the same order, never in map order — and its
+	// side effects belong in the completion callback.
 	Program func(tx *Tx) error
 	// Timeout overrides the cluster's TxnTimeout for this transaction.
 	Timeout simtime.Duration
@@ -62,34 +73,38 @@ const (
 	reqRead reqKind = iota
 	reqWrite
 	reqThink
-	reqDone
 )
 
+// request is one operation of a program and, once answered, its entry
+// in the transaction's log.
 type request struct {
 	kind  reqKind
 	obj   fragments.ObjectID
 	val   any
+	err   error
 	think simtime.Duration
-	err   error // for reqDone
 }
 
-type response struct {
-	val   any
-	known bool
-	err   error
-}
+// errWaiting answers an operation that could not be answered yet: the
+// run is abandoned and the program runs again when the answer arrives.
+var errWaiting = errors.New("core: operation waiting; the program will run again")
 
 // activeTxn is the engine-side state of a running transaction.
 type activeTxn struct {
 	id   txn.ID
 	spec TxnSpec
 	node *Node
+	tx   Tx
 
-	reqCh  chan request
-	respCh chan response
+	// log holds the answered operations in program order; cursor is the
+	// current run's position in it. waiting marks a run abandoned on an
+	// operation that is not answered yet.
+	log     []request
+	cursor  int
+	waiting bool
 
 	// workspace: writes buffered until commit; reads see own writes.
-	// writeVals is made on the first write.
+	// Each run rebuilds it; writeVals is made on the first write.
 	writeVals  map[fragments.ObjectID]any
 	writeOrder []fragments.ObjectID
 	reads      []history.ReadObs
@@ -98,15 +113,16 @@ type activeTxn struct {
 	// on the first remote grant.
 	remoteLocked map[netsim.NodeID]bool
 	// pendingRemote is the object of an outstanding remote lock request
-	// (at most one at a time; the program is blocked on it).
+	// (at most one at a time; the run waits on it).
 	pendingRemote *request
 
-	// parked is the request blocked on a local lock grant.
+	// parked is the request waiting on a local lock grant.
 	parked *request
 
-	poisoned      error
-	finished      bool
-	finalizedFlag bool
+	poisoned error
+	// finished is set once the transaction is finalized; the program
+	// never runs again.
+	finished bool
 
 	// multi marks a multi-fragment transaction (SubmitMulti);
 	// waitingMulti is true while its two-phase commit is in flight.
@@ -129,8 +145,8 @@ type activeTxn struct {
 // boolean-style "known" distinction is folded into the value: an object
 // never written or loaded reads as nil.
 func (tx *Tx) Read(o fragments.ObjectID) (any, error) {
-	resp := tx.t.roundTrip(request{kind: reqRead, obj: o})
-	return resp.val, resp.err
+	r := tx.t.op(request{kind: reqRead, obj: o})
+	return r.val, r.err
 }
 
 // ReadInt is a convenience wrapper reading an int64 value (the common
@@ -155,14 +171,13 @@ func (tx *Tx) ReadInt(o fragments.ObjectID) (int64, error) {
 // Write records a new value for object o, visible to subsequent reads
 // in this transaction and installed atomically at commit.
 func (tx *Tx) Write(o fragments.ObjectID, v any) error {
-	resp := tx.t.roundTrip(request{kind: reqWrite, obj: o, val: v})
-	return resp.err
+	return tx.t.op(request{kind: reqWrite, obj: o, val: v}).err
 }
 
 // Think consumes d of virtual time inside the transaction, modelling
 // computation or user interaction between database operations.
 func (tx *Tx) Think(d simtime.Duration) {
-	tx.t.roundTrip(request{kind: reqThink, think: d})
+	tx.t.op(request{kind: reqThink, think: d})
 }
 
 // ID returns the transaction's identity.
@@ -171,8 +186,58 @@ func (tx *Tx) ID() txn.ID { return tx.t.id }
 // Node returns the home node's id.
 func (tx *Tx) Node() netsim.NodeID { return tx.t.node.id }
 
-// roundTrip sends one request to the engine and waits for the response.
-func (t *activeTxn) roundTrip(req request) response {
-	t.reqCh <- req
-	return <-t.respCh
+// op answers one operation of the current run: from the log while the
+// run repeats it, else from the engine. An operation that differs from
+// the log at the cursor drops the log's tail; the locks its entries
+// took stay held until the end.
+func (t *activeTxn) op(req request) request {
+	switch {
+	case t.waiting:
+		return t.wait()
+	case t.cursor == len(t.log) && t.poisoned != nil:
+		return request{err: t.poisoned}
+	}
+	if req.kind == reqRead {
+		if v, ok := t.writeVals[req.obj]; ok {
+			return request{val: v} // read-your-own-writes
+		}
+	}
+	if t.cursor < len(t.log) {
+		if e := t.log[t.cursor]; e.kind == req.kind && e.obj == req.obj {
+			t.cursor++
+			if e.kind == reqWrite {
+				t.buffer(req.obj, req.val)
+			}
+			return e
+		}
+		t.log = t.log[:t.cursor]
+	}
+	return t.node.exec(t, req)
+}
+
+// answer logs an operation answered during the run and returns it.
+func (t *activeTxn) answer(e request) request {
+	t.log = append(t.log, e)
+	t.cursor++
+	if e.kind == reqWrite && e.err == nil {
+		t.buffer(e.obj, e.val)
+	}
+	return e
+}
+
+// wait abandons the run on an operation the engine answers later.
+func (t *activeTxn) wait() request {
+	t.waiting = true
+	return request{err: errWaiting}
+}
+
+// buffer records a write in the workspace.
+func (t *activeTxn) buffer(o fragments.ObjectID, v any) {
+	if _, seen := t.writeVals[o]; !seen {
+		t.writeOrder = append(t.writeOrder, o)
+	}
+	if t.writeVals == nil {
+		t.writeVals = make(map[fragments.ObjectID]any)
+	}
+	t.writeVals[o] = v
 }

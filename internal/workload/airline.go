@@ -2,10 +2,12 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"fragdb/internal/core"
 	"fragdb/internal/fragments"
 	"fragdb/internal/netsim"
+	"fragdb/internal/txn"
 )
 
 // Airline is the reservations database of Section 4.3 (Figure 4.3.3):
@@ -84,9 +86,14 @@ func NewAirline(cfg AirlineConfig) (*Airline, error) {
 		capacity:   make(map[string]int64),
 		perNodeSeq: make(map[string]uint64),
 	}
-	for f, cap := range cfg.Flights {
+	for f := range cfg.Flights {
 		a.flights = append(a.flights, f)
-		a.capacity[f] = cap
+	}
+	// Flights in name order: RequestBoth's program writes in this order,
+	// and a program must do the same operations each time it runs.
+	slices.Sort(a.flights)
+	for _, f := range a.flights {
+		a.capacity[f] = cfg.Flights[f]
 		objs := []fragments.ObjectID{bookedObj(f)}
 		// Pre-declare the assignment objects f_{i,j} (Figure 4.3.3's
 		// flight fragments contain one per customer).
@@ -145,7 +152,7 @@ func (a *Airline) Request(node netsim.NodeID, cust, flight string, seats int64, 
 // shape of the Figure 4.3.3 customer transactions.
 func (a *Airline) RequestBoth(node netsim.NodeID, cust string, seats map[string]int64, done func(core.TxnResult)) {
 	key := fmt.Sprintf("%d:%s", int(node), cust)
-	reqs := make(map[fragments.ObjectID]int64, len(seats))
+	var reqs []txn.WriteOp
 	for _, f := range a.flights {
 		n, ok := seats[f]
 		if !ok {
@@ -153,15 +160,15 @@ func (a *Airline) RequestBoth(node netsim.NodeID, cust string, seats map[string]
 		}
 		a.perNodeSeq[key]++
 		obj := fragments.ObjectID(fmt.Sprintf("req:%s:%s:%d:%d", cust, f, int(node), a.perNodeSeq[key]))
-		reqs[obj] = n
+		reqs = append(reqs, txn.WriteOp{Object: obj, Value: n})
 	}
 	a.cl.Node(node).Submit(core.TxnSpec{
 		Agent:    PassengerAgent(cust),
 		Fragment: custFragment(cust),
 		Label:    "request-multi:" + cust,
 		Program: func(tx *core.Tx) error {
-			for obj, n := range reqs {
-				if err := tx.Write(obj, n); err != nil {
+			for _, r := range reqs {
+				if err := tx.Write(r.Object, r.Value); err != nil {
 					return err
 				}
 			}
@@ -173,18 +180,21 @@ func (a *Airline) RequestBoth(node netsim.NodeID, cust string, seats map[string]
 // Scan runs flight's periodic granting transaction at the flight
 // agent's home node: it reads every customer request fragment, grants
 // new requests in customer order, and refuses any grant that would
-// exceed capacity (overbooking prevention, centralized).
+// exceed capacity (overbooking prevention, centralized). Refusals count
+// in Refused only once the scan commits.
 func (a *Airline) Scan(flight string, done func(core.TxnResult)) {
 	home, ok := a.cl.Tokens().HomeOfFragment(FlightFragment(flight))
 	if !ok {
 		return
 	}
 	cap := a.capacity[flight]
+	var refused int
 	a.cl.Node(home).Submit(core.TxnSpec{
 		Agent:    FlightAgent(flight),
 		Fragment: FlightFragment(flight),
 		Label:    "scan:" + flight,
 		Program: func(tx *core.Tx) error {
+			refused = 0
 			booked, err := tx.ReadInt(bookedObj(flight))
 			if err != nil {
 				return err
@@ -218,7 +228,7 @@ func (a *Airline) Scan(flight string, done func(core.TxnResult)) {
 				}
 				delta := want - granted
 				if booked+delta > cap {
-					a.Refused++ // potential overbooking detected: refuse
+					refused++ // potential overbooking detected: refuse
 					continue
 				}
 				booked += delta
@@ -228,7 +238,14 @@ func (a *Airline) Scan(flight string, done func(core.TxnResult)) {
 			}
 			return tx.Write(bookedObj(flight), booked)
 		},
-	}, done)
+	}, func(r core.TxnResult) {
+		if r.Committed {
+			a.Refused += refused
+		}
+		if done != nil {
+			done(r)
+		}
+	})
 }
 
 // matchesFlight reports whether request object name is for (cust,

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -208,5 +209,66 @@ func TestStopoverFlightMovesWithPlane(t *testing.T) {
 	}
 	if err := cl.CheckMutualConsistency(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScanAbortedAfterRefusingCountsNothing: a scan that refuses a
+// grant and then aborts leaves Refused untouched; the refusal counts
+// once a scan that makes it commits.
+func TestScanAbortedAfterRefusingCountsNothing(t *testing.T) {
+	a, err := NewAirline(AirlineConfig{
+		Cluster:      core.Config{N: 3, Seed: 1},
+		Flights:      map[string]int64{"FL": 1},
+		FlightHome:   map[string]netsim.NodeID{"FL": 2},
+		Customers:    []string{"c1", "c2"},
+		CustomerHome: map[string]netsim.NodeID{"c1": 0, "c2": 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := a.Cluster()
+	defer cl.Shutdown()
+	a.Request(0, "c1", "FL", 1, nil)
+	a.Request(1, "c2", "FL", 1, nil)
+	if !cl.Settle(10 * time.Second) {
+		t.Fatal("settle")
+	}
+	// The scan reads booked, then c1's request and seat, writes c1's
+	// seat, reads c2's request and seat — refusing c2 at 6 ms — and
+	// writes booked at 7 ms. The flight's home crashes in between.
+	var res core.TxnResult
+	a.Scan("FL", func(r core.TxnResult) { res = r })
+	cl.Sched().After(6500*time.Microsecond, func() { cl.Node(2).SimulateCrashRestart() })
+	cl.RunFor(100 * time.Millisecond)
+	if res.Committed || !errors.Is(res.Err, core.ErrCrashed) {
+		t.Fatalf("scan = %+v, want aborted by the crash", res)
+	}
+	if a.Refused != 0 {
+		t.Errorf("Refused = %d after an aborted scan, want 0", a.Refused)
+	}
+	a.Scan("FL", func(r core.TxnResult) { res = r })
+	if !cl.Settle(10 * time.Second) {
+		t.Fatal("settle after rescan")
+	}
+	if !res.Committed || a.Refused != 1 || a.Booked(0, "FL") != 1 {
+		t.Errorf("rescan = %+v, Refused %d, booked %d; want committed, 1, 1", res, a.Refused, a.Booked(0, "FL"))
+	}
+}
+
+// TestRequestBothTakesTwoOperations: a two-flight request writes its
+// two request objects in the same order on every run of its program,
+// so it commits after exactly two operations (1 ms each in the
+// simulator). Writing them in map order, a rerun that starts with the
+// other object diverges from its log and pays for the write again.
+func TestRequestBothTakesTwoOperations(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		a := newAirline(t, int64(i+1))
+		var res core.TxnResult
+		a.RequestBoth(0, "c1", map[string]int64{"FL1": 1, "FL2": 1}, func(r core.TxnResult) { res = r })
+		a.Cluster().RunFor(50 * time.Millisecond)
+		a.Cluster().Shutdown()
+		if d := res.End.Sub(res.Start); !res.Committed || d != 2*time.Millisecond {
+			t.Fatalf("run %d: committed %v after %v, want committed after 2ms", i, res.Committed, d)
+		}
 	}
 }

@@ -327,6 +327,7 @@ func (b *Bank) runWork(item bankWork) {
 	b.cl.Node(b.central).Submit(core.TxnSpec{
 		Agent: fragments.NodeAgent(b.central), Fragment: "BALANCES", Label: "record:" + acct,
 		Program: func(tx *core.Tx) error {
+			letters = nil // a program may run more than once
 			bal, err := tx.ReadInt(balObj(acct))
 			if err != nil {
 				return err

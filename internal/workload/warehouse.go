@@ -203,23 +203,23 @@ func (w *Warehouse) Plan(reorderUpTo int64, done func(core.TxnResult)) {
 // edge is declared; the answer may reflect non-serializable staleness,
 // which only shows in this output, never in the database.
 func (w *Warehouse) CheckOtherStock(i, j int, product string, done func(int64, error)) {
+	var v int64
 	w.cl.Node(netsim.NodeID(i)).Submit(core.TxnSpec{
 		Agent: WarehouseAgent(i), // read-only: any agent may initiate anywhere
 		Label: fmt.Sprintf("check:%d->%d:%s", i, j, product),
 		Program: func(tx *core.Tx) error {
-			v, err := tx.ReadInt(stockObj(j, product))
-			if err != nil {
-				return err
-			}
-			if done != nil {
-				done(v, nil)
-			}
-			return nil
+			var err error
+			v, err = tx.ReadInt(stockObj(j, product))
+			return err
 		},
 	}, func(r core.TxnResult) {
-		if !r.Committed && done != nil {
-			done(0, r.Err)
+		if done == nil {
+			return
 		}
+		if !r.Committed {
+			v = 0
+		}
+		done(v, r.Err)
 	})
 }
 
