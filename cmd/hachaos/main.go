@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"fragdb/internal/chaoskit"
-	"fragdb/internal/metrics"
 )
 
 func main() {
@@ -41,8 +40,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *seeds < 0 {
-		fmt.Fprintln(os.Stderr, "hachaos: -seeds must be >= 0")
+	if *seeds < 1 {
+		fmt.Fprintln(os.Stderr, "hachaos: -seeds must be >= 1")
 		os.Exit(2)
 	}
 	profiles, err := selectProfiles(*profile)
@@ -74,10 +73,8 @@ func main() {
 		return
 	}
 
-	chaos := &metrics.Chaos{}
 	opts := chaoskit.SweepOpts{
 		Workers:  *workers,
-		Chaos:    chaos,
 		Shrink:   *shrink || *out != "",
 		ReproDir: *out,
 		TraceCap: *traceCap,
@@ -89,7 +86,7 @@ func main() {
 
 	fmt.Printf("campaign: %d plans across %d profile(s), seeds %d..%d\n",
 		len(res.Reports), len(profiles), *start, *start+int64(*seeds)-1)
-	fmt.Print(chaos.Table())
+	fmt.Print(tallyTable(res.Tally()))
 
 	failures := res.Failures()
 	for _, rep := range failures {
@@ -114,6 +111,27 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("all invariants held")
+}
+
+// tallyTable renders a campaign tally as an aligned two-column table.
+func tallyTable(t chaoskit.Tally) string {
+	rows := [][2]string{
+		{"plans run", fmt.Sprint(t.Plans)},
+		{"plans failed", fmt.Sprint(t.PlanFailures)},
+		{"invariant checks passed", fmt.Sprint(t.ChecksPassed)},
+		{"invariant checks failed", fmt.Sprint(t.ChecksFailed)},
+		{"txns submitted", fmt.Sprint(t.TxnsSubmitted)},
+		{"txns committed", fmt.Sprint(t.TxnsCommitted)},
+		{"fault episodes injected", fmt.Sprint(t.FaultsInjected)},
+		{"agent moves scheduled", fmt.Sprint(t.MovesScheduled)},
+		{"shrink steps tried", fmt.Sprint(t.ShrinkSteps)},
+		{"shrink steps accepted", fmt.Sprint(t.ShrinkAccepted)},
+	}
+	var b strings.Builder
+	for _, r := range rows {
+		fmt.Fprintf(&b, "  %-23s  %s\n", r[0], r[1])
+	}
+	return b.String()
 }
 
 // profileNames lists every profile -profile accepts, comma-separated.

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -37,6 +41,28 @@ func TestProfileFlagNamesEveryProfile(t *testing.T) {
 			if !strings.Contains(err.Error(), name) {
 				t.Errorf("unknown-profile error %q does not list %q", err, name)
 			}
+		}
+	}
+}
+
+// A sweep of no seeds audits nothing: -seeds below 1 is a usage error
+// (exit 2), not a vacuous "all invariants held".
+func TestZeroSeedsRejected(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "hachaos")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, seeds := range []string{"0", "-3"} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, "-seeds", seeds, "-profile", "acyclic")
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-seeds %s: exit %v, want status 2", seeds, err)
+		}
+		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "-seeds must be >= 1") {
+			t.Errorf("-seeds %s: stdout %q, stderr %q", seeds, stdout.String(), stderr.String())
 		}
 	}
 }

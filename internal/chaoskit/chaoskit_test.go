@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"fragdb/internal/core"
-	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
 )
 
@@ -26,11 +25,7 @@ func TestSweep(t *testing.T) {
 	if testing.Short() {
 		perProfile = 4
 	}
-	chaos := &metrics.Chaos{}
-	res := Sweep(Profiles(), 1, perProfile, SweepOpts{
-		Workers: 4,
-		Chaos:   chaos,
-	})
+	res := Sweep(Profiles(), 1, perProfile, SweepOpts{Workers: 4})
 	if got, want := len(res.Reports), 4*perProfile; got != want {
 		t.Fatalf("executed %d plans, want %d", got, want)
 	}
@@ -42,16 +37,17 @@ func TestSweep(t *testing.T) {
 	}
 	// The sweep must exercise the machinery it claims to: transactions
 	// commit, faults fire, agents move (the moving profile exists).
-	if chaos.TxnsCommitted.Load() == 0 {
+	tally := res.Tally()
+	if tally.TxnsCommitted == 0 {
 		t.Error("sweep committed no transactions (vacuous)")
 	}
-	if chaos.FaultsInjected.Load() == 0 {
+	if tally.FaultsInjected == 0 {
 		t.Error("sweep injected no faults (vacuous)")
 	}
-	if chaos.MovesScheduled.Load() == 0 {
+	if tally.MovesScheduled == 0 {
 		t.Error("sweep scheduled no agent moves (vacuous)")
 	}
-	t.Logf("sweep: %s", chaos.String())
+	t.Logf("sweep: %+v", tally)
 }
 
 // TestCompactionSweep re-runs the full standard sweep with broadcast
@@ -69,11 +65,7 @@ func TestCompactionSweep(t *testing.T) {
 	for i := range profiles {
 		profiles[i].Compaction = true
 	}
-	chaos := &metrics.Chaos{}
-	res := Sweep(profiles, 1, perProfile, SweepOpts{
-		Workers: 4,
-		Chaos:   chaos,
-	})
+	res := Sweep(profiles, 1, perProfile, SweepOpts{Workers: 4})
 	if got, want := len(res.Reports), 4*perProfile; got != want {
 		t.Fatalf("executed %d plans, want %d", got, want)
 	}
@@ -88,13 +80,14 @@ func TestCompactionSweep(t *testing.T) {
 			t.Errorf("  %s: %v", c.Name, c.Err)
 		}
 	}
-	if chaos.TxnsCommitted.Load() == 0 {
+	tally := res.Tally()
+	if tally.TxnsCommitted == 0 {
 		t.Error("compaction sweep committed no transactions (vacuous)")
 	}
-	if chaos.FaultsInjected.Load() == 0 {
+	if tally.FaultsInjected == 0 {
 		t.Error("compaction sweep injected no faults (vacuous)")
 	}
-	t.Logf("compaction sweep: %s", chaos.String())
+	t.Logf("compaction sweep: %+v", tally)
 }
 
 // TestMajorityCommitEpochSwitchRace replays a plan whose no-preparation
@@ -185,15 +178,14 @@ func TestBankSweep(t *testing.T) {
 	if testing.Short() {
 		perProfile = 3
 	}
-	chaos := &metrics.Chaos{}
-	res := Sweep([]Profile{BankProfile()}, 1, perProfile, SweepOpts{Workers: 2, Chaos: chaos})
+	res := Sweep([]Profile{BankProfile()}, 1, perProfile, SweepOpts{Workers: 2})
 	for _, rep := range res.Failures() {
 		t.Errorf("bank failure: %s", rep.String())
 		for _, c := range rep.Failures() {
 			t.Errorf("  %s: %v", c.Name, c.Err)
 		}
 	}
-	if chaos.TxnsCommitted.Load() == 0 {
+	if res.Tally().TxnsCommitted == 0 {
 		t.Error("bank sweep committed no transactions (vacuous)")
 	}
 }
@@ -246,7 +238,7 @@ func TestSabotageCaughtAndShrunk(t *testing.T) {
 			t.Errorf("sabotage failed: %v", err)
 		}
 	}
-	opts := RunOpts{Sabotage: sabotage, Chaos: &metrics.Chaos{}}
+	opts := RunOpts{Sabotage: sabotage}
 
 	p := Generate(5, pr)
 	rep := Execute(p, opts)
@@ -271,7 +263,7 @@ func TestSabotageCaughtAndShrunk(t *testing.T) {
 	if sr.Minimal.Size() >= sr.Original.Size() {
 		t.Errorf("shrinker made no progress: size %d -> %d", sr.Original.Size(), sr.Minimal.Size())
 	}
-	if opts.Chaos.ShrinkAccepted.Load() == 0 {
+	if sr.Accepted == 0 {
 		t.Error("shrink accepted no reductions")
 	}
 

@@ -9,7 +9,6 @@ import (
 	"fragdb/internal/core"
 	"fragdb/internal/fragments"
 	"fragdb/internal/history"
-	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
 	"fragdb/internal/placement"
 	"fragdb/internal/workload"
@@ -119,8 +118,6 @@ func (r *Report) String() string {
 
 // RunOpts configures one execution.
 type RunOpts struct {
-	// Chaos, if non-nil, receives the campaign counters.
-	Chaos *metrics.Chaos
 	// Sabotage, if non-nil, runs after settle and before the audit with
 	// full cluster access. Tests use it as a fault-injection double: a
 	// sabotage that corrupts one replica must be caught by the auditor
@@ -154,32 +151,10 @@ func acctName(i int) string { return fmt.Sprintf("acct%d", i) }
 // per-option invariant ladder. The same plan always yields the same
 // report (check names, pass/fail pattern, and counts).
 func Execute(p Plan, opts RunOpts) *Report {
-	if opts.Chaos != nil {
-		opts.Chaos.Plans.Add(1)
-	}
-	var rep *Report
 	if p.Bank {
-		rep = executeBank(p, opts)
-	} else {
-		rep = executeCounters(p, opts)
+		return executeBank(p, opts)
 	}
-	if opts.Chaos != nil {
-		opts.Chaos.TxnsSubmitted.Add(uint64(rep.Submitted))
-		opts.Chaos.TxnsCommitted.Add(uint64(rep.Committed))
-		opts.Chaos.FaultsInjected.Add(uint64(len(p.Faults)))
-		opts.Chaos.MovesScheduled.Add(uint64(len(p.Moves)))
-		for _, c := range rep.Checks {
-			if c.Err != nil {
-				opts.Chaos.ChecksFailed.Add(1)
-			} else {
-				opts.Chaos.ChecksPassed.Add(1)
-			}
-		}
-		if rep.Failed() {
-			opts.Chaos.PlanFailures.Add(1)
-		}
-	}
-	return rep
+	return executeCounters(p, opts)
 }
 
 // scheduleFaults installs the fault episodes on the cluster's clock.

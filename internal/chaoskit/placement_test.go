@@ -1,10 +1,6 @@
 package chaoskit
 
-import (
-	"testing"
-
-	"fragdb/internal/metrics"
-)
+import "testing"
 
 // TestPlacementSweep is the adaptive placement controller's chaos
 // acceptance gate: 64 deterministic plans (8 in -short) from
@@ -24,11 +20,7 @@ func TestPlacementSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = 8
 	}
-	chaos := &metrics.Chaos{}
-	res := Sweep([]Profile{PlacementProfile()}, 1, seeds, SweepOpts{
-		Workers: 4,
-		Chaos:   chaos,
-	})
+	res := Sweep([]Profile{PlacementProfile()}, 1, seeds, SweepOpts{Workers: 4})
 	if got := len(res.Reports); got != seeds {
 		t.Fatalf("executed %d plans, want %d", got, seeds)
 	}
@@ -47,10 +39,11 @@ func TestPlacementSweep(t *testing.T) {
 				rep.Plan.Seed, rep.Committed, rep.Submitted)
 		}
 	}
-	if chaos.FaultsInjected.Load() == 0 {
+	tally := res.Tally()
+	if tally.FaultsInjected == 0 {
 		t.Error("placement sweep injected no faults (vacuous)")
 	}
-	t.Logf("placement sweep: %s", chaos.String())
+	t.Logf("placement sweep: %+v", tally)
 }
 
 // TestPlacementExecutionDeterminism replays one placement plan and

@@ -16,8 +16,9 @@ type ShrinkResult struct {
 	Original, Minimal Plan
 	// MinimalReport is the audit of the minimal plan.
 	MinimalReport *Report
-	// Executions counts plan re-runs spent shrinking.
-	Executions int
+	// Executions counts plan re-runs spent shrinking; Accepted counts
+	// the ones that still failed and so became the new best plan.
+	Executions, Accepted int
 }
 
 // Shrink minimizes a failing plan by re-executing candidate reductions
@@ -44,15 +45,10 @@ func Shrink(p Plan, opts RunOpts, budget int) ShrinkResult {
 			return false
 		}
 		res.Executions++
-		if opts.Chaos != nil {
-			opts.Chaos.ShrinkSteps.Add(1)
-		}
 		r := Execute(cand, opts)
 		if r.Failed() && cand.Size() < best.Size() {
 			best, bestRep = cand, r
-			if opts.Chaos != nil {
-				opts.Chaos.ShrinkAccepted.Add(1)
-			}
+			res.Accepted++
 			return true
 		}
 		return false

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"fragdb/internal/core"
-	"fragdb/internal/metrics"
 )
 
 // SweepOpts configures a seed sweep.
@@ -13,8 +12,6 @@ type SweepOpts struct {
 	// Workers bounds parallel plan executions (each plan runs on its own
 	// private cluster, so workers never share mutable state). Default 1.
 	Workers int
-	// Chaos, if non-nil, accumulates campaign counters across workers.
-	Chaos *metrics.Chaos
 	// Shrink minimizes every failing plan after the sweep.
 	Shrink bool
 	// ShrinkBudget bounds re-executions per shrink (default
@@ -56,6 +53,44 @@ func (s *SweepResult) Failures() []*Report {
 	return out
 }
 
+// Tally sums a sweep's plans: invariant checks, workload transactions,
+// fault and move schedules, and the shrinker's work.
+type Tally struct {
+	Plans, PlanFailures            int
+	ChecksPassed, ChecksFailed     int
+	TxnsSubmitted, TxnsCommitted   int
+	FaultsInjected, MovesScheduled int
+	ShrinkSteps, ShrinkAccepted    int
+}
+
+// Tally sums the sweep's reports and shrinks. Shrink re-executions
+// count as shrink steps only, not as plans.
+func (s *SweepResult) Tally() Tally {
+	var t Tally
+	for _, r := range s.Reports {
+		t.Plans++
+		if r.Failed() {
+			t.PlanFailures++
+		}
+		for _, c := range r.Checks {
+			if c.Err != nil {
+				t.ChecksFailed++
+			} else {
+				t.ChecksPassed++
+			}
+		}
+		t.TxnsSubmitted += r.Submitted
+		t.TxnsCommitted += r.Committed
+		t.FaultsInjected += len(r.Plan.Faults)
+		t.MovesScheduled += len(r.Plan.Moves)
+	}
+	for _, sr := range s.Shrinks {
+		t.ShrinkSteps += sr.Executions
+		t.ShrinkAccepted += sr.Accepted
+	}
+	return t
+}
+
 // Sweep generates and executes perProfile plans for every profile,
 // seeds startSeed, startSeed+1, ..., optionally shrinking failures.
 // The report layout and every individual report are deterministic;
@@ -77,7 +112,7 @@ func Sweep(profiles []Profile, startSeed int64, perProfile int, opts SweepOpts) 
 	}
 
 	res := &SweepResult{Reports: make([]*Report, len(jobs))}
-	runOpts := RunOpts{Chaos: opts.Chaos, Sabotage: opts.Sabotage, TraceCap: opts.TraceCap}
+	runOpts := RunOpts{Sabotage: opts.Sabotage, TraceCap: opts.TraceCap}
 
 	ch := make(chan job)
 	var wg sync.WaitGroup

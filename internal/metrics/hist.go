@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -90,10 +91,11 @@ func (h *Histogram) Mean() time.Duration {
 }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) of
-// the recorded samples: the bucket boundary at or above the sample's
-// true value, clamped to the maximum observed sample (which makes
-// single-sample and overflow-bucket quantiles exact). Returns 0 when
-// the histogram is empty.
+// the recorded samples: the bucket boundary at or above the true value
+// of the nearest-rank sample (the ⌈q·n⌉-th smallest), clamped to the
+// maximum observed sample (which makes single-sample and
+// overflow-bucket quantiles exact). Returns 0 when the histogram is
+// empty.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	n := h.count.Load()
 	if n == 0 {
@@ -106,7 +108,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		q = 1
 	}
 	// rank is the 1-based index of the wanted sample in sorted order.
-	rank := uint64(q * float64(n))
+	rank := uint64(math.Ceil(q * float64(n)))
 	if rank < 1 {
 		rank = 1
 	}
@@ -141,37 +143,6 @@ type Bucket struct {
 	Upper time.Duration
 	// Count is the number of samples in this bucket (not cumulative).
 	Count uint64
-}
-
-// Buckets returns the non-empty buckets in ascending order.
-func (h *Histogram) Buckets() []Bucket {
-	var out []Bucket
-	for i := 0; i < HistBuckets; i++ {
-		if c := h.buckets[i].Load(); c > 0 {
-			out = append(out, Bucket{Upper: histBucketUpper(i), Count: c})
-		}
-	}
-	return out
-}
-
-// Merge adds another histogram's samples into h (max is merged too).
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	for {
-		om, cur := o.max.Load(), h.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			break
-		}
-	}
-	for i := 0; i < HistBuckets; i++ {
-		if c := o.buckets[i].Load(); c > 0 {
-			h.buckets[i].Add(c)
-		}
-	}
 }
 
 // HistSnapshot is a self-consistent point-in-time view of a Histogram,
@@ -221,55 +192,6 @@ func (s *HistSnapshot) Buckets() []Bucket {
 		}
 	}
 	return out
-}
-
-// Quantile returns an upper bound for the q-quantile of the snapshot,
-// with the same clamping rules as Histogram.Quantile.
-func (s *HistSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(s.Count))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.Count {
-		rank = s.Count
-	}
-	var cum uint64
-	for i := 0; i < HistBuckets; i++ {
-		cum += s.counts[i]
-		if cum >= rank {
-			if i == HistBuckets-1 {
-				return s.Max
-			}
-			upper := histBucketUpper(i)
-			if upper > s.Max {
-				upper = s.Max
-			}
-			return upper
-		}
-	}
-	return s.Max // unreachable: Count is the bucket sum
-}
-
-// Percentiles returns the snapshot's p50, p95, and p99 bounds.
-func (s *HistSnapshot) Percentiles() (p50, p95, p99 time.Duration) {
-	return s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99)
-}
-
-// Mean returns the snapshot's average sample (0 when empty).
-func (s *HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
 }
 
 // String renders the summary statistics on one line.

@@ -49,8 +49,8 @@ func TestHistEmpty(t *testing.T) {
 	if h.Quantile(0.5) != 0 || h.Quantile(0.99) != 0 {
 		t.Error("empty histogram has nonzero quantiles")
 	}
-	if b := h.Buckets(); len(b) != 0 {
-		t.Errorf("empty histogram has %d buckets", len(b))
+	if s := h.Snapshot(); len(s.Buckets()) != 0 {
+		t.Errorf("empty histogram has %d buckets", len(s.Buckets()))
 	}
 }
 
@@ -106,6 +106,24 @@ func TestHistQuantileBounds(t *testing.T) {
 	}
 }
 
+// The q-quantile is the nearest-rank sample's bucket bound: of
+// {1, 3, 100} ms the median is the second sample, not the first, and
+// the p99 is the third.
+func TestHistQuantileNearestRank(t *testing.T) {
+	var h Histogram
+	for _, ms := range []time.Duration{1, 3, 100} {
+		h.Observe(ms * time.Millisecond)
+	}
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{{0.33, 1048576}, {0.5, 4194304}, {0.66, 4194304}, {0.99, 100 * time.Millisecond}} {
+		if got := h.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+}
+
 func TestHistConcurrent(t *testing.T) {
 	var h Histogram
 	const goroutines, per = 8, 2000
@@ -124,7 +142,8 @@ func TestHistConcurrent(t *testing.T) {
 		t.Fatalf("count = %d, want %d", h.Count(), goroutines*per)
 	}
 	var inBuckets uint64
-	for _, b := range h.Buckets() {
+	s := h.Snapshot()
+	for _, b := range s.Buckets() {
 		inBuckets += b.Count
 	}
 	if inBuckets != goroutines*per {
@@ -133,21 +152,6 @@ func TestHistConcurrent(t *testing.T) {
 	want := time.Duration(goroutines*per-1) * time.Microsecond
 	if h.Max() != want {
 		t.Errorf("max = %v, want %v", h.Max(), want)
-	}
-}
-
-func TestHistMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(time.Millisecond)
-	b.Observe(3 * time.Millisecond)
-	b.Observe(5 * time.Millisecond)
-	a.Merge(&b)
-	a.Merge(nil)
-	if a.Count() != 3 || a.Sum() != 9*time.Millisecond || a.Max() != 5*time.Millisecond {
-		t.Errorf("merged: count=%d sum=%v max=%v", a.Count(), a.Sum(), a.Max())
-	}
-	if got := a.Mean(); got != 3*time.Millisecond {
-		t.Errorf("merged mean = %v", got)
 	}
 }
 
@@ -164,7 +168,7 @@ func TestHistString(t *testing.T) {
 
 func TestHistSnapshotBasics(t *testing.T) {
 	var h Histogram
-	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 || s.Max != 0 || s.Quantile(0.5) != 0 {
+	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 || s.Max != 0 {
 		t.Errorf("empty snapshot not zero: %+v", s)
 	}
 	h.Observe(2 * time.Millisecond)
@@ -179,12 +183,6 @@ func TestHistSnapshotBasics(t *testing.T) {
 	}
 	if inBuckets != s.Count {
 		t.Errorf("bucket total %d != snapshot count %d", inBuckets, s.Count)
-	}
-	if p50, _, p99 := s.Percentiles(); p50 > s.Max || p99 > s.Max {
-		t.Errorf("quantiles exceed max: p50=%v p99=%v max=%v", p50, p99, s.Max)
-	}
-	if got := s.Mean(); got != 4*time.Millisecond {
-		t.Errorf("snapshot mean = %v", got)
 	}
 	// The live histogram keeps observing; the snapshot must not move.
 	h.Observe(time.Second)

@@ -107,65 +107,3 @@ type Broadcast struct {
 	// push carries one; a repair range carries its whole run.
 	PayloadsSent atomic.Uint64
 }
-
-// Chaos aggregates the counters of a chaoskit campaign: plans run,
-// invariant checks passed and failed, fault and shrink work. One Chaos
-// value is shared by all sweep workers (fields are atomic), so
-// cmd/hachaos can print a single summary table for a parallel run.
-type Chaos struct {
-	// Plans counts scenario plans executed (including shrink re-runs).
-	Plans atomic.Uint64
-	// PlanFailures counts plans with at least one failed invariant.
-	PlanFailures atomic.Uint64
-	// ChecksPassed / ChecksFailed count individual invariant checks.
-	ChecksPassed atomic.Uint64
-	ChecksFailed atomic.Uint64
-	// TxnsSubmitted / TxnsCommitted count workload transactions across
-	// all executed plans.
-	TxnsSubmitted atomic.Uint64
-	TxnsCommitted atomic.Uint64
-	// FaultsInjected counts fault episodes (partitions, crashes)
-	// actually scheduled; MovesScheduled counts agent-move attempts.
-	FaultsInjected atomic.Uint64
-	MovesScheduled atomic.Uint64
-	// ShrinkSteps counts candidate re-executions tried by the shrinker;
-	// ShrinkAccepted counts the candidates that kept the failure.
-	ShrinkSteps    atomic.Uint64
-	ShrinkAccepted atomic.Uint64
-}
-
-// String renders the chaos counters on one line.
-func (c *Chaos) String() string {
-	return fmt.Sprintf("plans=%d failures=%d checks=%d/%d txns=%d/%d shrink=%d/%d",
-		c.Plans.Load(), c.PlanFailures.Load(),
-		c.ChecksPassed.Load(), c.ChecksPassed.Load()+c.ChecksFailed.Load(),
-		c.TxnsCommitted.Load(), c.TxnsSubmitted.Load(),
-		c.ShrinkAccepted.Load(), c.ShrinkSteps.Load())
-}
-
-// Table renders the chaos counters as an aligned multi-line summary.
-func (c *Chaos) Table() string {
-	rows := [][2]string{
-		{"plans run", fmt.Sprint(c.Plans.Load())},
-		{"plans failed", fmt.Sprint(c.PlanFailures.Load())},
-		{"invariant checks passed", fmt.Sprint(c.ChecksPassed.Load())},
-		{"invariant checks failed", fmt.Sprint(c.ChecksFailed.Load())},
-		{"txns submitted", fmt.Sprint(c.TxnsSubmitted.Load())},
-		{"txns committed", fmt.Sprint(c.TxnsCommitted.Load())},
-		{"fault episodes injected", fmt.Sprint(c.FaultsInjected.Load())},
-		{"agent moves scheduled", fmt.Sprint(c.MovesScheduled.Load())},
-		{"shrink steps tried", fmt.Sprint(c.ShrinkSteps.Load())},
-		{"shrink steps accepted", fmt.Sprint(c.ShrinkAccepted.Load())},
-	}
-	width := 0
-	for _, r := range rows {
-		if len(r[0]) > width {
-			width = len(r[0])
-		}
-	}
-	out := ""
-	for _, r := range rows {
-		out += fmt.Sprintf("  %-*s  %s\n", width, r[0], r[1])
-	}
-	return out
-}

@@ -2,8 +2,12 @@ package obs
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
+
+	"fragdb/internal/metrics"
 )
 
 const promPage = `# HELP fragdb_frag_reads_total reads
@@ -102,5 +106,37 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 	if q := Quantile(b, 0.5); math.IsNaN(q) || q != 1 {
 		t.Errorf("median: want 1, got %v", q)
+	}
+}
+
+// A histogram's own quantile agrees with the one read off its rendered
+// buckets, clamped to the observed max: both take the nearest-rank
+// sample, ⌈q·n⌉.
+func TestHistogramQuantileMatchesRenderedBuckets(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sets := [][]time.Duration{{time.Millisecond, 3 * time.Millisecond, 100 * time.Millisecond}}
+	for _, n := range []int{1, 2, 5, 7, 20, 99, 1000} {
+		set := make([]time.Duration, n)
+		for i := range set {
+			set[i] = time.Duration(rng.Int63n(int64(time.Second)))
+		}
+		sets = append(sets, set)
+	}
+	for _, set := range sets {
+		var h metrics.Histogram
+		for _, d := range set {
+			h.Observe(d)
+		}
+		snap := h.Snapshot()
+		var rendered []HistBucket
+		for _, b := range snap.Buckets() {
+			rendered = append(rendered, HistBucket{Upper: b.Upper.Seconds(), Count: float64(b.Count)})
+		}
+		for _, q := range []float64{0.01, 0.25, 0.5, 0.66, 0.9, 0.95, 0.99, 1} {
+			want := min(time.Duration(math.Round(Quantile(rendered, q)*1e9)), h.Max())
+			if got := h.Quantile(q); got != want {
+				t.Errorf("%d samples, q=%v: Histogram.Quantile %v, rendered buckets %v", len(set), q, got, want)
+			}
+		}
 	}
 }
