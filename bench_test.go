@@ -381,6 +381,7 @@ func BenchmarkSerializationGraph(b *testing.B) {
 					Writes: []fragdb.ObjectID{obj},
 					Reads: []history.ReadObs{{
 						Object: other,
+						Frag:   fragdb.FragmentID(fmt.Sprintf("F%d", (i+1)%4)),
 						Pos:    txn.FragPos{Seq: uint64(i / 8)},
 					}},
 				})

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -26,51 +27,64 @@ import (
 	"fragdb/internal/chaoskit"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is hachaos with its arguments and output streams passed in; it
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hachaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seeds    = flag.Int("seeds", 64, "seeds per profile")
-		start    = flag.Int64("start", 1, "first seed")
-		profile  = flag.String("profile", "all", profileUsage())
-		workers  = flag.Int("workers", runtime.NumCPU(), "parallel plan executions")
-		shrink   = flag.Bool("shrink", false, "minimize failing plans")
-		out      = flag.String("out", "", "directory for reproducer bundles (implies -shrink)")
-		replay   = flag.Int64("replay", 0, "re-run the single plan with this seed (requires one -profile)")
-		verbose  = flag.Bool("v", false, "print one line per plan")
-		traceCap = flag.Int("trace", 0, "per-node flight-recorder capacity (0 disables); failing plans dump their trailing trace")
+		seeds    = fs.Int("seeds", 64, "seeds per profile")
+		start    = fs.Int64("start", 1, "first seed")
+		profile  = fs.String("profile", "all", profileUsage())
+		workers  = fs.Int("workers", runtime.NumCPU(), "parallel plan executions")
+		shrink   = fs.Bool("shrink", false, "minimize failing plans")
+		out      = fs.String("out", "", "directory for reproducer bundles (implies -shrink)")
+		replay   = fs.Int64("replay", 0, "re-run the single plan with this seed (requires one -profile)")
+		verbose  = fs.Bool("v", false, "print one line per plan")
+		traceCap = fs.Int("trace", 0, "per-node flight-recorder capacity (0 disables); failing plans dump their trailing trace")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	replaying := false
+	fs.Visit(func(f *flag.Flag) { replaying = replaying || f.Name == "replay" })
 
 	if *seeds < 1 {
-		fmt.Fprintln(os.Stderr, "hachaos: -seeds must be >= 1")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "hachaos: -seeds must be >= 1")
+		return 2
 	}
 	profiles, err := selectProfiles(*profile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hachaos:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "hachaos:", err)
+		return 2
 	}
 
-	if *replay != 0 {
+	if replaying {
 		if len(profiles) != 1 {
-			fmt.Fprintln(os.Stderr, "hachaos: -replay needs exactly one -profile")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "hachaos: -replay needs exactly one -profile")
+			return 2
 		}
 		plan := chaoskit.Generate(*replay, profiles[0])
 		if *verbose {
-			fmt.Println(plan.GoLiteral())
+			fmt.Fprintln(stdout, plan.GoLiteral())
 		}
 		rep := chaoskit.Execute(plan, chaoskit.RunOpts{TraceCap: *traceCap})
-		fmt.Println(rep.String())
+		fmt.Fprintln(stdout, rep.String())
 		for _, c := range rep.Failures() {
-			fmt.Printf("  %-22s %v\n", c.Name, c.Err)
+			fmt.Fprintf(stdout, "  %-22s %v\n", c.Name, c.Err)
 		}
 		if rep.Trace != "" {
-			fmt.Println(rep.Trace)
+			fmt.Fprintln(stdout, rep.Trace)
 		}
 		if rep.Failed() {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	opts := chaoskit.SweepOpts{
@@ -80,37 +94,38 @@ func main() {
 		TraceCap: *traceCap,
 	}
 	if *verbose {
-		opts.Log = func(line string) { fmt.Println(line) }
+		opts.Log = func(line string) { fmt.Fprintln(stdout, line) }
 	}
 	res := chaoskit.Sweep(profiles, *start, *seeds, opts)
 
-	fmt.Printf("campaign: %d plans across %d profile(s), seeds %d..%d\n",
+	fmt.Fprintf(stdout, "campaign: %d plans across %d profile(s), seeds %d..%d\n",
 		len(res.Reports), len(profiles), *start, *start+int64(*seeds)-1)
-	fmt.Print(tallyTable(res.Tally()))
+	fmt.Fprint(stdout, tallyTable(res.Tally()))
 
 	failures := res.Failures()
 	for _, rep := range failures {
-		fmt.Printf("FAIL %s\n", rep.String())
+		fmt.Fprintf(stdout, "FAIL %s\n", rep.String())
 		for _, c := range rep.Failures() {
-			fmt.Printf("  %-22s %v\n", c.Name, c.Err)
+			fmt.Fprintf(stdout, "  %-22s %v\n", c.Name, c.Err)
 		}
 		if rep.Trace != "" {
-			fmt.Println(rep.Trace)
+			fmt.Fprintln(stdout, rep.Trace)
 		}
 	}
 	for _, sr := range res.Shrinks {
-		fmt.Printf("shrunk seed=%d profile=%s: size %d -> %d in %d executions\n",
+		fmt.Fprintf(stdout, "shrunk seed=%d profile=%s: size %d -> %d in %d executions\n",
 			sr.Minimal.Seed, sr.Minimal.Profile,
 			sr.Original.Size(), sr.Minimal.Size(), sr.Executions)
 	}
 	for _, p := range res.ReproPaths {
-		fmt.Println("repro:", p)
+		fmt.Fprintln(stdout, "repro:", p)
 	}
 	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "hachaos: %d failing plan(s) — counterexample found!\n", len(failures))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "hachaos: %d failing plan(s) — counterexample found!\n", len(failures))
+		return 1
 	}
-	fmt.Println("all invariants held")
+	fmt.Fprintln(stdout, "all invariants held")
+	return 0
 }
 
 // tallyTable renders a campaign tally as an aligned two-column table.

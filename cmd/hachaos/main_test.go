@@ -1,10 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"errors"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -48,21 +44,25 @@ func TestProfileFlagNamesEveryProfile(t *testing.T) {
 // A sweep of no seeds audits nothing: -seeds below 1 is a usage error
 // (exit 2), not a vacuous "all invariants held".
 func TestZeroSeedsRejected(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "hachaos")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
 	for _, seeds := range []string{"0", "-3"} {
-		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(bin, "-seeds", seeds, "-profile", "acyclic")
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("-seeds %s: exit %v, want status 2", seeds, err)
+		var stdout, stderr strings.Builder
+		if code := run([]string{"-seeds", seeds, "-profile", "acyclic"}, &stdout, &stderr); code != 2 {
+			t.Errorf("-seeds %s: exit %d, want status 2", seeds, code)
 		}
 		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "-seeds must be >= 1") {
 			t.Errorf("-seeds %s: stdout %q, stderr %q", seeds, stdout.String(), stderr.String())
 		}
+	}
+}
+
+// -replay 0 replays seed 0, the seed -start 0 sweeps and WriteRepro
+// names, rather than falling through to a sweep.
+func TestReplaySeedZero(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-replay", "0", "-profile", "acyclic"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	if out := stdout.String(); !strings.HasPrefix(out, "seed=0 profile=acyclic ") || strings.Contains(out, "campaign:") {
+		t.Errorf("-replay 0 printed %q, want the seed-0 plan's report", out)
 	}
 }

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -38,22 +39,33 @@ var titles = map[string]string{
 	"A1":  "extension — availability vs. partition severity (4.1 vs 4.3)",
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is haexp with its arguments and output streams passed in; it
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("haexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		which    = flag.String("exp", "", "comma-separated experiment ids (default: all)")
-		seed     = flag.Int64("seed", 42, "deterministic simulation seed")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		traceCap = flag.Int("trace", 0, "per-node flight-recorder capacity (0 disables); instrumented experiments print trailing trace dumps")
+		which    = fs.String("exp", "", "comma-separated experiment ids (default: all)")
+		seed     = fs.Int64("seed", 42, "deterministic simulation seed")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		traceCap = fs.Int("trace", 0, "per-node flight-recorder capacity (0 disables); instrumented experiments print trailing trace dumps")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	exp.TraceCap = *traceCap
 
 	all := exp.All()
 	if *list {
 		for _, e := range all {
-			fmt.Printf("%-4s %s\n", e.ID, titles[e.ID])
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, titles[e.ID])
 		}
-		return
+		return 0
 	}
 
 	want := map[string]bool{}
@@ -70,20 +82,21 @@ func main() {
 		}
 		ran++
 		r := e.Run(*seed)
-		fmt.Println(r.Table())
+		fmt.Fprintln(stdout, r.Table())
 		for _, d := range r.TraceDumps {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 		if !r.Pass {
 			failed++
 		}
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "haexp: no experiment matches %q (use -list)\n", *which)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "haexp: no experiment matches %q (use -list)\n", *which)
+		return 2
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "haexp: %d experiment(s) did not match the paper\n", failed)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "haexp: %d experiment(s) did not match the paper\n", failed)
+		return 1
 	}
+	return 0
 }

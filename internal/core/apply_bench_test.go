@@ -51,8 +51,9 @@ func applyReplica(tb testing.TB) *Cluster {
 // applyStream generates n quasi-transactions in arrival order, spread
 // uniformly over the fragments or skewed 80/20 onto the first four.
 // Each writes its fragment's "a" object with its stream position and
-// its "b" object with a constant.
-func applyStream(n int, skewed bool) []txn.Quasi {
+// its "b" object with a constant — or, fresh, one object no earlier
+// quasi-transaction wrote, as a deployed deposit creates its entry.
+func applyStream(n int, skewed, fresh bool) []txn.Quasi {
 	rng := rand.New(rand.NewSource(11))
 	seqs := make([]uint64, applyFrags)
 	qs := make([]txn.Quasi, n)
@@ -63,13 +64,17 @@ func applyStream(n int, skewed bool) []txn.Quasi {
 		}
 		f, home := applyFrag(fi), netsim.NodeID(1+fi%3)
 		seqs[fi]++
+		writes := []txn.WriteOp{
+			{Object: fragments.ObjectID(f + "/a"), Value: int64(seqs[fi])},
+			{Object: fragments.ObjectID(f + "/b"), Value: int64(-1)},
+		}
+		if fresh {
+			writes = []txn.WriteOp{{Object: fragments.ObjectID(fmt.Sprintf("%s/e%d", f, i)), Value: int64(seqs[fi])}}
+		}
 		qs[i] = txn.Quasi{
 			Txn:      txn.ID{Origin: home, Seq: uint64(i + 1)},
 			Fragment: f, Pos: txn.FragPos{Seq: seqs[fi]}, Home: home,
-			Writes: []txn.WriteOp{
-				{Object: fragments.ObjectID(f + "/a"), Value: int64(seqs[fi])},
-				{Object: fragments.ObjectID(f + "/b"), Value: int64(-1)},
-			},
+			Writes: writes,
 		}
 	}
 	return qs
@@ -96,9 +101,14 @@ func feedReplica(cl *Cluster, qs []txn.Quasi) {
 // and counted once in the labeled registry under its fragment and home,
 // so the benchmark cannot pass while applying nothing.
 func TestApplyReplicaInstallsEveryQuasi(t *testing.T) {
-	const total = 2000
+	for _, fresh := range []bool{false, true} {
+		testApplyReplicaInstalls(t, applyStream(2000, true, fresh))
+	}
+}
+
+func testApplyReplicaInstalls(t *testing.T, qs []txn.Quasi) {
+	total := uint64(len(qs))
 	cl := applyReplica(t)
-	qs := applyStream(total, true)
 	feedReplica(cl, qs)
 	if got := cl.Stats().QuasiApplied.Load(); got != total {
 		t.Fatalf("applied %d of %d", got, total)
@@ -125,16 +135,20 @@ func TestApplyReplicaInstallsEveryQuasi(t *testing.T) {
 // node runs — handleBroadcast → ingestQuasi → drainStream → applyQuasi,
 // the engine's serial apply, labeled registry included — in commits/s,
 // on a disjoint (uniform over 64 fragments) and a skewed (80 % onto
-// four) stream.
+// four) stream of rewrites, and on a fresh stream (uniform, each
+// quasi-transaction creating an object). retained-B/op is what the
+// replica still holds per quasi-transaction after a collection.
 func BenchmarkApplySaturation(b *testing.B) {
 	for _, wl := range []struct {
-		name   string
-		skewed bool
-	}{{"disjoint", false}, {"skewed", true}} {
+		name          string
+		skewed, fresh bool
+	}{{"disjoint", false, false}, {"skewed", true, false}, {"fresh", false, true}} {
 		b.Run(wl.name, func(b *testing.B) {
 			cl := applyReplica(b)
-			qs := applyStream(b.N, wl.skewed)
+			qs := applyStream(b.N, wl.skewed, wl.fresh)
+			var before, after runtime.MemStats
 			runtime.GC()
+			runtime.ReadMemStats(&before)
 			b.ReportAllocs()
 			b.ResetTimer()
 			feedReplica(cl, qs)
@@ -145,6 +159,12 @@ func BenchmarkApplySaturation(b *testing.B) {
 			if s := b.Elapsed().Seconds(); s > 0 {
 				b.ReportMetric(float64(b.N)/s, "commits/s")
 			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(qs)
+			runtime.KeepAlive(cl)
+			retained := max(float64(after.HeapAlloc)-float64(before.HeapAlloc), 0)
+			b.ReportMetric(retained/float64(b.N), "retained-B/op")
 		})
 	}
 }

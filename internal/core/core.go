@@ -298,6 +298,7 @@ func NewCluster(cfg Config) *Cluster {
 		cl.tr = cl.net
 		cl.opLatency = simOpLatency
 	}
+	cl.cat.SetStoredObjects(cl.storedObjects)
 	cl.rag = fragments.NewReadAccessGraph(cl.cat)
 	if !cfg.SingleNode {
 		// One process of a deployment sees only its own commits: nothing
@@ -310,6 +311,19 @@ func NewCluster(cfg Config) *Cluster {
 
 // Catalog returns the shared fragment catalog (populate before Start).
 func (cl *Cluster) Catalog() *fragments.Catalog { return cl.cat }
+
+// storedObjects lists the objects of fragment f held by the stores of
+// the nodes this process runs: what Fragment.Objects adds to the
+// catalog's declared objects.
+func (cl *Cluster) storedObjects(f fragments.FragmentID) []fragments.ObjectID {
+	var out []fragments.ObjectID
+	for _, n := range cl.nodes {
+		if n != nil {
+			out = append(out, n.store.Objects(f)...)
+		}
+	}
+	return out
+}
 
 // Tokens returns the token registry (assign before Start).
 func (cl *Cluster) Tokens() *fragments.Tokens { return cl.tokens }

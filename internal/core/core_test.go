@@ -426,9 +426,15 @@ func TestDynamicObjectCreation(t *testing.T) {
 	if !res.Committed {
 		t.Fatalf("res = %+v", res)
 	}
-	// The new object exists in F0 at every replica.
-	if f, ok := cl.Catalog().FragmentOf("F0/new-object"); !ok || f != "F0" {
-		t.Errorf("FragmentOf = %v, %v", f, ok)
+	// The new object exists in F0 at every replica, and only there: the
+	// catalog holds declared objects.
+	for i := 0; i < 3; i++ {
+		if f, ok := cl.Node(netsim.NodeID(i)).Store().FragmentOf("F0/new-object"); !ok || f != "F0" {
+			t.Errorf("node %d: FragmentOf = %v, %v", i, f, ok)
+		}
+	}
+	if _, ok := cl.Catalog().FragmentOf("F0/new-object"); ok {
+		t.Error("the catalog indexes a created object")
 	}
 	if v, _ := cl.Node(2).Store().Get("F0/new-object"); v != int64(5) {
 		t.Errorf("replica value = %v", v)

@@ -168,10 +168,11 @@ func (n *Node) remoteRead(t *activeTxn, req request, frag fragments.FragmentID, 
 // handleRead processes a read past the log.
 func (n *Node) handleRead(t *activeTxn, req request) request {
 	o := req.obj
-	frag, ok := n.cl.cat.FragmentOf(o)
+	frag, ok := n.store.FragmentOf(o)
 	if !ok {
 		return n.poison(t, req, fmt.Errorf("%w: %q", ErrUnknownObject, o))
 	}
+	req.frag = frag
 	foreign := t.spec.Fragment == "" || frag != t.spec.Fragment
 	opt := n.cl.optionFor(t.spec.Fragment)
 	// Partial replication: a node that does not hold the fragment must
@@ -205,18 +206,21 @@ func (n *Node) handleWrite(t *activeTxn, req request) request {
 		// Multi-fragment transactions may write any EXISTING object;
 		// the 2PC participants (the fragments' agents) authorize the
 		// writes at prepare time.
-		if _, ok := n.cl.cat.FragmentOf(req.obj); !ok {
+		f, ok := n.store.FragmentOf(req.obj)
+		if !ok {
 			return n.poison(t, req, fmt.Errorf("%w: %q (multi-fragment writes need existing objects)", ErrUnknownObject, req.obj))
 		}
+		req.frag = f
 	} else {
 		if t.spec.Fragment == "" {
 			return n.poison(t, req, ErrReadOnlyTxn)
 		}
 		// Initiation requirement: the written object must lie in the
 		// transaction's fragment; new objects are created in it.
-		if err := n.cl.cat.EnsureObject(t.spec.Fragment, req.obj); err != nil {
+		if err := n.store.CheckInitiation(t.spec.Fragment, req.obj); err != nil {
 			return n.poison(t, req, err)
 		}
+		req.frag = t.spec.Fragment
 	}
 	return n.acquire(t, req, lock.Exclusive)
 }
@@ -241,16 +245,10 @@ func (n *Node) acquire(t *activeTxn, req request, mode lock.Mode) request {
 // program on a zero-latency node gets the answer inline; otherwise it
 // arrives after the per-operation latency and the program runs again.
 func (n *Node) granted(t *activeTxn, req request) request {
-	f, ok := n.cl.cat.FragmentOf(req.obj)
 	if req.kind == reqRead {
-		if ok {
-			n.cl.reg.IncRead(f, n.origin(t.spec))
-		}
+		n.cl.reg.IncRead(req.frag, n.origin(t.spec))
 	} else {
-		if !ok {
-			f = t.spec.Fragment
-		}
-		n.cl.reg.IncWrite(f, n.origin(t.spec))
+		n.cl.reg.IncWrite(req.frag, n.origin(t.spec))
 	}
 	if n.cl.opLatency == 0 && !t.waiting {
 		return t.answer(n.complete(t, req))
@@ -270,7 +268,7 @@ func (n *Node) complete(t *activeTxn, req request) request {
 		return req
 	}
 	ver, known := n.store.GetVersion(req.obj)
-	obs := history.ReadObs{Object: req.obj}
+	obs := history.ReadObs{Object: req.obj, Frag: req.frag}
 	if known {
 		obs.FromTxn = ver.Txn
 		obs.Pos = ver.Pos
@@ -305,13 +303,11 @@ func (n *Node) finishTxn(t *activeTxn, progErr error) {
 		return
 	}
 	writes := t.finalWrites()
-	objs := make([]fragments.ObjectID, len(writes))
-	for i, w := range writes {
-		objs[i] = w.Object
-	}
-	if err := n.cl.cat.CheckInitiation(t.spec.Fragment, objs); err != nil {
-		n.finalize(t, err, false)
-		return
+	for _, w := range writes {
+		if err := n.store.CheckInitiation(t.spec.Fragment, w.Object); err != nil {
+			n.finalize(t, err, false)
+			return
+		}
 	}
 	st := n.stream(t.spec.Fragment)
 	pos := st.last.Next()
@@ -601,26 +597,9 @@ func (n *Node) woundHolders(o fragments.ObjectID, requester txn.ID) {
 	}
 }
 
-// ensureCataloged registers a quasi-transaction's write objects in this
-// process's catalog. In the simulator the shared catalog already knows
-// them (the home node's write path registered each object before the
-// quasi-transaction was broadcast, so this is a no-op); in a SingleNode
-// multi-process deployment each process has its own catalog, which
-// first learns of a remote agent's dynamically created objects here —
-// before the install and any application trigger that reads them.
-func (n *Node) ensureCataloged(f fragments.FragmentID, writes []txn.WriteOp) {
-	for _, wo := range writes {
-		// The only possible error is a cross-fragment conflict, which
-		// would require two agents writing the same object — excluded by
-		// the fragments-and-agents ownership model.
-		_ = n.cl.cat.EnsureObject(f, wo.Object)
-	}
-}
-
 // installQuasi applies the quasi-transaction's writes atomically and,
 // for ordered fragments, advances the stream.
 func (n *Node) installQuasi(w *quasiWaiter) {
-	n.ensureCataloged(w.f, w.q.Writes)
 	n.store.ApplyQuasi(w.q)
 	if w.ordered {
 		w.st.last = w.q.Pos

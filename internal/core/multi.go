@@ -118,7 +118,7 @@ func (n *Node) startMulti(t *activeTxn) {
 	writes := t.finalWrites()
 	parts := make(map[fragments.FragmentID][]txn.WriteOp)
 	for _, w := range writes {
-		f, ok := n.cl.cat.FragmentOf(w.Object)
+		f, ok := n.store.FragmentOf(w.Object)
 		if !ok {
 			n.finalize(t, fmt.Errorf("%w: %q (multi-fragment writes need existing objects)",
 				ErrUnknownObject, w.Object), false)

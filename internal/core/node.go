@@ -308,13 +308,12 @@ func (n *Node) newLockManager() *lock.Manager {
 			n.tr.Emit(trace.Event{Kind: kind, Txn: id, Obj: o, Note: mode.String()})
 		})
 	}
-	cl := n.cl
 	m.AddObserver(func(id txn.ID, o fragments.ObjectID, mode lock.Mode, ev lock.TraceEvent) {
 		if ev != lock.TraceWait {
 			return
 		}
-		if f, ok := cl.cat.FragmentOf(o); ok {
-			cl.reg.IncLockWait(f, id.Origin)
+		if f, ok := n.store.FragmentOf(o); ok {
+			n.cl.reg.IncLockWait(f, id.Origin)
 		}
 	})
 	return m

@@ -29,7 +29,7 @@ import (
 func (n *Node) serveLockRequest(m lockReqMsg) {
 	granted, err := n.locks.Acquire(m.Txn, m.Object, lock.Shared)
 	if err != nil {
-		if f, ok := n.cl.cat.FragmentOf(m.Object); ok {
+		if f, ok := n.store.FragmentOf(m.Object); ok {
 			n.cl.reg.IncRemoteDeny(f, m.From)
 		}
 		n.cl.tr.Send(n.id, m.From, lockDenyMsg{Txn: m.Txn, Object: m.Object})
@@ -87,6 +87,7 @@ func (n *Node) handleLockGrant(m lockGrantMsg) {
 	if t.pendingRemote == nil || t.pendingRemote.obj != m.Object {
 		return // stale or duplicate grant
 	}
+	frag := t.pendingRemote.frag
 	t.pendingRemote = nil
 	if t.remoteLocked == nil {
 		t.remoteLocked = make(map[netsim.NodeID]bool)
@@ -96,7 +97,7 @@ func (n *Node) handleLockGrant(m lockGrantMsg) {
 		n.tr.Emit(trace.Event{Kind: trace.KRemoteLockGrant, Txn: m.Txn,
 			Obj: m.Object, Peer: m.From, HasPeer: true})
 	}
-	obs := history.ReadObs{Object: m.Object}
+	obs := history.ReadObs{Object: m.Object, Frag: frag}
 	if m.Known {
 		obs.FromTxn = m.Version.Txn
 		obs.Pos = m.Version.Pos

@@ -32,15 +32,26 @@ type snapStream struct {
 }
 
 // nodeSnap is the application state of broadcast.SnapshotOffer.State.
-// applied carries the commutative fragments' installed
-// quasi-transactions (rebuilt from the WAL): they are replayed rather
-// than value-merged so that per-update application triggers — the
-// paper's Section 2 "new transaction is triggered here" — fire at the
-// catching-up node exactly as if the updates had been delivered.
+// Vals holds the database versions by fragment, which the receiver
+// resolves in its own catalog. Applied carries the commutative
+// fragments' installed quasi-transactions (rebuilt from the WAL): they
+// are replayed rather than value-merged so that per-update application
+// triggers — the paper's Section 2 "new transaction is triggered here"
+// — fire at the catching-up node exactly as if the updates had been
+// delivered.
 type nodeSnap struct {
-	Vals    map[fragments.ObjectID]storage.Version
+	Vals    map[fragments.FragmentID]map[fragments.ObjectID]storage.Version
 	Streams map[fragments.FragmentID]snapStream
 	Applied map[fragments.FragmentID][]txn.Quasi
+}
+
+// numVals counts the objects the snapshot carries versions of.
+func (s nodeSnap) numVals() int {
+	n := 0
+	for _, vals := range s.Vals {
+		n += len(vals)
+	}
+	return n
 }
 
 // snapJournalEntry records one installed snapshot durably (see
@@ -146,7 +157,7 @@ func (n *Node) captureSnap() (any, bool) {
 	if n.tr.Enabled() {
 		// Safe with the broadcaster's lock held: the recorder never calls
 		// out of its own mutex.
-		n.tr.Emit(trace.Event{Kind: trace.KSnapCapture, Arg: int64(len(snap.Vals))})
+		n.tr.Emit(trace.Event{Kind: trace.KSnapCapture, Arg: int64(snap.numVals())})
 	}
 	return snap, true
 }
@@ -163,7 +174,7 @@ func (n *Node) installSnap(state any, have, prev map[netsim.NodeID]uint64) {
 		return // offers from a Snapshotter-less peer only move prefixes
 	}
 	if n.tr.Enabled() {
-		n.tr.Emit(trace.Event{Kind: trace.KSnapInstall, Arg: int64(len(snap.Vals))})
+		n.tr.Emit(trace.Event{Kind: trace.KSnapInstall, Arg: int64(snap.numVals())})
 	}
 	for _, t := range n.activeSnapshot() {
 		n.cl.stats.Wounds.Add(1)
@@ -194,15 +205,13 @@ func (n *Node) applySnap(snap nodeSnap, have, prev map[netsim.NodeID]uint64) {
 	// Database versions: per-object dominance merge, skipping fragments
 	// this node does not replicate and commutative fragments (replayed
 	// below so triggers fire).
-	vals := make(map[fragments.ObjectID]storage.Version, len(snap.Vals))
-	for o, v := range snap.Vals {
-		f, ok := n.cl.cat.FragmentOf(o)
-		if !ok || !n.cl.IsReplica(f, n.id) || n.cl.IsCommutative(f) {
+	for id, vals := range snap.Vals {
+		f, ok := n.cl.cat.Fragment(id)
+		if !ok || !n.cl.IsReplica(id, n.id) || n.cl.IsCommutative(id) {
 			continue
 		}
-		vals[o] = v
+		n.store.MergeSnapshot(f, vals)
 	}
-	n.store.MergeSnapshot(vals)
 
 	// Non-commutative streams: advance positions and reconcile buffers.
 	frags := make([]fragments.FragmentID, 0, len(snap.Streams))

@@ -83,6 +83,9 @@ type request struct {
 	val   any
 	err   error
 	think simtime.Duration
+	// frag is obj's fragment, resolved when the engine takes the
+	// operation.
+	frag fragments.FragmentID
 }
 
 // errWaiting answers an operation that could not be answered yet: the

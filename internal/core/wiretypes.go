@@ -289,12 +289,15 @@ func readSnapStream(r *wire.Reader) snapStream {
 func sizeNodeSnap(s nodeSnap) int {
 	n := wire.SizeUvarint(uint64(len(s.Vals))) + wire.SizeUvarint(uint64(len(s.Streams))) +
 		wire.SizeUvarint(uint64(len(s.Applied)))
-	for o, v := range s.Vals {
-		vs := sizeVersion(v)
-		if vs < 0 {
-			return -1
+	for f, vals := range s.Vals {
+		n += wire.SizeString(string(f)) + wire.SizeUvarint(uint64(len(vals)))
+		for o, v := range vals {
+			vs := sizeVersion(v)
+			if vs < 0 {
+				return -1
+			}
+			n += wire.SizeString(string(o)) + vs
 		}
-		n += wire.SizeString(string(o)) + vs
 	}
 	for f, st := range s.Streams {
 		ss := sizeSnapStream(st)
@@ -315,8 +318,12 @@ func sizeNodeSnap(s nodeSnap) int {
 
 func appendNodeSnap(b []byte, s nodeSnap) []byte {
 	b = wire.AppendUvarint(b, uint64(len(s.Vals)))
-	for _, o := range wire.SortedKeys(s.Vals) {
-		b = appendVersion(wire.AppendString(b, string(o)), s.Vals[o])
+	for _, f := range wire.SortedKeys(s.Vals) {
+		vals := s.Vals[f]
+		b = wire.AppendUvarint(wire.AppendString(b, string(f)), uint64(len(vals)))
+		for _, o := range wire.SortedKeys(vals) {
+			b = appendVersion(wire.AppendString(b, string(o)), vals[o])
+		}
 	}
 	b = wire.AppendUvarint(b, uint64(len(s.Streams)))
 	for _, f := range wire.SortedKeys(s.Streams) {
@@ -329,9 +336,13 @@ func appendNodeSnap(b []byte, s nodeSnap) []byte {
 	return b
 }
 
+func readFragVals(r *wire.Reader) map[fragments.ObjectID]storage.Version {
+	return wire.ReadMap(r, 7, (*wire.Reader).ObjectID, readVersion)
+}
+
 func readNodeSnap(r *wire.Reader) nodeSnap {
 	return nodeSnap{
-		Vals:    wire.ReadMap(r, 7, (*wire.Reader).ObjectID, readVersion),
+		Vals:    wire.ReadMap(r, 2, (*wire.Reader).FragmentID, readFragVals),
 		Streams: wire.ReadMap(r, 5, (*wire.Reader).FragmentID, readSnapStream),
 		Applied: wire.ReadMap(r, 2, (*wire.Reader).FragmentID, (*wire.Reader).Quasis),
 	}

@@ -47,6 +47,7 @@ func TestHostileCountsRejected(t *testing.T) {
 		"m0Msg.Installed":        msg(m0Msg{}, str("F"), num(2), pos),
 		"multiPrepareMsg.Writes": msg(multiPrepareMsg{}, id, str("F")),
 		"nodeSnap.Vals":          msg(nodeSnap{}),
+		"nodeSnap.Vals[f]":       msg(nodeSnap{}, num(1), str("F")),
 		"nodeSnap.Streams":       msg(nodeSnap{}, num(0)),
 		"nodeSnap.Applied":       msg(nodeSnap{}, num(0), num(0)),
 		"snapStream.Pending":     msg(nodeSnap{}, num(0), num(1), str("F"), pos),
@@ -63,12 +64,12 @@ func TestHostileCountsRejected(t *testing.T) {
 // fragments, one of them commutative with a short applied tail.
 func benchSnap(n int) nodeSnap {
 	snap := nodeSnap{
-		Vals:    make(map[fragments.ObjectID]storage.Version, n),
+		Vals:    map[fragments.FragmentID]map[fragments.ObjectID]storage.Version{"BALANCES": {}},
 		Streams: make(map[fragments.FragmentID]snapStream),
 		Applied: make(map[fragments.FragmentID][]txn.Quasi),
 	}
 	for i := 0; i < n; i++ {
-		snap.Vals[fragments.ObjectID(fmt.Sprintf("bal:%05d", i))] = storage.Version{
+		snap.Vals["BALANCES"][fragments.ObjectID(fmt.Sprintf("bal:%05d", i))] = storage.Version{
 			Value: int64(1000 + i), Txn: txn.ID{Origin: 1, Seq: uint64(i)},
 			Stamp: 1234567890, Pos: txn.FragPos{Epoch: 1, Seq: uint64(i)},
 		}

@@ -1,14 +1,18 @@
 package deploy
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"fragdb/internal/core"
+	"fragdb/internal/fragments"
 	"fragdb/internal/netsim"
 	"fragdb/internal/rtnet"
 	"fragdb/internal/workload"
@@ -265,7 +269,10 @@ func TestReadLocksRemoteOverTCP(t *testing.T) {
 // others commit and compact their broadcast logs past its prefix, so
 // after the heal it cannot be repaired entry by entry: a peer sends a
 // SnapshotOffer whose state is a core.nodeSnap, which has to survive
-// the codec for node 2 to install it and converge.
+// the codec for node 2 to install it and converge. Deposits at the
+// central office during the cut make it record their entries in
+// RECORDED(A00): objects created in an ordered fragment, which node 2
+// can only learn of from the snapshot, and must.
 func TestSnapshotOfferInstallsAcrossTCP(t *testing.T) {
 	const n = 3
 	nodes, taps := tcpCluster(t, n, "", func(c *core.Config) {
@@ -285,9 +292,51 @@ func TestSnapshotOfferInstallsAcrossTCP(t *testing.T) {
 	if err := nodes[2].SetPeerDrop(1, true); err != nil {
 		t.Fatal(err)
 	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	const deposits, amount = 5, 20
+	acct := workload.LiveAccount(0)
+	wantBalance := int64(1000 + deposits*amount)
+	var wg sync.WaitGroup
+	for k := 0; k < deposits; k++ {
+		wg.Add(1)
+		if err := nodes[0].Do(Op{Kind: "deposit", Account: acct, Amount: amount}, func(r core.TxnResult) {
+			defer wg.Done()
+			if !r.Committed {
+				t.Errorf("deposit: %+v", r)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	// recorded reports whether node i holds the balance with every
+	// deposit recorded.
+	recorded := func(i int) bool {
+		var balance int64
+		var entries, unrecorded int
+		if err := nodes[i].Inspect(func() {
+			balance = nodes[i].Live.Balance(netsim.NodeID(i), acct)
+			entries = len(nodes[i].Live.Cluster().LocalNode().Store().Objects(
+				fragments.FragmentID("ACTIVITY(" + acct + ")")))
+			unrecorded = len(nodes[i].Live.Unrecorded(netsim.NodeID(i), acct))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return balance == wantBalance && entries == deposits && unrecorded == 0
+	}
+	waitFor("the office to record the deposits", func() bool { return recorded(0) })
 
 	const bumps = 40
-	var wg sync.WaitGroup
 	var committed atomic.Int64
 	for k := 0; k < bumps; k++ {
 		wg.Add(1)
@@ -303,16 +352,6 @@ func TestSnapshotOfferInstallsAcrossTCP(t *testing.T) {
 	wg.Wait()
 	if committed.Load() != bumps {
 		t.Fatalf("%d/%d bumps committed on the connected side", committed.Load(), bumps)
-	}
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(30 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
 	}
 	waitFor("the connected side to compact its logs", func() bool {
 		return nodes[0].Live.Cluster().BroadcastStats().CompactedSeqs.Load() > 0 &&
@@ -333,6 +372,7 @@ func TestSnapshotOfferInstallsAcrossTCP(t *testing.T) {
 		}
 		return total == bumps
 	})
+	waitFor("node 2 to hold the recorded balance and every RECORDED mark", func() bool { return recorded(2) })
 	offers := 0
 	for _, tap := range taps[:2] {
 		tap.mu.Lock()
@@ -577,5 +617,134 @@ func TestDeployedNodeTracesOnlyItself(t *testing.T) {
 		if tr := tracers[i]; tr.Node() != netsim.NodeID(i) {
 			t.Errorf("node %d: local recorder is labeled node %d", i, tr.Node())
 		}
+	}
+}
+
+// TestDeployedNodeIndexesCreatedObjectsInItsStore: every operation of
+// the live workload creates an object, and a deployed node indexes it
+// in its store only. Over a thousand commits the catalog keeps its
+// declared objects while the stores grow; Fragment.Objects lists
+// exactly a fragment's stored entries; the initiation requirement
+// still refuses another fragment's write to a created object, at its
+// home and at a replica; and an aborted transaction's new object is
+// listed nowhere.
+func TestDeployedNodeIndexesCreatedObjectsInItsStore(t *testing.T) {
+	const n, perNode = 3, 334
+	nodes, _ := tcpCluster(t, n, "", nil)
+	inspect := func(nd *Node, fn func(cl *core.Cluster)) {
+		t.Helper()
+		if err := nd.Inspect(func() { fn(nd.Live.Cluster()) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cataloged := make([]int, n)
+	stored := make([]int, n)
+	for i, nd := range nodes {
+		inspect(nd, func(cl *core.Cluster) {
+			cataloged[i], stored[i] = cl.Catalog().NumObjects(), cl.LocalNode().Store().Len()
+		})
+	}
+
+	// Own-counter bumps, enqueues and deposits of 7: every one commits
+	// at its node and creates one entry there.
+	op := func(i, k, n int) Op {
+		switch k % 3 {
+		case 0:
+			return Op{Kind: "bump", Amount: 1}
+		case 1:
+			return Op{Kind: "enqueue", Item: fmt.Sprintf("it-%d-%d", i, k)}
+		default:
+			return Op{Kind: "deposit", Account: workload.LiveAccount(i), Amount: 7}
+		}
+	}
+	failed, bumps := closedLoop(t, nodes, perNode, 8, op)
+	if failed != 0 {
+		t.Fatalf("%d of %d operations did not commit", failed, n*perNode)
+	}
+	quiesce(t, nodes, bumps, false)
+	deposits := (perNode + 1) / 3 // k%3 == 2 for k < perNode
+	for i, nd := range nodes {
+		inspect(nd, func(cl *core.Cluster) {
+			if got := cl.Catalog().NumObjects(); got != cataloged[i] {
+				t.Errorf("node %d: catalog went from %d to %d objects over %d commits", i, cataloged[i], got, n*perNode)
+			}
+			if got := cl.LocalNode().Store().Len(); got < stored[i]+n*perNode {
+				t.Errorf("node %d: store went from %d to %d objects, want %d more", i, stored[i], got, n*perNode)
+			}
+			// What fragbench's replica check sums: each account's
+			// ACTIVITY entries through Fragment.Objects.
+			store := cl.LocalNode().Store()
+			for a := 0; a < n; a++ {
+				id := fragments.FragmentID("ACTIVITY(" + workload.LiveAccount(a) + ")")
+				frag, _ := cl.Catalog().Fragment(id)
+				objs := frag.Objects()
+				if want := store.Objects(id); !slices.Equal(objs, want) {
+					t.Errorf("node %d: %s.Objects() = %d objects, store holds %d", i, id, len(objs), len(want))
+				}
+				var sum int64
+				for _, o := range objs {
+					v, _ := store.Get(o)
+					sum += v.(int64)
+				}
+				if len(objs) != deposits || sum != int64(7*deposits) {
+					t.Errorf("node %d: %s lists %d entries summing to %d, want %d summing to %d",
+						i, id, len(objs), sum, deposits, 7*deposits)
+				}
+			}
+		})
+	}
+
+	// submit runs one transaction at node i and waits for its result.
+	submit := func(i int, spec core.TxnSpec) core.TxnResult {
+		t.Helper()
+		res := make(chan core.TxnResult, 1)
+		inspect(nodes[i], func(cl *core.Cluster) {
+			cl.LocalNode().Submit(spec, func(r core.TxnResult) { res <- r })
+		})
+		select {
+		case r := <-res:
+			return r
+		case <-time.After(10 * time.Second):
+			t.Fatalf("node %d: %s did not finish", i, spec.Label)
+			return core.TxnResult{}
+		}
+	}
+	var entry fragments.ObjectID
+	inspect(nodes[0], func(cl *core.Cluster) { entry = cl.LocalNode().Store().Objects("CTR(0)")[0] })
+	for i := 0; i < 2; i++ { // node 0 is CTR(0)'s home, node 1 a replica
+		queue := fmt.Sprintf("QUEUE(%d)", i)
+		r := submit(i, core.TxnSpec{
+			Agent: fragments.AgentID(fmt.Sprintf("q:%d", i)), Fragment: fragments.FragmentID(queue),
+			Label:   "cross-fragment write",
+			Program: func(tx *core.Tx) error { return tx.Write(entry, int64(100)) },
+		})
+		if r.Committed || r.Err == nil || !strings.Contains(r.Err.Error(), "initiation requirement") {
+			t.Errorf("node %d: %s's write to %s = %+v, want the initiation error", i, queue, entry, r)
+		}
+	}
+
+	const orphan = fragments.ObjectID("QUEUE(0):aborted")
+	errAbort := errors.New("abort after writing")
+	r := submit(0, core.TxnSpec{
+		Agent: "q:0", Fragment: "QUEUE(0)", Label: "aborted creation",
+		Program: func(tx *core.Tx) error {
+			if err := tx.Write(orphan, "x"); err != nil {
+				return err
+			}
+			return errAbort
+		},
+	})
+	if r.Committed || !errors.Is(r.Err, errAbort) {
+		t.Fatalf("aborted creation = %+v", r)
+	}
+	for i, nd := range nodes {
+		inspect(nd, func(cl *core.Cluster) {
+			for _, id := range cl.Catalog().Fragments() {
+				frag, _ := cl.Catalog().Fragment(id)
+				if slices.Contains(frag.Objects(), orphan) {
+					t.Errorf("node %d: %s lists the aborted transaction's object", i, id)
+				}
+			}
+		})
 	}
 }

@@ -12,7 +12,7 @@ package fragments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"fragdb/internal/netsim"
@@ -37,37 +37,46 @@ func NodeAgent(n netsim.NodeID) AgentID {
 
 // Fragment is one of the k non-overlapping subsets of the database.
 type Fragment struct {
-	ID      FragmentID
-	objects map[ObjectID]struct{}
+	ID  FragmentID
+	cat *Catalog
+	// static holds the objects declared with the fragment (AddFragment,
+	// AddObject); guarded by cat.mu.
+	static map[ObjectID]struct{}
 }
 
-// Objects returns the fragment's objects in sorted order.
+// Objects returns the fragment's objects in sorted order: its declared
+// ones and those its agent's transactions created (Section 4.4.2A's
+// "new data items") that the stores of this process hold.
 func (f *Fragment) Objects() []ObjectID {
-	out := make([]ObjectID, 0, len(f.objects))
-	for o := range f.objects {
+	f.cat.mu.RLock()
+	out := make([]ObjectID, 0, len(f.static))
+	for o := range f.static {
 		out = append(out, o)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	stored := f.cat.stored
+	f.cat.mu.RUnlock()
+	if stored != nil {
+		out = append(out, stored(f.ID)...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// Contains reports whether the object belongs to the fragment.
-func (f *Fragment) Contains(o ObjectID) bool {
-	_, ok := f.objects[o]
-	return ok
-}
-
-// Size reports the number of objects in the fragment.
-func (f *Fragment) Size() int { return len(f.objects) }
-
-// Catalog maps objects to fragments. Fragments are non-overlapping: an
-// object belongs to exactly one fragment. A catalog is shared schema
-// metadata: one instance serves every node of a cluster, so it is safe
-// for concurrent use.
+// Catalog is the schema: the fragments, their declared (static)
+// objects, and which fragment each static object belongs to.
+// Fragments are non-overlapping: an object belongs to exactly one
+// fragment. Objects a transaction creates are not cataloged: they live
+// only in the stores that hold them (storage.Version names each one's
+// fragment), so the catalog does not grow with the data. In the
+// simulator one catalog serves every node of a cluster; it is safe for
+// concurrent use.
 type Catalog struct {
 	mu    sync.RWMutex
 	frags map[FragmentID]*Fragment
 	owner map[ObjectID]FragmentID
+	// stored lists a fragment's created objects for Fragment.Objects;
+	// set by the cluster that owns the stores (SetStoredObjects).
+	stored func(FragmentID) []ObjectID
 }
 
 // NewCatalog returns an empty catalog.
@@ -76,6 +85,14 @@ func NewCatalog() *Catalog {
 		frags: make(map[FragmentID]*Fragment),
 		owner: make(map[ObjectID]FragmentID),
 	}
+}
+
+// SetStoredObjects installs the function Fragment.Objects calls to list
+// a fragment's objects held in stores beyond its declared ones.
+func (c *Catalog) SetStoredObjects(fn func(FragmentID) []ObjectID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stored = fn
 }
 
 // AddFragment declares a fragment with the given initial objects. It
@@ -87,7 +104,7 @@ func (c *Catalog) AddFragment(id FragmentID, objects ...ObjectID) error {
 	if _, ok := c.frags[id]; ok {
 		return fmt.Errorf("fragments: fragment %q already declared", id)
 	}
-	f := &Fragment{ID: id, objects: make(map[ObjectID]struct{}, len(objects))}
+	f := &Fragment{ID: id, cat: c, static: make(map[ObjectID]struct{}, len(objects))}
 	c.frags[id] = f
 	for _, o := range objects {
 		if err := c.addObjectLocked(id, o); err != nil {
@@ -97,7 +114,7 @@ func (c *Catalog) AddFragment(id FragmentID, objects ...ObjectID) error {
 	return nil
 }
 
-// AddObject adds an object to an existing fragment.
+// AddObject declares one more static object of an existing fragment.
 func (c *Catalog) AddObject(frag FragmentID, o ObjectID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -112,28 +129,12 @@ func (c *Catalog) addObjectLocked(frag FragmentID, o ObjectID) error {
 	if prev, claimed := c.owner[o]; claimed {
 		return fmt.Errorf("fragments: object %q already in fragment %q", o, prev)
 	}
-	f.objects[o] = struct{}{}
+	f.static[o] = struct{}{}
 	c.owner[o] = frag
 	return nil
 }
 
-// EnsureObject registers o in frag if it is not yet cataloged,
-// supporting dynamic creation of data items (the paper's Section 4.4.2A
-// mentions transactions "creating new data items"). It returns an error
-// only if o already belongs to a different fragment.
-func (c *Catalog) EnsureObject(frag FragmentID, o ObjectID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if owner, ok := c.owner[o]; ok {
-		if owner != frag {
-			return fmt.Errorf("fragments: object %q is in fragment %q, not %q", o, owner, frag)
-		}
-		return nil
-	}
-	return c.addObjectLocked(frag, o)
-}
-
-// FragmentOf returns the fragment containing object o.
+// FragmentOf returns the fragment containing the static object o.
 func (c *Catalog) FragmentOf(o ObjectID) (FragmentID, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -157,33 +158,14 @@ func (c *Catalog) Fragments() []FragmentID {
 	for id := range c.frags {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// NumObjects reports the total number of objects across all fragments.
+// NumObjects reports the number of static objects across all
+// fragments.
 func (c *Catalog) NumObjects() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.owner)
-}
-
-// CheckInitiation enforces the paper's initiation requirement: "an
-// update transaction T can be initiated by an agent A(F) if and only if
-// all data objects modified by T are contained in the fragment F". It
-// returns nil if every written object is in frag.
-func (c *Catalog) CheckInitiation(frag FragmentID, writes []ObjectID) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, o := range writes {
-		owner, ok := c.owner[o]
-		if !ok {
-			return fmt.Errorf("fragments: write to unknown object %q", o)
-		}
-		if owner != frag {
-			return fmt.Errorf("fragments: initiation requirement violated: object %q is in fragment %q, not %q",
-				o, owner, frag)
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package fragments
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -19,8 +20,8 @@ func TestCatalogBasics(t *testing.T) {
 		t.Error("FragmentOf returned true for unknown object")
 	}
 	frag, ok := c.Fragment("BALANCES")
-	if !ok || frag.Size() != 2 || !frag.Contains("bal:1") || frag.Contains("act:1") {
-		t.Errorf("Fragment lookup wrong: %+v", frag)
+	if !ok || frag.ID != "BALANCES" {
+		t.Fatalf("Fragment lookup wrong: %+v", frag)
 	}
 	objs := frag.Objects()
 	if len(objs) != 2 || objs[0] != "bal:1" || objs[1] != "bal:2" {
@@ -51,24 +52,6 @@ func TestCatalogRejectsOverlap(t *testing.T) {
 	}
 	if err := c.AddObject("missing", "y"); err == nil {
 		t.Error("AddObject to unknown fragment accepted")
-	}
-}
-
-func TestCheckInitiation(t *testing.T) {
-	c := NewCatalog()
-	c.AddFragment("F1", "a", "b")
-	c.AddFragment("F2", "c")
-	if err := c.CheckInitiation("F1", []ObjectID{"a", "b"}); err != nil {
-		t.Errorf("valid initiation rejected: %v", err)
-	}
-	if err := c.CheckInitiation("F1", []ObjectID{"a", "c"}); err == nil {
-		t.Error("cross-fragment write accepted")
-	}
-	if err := c.CheckInitiation("F1", []ObjectID{"zzz"}); err == nil {
-		t.Error("write to unknown object accepted")
-	}
-	if err := c.CheckInitiation("F1", nil); err != nil {
-		t.Errorf("empty write set rejected: %v", err)
 	}
 }
 
@@ -145,5 +128,30 @@ func TestTokensClone(t *testing.T) {
 	cl.Assign("F", "b", 1)
 	if a, _ := tk.Agent("F"); a != "a" {
 		t.Error("Clone aliases original")
+	}
+}
+
+// Fragment.Objects lists the declared objects and, through the hook the
+// stores' owner installs, the stored ones, sorted and without repeats.
+func TestObjectsIncludeStoredObjects(t *testing.T) {
+	c := NewCatalog()
+	if err := c.AddFragment("F", "b", "d"); err != nil {
+		t.Fatal(err)
+	}
+	c.SetStoredObjects(func(f FragmentID) []ObjectID {
+		if f != "F" {
+			t.Errorf("hook asked for %q", f)
+		}
+		return []ObjectID{"c", "b", "a"}
+	})
+	frag, _ := c.Fragment("F")
+	if got := frag.Objects(); !slices.Equal(got, []ObjectID{"a", "b", "c", "d"}) {
+		t.Errorf("Objects = %v", got)
+	}
+	if c.NumObjects() != 2 {
+		t.Errorf("NumObjects = %d, want the 2 declared", c.NumObjects())
+	}
+	if _, ok := c.FragmentOf("a"); ok {
+		t.Error("FragmentOf knows a stored object; the catalog holds declared ones only")
 	}
 }

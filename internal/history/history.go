@@ -30,11 +30,12 @@ import (
 	"fragdb/internal/txn"
 )
 
-// ReadObs is one observed read: the reader saw the version of Object
-// installed by FromTxn at stream position Pos. A zero FromTxn denotes
-// the initial (loaded) version.
+// ReadObs is one observed read: the reader saw the version of Object,
+// an object of fragment Frag, installed by FromTxn at stream position
+// Pos. A zero FromTxn denotes the initial (loaded) version.
 type ReadObs struct {
 	Object  fragments.ObjectID
+	Frag    fragments.FragmentID
 	FromTxn txn.ID
 	Pos     txn.FragPos
 }
@@ -223,18 +224,11 @@ func (r *Recorder) FragmentGraph(f fragments.FragmentID) *Graph {
 			sub = append(sub, rec)
 		}
 	}
-	inFrag := func(o fragments.ObjectID) bool {
-		fr, ok := r.cat.FragmentOf(o)
-		return ok && fr == f
-	}
-	// Version chains restricted to f's objects (writers of those objects
-	// are exactly U(f) by the initiation requirement).
+	// Version chains of f's objects: by the initiation requirement U(f)
+	// writes exactly those.
 	ch := make(map[fragments.ObjectID]*versionChain)
 	for _, rec := range sub {
 		for _, o := range rec.Writes {
-			if !inFrag(o) {
-				continue
-			}
 			c, ok := ch[o]
 			if !ok {
 				c = &versionChain{}
@@ -253,7 +247,7 @@ func (r *Recorder) FragmentGraph(f fragments.FragmentID) *Graph {
 	}
 	for _, rec := range sub {
 		for _, rd := range rec.Reads {
-			if !inFrag(rd.Object) {
+			if rd.Frag != f {
 				continue
 			}
 			if !rd.FromTxn.IsZero() && rd.FromTxn != rec.ID && inU[rd.FromTxn] {
@@ -374,9 +368,7 @@ func (r *Recorder) ObservedRAG() *fragments.ReadAccessGraph {
 			continue
 		}
 		for _, rd := range rec.Reads {
-			if f, ok := r.cat.FragmentOf(rd.Object); ok {
-				g.AddEdge(rec.Type, f)
-			}
+			g.AddEdge(rec.Type, rd.Frag)
 		}
 	}
 	return g

@@ -43,7 +43,7 @@ func TestPaperSection43Example(t *testing.T) {
 	r.Record(TxnRecord{
 		ID: t3, Type: "F3", UpdateFragment: "F3", Pos: pos(1),
 		Writes: []fragments.ObjectID{"c"},
-		Reads:  []ReadObs{{Object: "c"}}, // initial version
+		Reads:  []ReadObs{{Object: "c", Frag: "F3"}}, // initial version
 		Node:   2,
 	})
 	// T2 (type F2): reads c — T3's update was installed at F2's home
@@ -51,7 +51,7 @@ func TestPaperSection43Example(t *testing.T) {
 	r.Record(TxnRecord{
 		ID: t2, Type: "F2", UpdateFragment: "F2", Pos: pos(1),
 		Writes: []fragments.ObjectID{"b"},
-		Reads:  []ReadObs{{Object: "c", FromTxn: t3, Pos: pos(1)}},
+		Reads:  []ReadObs{{Object: "c", Frag: "F3", FromTxn: t3, Pos: pos(1)}},
 		Node:   1,
 	})
 	// T1 (type F1): reads c BEFORE T3's update was installed at F1's
@@ -61,8 +61,8 @@ func TestPaperSection43Example(t *testing.T) {
 		ID: t1, Type: "F1", UpdateFragment: "F1", Pos: pos(1),
 		Writes: []fragments.ObjectID{"a"},
 		Reads: []ReadObs{
-			{Object: "c"},                           // initial: generates T1 -> T3
-			{Object: "b", FromTxn: t2, Pos: pos(1)}, // generates T2 -> T1
+			{Object: "c", Frag: "F3"},                           // initial: generates T1 -> T3
+			{Object: "b", Frag: "F2", FromTxn: t2, Pos: pos(1)}, // generates T2 -> T1
 		},
 		Node: 0,
 	})
@@ -121,16 +121,16 @@ func TestAirlineBothFlightsVariant(t *testing.T) {
 	r.Record(TxnRecord{ID: tf1, Type: "Fl1", UpdateFragment: "Fl1", Pos: pos(1),
 		Writes: []fragments.ObjectID{"f11", "f21"},
 		Reads: []ReadObs{
-			{Object: "c11", FromTxn: tc1, Pos: pos(1)},
-			{Object: "c21"}, // initial -> RW edge TF1 -> TC2
+			{Object: "c11", Frag: "C1", FromTxn: tc1, Pos: pos(1)},
+			{Object: "c21", Frag: "C2"}, // initial -> RW edge TF1 -> TC2
 		},
 		Node: 2})
 	// TF2 saw TC2's request but not TC1's.
 	r.Record(TxnRecord{ID: tf2, Type: "Fl2", UpdateFragment: "Fl2", Pos: pos(1),
 		Writes: []fragments.ObjectID{"f12", "f22"},
 		Reads: []ReadObs{
-			{Object: "c12"}, // initial -> RW edge TF2 -> TC1
-			{Object: "c22", FromTxn: tc2, Pos: pos(1)},
+			{Object: "c12", Frag: "C1"}, // initial -> RW edge TF2 -> TC1
+			{Object: "c22", Frag: "C2", FromTxn: tc2, Pos: pos(1)},
 		},
 		Node: 3})
 
@@ -173,14 +173,14 @@ func TestAirlineLiteralSchedule(t *testing.T) {
 	r.Record(TxnRecord{ID: tf1, Type: "Fl1", UpdateFragment: "Fl1", Pos: pos(1),
 		Writes: []fragments.ObjectID{"f11", "f21"},
 		Reads: []ReadObs{
-			{Object: "c11", FromTxn: tc1, Pos: pos(1)},
-			{Object: "c21"},
+			{Object: "c11", Frag: "C1", FromTxn: tc1, Pos: pos(1)},
+			{Object: "c21", Frag: "C2"},
 		}, Node: 2})
 	r.Record(TxnRecord{ID: tf2, Type: "Fl2", UpdateFragment: "Fl2", Pos: pos(1),
 		Writes: []fragments.ObjectID{"f12", "f22"},
 		Reads: []ReadObs{
-			{Object: "c12"},
-			{Object: "c22", FromTxn: tc2, Pos: pos(1)},
+			{Object: "c12", Frag: "C1"},
+			{Object: "c22", Frag: "C2", FromTxn: tc2, Pos: pos(1)},
 		}, Node: 3})
 
 	if err := r.CheckGlobal(Options{}); err != nil {
@@ -200,13 +200,13 @@ func TestProperty1ViolationDetected(t *testing.T) {
 	tb := txn.ID{Origin: 1, Seq: 1}
 	r.Record(TxnRecord{ID: ta, Type: "F1", UpdateFragment: "F1", Pos: pos(1),
 		Writes: []fragments.ObjectID{"a"},
-		Reads:  []ReadObs{{Object: "a"}}, // initial
+		Reads:  []ReadObs{{Object: "a", Frag: "F1"}}, // initial
 		Node:   0})
 	// tb also read the initial version (missed ta's update), then wrote
 	// at a later position: ta -> tb (WW) and tb -> ta (RW).
 	r.Record(TxnRecord{ID: tb, Type: "F1", UpdateFragment: "F1", Pos: pos(2),
 		Writes: []fragments.ObjectID{"a"},
-		Reads:  []ReadObs{{Object: "a"}}, // initial: missed pos(1)
+		Reads:  []ReadObs{{Object: "a", Frag: "F1"}}, // initial: missed pos(1)
 		Node:   1})
 	// RW: tb read pos 0, next writer is ta (pos 1) -> edge tb -> ta.
 	// WW: ta (pos1) -> tb (pos2).
@@ -233,8 +233,8 @@ func TestProperty2PartialEffectDetected(t *testing.T) {
 	r.Record(TxnRecord{ID: rd, Type: "G", UpdateFragment: "G", Pos: pos(1),
 		Writes: []fragments.ObjectID{"g"},
 		Reads: []ReadObs{
-			{Object: "a", FromTxn: w, Pos: pos(1)},
-			{Object: "b"}, // initial: partial effect!
+			{Object: "a", Frag: "F", FromTxn: w, Pos: pos(1)},
+			{Object: "b", Frag: "F"}, // initial: partial effect!
 		}, Node: 1})
 	pes := r.PartialEffects()
 	if len(pes) != 1 {
@@ -263,8 +263,8 @@ func TestNoPartialEffectWhenAllSeen(t *testing.T) {
 	r.Record(TxnRecord{ID: rd, Type: "G", UpdateFragment: "G", Pos: pos(1),
 		Writes: []fragments.ObjectID{"g"},
 		Reads: []ReadObs{
-			{Object: "a", FromTxn: w, Pos: pos(1)},
-			{Object: "b", FromTxn: w, Pos: pos(1)},
+			{Object: "a", Frag: "F", FromTxn: w, Pos: pos(1)},
+			{Object: "b", Frag: "F", FromTxn: w, Pos: pos(1)},
 		}, Node: 1})
 	if pes := r.PartialEffects(); len(pes) != 0 {
 		t.Errorf("false positive: %v", pes)
@@ -278,7 +278,7 @@ func TestReadOnlyExclusionFromGlobalGraph(t *testing.T) {
 	r.Record(TxnRecord{ID: w, Type: "F1", UpdateFragment: "F1", Pos: pos(1),
 		Writes: []fragments.ObjectID{"a"}, Node: 0})
 	r.Record(TxnRecord{ID: ro, Type: "", ReadOnly: true,
-		Reads: []ReadObs{{Object: "a", FromTxn: w, Pos: pos(1)}}, Node: 1})
+		Reads: []ReadObs{{Object: "a", Frag: "F1", FromTxn: w, Pos: pos(1)}}, Node: 1})
 	if n := r.GlobalGraph(Options{}).NumVertices(); n != 1 {
 		t.Errorf("vertices = %d, want 1 (read-only excluded)", n)
 	}
@@ -301,7 +301,7 @@ func TestEpochOrderingInChains(t *testing.T) {
 	// writer (the next version), not nothing.
 	r.Record(TxnRecord{ID: rd, Type: "F2", UpdateFragment: "F2", Pos: pos(1),
 		Writes: []fragments.ObjectID{"b"},
-		Reads:  []ReadObs{{Object: "a", FromTxn: old, Pos: txn.FragPos{Epoch: 0, Seq: 5}}},
+		Reads:  []ReadObs{{Object: "a", Frag: "F1", FromTxn: old, Pos: txn.FragPos{Epoch: 0, Seq: 5}}},
 		Node:   2})
 	g := r.GlobalGraph(Options{})
 	if !g.HasEdge(old, new_) {

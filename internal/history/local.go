@@ -40,8 +40,8 @@ func (r *Recorder) LocalGraph(f fragments.FragmentID) *Graph {
 		locals = append(locals, rec)
 		g.AddVertex(rec.ID)
 		for _, rd := range rec.Reads {
-			if fr, ok := r.cat.FragmentOf(rd.Object); ok && fr != f {
-				foreignTypes[fr] = true
+			if rd.Frag != f {
+				foreignTypes[rd.Frag] = true
 			}
 		}
 	}
@@ -87,8 +87,7 @@ func (r *Recorder) LocalGraph(f fragments.FragmentID) *Graph {
 	}
 	for _, rec := range locals {
 		for _, rd := range rec.Reads {
-			fr, ok := r.cat.FragmentOf(rd.Object)
-			if !ok || fr == f {
+			if rd.Frag == f {
 				continue
 			}
 			if !rd.FromTxn.IsZero() && inGraph(rd.FromTxn) {

@@ -18,15 +18,15 @@ func TestLocalGraphsOfPaperExample(t *testing.T) {
 	t2 := txn.ID{Origin: 1, Seq: 1}
 	t3 := txn.ID{Origin: 2, Seq: 1}
 	r.Record(TxnRecord{ID: t3, Type: "F3", UpdateFragment: "F3", Pos: pos(1),
-		Writes: []fragments.ObjectID{"c"}, Reads: []ReadObs{{Object: "c"}}, Node: 2})
+		Writes: []fragments.ObjectID{"c"}, Reads: []ReadObs{{Object: "c", Frag: "F3"}}, Node: 2})
 	r.Record(TxnRecord{ID: t2, Type: "F2", UpdateFragment: "F2", Pos: pos(1),
 		Writes: []fragments.ObjectID{"b"},
-		Reads:  []ReadObs{{Object: "c", FromTxn: t3, Pos: pos(1)}}, Node: 1})
+		Reads:  []ReadObs{{Object: "c", Frag: "F3", FromTxn: t3, Pos: pos(1)}}, Node: 1})
 	r.Record(TxnRecord{ID: t1, Type: "F1", UpdateFragment: "F1", Pos: pos(1),
 		Writes: []fragments.ObjectID{"a"},
 		Reads: []ReadObs{
-			{Object: "c"},
-			{Object: "b", FromTxn: t2, Pos: pos(1)},
+			{Object: "c", Frag: "F3"},
+			{Object: "b", Frag: "F2", FromTxn: t2, Pos: pos(1)},
 		}, Node: 0})
 
 	if err := r.CheckLocalGraphs(); err != nil {
@@ -66,7 +66,7 @@ func TestLocalGraphStreamOrderEdges(t *testing.T) {
 		Writes: []fragments.ObjectID{"b"}, Node: 1})
 	r.Record(TxnRecord{ID: rd, Type: "F1", UpdateFragment: "F1", Pos: pos(1),
 		Writes: []fragments.ObjectID{"a"},
-		Reads:  []ReadObs{{Object: "b", FromTxn: w1, Pos: pos(1)}}, Node: 0})
+		Reads:  []ReadObs{{Object: "b", Frag: "F2", FromTxn: w1, Pos: pos(1)}}, Node: 0})
 	lg := r.LocalGraph("F1")
 	if !lg.HasEdge(w1, w2) {
 		t.Error("missing rule (iii) stream-order edge")
@@ -87,9 +87,9 @@ func TestLocalGraphDetectsLocalCycle(t *testing.T) {
 	ta := txn.ID{Origin: 0, Seq: 1}
 	tb := txn.ID{Origin: 1, Seq: 1}
 	r.Record(TxnRecord{ID: ta, Type: "F1", UpdateFragment: "F1", Pos: pos(1),
-		Writes: []fragments.ObjectID{"a"}, Reads: []ReadObs{{Object: "a"}}, Node: 0})
+		Writes: []fragments.ObjectID{"a"}, Reads: []ReadObs{{Object: "a", Frag: "F1"}}, Node: 0})
 	r.Record(TxnRecord{ID: tb, Type: "F1", UpdateFragment: "F1", Pos: pos(2),
-		Writes: []fragments.ObjectID{"a"}, Reads: []ReadObs{{Object: "a"}}, Node: 1})
+		Writes: []fragments.ObjectID{"a"}, Reads: []ReadObs{{Object: "a", Frag: "F1"}}, Node: 1})
 	if err := r.CheckLocalGraphs(); err == nil {
 		t.Error("local lost-update cycle not detected")
 	}

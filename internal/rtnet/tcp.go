@@ -38,7 +38,8 @@ var tcpMagic = [4]byte{'f', 'r', 'a', 'g'}
 // a peer from another tree is refused here, once, rather than accepted
 // and dropped at its first undecodable frame on every reconnect.
 // 2: one tag+varint codec for every message (1 had gob behind tag 0).
-const tcpVersion = 2
+// 3: a snapshot's versions travel grouped by fragment.
+const tcpVersion = 3
 
 // controlQueue bounds a peer's control queue: lock requests, grants and
 // releases, 2PC, forwarded operations, majority acks, agent handoffs.

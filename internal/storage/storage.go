@@ -13,6 +13,11 @@
 // compared by the mutual-consistency checker: after quiescence and full
 // propagation, all copies of every fragment must be identical.
 //
+// The store is the only per-object index of the objects transactions
+// create: each Version names its fragment, and the catalog knows only
+// the fragments and their declared objects. FragmentOf resolves an
+// object through both.
+//
 // One value map and the log sit behind one RWMutex. The engine installs
 // from a single goroutine; the mutex is there for readers on other
 // goroutines (scrapes, tests, drivers inspecting a live node).
@@ -21,6 +26,7 @@ package storage
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 
@@ -40,6 +46,9 @@ type Version struct {
 	// Pos is the position in the fragment's update stream of the
 	// installing (quasi-)transaction (zero for initial loads).
 	Pos txn.FragPos
+	// Frag is the object's fragment, the catalog's own entry. It does
+	// not travel on the wire: a receiver resolves it in its catalog.
+	Frag *fragments.Fragment
 }
 
 // LogRecord is one entry in the store's write-ahead log: a transaction
@@ -92,13 +101,55 @@ func (s *Store) Catalog() *fragments.Catalog { return s.cat }
 // Load installs an initial value outside any transaction (database
 // population before the simulation starts).
 func (s *Store) Load(o fragments.ObjectID, v any) error {
-	if _, ok := s.cat.FragmentOf(o); !ok {
+	id, ok := s.cat.FragmentOf(o)
+	if !ok {
 		return fmt.Errorf("storage: load of object %q not in catalog", o)
 	}
+	f, _ := s.cat.Fragment(id)
 	s.mu.Lock()
-	s.vals[o] = Version{Value: v}
+	s.vals[o] = Version{Value: v, Frag: f}
 	s.mu.Unlock()
 	return nil
+}
+
+// FragmentOf returns the fragment of object o: the catalog's for a
+// declared object, else that of its stored version. An object created
+// elsewhere and not yet installed here is unknown.
+func (s *Store) FragmentOf(o fragments.ObjectID) (fragments.FragmentID, bool) {
+	if f, ok := s.cat.FragmentOf(o); ok {
+		return f, true
+	}
+	s.mu.RLock()
+	v, ok := s.vals[o]
+	s.mu.RUnlock()
+	if !ok || v.Frag == nil {
+		return "", false
+	}
+	return v.Frag.ID, true
+}
+
+// CheckInitiation enforces the paper's initiation requirement for a
+// write of o: "an update transaction T can be initiated by an agent
+// A(F) if and only if all data objects modified by T are contained in
+// the fragment F". It returns nil if o is in frag or new here (a new
+// object is created in frag).
+func (s *Store) CheckInitiation(frag fragments.FragmentID, o fragments.ObjectID) error {
+	if owner, ok := s.FragmentOf(o); ok && owner != frag {
+		return fmt.Errorf("fragments: initiation requirement violated: object %q is in fragment %q, not %q",
+			o, owner, frag)
+	}
+	return nil
+}
+
+// Objects returns, in sorted order, the objects of fragment frag that
+// hold a value here.
+func (s *Store) Objects(frag fragments.FragmentID) []fragments.ObjectID {
+	var out []fragments.ObjectID
+	for o := range s.FragmentSnapshot(frag) {
+		out = append(out, o)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Get returns the current value of an object. The second result is
@@ -137,10 +188,11 @@ func (s *Store) ApplyQuasi(q txn.Quasi) uint64 {
 // exclusive object locks), not by the store; the mutex only protects
 // map and log integrity.
 func (s *Store) install(id txn.ID, frag fragments.FragmentID, pos txn.FragPos, quasi bool, writes []txn.WriteOp, stamp simtime.Time) uint64 {
+	f, _ := s.cat.Fragment(frag)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, w := range writes {
-		s.vals[w.Object] = Version{Value: w.Value, Txn: id, Stamp: stamp, Pos: pos}
+		s.vals[w.Object] = Version{Value: w.Value, Txn: id, Stamp: stamp, Pos: pos, Frag: f}
 	}
 	s.lsn++
 	if !s.unlogged {
@@ -201,8 +253,8 @@ func (s *Store) FragmentSnapshot(frag fragments.FragmentID) map[fragments.Object
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, o := range f.Objects() {
-		if v, ok := s.vals[o]; ok {
+	for o, v := range s.vals {
+		if v.Frag == f {
 			out[o] = v
 		}
 	}
@@ -214,39 +266,49 @@ func (s *Store) FragmentSnapshot(frag fragments.FragmentID) map[fragments.Object
 // "transport a copy of the fragment stored at X to store it in place of
 // the copy of the fragment at site Y").
 func (s *Store) InstallFragmentSnapshot(frag fragments.FragmentID, snap map[fragments.ObjectID]Version) {
+	f, _ := s.cat.Fragment(frag)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for o, v := range snap {
+		v.Frag = f
 		s.vals[o] = v
 	}
 }
 
-// VersionSnapshot returns a copy of every object's full version record
-// (used by snapshot catch-up, which needs Pos provenance to merge).
-func (s *Store) VersionSnapshot() map[fragments.ObjectID]Version {
+// VersionSnapshot returns a copy of every object's full version record,
+// by fragment (used by snapshot catch-up, which needs Pos provenance to
+// merge).
+func (s *Store) VersionSnapshot() map[fragments.FragmentID]map[fragments.ObjectID]Version {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[fragments.ObjectID]Version, len(s.vals))
+	out := make(map[fragments.FragmentID]map[fragments.ObjectID]Version)
 	for o, v := range s.vals {
-		out[o] = v
+		if v.Frag != nil {
+			if out[v.Frag.ID] == nil {
+				out[v.Frag.ID] = make(map[fragments.ObjectID]Version)
+			}
+			out[v.Frag.ID][o] = v
+		}
 	}
 	return out
 }
 
-// MergeSnapshot folds a peer's version snapshot into the store, keeping
-// for each object whichever version is later in its fragment's update
-// stream (positions within one stream are totally ordered, so the
-// comparison is a true dominance test: the receiver may be ahead of the
-// snapshot on streams it originates). Snapshot installation is not a
-// stream event, so no WAL record is appended — durability of installed
-// snapshots is the caller's concern. Returns how many objects changed.
-func (s *Store) MergeSnapshot(snap map[fragments.ObjectID]Version) int {
+// MergeSnapshot folds a peer's version snapshot of fragment f into the
+// store, keeping for each object whichever version is later in its
+// fragment's update stream (positions within one stream are totally
+// ordered, so the comparison is a true dominance test: the receiver may
+// be ahead of the snapshot on streams it originates). Snapshot
+// installation is not a stream event, so no WAL record is appended —
+// durability of installed snapshots is the caller's concern. Returns
+// how many objects changed.
+func (s *Store) MergeSnapshot(f *fragments.Fragment, snap map[fragments.ObjectID]Version) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	changed := 0
 	for o, v := range snap {
 		cur, ok := s.vals[o]
 		if !ok || cur.Pos.Less(v.Pos) {
+			v.Frag = f
 			s.vals[o] = v
 			changed++
 		}
@@ -280,10 +342,13 @@ func (s *Store) Diff(other *Store) []fragments.ObjectID {
 
 // FragmentDiff is like Diff restricted to one fragment's objects.
 func (s *Store) FragmentDiff(other *Store, frag fragments.FragmentID) []fragments.ObjectID {
-	all := s.Diff(other)
 	var out []fragments.ObjectID
-	for _, o := range all {
-		if f, ok := s.cat.FragmentOf(o); ok && f == frag {
+	for _, o := range s.Diff(other) {
+		f, ok := s.FragmentOf(o)
+		if !ok {
+			f, _ = other.FragmentOf(o)
+		}
+		if f == frag {
 			out = append(out, o)
 		}
 	}

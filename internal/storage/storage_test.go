@@ -177,6 +177,38 @@ func TestFragmentSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// The initiation requirement holds for declared objects through the
+// catalog and for created ones through their stored version; an object
+// unknown here is a creation, in the writer's fragment.
+func TestCheckInitiation(t *testing.T) {
+	s := New(0, testCatalog(t))
+	if err := s.CheckInitiation("F1", "b"); err != nil {
+		t.Errorf("valid initiation rejected: %v", err)
+	}
+	if err := s.CheckInitiation("F1", "c"); err == nil {
+		t.Error("cross-fragment write accepted")
+	}
+	if err := s.CheckInitiation("F1", "new"); err != nil {
+		t.Errorf("creation rejected: %v", err)
+	}
+	s.Apply(txn.ID{Seq: 1}, "F2", txn.FragPos{Seq: 1}, []txn.WriteOp{{Object: "new", Value: 1}}, 1)
+	if f, ok := s.FragmentOf("new"); !ok || f != "F2" {
+		t.Errorf("FragmentOf(new) = %v, %v", f, ok)
+	}
+	if err := s.CheckInitiation("F1", "new"); err == nil {
+		t.Error("write to another fragment's created object accepted")
+	}
+	if err := s.CheckInitiation("F2", "new"); err != nil {
+		t.Errorf("write to own created object rejected: %v", err)
+	}
+	if s.Catalog().NumObjects() != 3 {
+		t.Errorf("catalog grew to %d objects", s.Catalog().NumObjects())
+	}
+	if got := s.Objects("F2"); len(got) != 1 || got[0] != "new" {
+		t.Errorf("Objects(F2) = %v", got)
+	}
+}
+
 func TestConcurrentAccess(t *testing.T) {
 	s := New(0, testCatalog(t))
 	s.Load("a", 0)

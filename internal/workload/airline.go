@@ -73,6 +73,13 @@ func seatObj(cust, flight string) fragments.ObjectID {
 	return fragments.ObjectID(fmt.Sprintf("seat:%s:%s", cust, flight))
 }
 
+// askedObj is the paper's c_{i,j}: cust has requested seats on flight.
+// A scan finds request objects only where they are replicated; it reads
+// the declared marker even where it finds none, so the history sees it.
+func askedObj(cust, flight string) fragments.ObjectID {
+	return fragments.ObjectID(fmt.Sprintf("asked:%s:%s", cust, flight))
+}
+
 func bookedObj(flight string) fragments.ObjectID {
 	return fragments.ObjectID("booked:" + flight)
 }
@@ -107,7 +114,11 @@ func NewAirline(cfg AirlineConfig) (*Airline, error) {
 	}
 	for _, c := range cfg.Customers {
 		a.customers = append(a.customers, c)
-		if err := cl.Catalog().AddFragment(custFragment(c)); err != nil {
+		var asked []fragments.ObjectID
+		for _, f := range a.flights {
+			asked = append(asked, askedObj(c, f))
+		}
+		if err := cl.Catalog().AddFragment(custFragment(c), asked...); err != nil {
 			return nil, err
 		}
 		home := cfg.CustomerHome[c]
@@ -141,7 +152,10 @@ func (a *Airline) Request(node netsim.NodeID, cust, flight string, seats int64, 
 		Fragment: custFragment(cust),
 		Label:    "request:" + cust + ":" + flight,
 		Program: func(tx *core.Tx) error {
-			return tx.Write(req, seats)
+			if err := tx.Write(req, seats); err != nil {
+				return err
+			}
+			return tx.Write(askedObj(cust, flight), true)
 		},
 	}, done)
 }
@@ -160,7 +174,8 @@ func (a *Airline) RequestBoth(node netsim.NodeID, cust string, seats map[string]
 		}
 		a.perNodeSeq[key]++
 		obj := fragments.ObjectID(fmt.Sprintf("req:%s:%s:%d:%d", cust, f, int(node), a.perNodeSeq[key]))
-		reqs = append(reqs, txn.WriteOp{Object: obj, Value: n})
+		reqs = append(reqs, txn.WriteOp{Object: obj, Value: n},
+			txn.WriteOp{Object: askedObj(cust, f), Value: true})
 	}
 	a.cl.Node(node).Submit(core.TxnSpec{
 		Agent:    PassengerAgent(cust),
@@ -200,12 +215,16 @@ func (a *Airline) Scan(flight string, done func(core.TxnResult)) {
 				return err
 			}
 			for _, cust := range a.customers {
-				frag, ok := a.cl.Catalog().Fragment(custFragment(cust))
-				if !ok {
+				asked, err := tx.Read(askedObj(cust, flight))
+				if err != nil {
+					return err
+				}
+				if asked == nil {
 					continue
 				}
 				want := int64(0)
-				for _, req := range frag.Objects() {
+				// The requests replicated here.
+				for _, req := range a.cl.Node(tx.Node()).Store().Objects(custFragment(cust)) {
 					// Request objects carry the flight id in their name.
 					if !matchesFlight(string(req), cust, flight) {
 						continue

@@ -233,12 +233,13 @@ func TestScanAbortedAfterRefusingCountsNothing(t *testing.T) {
 	if !cl.Settle(10 * time.Second) {
 		t.Fatal("settle")
 	}
-	// The scan reads booked, then c1's request and seat, writes c1's
-	// seat, reads c2's request and seat — refusing c2 at 6 ms — and
-	// writes booked at 7 ms. The flight's home crashes in between.
+	// The scan reads booked, then c1's marker, request and seat, writes
+	// c1's seat, reads c2's marker, request and seat — refusing c2 at
+	// 8 ms — and writes booked at 9 ms. The flight's home crashes in
+	// between.
 	var res core.TxnResult
 	a.Scan("FL", func(r core.TxnResult) { res = r })
-	cl.Sched().After(6500*time.Microsecond, func() { cl.Node(2).SimulateCrashRestart() })
+	cl.Sched().After(8500*time.Microsecond, func() { cl.Node(2).SimulateCrashRestart() })
 	cl.RunFor(100 * time.Millisecond)
 	if res.Committed || !errors.Is(res.Err, core.ErrCrashed) {
 		t.Fatalf("scan = %+v, want aborted by the crash", res)
@@ -255,20 +256,21 @@ func TestScanAbortedAfterRefusingCountsNothing(t *testing.T) {
 	}
 }
 
-// TestRequestBothTakesTwoOperations: a two-flight request writes its
-// two request objects in the same order on every run of its program,
-// so it commits after exactly two operations (1 ms each in the
-// simulator). Writing them in map order, a rerun that starts with the
-// other object diverges from its log and pays for the write again.
-func TestRequestBothTakesTwoOperations(t *testing.T) {
+// TestRequestBothWritesInFixedOrder: a two-flight request writes its
+// two request objects and two markers in the same order on every run
+// of its program, so it commits after exactly four operations (1 ms
+// each in the simulator). Writing them in map order, a rerun that
+// starts with another object diverges from its log and pays for the
+// write again.
+func TestRequestBothWritesInFixedOrder(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a := newAirline(t, int64(i+1))
 		var res core.TxnResult
 		a.RequestBoth(0, "c1", map[string]int64{"FL1": 1, "FL2": 1}, func(r core.TxnResult) { res = r })
 		a.Cluster().RunFor(50 * time.Millisecond)
 		a.Cluster().Shutdown()
-		if d := res.End.Sub(res.Start); !res.Committed || d != 2*time.Millisecond {
-			t.Fatalf("run %d: committed %v after %v, want committed after 2ms", i, res.Committed, d)
+		if d := res.End.Sub(res.Start); !res.Committed || d != 4*time.Millisecond {
+			t.Fatalf("run %d: committed %v after %v, want committed after 4ms", i, res.Committed, d)
 		}
 	}
 }

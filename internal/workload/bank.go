@@ -416,18 +416,11 @@ func (b *Bank) LocalView(node netsim.NodeID, acct string) int64 {
 }
 
 // Unrecorded lists the ACTIVITY entries of acct replicated at node that
-// carry no RECORDED mark there, in catalog order.
+// carry no RECORDED mark there, in sorted order.
 func (b *Bank) Unrecorded(node netsim.NodeID, acct string) []fragments.ObjectID {
-	frag, ok := b.cl.Catalog().Fragment(activityFragment(acct))
-	if !ok {
-		return nil
-	}
 	store := b.cl.Node(node).Store()
 	var out []fragments.ObjectID
-	for _, entry := range frag.Objects() {
-		if _, known := store.Get(entry); !known {
-			continue // not yet replicated here
-		}
+	for _, entry := range store.Objects(activityFragment(acct)) {
 		if rec, _ := store.Get(fragments.ObjectID("rec:" + string(entry))); rec == true {
 			continue // already reflected in the balance
 		}

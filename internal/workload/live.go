@@ -169,15 +169,9 @@ func (lv *Live) CounterTotal(at netsim.NodeID) int64 {
 	var total int64
 	store := lv.Cluster().Node(at).Store()
 	for i := 0; i < lv.n; i++ {
-		frag, ok := lv.Cluster().Catalog().Fragment(counterFragment(netsim.NodeID(i)))
-		if !ok {
-			continue
-		}
-		for _, o := range frag.Objects() {
-			if v, known := store.Get(o); known {
-				if inc, ok := v.(int64); ok {
-					total += inc
-				}
+		for _, v := range store.FragmentSnapshot(counterFragment(netsim.NodeID(i))) {
+			if inc, ok := v.Value.(int64); ok {
+				total += inc
 			}
 		}
 	}
@@ -189,15 +183,7 @@ func (lv *Live) QueueLen(at netsim.NodeID) int {
 	count := 0
 	store := lv.Cluster().Node(at).Store()
 	for i := 0; i < lv.n; i++ {
-		frag, ok := lv.Cluster().Catalog().Fragment(queueFragment(netsim.NodeID(i)))
-		if !ok {
-			continue
-		}
-		for _, o := range frag.Objects() {
-			if _, known := store.Get(o); known {
-				count++
-			}
-		}
+		count += len(store.FragmentSnapshot(queueFragment(netsim.NodeID(i))))
 	}
 	return count
 }
