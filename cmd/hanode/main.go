@@ -1,5 +1,5 @@
-// Command hanode runs one node of a deployed fragdb cluster: the
-// single-node engine over the real TCP transport, plus an HTTP side
+// Command hanode runs one node of a deployed fragdb cluster: one
+// engine over the real TCP transport, plus an HTTP side
 // door for clients and operators.
 //
 //	hanode -id 0 -peers 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002 -http 127.0.0.1:8000

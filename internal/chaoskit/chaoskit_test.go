@@ -115,6 +115,47 @@ func TestMajorityCommitEpochSwitchRace(t *testing.T) {
 	}
 }
 
+// noPrepParkedInstallPlan is compaction seed 708, shrunk: f1's agent
+// moves from node 1 to node 0 without preparation while one of f1's
+// quasi-transactions is parked on node 0's locks behind node 0's own
+// transaction of f0, which reads f1. It needs majority commit;
+// compaction is on but plays no part (the plan fails without it too).
+func noPrepParkedInstallPlan() Plan {
+	return Plan{
+		Seed: 708, Profile: "compaction", Option: core.UnrestrictedReads,
+		N: 2, Frags: 2, MajorityCommit: true, Compaction: true,
+		Horizon:   2096 * time.Millisecond,
+		ReadEdges: [][2]int{{0, 1}},
+		Steps: []Step{
+			{At: 1039 * time.Millisecond, Frag: 1, Node: 0, Kind: StepUpdate},
+			{At: 1616 * time.Millisecond, Frag: 1, Node: 0, Kind: StepUpdate},
+			{At: 1102 * time.Millisecond, Frag: 2, Node: 0, Kind: StepUpdate, Reads: []int{1}},
+			{At: 1062 * time.Millisecond, Frag: 1, Node: 0, Kind: StepUpdate},
+			{At: 1094 * time.Millisecond, Frag: 2, Node: 0, Kind: StepUpdate},
+			{At: 1028 * time.Millisecond, Frag: 1, Node: 0, Kind: StepUpdate},
+		},
+		Moves: []Move{
+			{At: 1133 * time.Millisecond, Frag: 1, To: 2, Protocol: MoveNoPrep, Window: 232 * time.Millisecond},
+		},
+	}
+}
+
+// TestNoPrepMoveFinishesParkedInstall: the new home of a no-preparation
+// move must finish a parked old-epoch install before it begins the new
+// epoch. Beginning at once let that install set the stream back to its
+// old-epoch position, so the new home numbered its next commit in the
+// old epoch and the old home, now forwarding old-epoch stragglers, sent
+// it back uninstalled: the replicas of f1 diverged.
+func TestNoPrepMoveFinishesParkedInstall(t *testing.T) {
+	rep := Execute(noPrepParkedInstallPlan(), RunOpts{})
+	if rep.Failed() {
+		t.Errorf("seed 708 regression: %s", rep.String())
+		for _, c := range rep.Failures() {
+			t.Errorf("  %s: %v", c.Name, c.Err)
+		}
+	}
+}
+
 // TestCompactionLongHistory drives the dedicated compaction profile —
 // histories ten times longer than the standard sweep — and checks that
 // (a) the invariant ladder still passes and (b) the run is not

@@ -9,6 +9,7 @@ import (
 	"fragdb/internal/fragments"
 	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
+	"fragdb/internal/simtime"
 	"fragdb/internal/txn"
 )
 
@@ -26,14 +27,12 @@ const applyFrags = 64
 
 func applyFrag(i int) fragments.FragmentID { return fragments.FragmentID(fmt.Sprintf("B%02d", i)) }
 
-// applyReplica builds what a deployed node is: a SingleNode cluster
-// over an injected transport — node 0 of four, holding applyFrags
-// fragments whose agents live at nodes 1–3, so every update it installs
-// arrives as a remote quasi-transaction.
+// applyReplica builds a deployed node — node 0 of four, holding
+// applyFrags fragments whose agents live at nodes 1–3, so every update
+// it installs arrives as a remote quasi-transaction.
 func applyReplica(tb testing.TB) *Cluster {
 	tb.Helper()
-	cl := NewCluster(Config{N: 4, Seed: 1, Transport: sinkNet{4},
-		SingleNode: true, LocalNode: 0})
+	cl := NewDeployed(Config{N: 4}, 0, simtime.NewScheduler(1), sinkNet{4})
 	for i := 0; i < applyFrags; i++ {
 		f := applyFrag(i)
 		if err := cl.Catalog().AddFragment(f, fragments.ObjectID(f+"/a"), fragments.ObjectID(f+"/b")); err != nil {
@@ -85,7 +84,7 @@ func applyStream(n int, skewed, fresh bool) []txn.Quasi {
 // due before the next — one rtnet.Loop pass per run.
 func feedReplica(cl *Cluster, qs []txn.Quasi) {
 	const run = 16
-	n, sched := cl.LocalNode(), cl.Sched()
+	n, sched := cl.Node(0), cl.Sched()
 	var seq [4]uint64
 	for i, q := range qs {
 		seq[q.Home]++
@@ -120,7 +119,7 @@ func testApplyReplicaInstalls(t *testing.T, qs []txn.Quasi) {
 		perLabel[metrics.Label{Frag: q.Fragment, Node: q.Home}]++
 	}
 	for o, want := range last {
-		if v, _ := cl.LocalNode().Store().Get(o); v != want {
+		if v, _ := cl.Node(0).Store().Get(o); v != want {
 			t.Errorf("%s = %v, want %v", o, v, want)
 		}
 	}

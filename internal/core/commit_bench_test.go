@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fragdb/internal/fragments"
+	"fragdb/internal/simtime"
 )
 
 // commitFrags is the number of one-object fragments the agent node
@@ -13,13 +14,12 @@ import (
 const commitFrags = 16
 
 // commitNode builds a deployed node that is the home of every
-// fragment's agent: a SingleNode cluster over sinkNet, node 0 of four,
-// so each commit's broadcast goes nowhere. It returns one
-// read-modify-write spec per fragment.
+// fragment's agent: node 0 of four over sinkNet, so each commit's
+// broadcast goes nowhere. It returns one read-modify-write spec per
+// fragment.
 func commitNode(tb testing.TB) (*Cluster, []TxnSpec) {
 	tb.Helper()
-	cl := NewCluster(Config{N: 4, Seed: 1, Option: UnrestrictedReads,
-		Transport: sinkNet{4}, SingleNode: true, LocalNode: 0})
+	cl := NewDeployed(Config{N: 4, Option: UnrestrictedReads}, 0, simtime.NewScheduler(1), sinkNet{4})
 	specs := make([]TxnSpec, commitFrags)
 	for i := range specs {
 		f := fragments.FragmentID(fmt.Sprintf("C%02d", i))
@@ -45,7 +45,7 @@ func commitNode(tb testing.TB) (*Cluster, []TxnSpec) {
 
 // commitOne submits spec and runs one loop pass, as rtnet.Loop would.
 func commitOne(cl *Cluster, spec TxnSpec) {
-	cl.LocalNode().Submit(spec, nil)
+	cl.Node(0).Submit(spec, nil)
 	cl.Sched().RunDue(cl.Sched().Now())
 }
 
@@ -75,10 +75,10 @@ func TestLocalCommitRunsInOnePass(t *testing.T) {
 	if got := cl.Stats().Committed.Load(); got != 3 {
 		t.Fatalf("committed %d, want 3", got)
 	}
-	if v, _ := cl.LocalNode().Store().Get("C00/n"); v != int64(3) {
+	if v, _ := cl.Node(0).Store().Get("C00/n"); v != int64(3) {
 		t.Errorf("C00/n = %v, want 3", v)
 	}
-	if n := len(cl.LocalNode().active); n != 0 {
+	if n := len(cl.Node(0).active); n != 0 {
 		t.Errorf("%d transactions still active", n)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
 	"fragdb/internal/simtime"
+	"fragdb/internal/storage"
 	"fragdb/internal/trace"
 	"fragdb/internal/txn"
 	"fragdb/internal/wire"
@@ -100,7 +101,8 @@ type Config struct {
 	// Option selects the control strategy. Default ReadLocks (zero
 	// value); most callers want UnrestrictedReads.
 	Option ControlOption
-	// Seed seeds the deterministic scheduler.
+	// Seed seeds the simulator's scheduler; a deployed node runs on the
+	// clock NewDeployed is given.
 	Seed int64
 	// GossipInterval is the broadcast anti-entropy period. Default 50ms.
 	GossipInterval simtime.Duration
@@ -119,11 +121,11 @@ type Config struct {
 	// timeouts, to keep the 2PC in-doubt window from causing false
 	// aborts.
 	MultiLease simtime.Duration
-	// LossProb makes every link drop messages independently with this
-	// probability; the broadcast layer's anti-entropy recovers. Direct
-	// request/reply protocols (remote locks, 2PC, majority acks) see
-	// real losses and rely on their timeouts, as they would on a real
-	// 1986 WAN.
+	// LossProb makes every simulated link drop messages independently
+	// with this probability; the broadcast layer's anti-entropy
+	// recovers. Direct request/reply protocols (remote locks, 2PC,
+	// majority acks) see real losses and rely on their timeouts, as they
+	// would on a real 1986 WAN.
 	LossProb float64
 	// Compaction enables broadcast log truncation below the all-acked
 	// watermark, with snapshot catch-up for nodes that fall behind the
@@ -138,26 +140,12 @@ type Config struct {
 	// Zero disables tracing entirely: no events are constructed and the
 	// hot paths pay only a nil check.
 	TraceCap int
-	// Transport, when non-nil, replaces the built-in simulated network:
-	// messages travel over it (e.g. rtnet.TCP in a real deployment)
-	// instead of netsim. Its N must equal Config.N. LossProb is then
-	// ignored and Net() returns nil —
-	// faults come from the real network or the transport's own levers.
-	Transport netsim.Transport
-	// SingleNode builds only LocalNode's engine in this process; the
-	// other cluster members run in their own processes, reached through
-	// Transport (which is then required). Driver helpers that inspect
-	// every node (Converged, CheckMutualConsistency, Load, ...) cover
-	// only the local node, and Node(i) is nil for remote ids.
-	SingleNode bool
-	// LocalNode is this process's node id when SingleNode is set.
-	LocalNode netsim.NodeID
 }
 
 // simOpLatency is the virtual time each transaction operation (read,
-// write) consumes on the simulated network, where it lets local
-// transactions interleave with quasi-transaction installation. Over a
-// real Transport an operation costs the work it does and no more.
+// write) consumes in the simulator, where it lets local transactions
+// interleave with quasi-transaction installation. A deployed node's
+// operations cost the work they do and no more.
 const simOpLatency = time.Millisecond
 
 func (c *Config) fillDefaults() {
@@ -189,30 +177,18 @@ type RecoveredUpdate struct {
 	NewID txn.ID
 }
 
-// Cluster is a simulated fragments-and-agents distributed database:
-// n fully replicated nodes over a partitionable network.
-type Cluster struct {
-	cfg   Config
-	sched *simtime.Scheduler
-	// tr is the transport every protocol message goes through: the
-	// simulated network by default, or Config.Transport when injected.
-	tr     netsim.Transport
-	net    *netsim.Network // nil when a Transport was injected
+// schema is what every node of a process shares, read through one
+// pointer: the configuration, the declarations made before Start, the
+// application hooks and the metric sinks.
+type schema struct {
+	cfg    Config
 	cat    *fragments.Catalog
 	tokens *fragments.Tokens
 	rag    *fragments.ReadAccessGraph
-	// rec audits the run; nil (inert) in a SingleNode process.
-	rec    *history.Recorder
 	stats  *metrics.Counters
 	bstats *metrics.Broadcast
 	// reg is the labeled per-fragment registry, always built.
-	reg   *metrics.Registry
-	nodes []*Node
-
-	// tracers holds a flight recorder for each node this process runs,
-	// built with the node, when Config.TraceCap is positive; every other
-	// entry is nil (a nil Recorder is inert).
-	tracers []*trace.Recorder
+	reg *metrics.Registry
 
 	// onRecovered, if set, is invoked at a moved agent's new home node
 	// whenever a missing transaction is recovered and repackaged. The
@@ -251,24 +227,15 @@ type Cluster struct {
 	// order in which they receive these updates" — so their agents can
 	// move between nodes with no preparatory protocol at all.
 	commutative map[fragments.FragmentID]bool
-
-	// opLatency is simOpLatency on the simulated network, zero over an
-	// injected Transport.
-	opLatency simtime.Duration
-
-	started bool
 }
 
-// NewCluster creates an unstarted cluster. Declare fragments, tokens,
-// read-access edges, and initial data, then call Start.
-func NewCluster(cfg Config) *Cluster {
+func newSchema(cfg Config) *schema {
 	if cfg.N <= 0 {
 		panic("core: Config.N must be positive")
 	}
 	cfg.fillDefaults()
-	cl := &Cluster{
+	sh := &schema{
 		cfg:         cfg,
-		sched:       simtime.NewScheduler(cfg.Seed),
 		cat:         fragments.NewCatalog(),
 		tokens:      fragments.NewTokens(),
 		stats:       &metrics.Counters{},
@@ -278,39 +245,82 @@ func NewCluster(cfg Config) *Cluster {
 		fragOptions: make(map[fragments.FragmentID]ControlOption),
 		replicas:    make(map[fragments.FragmentID]map[netsim.NodeID]bool),
 	}
-	if cfg.Transport != nil {
-		if cfg.Transport.N() != cfg.N {
-			panic(fmt.Sprintf("core: transport has %d nodes, Config.N is %d", cfg.Transport.N(), cfg.N))
-		}
-		cl.tr = cfg.Transport
-	} else {
-		if cfg.SingleNode {
-			panic("core: SingleNode requires an injected Transport")
-		}
-		// The fast wire codec makes per-delivery size accounting cheap
-		// (analytic for the hot types, memoized rejection for the
-		// simulation-internal ones), so every cluster meters wire bytes.
-		opts := []netsim.Option{netsim.WithSizeFunc(wire.Size)}
-		if cfg.LossProb > 0 {
-			opts = append(opts, netsim.WithLoss(cfg.LossProb))
-		}
-		cl.net = netsim.New(cl.sched, cfg.N, opts...)
-		cl.tr = cl.net
-		cl.opLatency = simOpLatency
+	sh.rag = fragments.NewReadAccessGraph(sh.cat)
+	return sh
+}
+
+// Cluster is a fragments-and-agents distributed database as one process
+// sees it: the schema, and the nodes this process runs. NewCluster
+// builds the simulator, all n fully replicated nodes over a
+// partitionable simulated network; NewDeployed builds one node of a
+// deployment whose other nodes run in their own processes.
+type Cluster struct {
+	*schema
+	sched *simtime.Scheduler
+	net   *netsim.Network // nil on a deployed node
+	// rec audits the run; nil (inert) on a deployed node, which sees
+	// only its own commits.
+	rec *history.Recorder
+	// newNodes builds the nodes this process runs, once Start has
+	// validated the schema.
+	newNodes func() []*Node
+	nodes    []*Node
+	started  bool
+}
+
+// NewCluster creates an unstarted simulated cluster: cfg.N nodes on one
+// virtual-time scheduler and a simulated network, each operation
+// costing simOpLatency, every node keeping its store's log, and a
+// history recorder auditing the run. Declare fragments, tokens,
+// read-access edges, and initial data, then call Start.
+func NewCluster(cfg Config) *Cluster {
+	sh := newSchema(cfg)
+	sched := simtime.NewScheduler(sh.cfg.Seed)
+	// The fast wire codec makes per-delivery size accounting cheap
+	// (analytic for the hot types, memoized rejection for the
+	// simulation-internal ones), so every cluster meters wire bytes.
+	opts := []netsim.Option{netsim.WithSizeFunc(wire.Size)}
+	if cfg.LossProb > 0 {
+		opts = append(opts, netsim.WithLoss(cfg.LossProb))
 	}
-	cl.cat.SetStoredObjects(cl.storedObjects)
-	cl.rag = fragments.NewReadAccessGraph(cl.cat)
-	if !cfg.SingleNode {
-		// One process of a deployment sees only its own commits: nothing
-		// could audit what it would record, so it records nothing.
-		cl.rec = history.NewRecorder(cl.cat)
+	net := netsim.New(sched, cfg.N, opts...)
+	cl := &Cluster{schema: sh, sched: sched, net: net, rec: history.NewRecorder(sh.cat)}
+	cl.newNodes = func() []*Node {
+		nodes := make([]*Node, cfg.N)
+		for i := range nodes {
+			id := netsim.NodeID(i)
+			nodes[i] = newNode(sh, id, sched, net, simOpLatency, storage.New(id, sh.cat), cl.rec)
+		}
+		return nodes
 	}
-	cl.tracers = make([]*trace.Recorder, cfg.N)
+	return cl
+}
+
+// NewDeployed creates an unstarted cluster that runs node id of a
+// cfg.N-node deployment on the given clock and transport; the other
+// members run in their own processes. Its operations cost the work they
+// do, and it records no history. Its store keeps a log only under
+// Compaction: the log's other readers, SimulateCrashRestart and
+// BeginNoPrepEpoch, run only in the simulator. Declare the same schema
+// every member declares, then call Start.
+func NewDeployed(cfg Config, id netsim.NodeID, clock *simtime.Scheduler, tr netsim.Transport) *Cluster {
+	sh := newSchema(cfg)
+	if tr.N() != cfg.N {
+		panic(fmt.Sprintf("core: transport has %d nodes, Config.N is %d", tr.N(), cfg.N))
+	}
+	newStore := storage.NewUnlogged
+	if cfg.Compaction {
+		newStore = storage.New
+	}
+	cl := &Cluster{schema: sh, sched: clock}
+	cl.newNodes = func() []*Node {
+		return []*Node{newNode(sh, id, clock, tr, 0, newStore(id, sh.cat), nil)}
+	}
 	return cl
 }
 
 // Catalog returns the shared fragment catalog (populate before Start).
-func (cl *Cluster) Catalog() *fragments.Catalog { return cl.cat }
+func (sh *schema) Catalog() *fragments.Catalog { return sh.cat }
 
 // storedObjects lists the objects of fragment f held by the stores of
 // the nodes this process runs: what Fragment.Objects adds to the
@@ -318,82 +328,90 @@ func (cl *Cluster) Catalog() *fragments.Catalog { return cl.cat }
 func (cl *Cluster) storedObjects(f fragments.FragmentID) []fragments.ObjectID {
 	var out []fragments.ObjectID
 	for _, n := range cl.nodes {
-		if n != nil {
-			out = append(out, n.store.Objects(f)...)
-		}
+		out = append(out, n.store.Objects(f)...)
 	}
 	return out
 }
 
 // Tokens returns the token registry (assign before Start).
-func (cl *Cluster) Tokens() *fragments.Tokens { return cl.tokens }
+func (sh *schema) Tokens() *fragments.Tokens { return sh.tokens }
 
 // RAG returns the declared read-access graph.
-func (cl *Cluster) RAG() *fragments.ReadAccessGraph { return cl.rag }
+func (sh *schema) RAG() *fragments.ReadAccessGraph { return sh.rag }
 
 // Recorder returns the history recorder auditing this cluster — nil (a
-// valid, inert recorder) in a SingleNode process.
+// valid, inert recorder) on a deployed node.
 func (cl *Cluster) Recorder() *history.Recorder { return cl.rec }
 
 // Stats returns the cluster's metric counters.
-func (cl *Cluster) Stats() *metrics.Counters { return cl.stats }
+func (sh *schema) Stats() *metrics.Counters { return sh.stats }
 
 // BroadcastStats returns the cluster-wide broadcast gauges (retained
 // log entries, compaction and snapshot-catch-up counters).
-func (cl *Cluster) BroadcastStats() *metrics.Broadcast { return cl.bstats }
+func (sh *schema) BroadcastStats() *metrics.Broadcast { return sh.bstats }
 
 // Registry returns the labeled per-fragment metrics registry.
-func (cl *Cluster) Registry() *metrics.Registry { return cl.reg }
+func (sh *schema) Registry() *metrics.Registry { return sh.reg }
 
 // Trace returns node i's flight recorder — nil (a valid, inert
 // recorder) when tracing is disabled, before Start, and for a node this
 // process does not run.
-func (cl *Cluster) Trace(i netsim.NodeID) *trace.Recorder { return cl.tracers[i] }
+func (cl *Cluster) Trace(i netsim.NodeID) *trace.Recorder {
+	if n := cl.Node(i); n != nil {
+		return n.tr
+	}
+	return nil
+}
 
 // TraceDump renders the trailing tail events of every node's flight
 // recorder (all retained events when tail <= 0). Empty when tracing is
 // disabled.
-func (cl *Cluster) TraceDump(tail int) string { return trace.DumpAll(cl.tracers, tail) }
+func (cl *Cluster) TraceDump(tail int) string {
+	recs := make([]*trace.Recorder, len(cl.nodes))
+	for i, n := range cl.nodes {
+		recs[i] = n.tr
+	}
+	return trace.DumpAll(recs, tail)
+}
 
 // Sched returns the virtual-time scheduler driving the cluster.
 func (cl *Cluster) Sched() *simtime.Scheduler { return cl.sched }
 
-// Net returns the simulated network (partition control) — nil when the
-// cluster runs over an injected Transport.
+// Net returns the simulated network (partition control) — nil on a
+// deployed node.
 func (cl *Cluster) Net() *netsim.Network { return cl.net }
 
-// Transport returns the transport carrying the cluster's messages.
-func (cl *Cluster) Transport() netsim.Transport { return cl.tr }
-
-// LocalNode returns this process's node engine: the SingleNode-mode
-// local node, or node 0 of an all-in-process cluster.
-func (cl *Cluster) LocalNode() *Node {
-	if cl.cfg.SingleNode {
-		return cl.nodes[cl.cfg.LocalNode]
-	}
-	return cl.nodes[0]
-}
-
 // Config returns the cluster's configuration.
-func (cl *Cluster) Config() Config { return cl.cfg }
+func (sh *schema) Config() Config { return sh.cfg }
 
-// Node returns node i's engine (valid after Start).
-func (cl *Cluster) Node(i netsim.NodeID) *Node { return cl.nodes[i] }
+// Nodes returns the nodes this process runs, in id order (after Start).
+func (cl *Cluster) Nodes() []*Node { return cl.nodes }
+
+// Node returns node i's engine: valid after Start, nil for a node this
+// process does not run.
+func (cl *Cluster) Node(i netsim.NodeID) *Node {
+	for _, n := range cl.nodes {
+		if n.id == i {
+			return n
+		}
+	}
+	return nil
+}
 
 // DeclareRead adds a read-access edge: transactions of A(from) may read
 // fragment to. Required only under the AcyclicReads option, where the
 // resulting graph must be elementarily acyclic at Start.
-func (cl *Cluster) DeclareRead(from, to fragments.FragmentID) {
-	cl.rag.AddEdge(from, to)
+func (sh *schema) DeclareRead(from, to fragments.FragmentID) {
+	sh.rag.AddEdge(from, to)
 }
 
 // OnRecovered registers the corrective-action hook for the
 // no-preparation movement protocol.
-func (cl *Cluster) OnRecovered(fn func(RecoveredUpdate)) { cl.onRecovered = fn }
+func (sh *schema) OnRecovered(fn func(RecoveredUpdate)) { sh.onRecovered = fn }
 
 // OnQuasiApplied registers an application trigger invoked whenever a
 // quasi-transaction is installed at a remote replica.
-func (cl *Cluster) OnQuasiApplied(fn func(node netsim.NodeID, q txn.Quasi)) { cl.onQuasiApplied = fn }
+func (sh *schema) OnQuasiApplied(fn func(node netsim.NodeID, q txn.Quasi)) { sh.onQuasiApplied = fn }
 
 // SetFragmentOption overrides the control option for transactions
 // initiated by fragment f's agent (Section 4.2's closing remark: a
@@ -401,37 +419,37 @@ func (cl *Cluster) OnQuasiApplied(fn func(node netsim.NodeID, q txn.Quasi)) { cl
 // "could be executed without read locks, while the rest would be
 // executed with a more restrictive fragment locking policy"). Call
 // before Start.
-func (cl *Cluster) SetFragmentOption(f fragments.FragmentID, opt ControlOption) {
-	cl.fragOptions[f] = opt
+func (sh *schema) SetFragmentOption(f fragments.FragmentID, opt ControlOption) {
+	sh.fragOptions[f] = opt
 }
 
 // optionFor returns the control option governing transactions of the
 // given type (empty for read-only transactions, which follow the
 // cluster default).
-func (cl *Cluster) optionFor(f fragments.FragmentID) ControlOption {
+func (sh *schema) optionFor(f fragments.FragmentID) ControlOption {
 	if f != "" {
-		if opt, ok := cl.fragOptions[f]; ok {
+		if opt, ok := sh.fragOptions[f]; ok {
 			return opt
 		}
 	}
-	return cl.cfg.Option
+	return sh.cfg.Option
 }
 
 // SetReplicas restricts fragment f to the given replica nodes
 // (partial replication). The agent's home node must be a replica.
 // Call before Start. Fragments never passed to SetReplicas remain
 // fully replicated, the paper's simplifying default.
-func (cl *Cluster) SetReplicas(f fragments.FragmentID, nodes ...netsim.NodeID) {
+func (sh *schema) SetReplicas(f fragments.FragmentID, nodes ...netsim.NodeID) {
 	set := make(map[netsim.NodeID]bool, len(nodes))
 	for _, n := range nodes {
 		set[n] = true
 	}
-	cl.replicas[f] = set
+	sh.replicas[f] = set
 }
 
 // IsReplica reports whether node holds a copy of fragment f.
-func (cl *Cluster) IsReplica(f fragments.FragmentID, node netsim.NodeID) bool {
-	set, ok := cl.replicas[f]
+func (sh *schema) IsReplica(f fragments.FragmentID, node netsim.NodeID) bool {
+	set, ok := sh.replicas[f]
 	if !ok {
 		return true // fully replicated
 	}
@@ -446,10 +464,10 @@ func (cl *Cluster) IsReplica(f fragments.FragmentID, node netsim.NodeID) bool {
 // needed (Section 4.4.2A). The application is responsible for the
 // write-only/commutative discipline; transactions that read-modify-
 // write shared objects of such a fragment forfeit the guarantee.
-func (cl *Cluster) SetCommutative(f fragments.FragmentID) { cl.commutative[f] = true }
+func (sh *schema) SetCommutative(f fragments.FragmentID) { sh.commutative[f] = true }
 
 // IsCommutative reports whether the fragment was declared commutative.
-func (cl *Cluster) IsCommutative(f fragments.FragmentID) bool { return cl.commutative[f] }
+func (sh *schema) IsCommutative(f fragments.FragmentID) bool { return sh.commutative[f] }
 
 // Start validates the schema and builds the node engines.
 func (cl *Cluster) Start() error {
@@ -467,13 +485,8 @@ func (cl *Cluster) Start() error {
 			return fmt.Errorf("core: fragment %q's agent home %v is not among its replicas", f, home)
 		}
 	}
-	cl.nodes = make([]*Node, cl.cfg.N)
-	for i := 0; i < cl.cfg.N; i++ {
-		if cl.cfg.SingleNode && netsim.NodeID(i) != cl.cfg.LocalNode {
-			continue // remote nodes live in their own processes
-		}
-		cl.nodes[i] = newNode(cl, netsim.NodeID(i))
-	}
+	cl.cat.SetStoredObjects(cl.storedObjects)
+	cl.nodes = cl.newNodes()
 	// Publish each cataloged fragment's class metadata (control option,
 	// commutativity) to the labeled registry: the join key observers use
 	// to map fragments to the paper's availability classes.
@@ -527,7 +540,7 @@ func (cl *Cluster) Load(o fragments.ObjectID, v any) error {
 		return fmt.Errorf("core: Load of uncataloged object %q", o)
 	}
 	for _, n := range cl.nodes {
-		if n == nil || !cl.IsReplica(f, n.id) {
+		if !cl.IsReplica(f, n.id) {
 			continue
 		}
 		if err := n.store.Load(o, v); err != nil {
@@ -551,9 +564,6 @@ func (cl *Cluster) Now() simtime.Time { return cl.sched.Now() }
 // delivered every other node's full broadcast stream.
 func (cl *Cluster) Converged() bool {
 	for _, n := range cl.nodes {
-		if n == nil {
-			continue
-		}
 		if len(n.active) > 0 {
 			return false
 		}
@@ -563,15 +573,12 @@ func (cl *Cluster) Converged() bool {
 			}
 		}
 	}
-	for origin := 0; origin < cl.cfg.N; origin++ {
-		// In SingleNode mode remote engines are unobservable; prefix
-		// agreement then only covers the local node against itself.
-		if cl.nodes[origin] == nil {
-			continue
-		}
-		want := cl.nodes[origin].bcast.Prefix(netsim.NodeID(origin))
+	// Prefix agreement covers the origins this process runs: a deployed
+	// node's peers are unobservable here.
+	for _, origin := range cl.nodes {
+		want := origin.bcast.Prefix(origin.id)
 		for _, n := range cl.nodes {
-			if n != nil && n.bcast.Prefix(netsim.NodeID(origin)) != want {
+			if n.bcast.Prefix(origin.id) != want {
 				return false
 			}
 		}
@@ -603,9 +610,7 @@ func (cl *Cluster) Settle(maxExtra simtime.Duration) bool {
 // queue can drain.
 func (cl *Cluster) Shutdown() {
 	for _, n := range cl.nodes {
-		if n != nil {
-			n.bcast.Stop()
-		}
+		n.bcast.Stop()
 	}
 }
 
@@ -613,11 +618,9 @@ func (cl *Cluster) Shutdown() {
 // the crash-recovery path (volatile state rebuilt from the WAL and the
 // broadcast journal). Scenario drivers call it before Settle so that a
 // fault schedule, however hostile, always ends in a fully repaired
-// network — the precondition of the convergence guarantees.
+// network — the precondition of the convergence guarantees. Simulator
+// only: on a real deployment restarts are the operator's lever.
 func (cl *Cluster) RestartAll() {
-	if cl.net == nil {
-		return // real deployment: restarts are the operator's lever
-	}
 	cl.net.Heal()
 	for _, n := range cl.nodes {
 		if cl.net.NodeDown(n.id) {
@@ -634,9 +637,7 @@ func (cl *Cluster) RestartAll() {
 func (cl *Cluster) ActiveTxnCount() int {
 	total := 0
 	for _, n := range cl.nodes {
-		if n != nil {
-			total += len(n.active)
-		}
+		total += len(n.active)
 	}
 	return total
 }
@@ -647,9 +648,6 @@ func (cl *Cluster) ActiveTxnCount() int {
 func (cl *Cluster) BufferedQuasiCount() int {
 	total := 0
 	for _, n := range cl.nodes {
-		if n == nil {
-			continue
-		}
 		for _, st := range n.streams {
 			total += len(st.pending) + len(st.prepared)
 		}
@@ -663,7 +661,7 @@ func (cl *Cluster) CheckMutualConsistency() error {
 	for _, f := range cl.cat.Fragments() {
 		var base *Node
 		for _, n := range cl.nodes {
-			if n == nil || !cl.IsReplica(f, n.id) {
+			if !cl.IsReplica(f, n.id) {
 				continue
 			}
 			if base == nil {

@@ -22,9 +22,9 @@ import (
 // node must be the agent's home node (a user is "connected to at most
 // one node at a time", Section 3.1).
 func (n *Node) Submit(spec TxnSpec, done func(TxnResult)) {
-	n.cl.stats.Offered.Add(1)
-	submitted := n.cl.sched.Now()
-	n.cl.sched.After(0, func() { n.startTxn(spec, done, submitted) })
+	n.sh.stats.Offered.Add(1)
+	submitted := n.sched.Now()
+	n.sched.After(0, func() { n.startTxn(spec, done, submitted) })
 }
 
 // origin resolves the accounting origin of a submission: the explicit
@@ -41,9 +41,9 @@ func (n *Node) origin(spec TxnSpec) netsim.NodeID {
 
 // reject refuses a submission before execution begins.
 func (n *Node) reject(spec TxnSpec, done func(TxnResult), err error) {
-	n.cl.stats.Rejected.Add(1)
-	n.cl.stats.Aborted.Add(1)
-	n.cl.reg.IncAbort(spec.Fragment, n.origin(spec), "rejected")
+	n.sh.stats.Rejected.Add(1)
+	n.sh.stats.Aborted.Add(1)
+	n.sh.reg.IncAbort(spec.Fragment, n.origin(spec), "rejected")
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KReject, Frag: spec.Fragment,
 			Err: err.Error(), Note: spec.Label})
@@ -51,23 +51,23 @@ func (n *Node) reject(spec TxnSpec, done func(TxnResult), err error) {
 	if done != nil {
 		done(TxnResult{
 			Label: spec.Label, Err: err,
-			Start: n.cl.sched.Now(), End: n.cl.sched.Now(),
+			Start: n.sched.Now(), End: n.sched.Now(),
 		})
 	}
 }
 
 func (n *Node) startTxn(spec TxnSpec, done func(TxnResult), submitted simtime.Time) {
 	if spec.Fragment != "" {
-		if _, ok := n.cl.cat.Fragment(spec.Fragment); !ok {
+		if _, ok := n.sh.cat.Fragment(spec.Fragment); !ok {
 			n.reject(spec, done, fmt.Errorf("core: unknown fragment %q", spec.Fragment))
 			return
 		}
-		agent, ok := n.cl.tokens.Agent(spec.Fragment)
+		agent, ok := n.sh.tokens.Agent(spec.Fragment)
 		if !ok || agent != spec.Agent {
 			n.reject(spec, done, ErrNotAgent)
 			return
 		}
-		home, ok := n.cl.tokens.Home(agent)
+		home, ok := n.sh.tokens.Home(agent)
 		if !ok || home != n.id {
 			n.reject(spec, done, ErrNotHome)
 			return
@@ -100,9 +100,9 @@ func (n *Node) begin(spec TxnSpec, done func(TxnResult), submitted simtime.Time,
 	}
 	timeout := spec.Timeout
 	if timeout == 0 {
-		timeout = n.cl.cfg.TxnTimeout
+		timeout = n.sh.cfg.TxnTimeout
 	}
-	t.timeoutEv = n.cl.sched.After(timeout, func() { n.timeoutTxn(t) })
+	t.timeoutEv = n.sched.After(timeout, func() { n.timeoutTxn(t) })
 	n.run(t)
 }
 
@@ -136,7 +136,7 @@ func (n *Node) exec(t *activeTxn, req request) request {
 		return n.handleWrite(t, req)
 	}
 	// A Think: the run waits out its duration.
-	n.cl.sched.After(req.think, func() {
+	n.sched.After(req.think, func() {
 		if !t.finished {
 			n.resume(t, request{kind: reqThink})
 		}
@@ -155,13 +155,13 @@ func (n *Node) poison(t *activeTxn, req request, err error) request {
 // remoteRead sends a Section 4.1 lock request for o to home; the run
 // waits for the grant or deny.
 func (n *Node) remoteRead(t *activeTxn, req request, frag fragments.FragmentID, home netsim.NodeID) request {
-	n.cl.reg.IncRead(frag, n.origin(t.spec))
+	n.sh.reg.IncRead(frag, n.origin(t.spec))
 	t.pendingRemote = &req
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KRemoteLockWait, Txn: t.id,
 			Obj: req.obj, Peer: home, HasPeer: true})
 	}
-	n.cl.tr.Send(n.id, home, lockReqMsg{Txn: t.id, Object: req.obj, From: n.id})
+	n.net.Send(n.id, home, lockReqMsg{Txn: t.id, Object: req.obj, From: n.id})
 	return t.wait()
 }
 
@@ -174,11 +174,11 @@ func (n *Node) handleRead(t *activeTxn, req request) request {
 	}
 	req.frag = frag
 	foreign := t.spec.Fragment == "" || frag != t.spec.Fragment
-	opt := n.cl.optionFor(t.spec.Fragment)
+	opt := n.sh.optionFor(t.spec.Fragment)
 	// Partial replication: a node that does not hold the fragment must
 	// read it remotely at the agent's home node, whatever the option.
-	if !n.cl.IsReplica(frag, n.id) {
-		if home, ok := n.cl.tokens.HomeOfFragment(frag); ok && home != n.id {
+	if !n.sh.IsReplica(frag, n.id) {
+		if home, ok := n.sh.tokens.HomeOfFragment(frag); ok && home != n.id {
 			return n.remoteRead(t, req, frag, home)
 		}
 	}
@@ -186,14 +186,14 @@ func (n *Node) handleRead(t *activeTxn, req request) request {
 	// read-access graph. Read-only transactions are exempt (the paper
 	// allows them to violate the restrictions).
 	if opt == AcyclicReads && t.spec.Fragment != "" && foreign {
-		if !n.cl.rag.HasEdge(t.spec.Fragment, frag) {
+		if !n.sh.rag.HasEdge(t.spec.Fragment, frag) {
 			return n.poison(t, req, fmt.Errorf("%w: %s reading %s", ErrUndeclaredRead, t.spec.Fragment, frag))
 		}
 	}
 	// Section 4.1: reads outside the updated fragment acquire a lock at
 	// the owning agent's home node and read the authoritative copy.
 	if opt == ReadLocks && foreign {
-		if home, ok := n.cl.tokens.HomeOfFragment(frag); ok && home != n.id {
+		if home, ok := n.sh.tokens.HomeOfFragment(frag); ok && home != n.id {
 			return n.remoteRead(t, req, frag, home)
 		}
 	}
@@ -230,7 +230,7 @@ func (n *Node) handleWrite(t *activeTxn, req request) request {
 func (n *Node) acquire(t *activeTxn, req request, mode lock.Mode) request {
 	granted, err := n.locks.Acquire(t.id, req.obj, mode)
 	if err != nil {
-		n.cl.stats.Deadlocks.Add(1)
+		n.sh.stats.Deadlocks.Add(1)
 		return n.poison(t, req, ErrDeadlock)
 	}
 	if !granted {
@@ -246,14 +246,14 @@ func (n *Node) acquire(t *activeTxn, req request, mode lock.Mode) request {
 // arrives after the per-operation latency and the program runs again.
 func (n *Node) granted(t *activeTxn, req request) request {
 	if req.kind == reqRead {
-		n.cl.reg.IncRead(req.frag, n.origin(t.spec))
+		n.sh.reg.IncRead(req.frag, n.origin(t.spec))
 	} else {
-		n.cl.reg.IncWrite(req.frag, n.origin(t.spec))
+		n.sh.reg.IncWrite(req.frag, n.origin(t.spec))
 	}
-	if n.cl.opLatency == 0 && !t.waiting {
+	if n.opCost == 0 && !t.waiting {
 		return t.answer(n.complete(t, req))
 	}
-	n.cl.sched.After(n.cl.opLatency, func() {
+	n.sched.After(n.opCost, func() {
 		if !t.finished {
 			n.resume(t, n.complete(t, req))
 		}
@@ -293,10 +293,10 @@ func (n *Node) finishTxn(t *activeTxn, progErr error) {
 	}
 	if t.spec.Fragment == "" || len(t.writeOrder) == 0 {
 		// Read-only commit: record for auditing, release, done.
-		if n.cl.rec != nil {
-			n.cl.rec.Record(history.TxnRecord{
+		if n.rec != nil {
+			n.rec.Record(history.TxnRecord{
 				ID: t.id, Type: n.agentType(t.spec.Agent), ReadOnly: true,
-				Reads: t.reads, Node: n.id, Commit: n.cl.sched.Now(),
+				Reads: t.reads, Node: n.id, Commit: n.sched.Now(),
 			})
 		}
 		n.finalize(t, nil, true)
@@ -311,7 +311,7 @@ func (n *Node) finishTxn(t *activeTxn, progErr error) {
 	}
 	st := n.stream(t.spec.Fragment)
 	pos := st.last.Next()
-	if n.cl.IsCommutative(t.spec.Fragment) {
+	if n.sh.IsCommutative(t.spec.Fragment) {
 		// Commutative fragments need only uniqueness, not contiguity:
 		// compose the position from the node id and local sequence so
 		// agents at different homes never collide.
@@ -319,9 +319,9 @@ func (n *Node) finishTxn(t *activeTxn, progErr error) {
 	}
 	q := txn.Quasi{
 		Txn: t.id, Fragment: t.spec.Fragment, Pos: pos,
-		Home: n.id, Writes: writes, Stamp: n.cl.sched.Now(),
+		Home: n.id, Writes: writes, Stamp: n.sched.Now(),
 	}
-	if n.cl.cfg.MajorityCommit {
+	if n.sh.cfg.MajorityCommit {
 		n.startMajority(t, q)
 		return
 	}
@@ -348,7 +348,7 @@ func (t *activeTxn) finalWrites() []txn.WriteOp {
 // quasi during the prepare phase.
 func (n *Node) commitLocal(t *activeTxn, q txn.Quasi, viaQuasi bool) {
 	st := n.stream(q.Fragment)
-	if n.cl.IsCommutative(q.Fragment) {
+	if n.sh.IsCommutative(q.Fragment) {
 		st.seen[t.id] = true
 		if st.last.Less(q.Pos) {
 			st.last = q.Pos
@@ -357,11 +357,11 @@ func (n *Node) commitLocal(t *activeTxn, q txn.Quasi, viaQuasi bool) {
 		st.last = q.Pos
 	}
 	n.store.Apply(t.id, q.Fragment, q.Pos, q.Writes, q.Stamp)
-	if n.cl.rec != nil {
-		n.cl.rec.Record(history.TxnRecord{
+	if n.rec != nil {
+		n.rec.Record(history.TxnRecord{
 			ID: t.id, Type: q.Fragment, UpdateFragment: q.Fragment, Pos: q.Pos,
 			Writes: sortedWriteObjects(q.Writes), Reads: t.reads,
-			Node: n.id, Commit: n.cl.sched.Now(),
+			Node: n.id, Commit: n.sched.Now(),
 		})
 	}
 	n.finalize(t, nil, true)
@@ -374,8 +374,8 @@ func (n *Node) commitLocal(t *activeTxn, q txn.Quasi, viaQuasi bool) {
 	} else {
 		n.bcast.Send(commitCmdMsg{Txn: t.id, Fragment: q.Fragment})
 	}
-	if n.cl.onQuasiApplied != nil {
-		n.cl.onQuasiApplied(n.id, q)
+	if n.sh.onQuasiApplied != nil {
+		n.sh.onQuasiApplied(n.id, q)
 	}
 	n.notifyStreamWaiters(st)
 	n.drainStream(q.Fragment, st)
@@ -384,7 +384,7 @@ func (n *Node) commitLocal(t *activeTxn, q txn.Quasi, viaQuasi bool) {
 // agentType maps an agent to the fragment it controls, for history
 // typing of read-only transactions (best effort: the first fragment).
 func (n *Node) agentType(a fragments.AgentID) fragments.FragmentID {
-	fs := n.cl.tokens.FragmentsOf(a)
+	fs := n.sh.tokens.FragmentsOf(a)
 	if len(fs) == 0 {
 		return ""
 	}
@@ -399,9 +399,9 @@ func (n *Node) finalize(t *activeTxn, err error, committed bool) {
 		return
 	}
 	t.finished = true
-	n.cl.sched.Cancel(t.timeoutEv)
+	n.sched.Cancel(t.timeoutEv)
 	if t.majorityEv != nil {
-		n.cl.sched.Cancel(t.majorityEv)
+		n.sched.Cancel(t.majorityEv)
 	}
 	delete(n.active, t.id)
 	grants := n.locks.Release(t.id)
@@ -413,21 +413,21 @@ func (n *Node) finalize(t *activeTxn, err error, committed bool) {
 	}
 	slices.Sort(peers)
 	for _, peer := range peers {
-		n.cl.tr.Send(n.id, peer, lockReleaseMsg{Txn: t.id})
+		n.net.Send(n.id, peer, lockReleaseMsg{Txn: t.id})
 	}
-	now := n.cl.sched.Now()
+	now := n.sched.Now()
 	if committed {
-		n.cl.stats.Committed.Add(1)
-		n.cl.stats.CommitLatency.Observe(now.Sub(t.start))
-		n.cl.reg.IncCommit(t.spec.Fragment, n.origin(t.spec))
-		n.cl.reg.ObserveCommitLatency(t.spec.Fragment, n.origin(t.spec), now.Sub(t.start))
+		n.sh.stats.Committed.Add(1)
+		n.sh.stats.CommitLatency.Observe(now.Sub(t.start))
+		n.sh.reg.IncCommit(t.spec.Fragment, n.origin(t.spec))
+		n.sh.reg.ObserveCommitLatency(t.spec.Fragment, n.origin(t.spec), now.Sub(t.start))
 		if n.tr.Enabled() {
 			n.tr.Emit(trace.Event{Kind: trace.KCommit, Txn: t.id,
 				Frag: t.spec.Fragment, Dur: now.Sub(t.start), Note: t.spec.Label})
 		}
 	} else {
-		n.cl.stats.Aborted.Add(1)
-		n.cl.reg.IncAbort(t.spec.Fragment, n.origin(t.spec), abortCause(err))
+		n.sh.stats.Aborted.Add(1)
+		n.sh.reg.IncAbort(t.spec.Fragment, n.origin(t.spec), abortCause(err))
 		if n.tr.Enabled() {
 			cause := ""
 			if err != nil {
@@ -480,7 +480,7 @@ func (n *Node) timeoutTxn(t *activeTxn) {
 	if t.finished {
 		return
 	}
-	n.cl.stats.TimedOut.Add(1)
+	n.sh.stats.TimedOut.Add(1)
 	n.abortBlocked(t, ErrTimeout)
 }
 
@@ -574,27 +574,30 @@ func (n *Node) acquireAndInstall(w *quasiWaiter) {
 
 // woundHolders aborts every local transaction holding a lock on o (and
 // force-releases remote readers), so a committed remote update can
-// proceed.
-func (n *Node) woundHolders(o fragments.ObjectID, requester txn.ID) {
+// proceed. It reports whether it released any holder.
+func (n *Node) woundHolders(o fragments.ObjectID, requester txn.ID) (wounded bool) {
 	for _, h := range n.locks.Holders(o) {
 		if h == requester {
 			continue
 		}
 		if t, ok := n.active[h]; ok {
-			n.cl.stats.Wounds.Add(1)
+			n.sh.stats.Wounds.Add(1)
 			if n.tr.Enabled() {
 				n.tr.Emit(trace.Event{Kind: trace.KWound, Txn: h,
 					Other: requester, Obj: o})
 			}
 			n.abortBlocked(t, ErrWounded)
+			wounded = true
 			continue
 		}
 		if rh, ok := n.remoteHeld[h]; ok {
-			n.cl.sched.Cancel(rh.leaseEv)
+			n.sched.Cancel(rh.leaseEv)
 			delete(n.remoteHeld, h)
 			n.onGrants(n.locks.Release(h))
+			wounded = true
 		}
 	}
+	return wounded
 }
 
 // installQuasi applies the quasi-transaction's writes atomically and,
@@ -606,10 +609,10 @@ func (n *Node) installQuasi(w *quasiWaiter) {
 	} else if w.st.last.Less(w.q.Pos) {
 		w.st.last = w.q.Pos
 	}
-	n.cl.stats.QuasiApplied.Add(1)
-	lag := n.cl.sched.Now().Sub(w.q.Stamp)
-	n.cl.stats.QuasiLag.Observe(lag)
-	w.st.appliesAt(n.cl.reg, w.f, w.q.Home).Inc()
+	n.sh.stats.QuasiApplied.Add(1)
+	lag := n.sched.Now().Sub(w.q.Stamp)
+	n.sh.stats.QuasiLag.Observe(lag)
+	w.st.appliesAt(n.sh.reg, w.f, w.q.Home).Inc()
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KQuasiApply, Txn: w.q.Txn,
 			Frag: w.f, Pos: w.q.Pos, Peer: w.q.Home, HasPeer: true, Dur: lag})
@@ -620,8 +623,8 @@ func (n *Node) installQuasi(w *quasiWaiter) {
 		w.st.applying = false
 	}
 	n.onGrants(grants)
-	if n.cl.onQuasiApplied != nil {
-		n.cl.onQuasiApplied(n.id, w.q)
+	if n.sh.onQuasiApplied != nil {
+		n.sh.onQuasiApplied(n.id, w.q)
 	}
 	n.notifyStreamWaiters(w.st)
 	if w.ordered {

@@ -21,7 +21,7 @@ import (
 // majority is reachable, which experiment E8 measures.
 
 // majority returns the number of nodes constituting a majority.
-func (cl *Cluster) majority() int { return cl.cfg.N/2 + 1 }
+func (sh *schema) majority() int { return sh.cfg.N/2 + 1 }
 
 // startMajority begins the prepare phase after the transaction program
 // completed successfully.
@@ -50,7 +50,7 @@ func (n *Node) handlePrepare(origin netsim.NodeID, m prepareMsg) {
 		n.tr.Emit(trace.Event{Kind: trace.KPrepareBuffered, Txn: m.Q.Txn,
 			Frag: m.Q.Fragment, Pos: m.Q.Pos, Peer: m.Q.Home, HasPeer: true})
 	}
-	n.cl.tr.Send(n.id, m.Q.Home, ackMsg{Txn: m.Q.Txn, From: n.id})
+	n.net.Send(n.id, m.Q.Home, ackMsg{Txn: m.Q.Txn, From: n.id})
 }
 
 // handleAck counts an acknowledgment at the home node.
@@ -70,7 +70,7 @@ func (n *Node) handleAck(m ackMsg) {
 // checkMajority commits the transaction once a majority has
 // acknowledged its quasi-transaction.
 func (n *Node) checkMajority(t *activeTxn) {
-	if !t.waitingMajority || len(t.acks) < n.cl.majority() {
+	if !t.waitingMajority || len(t.acks) < n.sh.majority() {
 		return
 	}
 	// The fragment may have switched epochs — a no-preparation move's M0
@@ -80,7 +80,7 @@ func (n *Node) checkMajority(t *activeTxn) {
 	// new-epoch quasi-transaction behind the gap. Nothing has been
 	// externalized yet (remotes hold the quasi only in their prepared
 	// buffers), so decide abort, as FenceMoving does for prepared moves.
-	if !n.cl.IsCommutative(t.pendingQuasi.Fragment) &&
+	if !n.sh.IsCommutative(t.pendingQuasi.Fragment) &&
 		t.pendingQuasi.Pos.Epoch != n.stream(t.pendingQuasi.Fragment).last.Epoch {
 		n.abortBlocked(t, ErrAgentMoving)
 		return

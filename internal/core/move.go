@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"sort"
 
 	"fragdb/internal/fragments"
@@ -76,6 +77,7 @@ func (n *Node) InstallSnapshot(f fragments.FragmentID, snap map[fragments.Object
 // repackaged into new-epoch transactions (rule A(2)).
 func (n *Node) BeginNoPrepEpoch(f fragments.FragmentID) {
 	st := n.stream(f)
+	n.finishParkedInstalls(st)
 	oldLast := st.last
 	newEpoch := oldLast.Epoch + 1
 	installed := n.installedInEpoch(f, oldLast.Epoch)
@@ -92,6 +94,27 @@ func (n *Node) BeginNoPrepEpoch(f fragments.FragmentID) {
 	})
 	n.notifyStreamWaiters(st)
 	n.drainStream(f, st)
+}
+
+// finishParkedInstalls lets the stream's parked quasi-transaction, and
+// any it unblocks, install now: one installing after the stream left
+// its epoch would set the stream back into it. It is committed at its
+// home, so its blockers are wounded as for any committed remote update.
+// At a node that is not yet the fragment's home only transactions and
+// remote readers hold its locks, so each round releases one.
+func (n *Node) finishParkedInstalls(st *streamState) {
+	for wounded := true; st.applying && wounded; {
+		var w *quasiWaiter
+		for _, qw := range n.quasiWaiters {
+			if qw.st == st && qw.ordered {
+				w = qw
+			}
+		}
+		wounded = false
+		for _, o := range sortedKeysFunc(w.remaining, cmp.Compare[fragments.ObjectID]) {
+			wounded = w.remaining[o] && n.woundHolders(o, w.q.Txn) || wounded
+		}
+	}
 }
 
 // installedInEpoch lists, in installation order, the quasi-transactions
@@ -171,12 +194,12 @@ func (n *Node) performSwitch(f fragments.FragmentID, st *streamState, m m0Msg) {
 		q := st.pending[p]
 		delete(st.pending, p)
 		if p.Epoch == st.oldEpoch && p.Seq > st.oldInstalled {
-			n.cl.stats.QuasiForwarded.Add(1)
+			n.sh.stats.QuasiForwarded.Add(1)
 			if n.tr.Enabled() {
 				n.tr.Emit(trace.Event{Kind: trace.KQuasiForward, Txn: q.Txn,
 					Frag: f, Pos: p, Peer: m.NewHome, HasPeer: true})
 			}
-			n.cl.tr.Send(n.id, m.NewHome, forwardMsg{Q: q})
+			n.net.Send(n.id, m.NewHome, forwardMsg{Q: q})
 		}
 	}
 	n.notifyStreamWaiters(st)
@@ -216,7 +239,7 @@ func (n *Node) recoverMissing(f fragments.FragmentID, st *streamState, q txn.Qua
 			kept = append(kept, w)
 		}
 	}
-	n.cl.stats.MissingRecovered.Add(1)
+	n.sh.stats.MissingRecovered.Add(1)
 	ru := RecoveredUpdate{Fragment: f, Original: q, Kept: kept, Dropped: dropped}
 	if len(kept) > 0 {
 		n.nextTxnSeq++
@@ -227,23 +250,23 @@ func (n *Node) recoverMissing(f fragments.FragmentID, st *streamState, q txn.Qua
 				Other: newID, Frag: f, Pos: q.Pos, Arg: int64(len(kept))})
 		}
 		pos := st.last.Next()
-		now := n.cl.sched.Now()
+		now := n.sched.Now()
 		nq := txn.Quasi{Txn: newID, Fragment: f, Pos: pos, Home: n.id, Writes: kept, Stamp: now}
 		st.last = pos
 		n.store.Apply(newID, f, pos, kept, now)
-		if n.cl.rec != nil {
-			n.cl.rec.Record(history.TxnRecord{
+		if n.rec != nil {
+			n.rec.Record(history.TxnRecord{
 				ID: newID, Type: f, UpdateFragment: f, Pos: pos,
 				Writes: sortedWriteObjects(kept), Node: n.id, Commit: now,
 			})
 		}
 		n.bcast.Send(nq)
-		if n.cl.onQuasiApplied != nil {
-			n.cl.onQuasiApplied(n.id, nq)
+		if n.sh.onQuasiApplied != nil {
+			n.sh.onQuasiApplied(n.id, nq)
 		}
 		n.notifyStreamWaiters(st)
 	}
-	if n.cl.onRecovered != nil {
-		n.cl.onRecovered(ru)
+	if n.sh.onRecovered != nil {
+		n.sh.onRecovered(ru)
 	}
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"fragdb/internal/fragments"
 	"fragdb/internal/netsim"
 	"fragdb/internal/simtime"
+	"fragdb/internal/txn"
 )
 
 // moveCluster: 3 nodes, one fragment F with objects x, y; agent
@@ -278,5 +280,61 @@ func TestNoPrepMoveDropsOverwrittenWrites(t *testing.T) {
 	}
 	if err := cl.Recorder().CheckFragmentwise(); err == nil {
 		t.Log("note: fragmentwise serializability happened to survive (acceptable)")
+	}
+}
+
+// TestNoPrepBeginFinishesParkedInstall: a quasi-transaction parked at
+// the new home behind a local reader's lock installs before the new
+// epoch begins. The reader is wounded, the stream is in the new epoch
+// as soon as BeginNoPrepEpoch returns, and the M0 prefix counts the
+// install; installing later would set the stream back into epoch 0.
+func TestNoPrepBeginFinishesParkedInstall(t *testing.T) {
+	cl := moveCluster(t)
+	defer cl.Shutdown()
+	var read TxnResult
+	cl.Node(1).Submit(TxnSpec{
+		Agent: "user:r", Label: "reader", Timeout: time.Hour,
+		Program: func(tx *Tx) error {
+			if _, err := tx.Read("x"); err != nil {
+				return err
+			}
+			tx.Think(time.Hour) // holds the S lock on x
+			return nil
+		},
+	}, func(r TxnResult) { read = r })
+	cl.RunFor(50 * time.Millisecond)
+	submitSync(cl, 0, TxnSpec{Agent: "user:m", Fragment: "F",
+		Program: func(tx *Tx) error { return tx.Write("x", int64(7)) }})
+	cl.RunFor(200 * time.Millisecond)
+	n := cl.Node(1)
+	if st := n.stream("F"); !st.applying {
+		t.Fatal("F's quasi-transaction is not parked at node 1")
+	}
+
+	cl.Tokens().MoveAgent("user:m", 1)
+	n.BeginNoPrepEpoch("F")
+	st := n.stream("F")
+	if st.applying || st.last != (txn.FragPos{Epoch: 1}) || st.oldInstalled != 1 {
+		t.Fatalf("after begin: applying=%v last=%v oldInstalled=%d, want installed and at e1#0",
+			st.applying, st.last, st.oldInstalled)
+	}
+	if v, _ := n.Store().Get("x"); v != int64(7) {
+		t.Errorf("x = %v at the new home, want 7", v)
+	}
+	if !errors.Is(read.Err, ErrWounded) {
+		t.Errorf("reader = %+v, want wounded", read)
+	}
+	res := submitSync(cl, 1, TxnSpec{Agent: "user:m", Fragment: "F", Program: inc("x")})
+	if !cl.Settle(10 * time.Second) {
+		t.Fatal("did not settle")
+	}
+	if !res.Committed {
+		t.Fatalf("new home's first update: %+v", res)
+	}
+	if err := cl.CheckMutualConsistency(); err != nil {
+		t.Error(err)
+	}
+	if v, _ := cl.Node(0).Store().Get("x"); v != int64(8) {
+		t.Errorf("x = %v at the old home, want 8", v)
 	}
 }

@@ -99,9 +99,9 @@ type partKey struct {
 // mode); reads come from this node's local replicas. The transaction
 // commits only if every written fragment's agent home votes yes.
 func (n *Node) SubmitMulti(spec TxnSpec, done func(TxnResult)) {
-	n.cl.stats.Offered.Add(1)
-	submitted := n.cl.sched.Now()
-	n.cl.sched.After(0, func() { n.startMultiTxn(spec, done, submitted) })
+	n.sh.stats.Offered.Add(1)
+	submitted := n.sched.Now()
+	n.sched.After(0, func() { n.startMultiTxn(spec, done, submitted) })
 }
 
 func (n *Node) startMultiTxn(spec TxnSpec, done func(TxnResult), submitted simtime.Time) {
@@ -137,7 +137,7 @@ func (n *Node) startMulti(t *activeTxn) {
 	// of which must be stable under a fixed seed.
 	fs := sortedFragments(parts)
 	for _, f := range fs {
-		home, ok := n.cl.tokens.HomeOfFragment(f)
+		home, ok := n.sh.tokens.HomeOfFragment(f)
 		if !ok {
 			n.finalize(t, fmt.Errorf("core: fragment %q has no agent", f), false)
 			return
@@ -150,7 +150,7 @@ func (n *Node) startMulti(t *activeTxn) {
 	n.multiCoords[t.id] = mc
 	t.waitingMulti = true
 	for _, f := range fs {
-		n.cl.tr.Send(n.id, mc.homes[f], multiPrepareMsg{
+		n.net.Send(n.id, mc.homes[f], multiPrepareMsg{
 			MID: t.id, Fragment: f, Writes: parts[f], From: n.id,
 		})
 	}
@@ -160,9 +160,9 @@ func (n *Node) startMulti(t *activeTxn) {
 // the exclusive locks, then vote.
 func (n *Node) handleMultiPrepare(m multiPrepareMsg) {
 	vote := func(ok bool) {
-		n.cl.tr.Send(n.id, m.From, multiVoteMsg{MID: m.MID, Fragment: m.Fragment, OK: ok, From: n.id})
+		n.net.Send(n.id, m.From, multiVoteMsg{MID: m.MID, Fragment: m.Fragment, OK: ok, From: n.id})
 	}
-	home, ok := n.cl.tokens.HomeOfFragment(m.Fragment)
+	home, ok := n.sh.tokens.HomeOfFragment(m.Fragment)
 	if !ok || home != n.id || n.stream(m.Fragment).moveBlocked {
 		vote(false)
 		return
@@ -212,12 +212,12 @@ func (n *Node) votePart(p *multiPart) {
 		return
 	}
 	p.voted = true
-	lease := n.cl.cfg.MultiLease
-	p.leaseEv = n.cl.sched.After(lease, func() {
+	lease := n.sh.cfg.MultiLease
+	p.leaseEv = n.sched.After(lease, func() {
 		// Presumed abort: the coordinator vanished.
 		n.dropPart(p)
 	})
-	n.cl.tr.Send(n.id, p.coordinator, multiVoteMsg{
+	n.net.Send(n.id, p.coordinator, multiVoteMsg{
 		MID: p.mid, Fragment: p.f, OK: true, From: n.id,
 	})
 }
@@ -225,7 +225,7 @@ func (n *Node) votePart(p *multiPart) {
 // dropPart releases a part's locks and forgets it.
 func (n *Node) dropPart(p *multiPart) {
 	if p.leaseEv != nil {
-		n.cl.sched.Cancel(p.leaseEv)
+		n.sched.Cancel(p.leaseEv)
 	}
 	delete(n.multiParts, partKey{mid: p.mid, f: p.f})
 	delete(n.multiByPid, p.pid)
@@ -254,18 +254,18 @@ func (n *Node) decideMulti(mc *multiCoord, commit bool, cause error) {
 	mc.t.waitingMulti = false
 	for _, f := range sortedFragments(mc.homes) {
 		if commit {
-			n.cl.tr.Send(n.id, mc.homes[f], multiCommitMsg{MID: mc.t.id, Fragment: f})
+			n.net.Send(n.id, mc.homes[f], multiCommitMsg{MID: mc.t.id, Fragment: f})
 		} else {
-			n.cl.tr.Send(n.id, mc.homes[f], multiAbortMsg{MID: mc.t.id, Fragment: f})
+			n.net.Send(n.id, mc.homes[f], multiAbortMsg{MID: mc.t.id, Fragment: f})
 		}
 	}
 	if commit {
 		// The coordinator's read set is recorded for auditing (its parts
 		// are recorded at the participants as they install).
-		if n.cl.rec != nil {
-			n.cl.rec.Record(history.TxnRecord{
+		if n.rec != nil {
+			n.rec.Record(history.TxnRecord{
 				ID: mc.t.id, ReadOnly: true, Reads: mc.t.reads,
-				Node: n.id, Commit: n.cl.sched.Now(),
+				Node: n.id, Commit: n.sched.Now(),
 			})
 		}
 		n.finalize(mc.t, nil, true)
@@ -283,7 +283,7 @@ func (n *Node) abortMulti(t *activeTxn) {
 	}
 	delete(n.multiCoords, t.id)
 	for _, f := range sortedFragments(mc.homes) {
-		n.cl.tr.Send(n.id, mc.homes[f], multiAbortMsg{MID: t.id, Fragment: f})
+		n.net.Send(n.id, mc.homes[f], multiAbortMsg{MID: t.id, Fragment: f})
 	}
 }
 
@@ -295,16 +295,16 @@ func (n *Node) handleMultiCommit(m multiCommitMsg) {
 		return // lease expired (presumed abort) or duplicate
 	}
 	if p.leaseEv != nil {
-		n.cl.sched.Cancel(p.leaseEv)
+		n.sched.Cancel(p.leaseEv)
 	}
 	st := n.stream(p.f)
 	pos := st.last.Next()
-	now := n.cl.sched.Now()
+	now := n.sched.Now()
 	q := txn.Quasi{Txn: p.pid, Fragment: p.f, Pos: pos, Home: n.id, Writes: p.writes, Stamp: now}
 	st.last = pos
 	n.store.Apply(p.pid, p.f, pos, p.writes, now)
-	if n.cl.rec != nil {
-		n.cl.rec.Record(history.TxnRecord{
+	if n.rec != nil {
+		n.rec.Record(history.TxnRecord{
 			ID: p.pid, Type: p.f, UpdateFragment: p.f, Pos: pos,
 			Writes: sortedWriteObjects(p.writes), Node: n.id, Commit: now,
 		})
@@ -314,8 +314,8 @@ func (n *Node) handleMultiCommit(m multiCommitMsg) {
 	grants := n.locks.Release(p.pid)
 	n.bcast.Send(q)
 	n.onGrants(grants)
-	if n.cl.onQuasiApplied != nil {
-		n.cl.onQuasiApplied(n.id, q)
+	if n.sh.onQuasiApplied != nil {
+		n.sh.onQuasiApplied(n.id, q)
 	}
 	n.notifyStreamWaiters(st)
 	n.drainStream(p.f, st)

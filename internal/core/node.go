@@ -8,6 +8,7 @@ import (
 
 	"fragdb/internal/broadcast"
 	"fragdb/internal/fragments"
+	"fragdb/internal/history"
 	"fragdb/internal/lock"
 	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
@@ -121,9 +122,9 @@ type (
 	// fragments make this safe without stream preparation (Section
 	// 4.4.2A): their updates carry node-composed positions and install
 	// unordered with duplicate suppression, so no prefix agreement is
-	// needed. It is the movement protocol of SingleNode deployments,
-	// where the full agentmove protocols cannot run (they drive both
-	// endpoints' engines in-process).
+	// needed. It is the movement protocol of deployed nodes, where the
+	// full agentmove protocols cannot run (they drive both endpoints'
+	// engines in-process).
 	agentMovedMsg struct {
 		Agent   fragments.AgentID
 		NewHome netsim.NodeID
@@ -185,10 +186,19 @@ func (st *streamState) appliesAt(reg *metrics.Registry, f fragments.FragmentID, 
 	return *st.applied
 }
 
-// Node is one site's database engine.
+// Node is one site's database engine. Its host gives it a clock, a
+// transport, a per-operation cost, a store and a recorder; everything
+// else it reads from the schema its process shares.
 type Node struct {
 	id    netsim.NodeID
-	cl    *Cluster
+	sh    *schema
+	sched *simtime.Scheduler
+	net   netsim.Transport
+	// opCost is the virtual time each read or write takes once its lock
+	// is held. Zero answers a free lock inline.
+	opCost simtime.Duration
+	// rec audits the run; nil on a deployed node.
+	rec   *history.Recorder
 	store *storage.Store
 	locks *lock.Manager
 	bcast *broadcast.Broadcaster
@@ -233,10 +243,6 @@ type Node struct {
 	// wire messages. Runs on the engine context like every other
 	// transport delivery.
 	appHandler func(from netsim.NodeID, payload any)
-	// onAgentMoved, when set, observes token handoffs announced via
-	// AnnounceAgentMove (including this node's own), after the token
-	// map was updated.
-	onAgentMoved func(agent fragments.AgentID, newHome netsim.NodeID)
 }
 
 type remoteHolder struct {
@@ -249,43 +255,39 @@ type remoteQueue struct {
 	obj  fragments.ObjectID
 }
 
-func newNode(cl *Cluster, id netsim.NodeID) *Node {
-	// The store's log has three readers: SimulateCrashRestart and
-	// BeginNoPrepEpoch, which only the simulator can call, and snapshot
-	// capture, which only compaction triggers. A SingleNode process
-	// without compaction has none of them and keeps no log.
-	newStore := storage.New
-	if cl.cfg.SingleNode && !cl.cfg.Compaction {
-		newStore = storage.NewUnlogged
-	}
-	if cl.cfg.TraceCap > 0 {
-		cl.tracers[id] = trace.NewRecorder(id, cl.cfg.TraceCap, cl.sched.Now)
-	}
+func newNode(sh *schema, id netsim.NodeID, sched *simtime.Scheduler, tr netsim.Transport,
+	opCost simtime.Duration, store *storage.Store, rec *history.Recorder) *Node {
 	n := &Node{
 		id:           id,
-		cl:           cl,
-		store:        newStore(id, cl.cat),
-		tr:           cl.tracers[id],
+		sh:           sh,
+		sched:        sched,
+		net:          tr,
+		opCost:       opCost,
+		rec:          rec,
+		store:        store,
 		active:       make(map[txn.ID]*activeTxn),
 		streams:      make(map[fragments.FragmentID]*streamState),
 		remoteHeld:   make(map[txn.ID]*remoteHolder),
 		remoteQueued: make(map[txn.ID]remoteQueue),
 		posQueries:   make(map[uint64]func(netsim.NodeID, txn.FragPos)),
 	}
+	if sh.cfg.TraceCap > 0 {
+		n.tr = trace.NewRecorder(id, sh.cfg.TraceCap, sched.Now)
+	}
 	n.locks = n.newLockManager()
-	n.bcast = broadcast.New(id, cl.tr, cl.sched,
+	n.bcast = broadcast.New(id, tr, sched,
 		broadcast.Config{
-			GossipInterval: int64(cl.cfg.GossipInterval),
-			Compaction:     cl.cfg.Compaction,
-			CompactRetain:  cl.cfg.CompactRetain,
-			PeerLiveRounds: cl.cfg.PeerLiveRounds,
+			GossipInterval: int64(sh.cfg.GossipInterval),
+			Compaction:     sh.cfg.Compaction,
+			CompactRetain:  sh.cfg.CompactRetain,
+			PeerLiveRounds: sh.cfg.PeerLiveRounds,
 			Snapshot:       nodeSnapshotter{n},
-			Metrics:        cl.bstats,
+			Metrics:        sh.bstats,
 			SizeOf:         wire.Size,
 			Trace:          n.tr,
 		},
 		n.handleBroadcast)
-	cl.tr.SetHandler(id, n.handleTransport)
+	tr.SetHandler(id, n.handleTransport)
 	return n
 }
 
@@ -313,7 +315,7 @@ func (n *Node) newLockManager() *lock.Manager {
 			return
 		}
 		if f, ok := n.store.FragmentOf(o); ok {
-			n.cl.reg.IncLockWait(f, id.Origin)
+			n.sh.reg.IncLockWait(f, id.Origin)
 		}
 	})
 	return m
@@ -381,7 +383,7 @@ func (n *Node) handleTransport(from netsim.NodeID, payload any) {
 	case multiAbortMsg:
 		n.handleMultiAbort(m)
 	case posQueryMsg:
-		n.cl.tr.Send(n.id, m.From, posReplyMsg{
+		n.net.Send(n.id, m.From, posReplyMsg{
 			ID: m.ID, Fragment: m.Fragment, Pos: n.stream(m.Fragment).last, From: n.id,
 		})
 	case posReplyMsg:
@@ -405,13 +407,7 @@ func (n *Node) SetAppHandler(fn func(from netsim.NodeID, payload any)) {
 // SendApp sends an application payload to a peer node over the
 // cluster's transport; it is delivered to the peer's app handler.
 func (n *Node) SendApp(to netsim.NodeID, payload any) {
-	n.cl.tr.Send(n.id, to, payload)
-}
-
-// SetAgentMovedHook installs an observer for AnnounceAgentMove
-// handoffs applied at this node.
-func (n *Node) SetAgentMovedHook(fn func(agent fragments.AgentID, newHome netsim.NodeID)) {
-	n.onAgentMoved = fn
+	n.net.Send(n.id, to, payload)
 }
 
 // handleBroadcast consumes messages delivered by the reliable broadcast
@@ -435,38 +431,32 @@ func (n *Node) handleBroadcast(origin netsim.NodeID, seq uint64, payload any) {
 
 // applyAgentMoved repoints a commutative agent's tokens at its new
 // home. MoveAgent is idempotent, so the announcing node's own delivery
-// (which already applied the move locally) is harmless.
+// (which already applied the move locally) is harmless. A process
+// whose token map never learned the agent (not possible today: schemas
+// are static) ignores the handoff.
 func (n *Node) applyAgentMoved(m agentMovedMsg) {
-	if _, ok := n.cl.tokens.Home(m.Agent); !ok {
-		// Unknown agent: a process whose token map never learned it (not
-		// possible today — schemas are static) ignores the handoff.
-		return
-	}
-	_ = n.cl.tokens.MoveAgent(m.Agent, m.NewHome)
-	if n.onAgentMoved != nil {
-		n.onAgentMoved(m.Agent, m.NewHome)
-	}
+	_ = n.sh.tokens.MoveAgent(m.Agent, m.NewHome)
 }
 
 // AnnounceAgentMove hands a fully commutative agent to a new home via
-// a broadcast token handoff — the SingleNode deployment's movement
-// protocol, where the §4.4 in-process protocols cannot run. It
+// a broadcast token handoff — a deployed node's movement protocol,
+// where the §4.4 in-process protocols cannot run. It
 // requires every fragment the agent holds to be commutative: their
 // updates install unordered with node-composed positions, so the
 // handoff needs no stream preparation. In-flight submissions racing
 // the handoff are rejected with ErrNotHome at the old home and retried
 // by the forwarding layer against the token map's new answer.
 func (n *Node) AnnounceAgentMove(agent fragments.AgentID, to netsim.NodeID) error {
-	fs := n.cl.tokens.FragmentsOf(agent)
+	fs := n.sh.tokens.FragmentsOf(agent)
 	if len(fs) == 0 {
 		return fmt.Errorf("core: unknown agent %q", agent)
 	}
 	for _, f := range fs {
-		if !n.cl.IsCommutative(f) {
+		if !n.sh.IsCommutative(f) {
 			return fmt.Errorf("core: agent %q holds non-commutative fragment %q; use an agentmove protocol", agent, f)
 		}
 	}
-	if home, ok := n.cl.tokens.Home(agent); ok && home == to {
+	if home, ok := n.sh.tokens.Home(agent); ok && home == to {
 		return fmt.Errorf("core: agent %q already homed at node %d", agent, to)
 	}
 	n.bcast.Send(agentMovedMsg{Agent: agent, NewHome: to})
@@ -477,13 +467,13 @@ func (n *Node) AnnounceAgentMove(agent fragments.AgentID, to netsim.NodeID) erro
 // ingestQuasi feeds a quasi-transaction into its fragment's stream,
 // applying in position order and buffering gaps.
 func (n *Node) ingestQuasi(q txn.Quasi) {
-	if !n.cl.IsReplica(q.Fragment, n.id) {
+	if !n.sh.IsReplica(q.Fragment, n.id) {
 		// Partial replication: this node relays the broadcast stream but
 		// installs nothing.
 		return
 	}
 	st := n.stream(q.Fragment)
-	if n.cl.IsCommutative(q.Fragment) {
+	if n.sh.IsCommutative(q.Fragment) {
 		if st.seen[q.Txn] {
 			return
 		}
@@ -529,13 +519,13 @@ func (n *Node) handleStraggler(st *streamState, q txn.Quasi) {
 	}
 	if st.forward && q.Pos.Epoch == st.oldEpoch && q.Pos.Seq > st.oldInstalled {
 		// Rule B(2): do not process; forward to the new home.
-		n.cl.stats.QuasiForwarded.Add(1)
-		n.cl.reg.IncForward(q.Fragment, q.Home)
+		n.sh.stats.QuasiForwarded.Add(1)
+		n.sh.reg.IncForward(q.Fragment, q.Home)
 		if n.tr.Enabled() {
 			n.tr.Emit(trace.Event{Kind: trace.KQuasiForward, Txn: q.Txn,
 				Frag: q.Fragment, Pos: q.Pos, Peer: st.forwardTo, HasPeer: true})
 		}
-		n.cl.tr.Send(n.id, st.forwardTo, forwardMsg{Q: q})
+		n.net.Send(n.id, st.forwardTo, forwardMsg{Q: q})
 	}
 	// Otherwise: duplicate of something installed before the switch.
 }
@@ -560,11 +550,11 @@ func (n *Node) QueryStreamPos(f fragments.FragmentID, onReply func(from netsim.N
 	n.nextQueryID++
 	id := n.nextQueryID
 	n.posQueries[id] = onReply
-	for p := 0; p < n.cl.cfg.N; p++ {
+	for p := 0; p < n.sh.cfg.N; p++ {
 		if netsim.NodeID(p) == n.id {
 			continue
 		}
-		n.cl.tr.Send(n.id, netsim.NodeID(p), posQueryMsg{ID: id, Fragment: f, From: n.id})
+		n.net.Send(n.id, netsim.NodeID(p), posQueryMsg{ID: id, Fragment: f, From: n.id})
 	}
 	return id
 }

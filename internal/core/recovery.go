@@ -60,7 +60,7 @@ func (n *Node) SimulateCrashRestart() {
 			continue
 		}
 		st := n.stream(rec.Fragment)
-		if n.cl.IsCommutative(rec.Fragment) {
+		if n.sh.IsCommutative(rec.Fragment) {
 			st.seen[rec.Txn] = true
 			if st.last.Less(rec.Pos) {
 				st.last = rec.Pos
@@ -109,7 +109,7 @@ func (n *Node) SimulateCrashRestart() {
 	// already in the WAL deduplicate on position. Under compaction the
 	// journal starts at the stream's horizon, above any installed
 	// snapshot, so the sequence numbers resume from Base.
-	for origin := 0; origin < n.cl.cfg.N; origin++ {
+	for origin := 0; origin < n.sh.cfg.N; origin++ {
 		o := netsim.NodeID(origin)
 		base := n.bcast.Base(o)
 		for i, payload := range n.bcast.Log(o) {

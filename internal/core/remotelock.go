@@ -30,9 +30,9 @@ func (n *Node) serveLockRequest(m lockReqMsg) {
 	granted, err := n.locks.Acquire(m.Txn, m.Object, lock.Shared)
 	if err != nil {
 		if f, ok := n.store.FragmentOf(m.Object); ok {
-			n.cl.reg.IncRemoteDeny(f, m.From)
+			n.sh.reg.IncRemoteDeny(f, m.From)
 		}
-		n.cl.tr.Send(n.id, m.From, lockDenyMsg{Txn: m.Txn, Object: m.Object})
+		n.net.Send(n.id, m.From, lockDenyMsg{Txn: m.Txn, Object: m.Object})
 		return
 	}
 	if granted {
@@ -49,16 +49,16 @@ func (n *Node) grantRemote(id txn.ID, from netsim.NodeID, o fragments.ObjectID) 
 	if rh, ok := n.remoteHeld[id]; ok {
 		// Additional object for an already-known remote holder: refresh
 		// the lease.
-		n.cl.sched.Cancel(rh.leaseEv)
+		n.sched.Cancel(rh.leaseEv)
 	}
 	rh := &remoteHolder{from: from}
-	rh.leaseEv = n.cl.sched.After(n.cl.cfg.RemoteLockLease, func() { n.expireRemote(id) })
+	rh.leaseEv = n.sched.After(n.sh.cfg.RemoteLockLease, func() { n.expireRemote(id) })
 	n.remoteHeld[id] = rh
 	msg := lockGrantMsg{Txn: id, Object: o, Known: known, Version: ver, From: n.id}
 	if known {
 		msg.Value = ver.Value
 	}
-	n.cl.tr.Send(n.id, from, msg)
+	n.net.Send(n.id, from, msg)
 }
 
 // expireRemote reclaims locks leaked by an unreachable remote reader.
@@ -81,7 +81,7 @@ func (n *Node) handleLockGrant(m lockGrantMsg) {
 	t, ok := n.active[m.Txn]
 	if !ok || t.finished {
 		// We aborted while the grant was in flight: release it.
-		n.cl.tr.Send(n.id, m.From, lockReleaseMsg{Txn: m.Txn})
+		n.net.Send(n.id, m.From, lockReleaseMsg{Txn: m.Txn})
 		return
 	}
 	if t.pendingRemote == nil || t.pendingRemote.obj != m.Object {
@@ -114,7 +114,7 @@ func (n *Node) handleLockDeny(m lockDenyMsg) {
 	if !ok || t.finished || t.pendingRemote == nil || t.pendingRemote.obj != m.Object {
 		return
 	}
-	n.cl.stats.Deadlocks.Add(1)
+	n.sh.stats.Deadlocks.Add(1)
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KRemoteLockDeny, Txn: m.Txn, Obj: m.Object})
 	}
@@ -126,7 +126,7 @@ func (n *Node) handleLockDeny(m lockDenyMsg) {
 // handleLockRelease frees every lock the remote transaction holds here.
 func (n *Node) handleLockRelease(m lockReleaseMsg) {
 	if rh, ok := n.remoteHeld[m.Txn]; ok {
-		n.cl.sched.Cancel(rh.leaseEv)
+		n.sched.Cancel(rh.leaseEv)
 		delete(n.remoteHeld, m.Txn)
 	}
 	delete(n.remoteQueued, m.Txn)

@@ -79,8 +79,8 @@ func (s nodeSnapshotter) InstallState(state any, snapHave, prevHave map[netsim.N
 // will serve the offer instead. Called with the broadcaster's lock
 // held; must not call back into the broadcaster.
 func (n *Node) captureSnap() (any, bool) {
-	for _, f := range n.cl.cat.Fragments() {
-		if !n.cl.IsReplica(f, n.id) {
+	for _, f := range n.sh.cat.Fragments() {
+		if !n.sh.IsReplica(f, n.id) {
 			return nil, false
 		}
 	}
@@ -90,7 +90,7 @@ func (n *Node) captureSnap() (any, bool) {
 		Applied: make(map[fragments.FragmentID][]txn.Quasi),
 	}
 	for f, st := range n.streams {
-		if n.cl.IsCommutative(f) {
+		if n.sh.IsCommutative(f) {
 			continue
 		}
 		s := snapStream{
@@ -137,7 +137,7 @@ func (n *Node) captureSnap() (any, bool) {
 	// receiver's trigger path keys on fragment and writes, and duplicate
 	// suppression keys on Txn, so the approximation is harmless.
 	for _, rec := range n.store.Log() {
-		if rec.Fragment == "" || !n.cl.IsCommutative(rec.Fragment) {
+		if rec.Fragment == "" || !n.sh.IsCommutative(rec.Fragment) {
 			continue
 		}
 		snap.Applied[rec.Fragment] = append(snap.Applied[rec.Fragment], txn.Quasi{
@@ -149,7 +149,7 @@ func (n *Node) captureSnap() (any, bool) {
 	// record yet; ship them alongside the installed ones (the receiver
 	// deduplicates on transaction id).
 	for _, w := range n.quasiWaiters {
-		if w.ordered || !n.cl.IsCommutative(w.f) {
+		if w.ordered || !n.sh.IsCommutative(w.f) {
 			continue
 		}
 		snap.Applied[w.f] = append(snap.Applied[w.f], w.q)
@@ -177,7 +177,7 @@ func (n *Node) installSnap(state any, have, prev map[netsim.NodeID]uint64) {
 		n.tr.Emit(trace.Event{Kind: trace.KSnapInstall, Arg: int64(snap.numVals())})
 	}
 	for _, t := range n.activeSnapshot() {
-		n.cl.stats.Wounds.Add(1)
+		n.sh.stats.Wounds.Add(1)
 		if n.tr.Enabled() {
 			n.tr.Emit(trace.Event{Kind: trace.KWound, Txn: t.id, Note: "snapshot install"})
 		}
@@ -206,8 +206,8 @@ func (n *Node) applySnap(snap nodeSnap, have, prev map[netsim.NodeID]uint64) {
 	// this node does not replicate and commutative fragments (replayed
 	// below so triggers fire).
 	for id, vals := range snap.Vals {
-		f, ok := n.cl.cat.Fragment(id)
-		if !ok || !n.cl.IsReplica(id, n.id) || n.cl.IsCommutative(id) {
+		f, ok := n.sh.cat.Fragment(id)
+		if !ok || !n.sh.IsReplica(id, n.id) || n.sh.IsCommutative(id) {
 			continue
 		}
 		n.store.MergeSnapshot(f, vals)
@@ -220,7 +220,7 @@ func (n *Node) applySnap(snap nodeSnap, have, prev map[netsim.NodeID]uint64) {
 	}
 	sort.Slice(frags, func(i, j int) bool { return frags[i] < frags[j] })
 	for _, f := range frags {
-		if !n.cl.IsReplica(f, n.id) {
+		if !n.sh.IsReplica(f, n.id) {
 			continue
 		}
 		s := snap.Streams[f]
@@ -276,7 +276,7 @@ func (n *Node) applySnap(snap nodeSnap, have, prev map[netsim.NodeID]uint64) {
 	}
 	sort.Slice(cfrags, func(i, j int) bool { return cfrags[i] < cfrags[j] })
 	for _, f := range cfrags {
-		if !n.cl.IsReplica(f, n.id) {
+		if !n.sh.IsReplica(f, n.id) {
 			continue
 		}
 		st := n.stream(f)

@@ -13,7 +13,7 @@ import (
 
 // orderNet is netsim shrunk to what a wire-order regression test needs:
 // a fixed-latency transport that records every payload in the order it
-// was handed over, then delivers through the cluster's scheduler.
+// was handed over, then delivers through the shared scheduler.
 type orderNet struct {
 	n        int
 	sched    *simtime.Scheduler
@@ -50,27 +50,31 @@ func TestMultiFragment2PCMessagesLeaveInFragmentOrder(t *testing.T) {
 		objs = append(objs, fragments.ObjectID(fmt.Sprintf("o%02d", i)))
 	}
 	for round := 0; round < 4; round++ {
-		tr := &orderNet{n: 4, handlers: make([]netsim.Handler, 4)}
-		cl := NewCluster(Config{N: 4, Option: UnrestrictedReads, Seed: 23, Transport: tr})
-		tr.sched = cl.Sched()
-		for i, o := range objs {
-			f := fragments.FragmentID(fmt.Sprintf("F%02d", i))
-			home := netsim.NodeID(i % 3)
-			cl.Catalog().AddFragment(f, o)
-			cl.Tokens().Assign(f, fragments.AgentID(fmt.Sprintf("agent:%d", i)), home)
-		}
-		if err := cl.Start(); err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range objs {
-			cl.Load(o, int64(0))
+		// Four deployed nodes share one scheduler and the recording
+		// transport, each declaring the same schema.
+		tr := &orderNet{n: 4, sched: simtime.NewScheduler(23), handlers: make([]netsim.Handler, 4)}
+		var cls []*Cluster
+		for id := 0; id < 4; id++ {
+			cl := NewDeployed(Config{N: 4, Option: UnrestrictedReads}, netsim.NodeID(id), tr.sched, tr)
+			for i, o := range objs {
+				f := fragments.FragmentID(fmt.Sprintf("F%02d", i))
+				cl.Catalog().AddFragment(f, o)
+				cl.Tokens().Assign(f, fragments.AgentID(fmt.Sprintf("agent:%d", i)), netsim.NodeID(i%3))
+			}
+			if err := cl.Start(); err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range objs {
+				cl.Load(o, int64(0))
+			}
+			cls = append(cls, cl)
 		}
 
 		// Coordinate at node 3, which homes none of the written
 		// fragments — a written fragment homed at the coordinator would
 		// contend with the coordinator's own workspace locks.
 		var res TxnResult
-		cl.Node(3).SubmitMulti(TxnSpec{
+		cls[3].Node(3).SubmitMulti(TxnSpec{
 			Label: "fan-out",
 			Program: func(tx *Tx) error {
 				for _, o := range objs {
@@ -81,11 +85,14 @@ func TestMultiFragment2PCMessagesLeaveInFragmentOrder(t *testing.T) {
 				return nil
 			},
 		}, func(r TxnResult) { res = r })
-		if !cl.Settle(30 * time.Second) {
-			t.Fatal("did not settle")
+		tr.sched.RunFor(30 * time.Second)
+		if err := settled(cls); err != nil {
+			t.Fatalf("round %d: did not settle: %v", round, err)
 		}
-		cl.Shutdown()
-		if res.Err != nil {
+		for _, cl := range cls {
+			cl.Shutdown()
+		}
+		if res.Err != nil || !res.Committed {
 			t.Fatalf("multi txn failed: %v", res.Err)
 		}
 
@@ -108,4 +115,26 @@ func TestMultiFragment2PCMessagesLeaveInFragmentOrder(t *testing.T) {
 			t.Errorf("round %d: commits left out of fragment order: %v", round, commits)
 		}
 	}
+}
+
+// settled is Cluster.Settle's test over deployed nodes that share one
+// scheduler: each node has converged and buffers nothing, and all agree
+// on every origin's broadcast prefix.
+func settled(cls []*Cluster) error {
+	for i, cl := range cls {
+		if !cl.Converged() || cl.ActiveTxnCount() != 0 || cl.BufferedQuasiCount() != 0 {
+			return fmt.Errorf("node %d: converged=%v active=%d buffered=%d",
+				i, cl.Converged(), cl.ActiveTxnCount(), cl.BufferedQuasiCount())
+		}
+	}
+	for o := range cls {
+		origin := netsim.NodeID(o)
+		want := cls[o].Node(origin).bcast.Prefix(origin)
+		for i, cl := range cls {
+			if got := cl.Node(netsim.NodeID(i)).bcast.Prefix(origin); got != want {
+				return fmt.Errorf("node %d holds prefix %d of origin %d's broadcasts, want %d", i, got, o, want)
+			}
+		}
+	}
+	return nil
 }

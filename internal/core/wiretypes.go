@@ -138,8 +138,8 @@ func init() {
 			return posReplyMsg{ID: r.Uvarint(), Fragment: r.FragmentID(),
 				Pos: r.FragPos(), From: r.NodeID()}
 		})
-	// Commutative agent token handoff (adaptive placement in SingleNode
-	// deployments).
+	// Commutative agent token handoff (adaptive placement on deployed
+	// nodes).
 	wire.Register(0x1c,
 		func(m agentMovedMsg) int { return wire.SizeString(string(m.Agent)) + wire.SizeNodeID(m.NewHome) },
 		func(b []byte, m agentMovedMsg) []byte {

@@ -1,6 +1,6 @@
-// Package deploy assembles one real-deployment node: a single-node core
-// engine over a real transport, driven on the wall clock by an
-// rtnet.Loop, its operations costing the work they do.
+// Package deploy assembles one real-deployment node: a core engine
+// built by core.NewDeployed over a real transport, driven on the wall
+// clock by an rtnet.Loop, its operations costing the work they do.
 // cmd/hanode wraps it in a process; tests assemble several in one
 // process, over TCP sockets on the loopback interface.
 package deploy
@@ -75,32 +75,6 @@ type Node struct {
 	close sync.Once
 }
 
-// execGate defers the choice of executor until the loop exists (the
-// loop needs the cluster's scheduler, the cluster needs the transport,
-// and the transport needs the executor). Deliveries arriving before the
-// loop is installed are dropped — the engine's handler is not installed
-// yet either.
-type execGate struct {
-	mu   sync.Mutex
-	loop *rtnet.Loop
-}
-
-func (e *execGate) run(fn func()) bool {
-	e.mu.Lock()
-	l := e.loop
-	e.mu.Unlock()
-	if l == nil {
-		return false
-	}
-	return l.Inject(fn)
-}
-
-func (e *execGate) set(l *rtnet.Loop) {
-	e.mu.Lock()
-	e.loop = l
-	e.mu.Unlock()
-}
-
 // New assembles a node over an already-built transport (whose handler
 // invocations will be routed through the node's loop) and starts its
 // loop. raw must span len(cfg.Addrs) nodes.
@@ -124,22 +98,26 @@ func build(cfg Config, raw netsim.Transport, tune func(*core.Config)) (*Node, er
 	} else if cfg.TraceCap < 0 {
 		cfg.TraceCap = 0
 	}
-	gate := &execGate{}
 	engine := core.Config{
 		N:              len(cfg.Addrs),
-		Seed:           cfg.Seed,
 		TxnTimeout:     simtime.Duration(cfg.TxnTimeout),
 		MajorityCommit: cfg.MajorityCommit,
 		TraceCap:       cfg.TraceCap,
-		Transport:      rtnet.ExecTransport{Transport: raw, Exec: gate.run},
-		SingleNode:     true,
-		LocalNode:      netsim.NodeID(cfg.ID),
 	}
 	if tune != nil {
 		tune(&engine)
 	}
+	// Deliveries run on the loop; those arriving before it starts wait
+	// in its queue.
+	sched := simtime.NewScheduler(cfg.Seed)
+	loop := rtnet.NewLoop(sched)
+	tr := rtnet.ExecTransport{Transport: raw, Exec: loop.Inject}
+	local := netsim.NodeID(cfg.ID)
 	lv, err := workload.NewLive(workload.LiveConfig{
-		Cluster:        engine,
+		Cluster: engine,
+		NewCluster: func(c core.Config) *core.Cluster {
+			return core.NewDeployed(c, local, sched, tr)
+		},
 		CentralNode:    0,
 		Accounts:       cfg.Accounts,
 		ReadLockOption: readLock,
@@ -148,10 +126,8 @@ func build(cfg Config, raw netsim.Transport, tune func(*core.Config)) (*Node, er
 	if err != nil {
 		return nil, err
 	}
-	loop := rtnet.NewLoop(lv.Cluster().Sched())
-	gate.set(loop)
 	loop.Start()
-	return &Node{Cfg: cfg, Live: lv, Loop: loop, local: netsim.NodeID(cfg.ID)}, nil
+	return &Node{Cfg: cfg, Live: lv, Loop: loop, local: local}, nil
 }
 
 // NewTCP builds the node over a real TCP transport listening on
@@ -273,7 +249,7 @@ func (n *Node) DebugVars() rtnet.DebugVars {
 		Registry:  cl.Registry(),
 		Runtime:   true,
 
-		LockTableEntries: cl.LocalNode().LockTableEntries,
+		LockTableEntries: cl.Node(n.local).LockTableEntries,
 	}
 	if n.TCP != nil {
 		v.TCP = n.TCP.Stats()

@@ -326,7 +326,7 @@ func TestSnapshotOfferInstallsAcrossTCP(t *testing.T) {
 		var entries, unrecorded int
 		if err := nodes[i].Inspect(func() {
 			balance = nodes[i].Live.Balance(netsim.NodeID(i), acct)
-			entries = len(nodes[i].Live.Cluster().LocalNode().Store().Objects(
+			entries = len(nodes[i].Live.Cluster().Node(netsim.NodeID(i)).Store().Objects(
 				fragments.FragmentID("ACTIVITY(" + acct + ")")))
 			unrecorded = len(nodes[i].Live.Unrecorded(netsim.NodeID(i), acct))
 		}); err != nil {
@@ -448,7 +448,7 @@ func quiesce(t *testing.T, nodes []*Node, bumps int64, released bool) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for i, nd := range nodes {
-		local := nd.Live.Cluster().LocalNode()
+		local := nd.Live.Cluster().Node(netsim.NodeID(i))
 		for {
 			var total int64
 			if err := nd.Inspect(func() { total = nd.Live.CounterTotal(netsim.NodeID(i)) }); err != nil {
@@ -563,7 +563,7 @@ func TestDeployedNodeRetainsOnlyItsData(t *testing.T) {
 	nodes, _ := tcpCluster(t, n, "read-locks", nil)
 	objectsBefore := make([]int, n)
 	for i, nd := range nodes {
-		objectsBefore[i] = nd.Live.Cluster().LocalNode().Store().Len()
+		objectsBefore[i] = nd.Live.Cluster().Node(netsim.NodeID(i)).Store().Len()
 	}
 
 	failed, bumps := closedLoop(t, nodes, perNode, 8, mixedOp)
@@ -574,7 +574,7 @@ func TestDeployedNodeRetainsOnlyItsData(t *testing.T) {
 
 	for i, nd := range nodes {
 		cl := nd.Live.Cluster()
-		local := cl.LocalNode()
+		local := cl.Node(netsim.NodeID(i))
 		if rec := cl.Recorder(); rec != nil || rec.Len() != 0 {
 			t.Errorf("node %d: a single-node process built a history recorder (%d records)", i, rec.Len())
 		}
@@ -641,7 +641,7 @@ func TestDeployedNodeIndexesCreatedObjectsInItsStore(t *testing.T) {
 	stored := make([]int, n)
 	for i, nd := range nodes {
 		inspect(nd, func(cl *core.Cluster) {
-			cataloged[i], stored[i] = cl.Catalog().NumObjects(), cl.LocalNode().Store().Len()
+			cataloged[i], stored[i] = cl.Catalog().NumObjects(), cl.Node(netsim.NodeID(i)).Store().Len()
 		})
 	}
 
@@ -668,12 +668,12 @@ func TestDeployedNodeIndexesCreatedObjectsInItsStore(t *testing.T) {
 			if got := cl.Catalog().NumObjects(); got != cataloged[i] {
 				t.Errorf("node %d: catalog went from %d to %d objects over %d commits", i, cataloged[i], got, n*perNode)
 			}
-			if got := cl.LocalNode().Store().Len(); got < stored[i]+n*perNode {
+			if got := cl.Node(netsim.NodeID(i)).Store().Len(); got < stored[i]+n*perNode {
 				t.Errorf("node %d: store went from %d to %d objects, want %d more", i, stored[i], got, n*perNode)
 			}
 			// What fragbench's replica check sums: each account's
 			// ACTIVITY entries through Fragment.Objects.
-			store := cl.LocalNode().Store()
+			store := cl.Node(netsim.NodeID(i)).Store()
 			for a := 0; a < n; a++ {
 				id := fragments.FragmentID("ACTIVITY(" + workload.LiveAccount(a) + ")")
 				frag, _ := cl.Catalog().Fragment(id)
@@ -699,7 +699,7 @@ func TestDeployedNodeIndexesCreatedObjectsInItsStore(t *testing.T) {
 		t.Helper()
 		res := make(chan core.TxnResult, 1)
 		inspect(nodes[i], func(cl *core.Cluster) {
-			cl.LocalNode().Submit(spec, func(r core.TxnResult) { res <- r })
+			cl.Node(netsim.NodeID(i)).Submit(spec, func(r core.TxnResult) { res <- r })
 		})
 		select {
 		case r := <-res:
@@ -710,7 +710,7 @@ func TestDeployedNodeIndexesCreatedObjectsInItsStore(t *testing.T) {
 		}
 	}
 	var entry fragments.ObjectID
-	inspect(nodes[0], func(cl *core.Cluster) { entry = cl.LocalNode().Store().Objects("CTR(0)")[0] })
+	inspect(nodes[0], func(cl *core.Cluster) { entry = cl.Node(0).Store().Objects("CTR(0)")[0] })
 	for i := 0; i < 2; i++ { // node 0 is CTR(0)'s home, node 1 a replica
 		queue := fmt.Sprintf("QUEUE(%d)", i)
 		r := submit(i, core.TxnSpec{

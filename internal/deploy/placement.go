@@ -110,7 +110,7 @@ func (p *Placement) tick(dtSeconds float64) {
 				agents, cl.Config().N)
 		}
 		for _, d := range decisions {
-			err := cl.LocalNode().AnnounceAgentMove(d.Agent, d.To)
+			err := cl.Node(local).AnnounceAgentMove(d.Agent, d.To)
 			p.ctrl.MoveDone(d, err == nil, cl.Now())
 		}
 	})

@@ -248,9 +248,9 @@ type FragInfo struct {
 	Commutative bool
 }
 
-// Registry is the labeled metrics surface of one node (or one process
-// in single-node deployment mode). Every cluster builds one, simulated
-// or deployed; there is no switch that turns it off.
+// Registry is the labeled metrics surface of one process: every node
+// of a simulated cluster, or one deployed node. Every cluster builds
+// one; there is no switch that turns it off.
 //
 // Label cardinality contract: Frag ranges over the fragment catalog,
 // Node over cluster members, Cause over a fixed engine-side set —

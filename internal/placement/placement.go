@@ -6,7 +6,7 @@
 // function. Behind hysteresis, a per-agent cooldown, and a global
 // in-flight-move cap, it emits move decisions that a driver executes
 // with the §4.4 agentmove protocols (or the broadcast token handoff
-// for commutative agents in SingleNode deployments).
+// for commutative agents on deployed nodes).
 //
 // The package is deterministic: no wall-clock reads, no unseeded
 // randomness. Drivers inject virtual or wall-paced time through
@@ -81,7 +81,7 @@ type Config struct {
 	// 500ms).
 	MoveWindow simtime.Duration `json:"move_window_ns"`
 	// CommutativeOnly restricts decisions to agents whose fragments
-	// are all commutative. SingleNode deployments require it (the
+	// are all commutative. Deployed nodes require it (the
 	// token-handoff protocol is only safe for commutative fragments);
 	// netsim drivers with the full agentmove protocols leave it off.
 	CommutativeOnly bool `json:"commutative_only"`

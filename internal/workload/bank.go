@@ -141,13 +141,17 @@ func balObj(acct string) fragments.ObjectID {
 	return fragments.ObjectID("bal:" + acct)
 }
 
-// NewBank builds and starts the banking cluster.
-func NewBank(cfg BankConfig) (*Bank, error) {
+// NewBank builds and starts the banking cluster in the simulator.
+func NewBank(cfg BankConfig) (*Bank, error) { return buildBank(cfg, core.NewCluster) }
+
+// buildBank builds the bank on the cluster that host makes from
+// cfg.Cluster.
+func buildBank(cfg BankConfig, host func(core.Config) *core.Cluster) (*Bank, error) {
 	cfg.Cluster.Option = core.UnrestrictedReads
 	if cfg.ReadLockOption {
 		cfg.Cluster.Option = core.ReadLocks
 	}
-	cl := core.NewCluster(cfg.Cluster)
+	cl := host(cfg.Cluster)
 	central := fragments.NodeAgent(cfg.CentralNode)
 
 	balances := make([]fragments.ObjectID, 0, len(cfg.Accounts))

@@ -233,16 +233,10 @@ func (lv *Live) retryLater(p *pendingFwd) {
 	lv.Cluster().Sched().After(d, func() { lv.dispatch(p) })
 }
 
-// installForwarding hooks the app-message path of every locally built
-// node (all of them under netsim; just the local one in a SingleNode
-// deployment).
+// installForwarding hooks the app-message path of every node this
+// process runs (all of them in the simulator; one on a deployed node).
 func (lv *Live) installForwarding() {
-	cl := lv.Cluster()
-	for i := 0; i < lv.n; i++ {
-		node := cl.Node(netsim.NodeID(i))
-		if node == nil {
-			continue
-		}
+	for _, node := range lv.Cluster().Nodes() {
 		node.SetAppHandler(func(from netsim.NodeID, payload any) {
 			switch m := payload.(type) {
 			case liveOpMsg:

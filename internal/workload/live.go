@@ -40,9 +40,12 @@ type Live struct {
 
 // LiveConfig configures a Live workload.
 type LiveConfig struct {
-	// Cluster is the engine configuration, including Transport /
-	// SingleNode / LocalNode for a real deployment.
+	// Cluster is the engine configuration.
 	Cluster core.Config
+	// NewCluster builds the unstarted cluster from Cluster: nil means
+	// core.NewCluster, the simulator; a deployed process passes one that
+	// calls core.NewDeployed.
+	NewCluster func(core.Config) *core.Cluster
 	// CentralNode hosts the bank's central office.
 	CentralNode netsim.NodeID
 	// Accounts is how many bank accounts to create (default 2 per
@@ -133,7 +136,10 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	if cfg.AcyclicOption {
 		bcfg.ReadLockOption = false // base option stays unrestricted
 	}
-	b, err := NewBank(bcfg)
+	if cfg.NewCluster == nil {
+		cfg.NewCluster = core.NewCluster
+	}
+	b, err := buildBank(bcfg, cfg.NewCluster)
 	if err != nil {
 		return nil, err
 	}
