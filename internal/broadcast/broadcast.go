@@ -278,16 +278,21 @@ type Broadcaster struct {
 	// against it.
 	digestSent map[netsim.NodeID]map[netsim.NodeID]uint64
 
-	deliverQ   []delivery
-	delivering bool
+	// deliverQ holds the queued deliveries from deliverHead on; it is
+	// reset, its array kept, once drained.
+	deliverQ    []delivery
+	deliverHead int
+	delivering  bool
 
 	// outbox queues outbound transport messages composed under mu; they
 	// ship (post) only after the lock is released. rtnet's TCP transport
 	// applies backpressure — a Send may block — and a blocked send under
 	// mu would freeze every other broadcaster operation, including the
 	// HandleMessage path a synchronous transport delivers on (halint's
-	// lockedsend analyzer enforces this discipline).
-	outbox []outMsg
+	// lockedsend analyzer enforces this discipline). A posted outbox
+	// comes back as spare, and the next take swaps it in, so the two
+	// arrays serve every send.
+	outbox, spare []outMsg
 
 	gossipEv *simtime.Event
 	stopped  bool
@@ -399,17 +404,30 @@ func (b *Broadcaster) queueSend(to netsim.NodeID, msg any) {
 // takeOutbox detaches the queued outbound messages for posting. Caller
 // holds mu and must hand the result to post after unlocking.
 func (b *Broadcaster) takeOutbox() []outMsg {
+	if len(b.outbox) == 0 {
+		return nil
+	}
 	out := b.outbox
-	b.outbox = nil
+	b.outbox, b.spare = b.spare, nil
 	return out
 }
 
-// post ships detached outbound messages in queue order. The caller must
-// NOT hold mu: the transport may block.
+// post ships detached outbound messages in queue order and keeps their
+// array as the spare outbox. The caller must NOT hold mu: the transport
+// may block.
 func (b *Broadcaster) post(out []outMsg) {
+	if len(out) == 0 {
+		return
+	}
 	for _, m := range out {
 		b.tr.Send(b.node, m.to, m.msg)
 	}
+	clear(out)
+	b.mu.Lock()
+	if b.spare == nil {
+		b.spare = out[:0]
+	}
+	b.mu.Unlock()
 }
 
 // sendData queues one Data or DataBatch message carrying n payloads to a
@@ -462,9 +480,10 @@ func (b *Broadcaster) drainDeliveries() {
 		return
 	}
 	b.delivering = true
-	for len(b.deliverQ) > 0 {
-		d := b.deliverQ[0]
-		b.deliverQ = b.deliverQ[1:]
+	for b.deliverHead < len(b.deliverQ) {
+		d := b.deliverQ[b.deliverHead]
+		b.deliverQ[b.deliverHead] = delivery{}
+		b.deliverHead++
 		// Queued sends ship before the callback runs, preserving the
 		// pushes-precede-local-delivery wire order of the inline-send era.
 		out := b.takeOutbox()
@@ -484,6 +503,7 @@ func (b *Broadcaster) drainDeliveries() {
 			b.delivered[d.origin] = d.seq
 		}
 	}
+	b.deliverQ, b.deliverHead = b.deliverQ[:0], 0
 	b.delivering = false
 }
 

@@ -6,11 +6,13 @@ import (
 	"runtime"
 	"testing"
 
+	"fragdb/internal/broadcast"
 	"fragdb/internal/fragments"
 	"fragdb/internal/metrics"
 	"fragdb/internal/netsim"
 	"fragdb/internal/simtime"
 	"fragdb/internal/txn"
+	"fragdb/internal/wire"
 )
 
 // sinkNet is all the transport a lone replica needs: it discards every
@@ -129,6 +131,61 @@ func testApplyReplicaInstalls(t *testing.T, qs []txn.Quasi) {
 		}
 	}
 }
+
+// TestReplicaApplyAllocs pins what a replica allocates to take in one
+// quasi-transaction off the wire: decode the Data frame carrying it,
+// with one write, through the connection's Decoder, and install it.
+// The decode makes the values the replica keeps or reads: the Data
+// envelope, the boxed quasi-transaction, its write list, the written
+// object's id and the boxed value. Installing a rewrite of an object
+// the store holds makes nothing.
+func TestReplicaApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const runs = 1000
+	cl := applyReplica(t)
+	f, home := applyFrag(1), netsim.NodeID(2)
+	frames := make([][]byte, 2*runs+1) // warm-up, AllocsPerRun's own warm-up, measured
+	for i := range frames {
+		seq := uint64(i + 1)
+		q := txn.Quasi{
+			Txn: txn.ID{Origin: home, Seq: seq}, Fragment: f, Pos: txn.FragPos{Seq: seq}, Home: home,
+			Writes: []txn.WriteOp{{Object: fragments.ObjectID(f + "/a"), Value: int64(1000 + i)}},
+		}
+		b, err := wire.Encode(broadcast.Data{Origin: home, Seq: seq, Payload: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = b
+	}
+	n, sched := cl.Node(0), cl.Sched()
+	dec := wire.NewDecoder()
+	next := 0
+	apply := func() {
+		payload, err := dec.Decode(frames[next])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		n.handleTransport(home, payload)
+		sched.RunDue(sched.Now())
+	}
+	for next < runs {
+		apply()
+	}
+	got := testing.AllocsPerRun(runs, apply)
+	if applied := cl.Stats().QuasiApplied.Load(); applied != uint64(len(frames)) {
+		t.Fatalf("applied %d of %d", applied, len(frames))
+	}
+	if got > replicaApplyAllocs {
+		t.Errorf("%v allocations to decode and install a quasi-transaction, want at most %d", got, replicaApplyAllocs)
+	}
+}
+
+// replicaApplyAllocs is the most allocations TestReplicaApplyAllocs
+// may see.
+const replicaApplyAllocs = 5
 
 // BenchmarkApplySaturation measures the replica apply path a deployed
 // node runs — handleBroadcast → ingestQuasi → drainStream → applyQuasi,

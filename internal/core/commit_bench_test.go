@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"fragdb/internal/fragments"
+	"fragdb/internal/netsim"
 	"fragdb/internal/simtime"
+	"fragdb/internal/txn"
 )
 
 // commitFrags is the number of one-object fragments the agent node
@@ -103,8 +107,99 @@ func TestLocalCommitAllocs(t *testing.T) {
 	}
 }
 
-// localCommitAllocs is the most allocations one local commit may make.
-const localCommitAllocs = 20
+// localCommitAllocs is the most allocations one local commit may make:
+// the activeTxn, its write set (which becomes the quasi-transaction's),
+// the quasi-transaction boxed for the broadcast and the Data envelope
+// that carries it to the peers.
+const localCommitAllocs = 4
+
+// TestWaitingTxnTimesOutFromSubmission: a transaction that does not
+// finish in the pass that starts it arms its timeout then, and the
+// timeout still runs from its submission. Here the pass starts it
+// 300 ms late, as a busy loop would, and its program waits on a Think.
+func TestWaitingTxnTimesOutFromSubmission(t *testing.T) {
+	cl, specs := commitNode(t)
+	sched := cl.Sched()
+	spec := specs[0]
+	spec.Timeout = time.Second
+	spec.Program = func(tx *Tx) error {
+		tx.Think(time.Hour)
+		return nil
+	}
+	var res TxnResult
+	cl.Node(0).Submit(spec, func(r TxnResult) { res = r })
+	submitted := sched.Now()
+	sched.RunDue(submitted.Add(300 * time.Millisecond))
+	sched.RunUntil(submitted.Add(2 * time.Second))
+	if !errors.Is(res.Err, ErrTimeout) {
+		t.Fatalf("result %+v, want a timeout", res)
+	}
+	if want := submitted.Add(time.Second); res.Start != submitted || res.End != want {
+		t.Errorf("started %v, timed out at %v; want %v and %v", res.Start, res.End, submitted, want)
+	}
+}
+
+// TestLargeWriteSetReadsItsOwnWrites: a program that writes as many
+// objects as the central office's largest fold (foldCap, 256) and reads
+// them back sees its own writes, the last one per object, and commits
+// one write per object in object order. Past linearWrites the
+// workspace is indexed, so each operation finds its object without
+// scanning the write set.
+func TestLargeWriteSetReadsItsOwnWrites(t *testing.T) {
+	const writes = 256
+	cl, specs := commitNode(t)
+	obj := func(i int) fragments.ObjectID { return fragments.ObjectID(fmt.Sprintf("C00/w%03d", i)) }
+	// Object 0 is written twice, last with -1.
+	want := func(i int) int64 {
+		if i == 0 {
+			return -1
+		}
+		return int64(i)
+	}
+	var indexed bool
+	var sent txn.Quasi
+	cl.OnQuasiApplied(func(_ netsim.NodeID, q txn.Quasi) { sent = q })
+	spec := specs[0]
+	spec.Program = func(tx *Tx) error {
+		for i := 0; i < writes; i++ {
+			if err := tx.Write(obj(i), int64(i)); err != nil {
+				return err
+			}
+		}
+		if err := tx.Write(obj(0), int64(-1)); err != nil {
+			return err
+		}
+		for i := 0; i < writes; i++ {
+			v, err := tx.ReadInt(obj(i))
+			if err != nil {
+				return err
+			}
+			if v != want(i) {
+				return fmt.Errorf("read %s = %d, want %d", obj(i), v, want(i))
+			}
+		}
+		at := (*activeTxn)(tx)
+		indexed = at.rare != nil && len(at.rare.writeIdx) == writes
+		return nil
+	}
+	var res TxnResult
+	cl.Node(0).Submit(spec, func(r TxnResult) { res = r })
+	cl.Sched().RunDue(cl.Sched().Now())
+	if !res.Committed {
+		t.Fatalf("not committed: %v", res.Err)
+	}
+	if !indexed {
+		t.Error("a 256-write workspace is not indexed by object")
+	}
+	if len(sent.Writes) != writes {
+		t.Fatalf("quasi-transaction carries %d writes, want %d", len(sent.Writes), writes)
+	}
+	for i, w := range sent.Writes {
+		if w.Object != obj(i) || w.Value != want(i) {
+			t.Fatalf("write %d = %s:%v, want %s:%d", i, w.Object, w.Value, obj(i), want(i))
+		}
+	}
+}
 
 // BenchmarkLocalCommit measures a deployed node's local commit: submit
 // a read-modify-write of one object, run one loop pass; the program

@@ -339,6 +339,9 @@ func TestTimeoutAbortsBlockedTxn(t *testing.T) {
 	if !errors.Is(bres.Err, ErrTimeout) || bres.Committed {
 		t.Errorf("blocked txn result = %+v", bres)
 	}
+	if want := bres.Start.Add(500 * time.Millisecond); bres.End != want {
+		t.Errorf("blocked txn timed out at %v, want its start plus its timeout, %v", bres.End, want)
+	}
 	if cl.Stats().TimedOut.Load() != 1 {
 		t.Errorf("TimedOut = %d", cl.Stats().TimedOut.Load())
 	}

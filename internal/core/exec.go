@@ -23,8 +23,29 @@ import (
 // one node at a time", Section 3.1).
 func (n *Node) Submit(spec TxnSpec, done func(TxnResult)) {
 	n.sh.stats.Offered.Add(1)
-	submitted := n.sched.Now()
-	n.sched.After(0, func() { n.startTxn(spec, done, submitted) })
+	n.starts = append(n.starts, pendingStart{spec: spec, done: done, submitted: n.sched.Now()})
+	n.sched.Post(0, n.startNext)
+}
+
+// pendingStart is a submission waiting for its start event.
+type pendingStart struct {
+	spec      TxnSpec
+	done      func(TxnResult)
+	submitted simtime.Time
+}
+
+// startQueued starts the oldest waiting submission. Every Submit
+// schedules one start event for the instant it is called, so the
+// events fire in submission order and each takes the head of
+// n.starts; they share this one func value instead of a closure each.
+func (n *Node) startQueued() {
+	p := n.starts[n.startHead]
+	n.starts[n.startHead] = pendingStart{}
+	n.startHead++
+	if n.startHead == len(n.starts) {
+		n.starts, n.startHead = n.starts[:0], 0
+	}
+	n.startTxn(p.spec, p.done, p.submitted)
 }
 
 // origin resolves the accounting origin of a submission: the explicit
@@ -80,8 +101,10 @@ func (n *Node) startTxn(spec TxnSpec, done func(TxnResult), submitted simtime.Ti
 	n.begin(spec, done, submitted, false)
 }
 
-// begin registers a transaction submitted at the given time, arms its
-// timeout and runs its program.
+// begin registers a transaction submitted at the given time and runs
+// its program. A transaction the first run does not finish waits on
+// something, and only then is its timeout armed: it fires at
+// submission plus the timeout, as if armed at submission.
 func (n *Node) begin(spec TxnSpec, done func(TxnResult), submitted simtime.Time, multi bool) {
 	n.nextTxnSeq++
 	t := &activeTxn{
@@ -92,18 +115,21 @@ func (n *Node) begin(spec TxnSpec, done func(TxnResult), submitted simtime.Time,
 		start: submitted,
 		done:  done,
 	}
-	t.tx.t = t
+	t.log = t.logBuf[:0]
 	n.active[t.id] = t
 	if !multi && n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KSubmit, Txn: t.id,
 			Frag: spec.Fragment, Note: spec.Label})
 	}
+	n.run(t)
+	if t.finished {
+		return
+	}
 	timeout := spec.Timeout
 	if timeout == 0 {
 		timeout = n.sh.cfg.TxnTimeout
 	}
-	t.timeoutEv = n.sched.After(timeout, func() { n.timeoutTxn(t) })
-	n.run(t)
+	t.rareState().timeoutEv = n.sched.At(max(submitted.Add(timeout), n.sched.Now()), func() { n.timeoutTxn(t) })
 }
 
 // run executes the program from the start against the transaction's
@@ -112,9 +138,11 @@ func (n *Node) begin(spec TxnSpec, done func(TxnResult), submitted simtime.Time,
 func (n *Node) run(t *activeTxn) {
 	t.cursor = 0
 	t.waiting = false
-	clear(t.writeVals)
-	t.writeOrder = t.writeOrder[:0]
-	err := t.spec.Program(&t.tx)
+	t.writes = t.writes[:0]
+	if t.rare != nil {
+		clear(t.rare.writeIdx)
+	}
+	err := t.spec.Program((*Tx)(t))
 	if !t.waiting {
 		n.finishTxn(t, err)
 	}
@@ -122,8 +150,8 @@ func (n *Node) run(t *activeTxn) {
 
 // resume logs an answer that arrived while the program waited and runs
 // the program again.
-func (n *Node) resume(t *activeTxn, e request) {
-	t.log = append(t.log, e)
+func (n *Node) resume(t *activeTxn, r request) {
+	t.logEntry(r)
 	n.run(t)
 }
 
@@ -136,7 +164,7 @@ func (n *Node) exec(t *activeTxn, req request) request {
 		return n.handleWrite(t, req)
 	}
 	// A Think: the run waits out its duration.
-	n.sched.After(req.think, func() {
+	n.sched.Post(req.think, func() {
 		if !t.finished {
 			n.resume(t, request{kind: reqThink})
 		}
@@ -147,7 +175,7 @@ func (n *Node) exec(t *activeTxn, req request) request {
 // poison marks the transaction as doomed and answers the current
 // operation with the cause. The program is expected to return the error.
 func (n *Node) poison(t *activeTxn, req request, err error) request {
-	t.poisoned = err
+	t.rareState().poisoned = err
 	req.err = err
 	return t.answer(req)
 }
@@ -156,7 +184,7 @@ func (n *Node) poison(t *activeTxn, req request, err error) request {
 // waits for the grant or deny.
 func (n *Node) remoteRead(t *activeTxn, req request, frag fragments.FragmentID, home netsim.NodeID) request {
 	n.sh.reg.IncRead(frag, n.origin(t.spec))
-	t.pendingRemote = &req
+	t.rareState().pendingRemote = &req
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KRemoteLockWait, Txn: t.id,
 			Obj: req.obj, Peer: home, HasPeer: true})
@@ -235,7 +263,7 @@ func (n *Node) acquire(t *activeTxn, req request, mode lock.Mode) request {
 	}
 	if !granted {
 		r := req
-		t.parked = &r
+		t.rareState().parked = &r
 		return t.wait()
 	}
 	return n.granted(t, req)
@@ -253,7 +281,7 @@ func (n *Node) granted(t *activeTxn, req request) request {
 	if n.opCost == 0 && !t.waiting {
 		return t.answer(n.complete(t, req))
 	}
-	n.sched.After(n.opCost, func() {
+	n.sched.Post(n.opCost, func() {
 		if !t.finished {
 			n.resume(t, n.complete(t, req))
 		}
@@ -262,36 +290,41 @@ func (n *Node) granted(t *activeTxn, req request) request {
 }
 
 // complete answers a granted operation: a read takes the stored value
-// and records what it observed; a write is buffered by whoever logs it.
+// and, for the history recorder, notes what it observed; a write is
+// buffered by whoever logs it.
 func (n *Node) complete(t *activeTxn, req request) request {
 	if req.kind == reqWrite {
 		return req
 	}
 	ver, known := n.store.GetVersion(req.obj)
-	obs := history.ReadObs{Object: req.obj, Frag: req.frag}
 	if known {
-		obs.FromTxn = ver.Txn
-		obs.Pos = ver.Pos
 		req.val = ver.Value
 	}
-	t.reads = append(t.reads, obs)
+	if n.rec != nil {
+		obs := history.ReadObs{Object: req.obj, Frag: req.frag}
+		if known {
+			obs.FromTxn = ver.Txn
+			obs.Pos = ver.Pos
+		}
+		t.reads = append(t.reads, obs)
+	}
 	return req
 }
 
 // finishTxn handles the program's completion: commit or abort.
 func (n *Node) finishTxn(t *activeTxn, progErr error) {
 	if progErr == nil {
-		progErr = t.poisoned
+		progErr = t.poisoned()
 	}
 	if progErr != nil {
 		n.finalize(t, progErr, false)
 		return
 	}
-	if t.multi && len(t.writeOrder) > 0 {
+	if t.multi && len(t.writes) > 0 {
 		n.startMulti(t)
 		return
 	}
-	if t.spec.Fragment == "" || len(t.writeOrder) == 0 {
+	if t.spec.Fragment == "" || len(t.writes) == 0 {
 		// Read-only commit: record for auditing, release, done.
 		if n.rec != nil {
 			n.rec.Record(history.TxnRecord{
@@ -328,17 +361,17 @@ func (n *Node) finishTxn(t *activeTxn, progErr error) {
 	n.commitLocal(t, q, true)
 }
 
-// finalWrites collapses the workspace to one write per object, in
-// sorted object order.
+// finalWrites hands the workspace over as the transaction's write set,
+// one write per object in sorted object order. The program has
+// completed and never runs again, so nothing rebuilds the workspace.
 func (t *activeTxn) finalWrites() []txn.WriteOp {
-	objs := make([]fragments.ObjectID, len(t.writeOrder))
-	copy(objs, t.writeOrder)
-	slices.Sort(objs)
-	out := make([]txn.WriteOp, len(objs))
-	for i, o := range objs {
-		out[i] = txn.WriteOp{Object: o, Value: t.writeVals[o]}
+	ws := slices.Clip(t.writes)
+	t.writes = nil
+	if t.rare != nil {
+		t.rare.writeIdx = nil
 	}
-	return out
+	slices.SortFunc(ws, byObject)
+	return ws
 }
 
 // commitLocal installs the update at the home node, records history,
@@ -399,21 +432,21 @@ func (n *Node) finalize(t *activeTxn, err error, committed bool) {
 		return
 	}
 	t.finished = true
-	n.sched.Cancel(t.timeoutEv)
-	if t.majorityEv != nil {
-		n.sched.Cancel(t.majorityEv)
-	}
 	delete(n.active, t.id)
 	grants := n.locks.Release(t.id)
-	// Release messages go out in node order: map order would let the
-	// release race unfold differently run to run under the same seed.
-	peers := make([]netsim.NodeID, 0, len(t.remoteLocked))
-	for peer := range t.remoteLocked {
-		peers = append(peers, peer)
-	}
-	slices.Sort(peers)
-	for _, peer := range peers {
-		n.net.Send(n.id, peer, lockReleaseMsg{Txn: t.id})
+	if r := t.rare; r != nil {
+		n.sched.Cancel(r.timeoutEv)
+		// Release messages go out in node order: map order would let
+		// the release race unfold differently run to run under the same
+		// seed.
+		peers := make([]netsim.NodeID, 0, len(r.remoteLocked))
+		for peer := range r.remoteLocked {
+			peers = append(peers, peer)
+		}
+		slices.Sort(peers)
+		for _, peer := range peers {
+			n.net.Send(n.id, peer, lockReleaseMsg{Txn: t.id})
+		}
 	}
 	now := n.sched.Now()
 	if committed {
@@ -494,8 +527,10 @@ func (n *Node) abortBlocked(t *activeTxn, cause error) {
 	if t.finished {
 		return
 	}
-	waitingMaj := t.waitingMajority
-	t.waitingMajority = false
+	waitingMaj := t.maj() != nil
+	if waitingMaj {
+		t.rare.maj = nil
+	}
 	if t.waitingMulti {
 		// The program already completed; tell participants to abort.
 		t.waitingMulti = false
@@ -515,8 +550,7 @@ type quasiWaiter struct {
 	q  txn.Quasi
 	f  fragments.FragmentID
 	st *streamState
-	// remaining holds the write locks still queued; made only when one
-	// queues.
+	// remaining holds the write locks still queued.
 	remaining map[fragments.ObjectID]bool
 	// ordered is false for commutative fragments, whose installation
 	// neither blocks nor advances the strict stream sequence.
@@ -529,23 +563,22 @@ type quasiWaiter struct {
 // node and cannot be aborted).
 func (n *Node) applyQuasi(f fragments.FragmentID, st *streamState, q txn.Quasi) {
 	st.applying = true
-	n.acquireAndInstall(&quasiWaiter{q: q, f: f, st: st, ordered: true})
+	n.acquireAndInstall(quasiWaiter{q: q, f: f, st: st, ordered: true})
 }
 
 // applyQuasiUnordered installs a commutative fragment's
 // quasi-transaction without stream sequencing.
 func (n *Node) applyQuasiUnordered(f fragments.FragmentID, st *streamState, q txn.Quasi) {
-	n.acquireAndInstall(&quasiWaiter{q: q, f: f, st: st, ordered: false})
+	n.acquireAndInstall(quasiWaiter{q: q, f: f, st: st, ordered: false})
 }
 
 // acquireAndInstall takes the quasi-transaction's write locks (wounding
-// local holders on deadlock) and installs once all are held.
-func (n *Node) acquireAndInstall(w *quasiWaiter) {
+// local holders on deadlock) and installs once all are held. The waiter
+// moves to the heap and into n.quasiWaiters only when a lock queues: a
+// grant reaches it only through a lock it waits for.
+func (n *Node) acquireAndInstall(w quasiWaiter) {
 	q := w.q
-	if n.quasiWaiters == nil {
-		n.quasiWaiters = make(map[txn.ID]*quasiWaiter)
-	}
-	n.quasiWaiters[q.Txn] = w
+	var parked *quasiWaiter
 	for _, wo := range writesInObjectOrder(q.Writes) {
 		o := wo.Object
 		granted, err := n.locks.Acquire(q.Txn, o, lock.Exclusive)
@@ -561,14 +594,23 @@ func (n *Node) acquireAndInstall(w *quasiWaiter) {
 			}
 		}
 		if !granted {
-			if w.remaining == nil {
-				w.remaining = make(map[fragments.ObjectID]bool)
+			if parked == nil {
+				parked = new(quasiWaiter)
+				*parked = w
+				parked.remaining = make(map[fragments.ObjectID]bool)
+				if n.quasiWaiters == nil {
+					n.quasiWaiters = make(map[txn.ID]*quasiWaiter)
+				}
+				n.quasiWaiters[q.Txn] = parked
 			}
-			w.remaining[o] = true
+			parked.remaining[o] = true
 		}
 	}
-	if len(w.remaining) == 0 {
-		n.installQuasi(w)
+	switch {
+	case parked == nil:
+		n.installQuasi(&w)
+	case len(parked.remaining) == 0:
+		n.installQuasi(parked)
 	}
 }
 
@@ -651,9 +693,9 @@ func (n *Node) onGrants(grants []lock.Grant) {
 			}
 			continue
 		}
-		if t, ok := n.active[g.Txn]; ok && t.parked != nil && t.parked.obj == g.Object {
-			req := *t.parked
-			t.parked = nil
+		if t, ok := n.active[g.Txn]; ok && t.rare != nil && t.rare.parked != nil && t.rare.parked.obj == g.Object {
+			req := *t.rare.parked
+			t.rare.parked = nil
 			n.granted(t, req)
 			continue
 		}

@@ -23,12 +23,17 @@ import (
 // majority returns the number of nodes constituting a majority.
 func (sh *schema) majority() int { return sh.cfg.N/2 + 1 }
 
+// majorityRound is a home transaction's prepare phase: its prepared
+// quasi-transaction and the nodes that acknowledged it.
+type majorityRound struct {
+	quasi txn.Quasi
+	acks  map[netsim.NodeID]bool
+}
+
 // startMajority begins the prepare phase after the transaction program
 // completed successfully.
 func (n *Node) startMajority(t *activeTxn, q txn.Quasi) {
-	t.waitingMajority = true
-	t.pendingQuasi = q
-	t.acks = map[netsim.NodeID]bool{n.id: true}
+	t.rareState().maj = &majorityRound{quasi: q, acks: map[netsim.NodeID]bool{n.id: true}}
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KMajorityPrepare, Txn: t.id,
 			Frag: q.Fragment, Pos: q.Pos})
@@ -56,13 +61,14 @@ func (n *Node) handlePrepare(origin netsim.NodeID, m prepareMsg) {
 // handleAck counts an acknowledgment at the home node.
 func (n *Node) handleAck(m ackMsg) {
 	t, ok := n.active[m.Txn]
-	if !ok || !t.waitingMajority {
+	if !ok || t.maj() == nil {
 		return
 	}
-	t.acks[m.From] = true
+	acks := t.rare.maj.acks
+	acks[m.From] = true
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KMajorityAck, Txn: t.id,
-			Peer: m.From, HasPeer: true, Seq: uint64(len(t.acks))})
+			Peer: m.From, HasPeer: true, Seq: uint64(len(acks))})
 	}
 	n.checkMajority(t)
 }
@@ -70,9 +76,11 @@ func (n *Node) handleAck(m ackMsg) {
 // checkMajority commits the transaction once a majority has
 // acknowledged its quasi-transaction.
 func (n *Node) checkMajority(t *activeTxn) {
-	if !t.waitingMajority || len(t.acks) < n.sh.majority() {
+	maj := t.maj()
+	if maj == nil || len(maj.acks) < n.sh.majority() {
 		return
 	}
+	q := maj.quasi
 	// The fragment may have switched epochs — a no-preparation move's M0
 	// (Section 4.4.3) — while acknowledgments were in flight. The
 	// prepared position belongs to the dead epoch: installing it would
@@ -80,13 +88,12 @@ func (n *Node) checkMajority(t *activeTxn) {
 	// new-epoch quasi-transaction behind the gap. Nothing has been
 	// externalized yet (remotes hold the quasi only in their prepared
 	// buffers), so decide abort, as FenceMoving does for prepared moves.
-	if !n.sh.IsCommutative(t.pendingQuasi.Fragment) &&
-		t.pendingQuasi.Pos.Epoch != n.stream(t.pendingQuasi.Fragment).last.Epoch {
+	if !n.sh.IsCommutative(q.Fragment) && q.Pos.Epoch != n.stream(q.Fragment).last.Epoch {
 		n.abortBlocked(t, ErrAgentMoving)
 		return
 	}
-	t.waitingMajority = false
-	n.commitLocal(t, t.pendingQuasi, false)
+	t.rare.maj = nil
+	n.commitLocal(t, q, false)
 }
 
 // handleCommitCmd applies a previously prepared quasi-transaction.

@@ -208,7 +208,12 @@ type Node struct {
 
 	nextTxnSeq uint64
 	active     map[txn.ID]*activeTxn
-	streams    map[fragments.FragmentID]*streamState
+	// starts queues submissions for their start events, oldest at
+	// startHead; startNext is the events' shared func, startQueued.
+	starts    []pendingStart
+	startHead int
+	startNext func()
+	streams   map[fragments.FragmentID]*streamState
 
 	// quasiWaiters tracks quasi-transactions blocked on write locks.
 	quasiWaiters map[txn.ID]*quasiWaiter
@@ -271,6 +276,7 @@ func newNode(sh *schema, id netsim.NodeID, sched *simtime.Scheduler, tr netsim.T
 		remoteQueued: make(map[txn.ID]remoteQueue),
 		posQueries:   make(map[uint64]func(netsim.NodeID, txn.FragPos)),
 	}
+	n.startNext = n.startQueued
 	if sh.cfg.TraceCap > 0 {
 		n.tr = trace.NewRecorder(id, sh.cfg.TraceCap, sched.Now)
 	}
@@ -490,6 +496,10 @@ func (n *Node) ingestQuasi(q txn.Quasi) {
 		st.pending[q.Pos] = q
 	case q.Pos.Seq <= st.last.Seq:
 		// Duplicate (e.g. the home node's own local delivery).
+	case q.Pos == st.last.Next() && !st.applying && len(st.pending) == 0:
+		// Next in order with nothing buffered: what drainStream would
+		// take straight back out of st.pending.
+		n.applyQuasi(q.Fragment, st, q)
 	default:
 		st.pending[q.Pos] = q
 		n.drainStream(q.Fragment, st)
@@ -594,7 +604,6 @@ func sortedWriteObjects(ws []txn.WriteOp) []fragments.ObjectID {
 // it already is (finalWrites emits a home commit's writes so), else a
 // sorted copy.
 func writesInObjectOrder(ws []txn.WriteOp) []txn.WriteOp {
-	byObject := func(a, b txn.WriteOp) int { return cmp.Compare(a.Object, b.Object) }
 	if slices.IsSortedFunc(ws, byObject) {
 		return ws
 	}
@@ -602,3 +611,5 @@ func writesInObjectOrder(ws []txn.WriteOp) []txn.WriteOp {
 	slices.SortFunc(out, byObject)
 	return out
 }
+
+func byObject(a, b txn.WriteOp) int { return cmp.Compare(a.Object, b.Object) }

@@ -84,25 +84,28 @@ func (n *Node) handleLockGrant(m lockGrantMsg) {
 		n.net.Send(n.id, m.From, lockReleaseMsg{Txn: m.Txn})
 		return
 	}
-	if t.pendingRemote == nil || t.pendingRemote.obj != m.Object {
+	r := t.rare
+	if r == nil || r.pendingRemote == nil || r.pendingRemote.obj != m.Object {
 		return // stale or duplicate grant
 	}
-	frag := t.pendingRemote.frag
-	t.pendingRemote = nil
-	if t.remoteLocked == nil {
-		t.remoteLocked = make(map[netsim.NodeID]bool)
+	frag := r.pendingRemote.frag
+	r.pendingRemote = nil
+	if r.remoteLocked == nil {
+		r.remoteLocked = make(map[netsim.NodeID]bool)
 	}
-	t.remoteLocked[m.From] = true
+	r.remoteLocked[m.From] = true
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KRemoteLockGrant, Txn: m.Txn,
 			Obj: m.Object, Peer: m.From, HasPeer: true})
 	}
-	obs := history.ReadObs{Object: m.Object, Frag: frag}
-	if m.Known {
-		obs.FromTxn = m.Version.Txn
-		obs.Pos = m.Version.Pos
+	if n.rec != nil {
+		obs := history.ReadObs{Object: m.Object, Frag: frag}
+		if m.Known {
+			obs.FromTxn = m.Version.Txn
+			obs.Pos = m.Version.Pos
+		}
+		t.reads = append(t.reads, obs)
 	}
-	t.reads = append(t.reads, obs)
 	n.resume(t, request{kind: reqRead, obj: m.Object, val: m.Value})
 }
 
@@ -111,15 +114,15 @@ func (n *Node) handleLockGrant(m lockGrantMsg) {
 // again and sees ErrRemoteDenied at that read.
 func (n *Node) handleLockDeny(m lockDenyMsg) {
 	t, ok := n.active[m.Txn]
-	if !ok || t.finished || t.pendingRemote == nil || t.pendingRemote.obj != m.Object {
+	if !ok || t.finished || t.rare == nil || t.rare.pendingRemote == nil || t.rare.pendingRemote.obj != m.Object {
 		return
 	}
 	n.sh.stats.Deadlocks.Add(1)
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KRemoteLockDeny, Txn: m.Txn, Obj: m.Object})
 	}
-	t.pendingRemote = nil
-	t.poisoned = ErrRemoteDenied
+	t.rare.pendingRemote = nil
+	t.rare.poisoned = ErrRemoteDenied
 	n.resume(t, request{kind: reqRead, obj: m.Object, err: ErrRemoteDenied})
 }
 

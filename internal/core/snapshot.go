@@ -113,10 +113,9 @@ func (n *Node) captureSnap() (any, bool) {
 		// past the prepare and drop the commit command that follows in
 		// the retained tail, losing the update.
 		for _, t := range n.active {
-			if !t.waitingMajority || t.pendingQuasi.Fragment != f {
-				continue
+			if maj := t.maj(); maj != nil && maj.quasi.Fragment == f {
+				s.Prepared[maj.quasi.Txn] = maj.quasi
 			}
-			s.Prepared[t.pendingQuasi.Txn] = t.pendingQuasi
 		}
 		// Quasi-transactions parked on write locks: drainStream has
 		// already pulled them out of st.pending, but installation waits

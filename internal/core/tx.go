@@ -63,11 +63,9 @@ type TxnResult struct {
 
 // Tx is a transaction's handle to the database. It is used only from
 // within the transaction's Program.
-type Tx struct {
-	t *activeTxn
-}
+type Tx activeTxn
 
-type reqKind int
+type reqKind uint8
 
 const (
 	reqRead reqKind = iota
@@ -75,8 +73,8 @@ const (
 	reqThink
 )
 
-// request is one operation of a program and, once answered, its entry
-// in the transaction's log.
+// request is one operation of a program, as the engine takes and
+// answers it.
 type request struct {
 	kind  reqKind
 	obj   fragments.ObjectID
@@ -88,6 +86,16 @@ type request struct {
 	frag fragments.FragmentID
 }
 
+// entry is an answered operation in the transaction's log: what a
+// repeated run matches and is answered with. failed marks the operation
+// that poisoned the transaction; its answer is t.poisoned().
+type entry struct {
+	kind   reqKind
+	failed bool
+	obj    fragments.ObjectID
+	val    any
+}
+
 // errWaiting answers an operation that could not be answered yet: the
 // run is abandoned and the program runs again when the answer arrives.
 var errWaiting = errors.New("core: operation waiting; the program will run again")
@@ -97,58 +105,95 @@ type activeTxn struct {
 	id   txn.ID
 	spec TxnSpec
 	node *Node
-	tx   Tx
 
 	// log holds the answered operations in program order; cursor is the
-	// current run's position in it. waiting marks a run abandoned on an
-	// operation that is not answered yet.
-	log     []request
-	cursor  int
-	waiting bool
+	// current run's position in it. log starts in logBuf, which holds a
+	// read-modify-write without a further allocation.
+	log    []entry
+	logBuf [2]entry
+	cursor int32
 
-	// workspace: writes buffered until commit; reads see own writes.
-	// Each run rebuilds it; writeVals is made on the first write.
-	writeVals  map[fragments.ObjectID]any
-	writeOrder []fragments.ObjectID
-	reads      []history.ReadObs
+	// waiting marks a run abandoned on an operation that is not
+	// answered yet. finished is set once the transaction is finalized;
+	// the program never runs again. multi marks a multi-fragment
+	// transaction (SubmitMulti); waitingMulti is true while its
+	// two-phase commit is in flight.
+	waiting, finished, multi, waitingMulti bool
 
-	// remoteLocked tracks nodes holding remote read locks for us; made
-	// on the first remote grant.
-	remoteLocked map[netsim.NodeID]bool
+	// writes is the workspace: the run's buffered writes, one per
+	// object in first-write order, which the run's reads see. Each run
+	// rebuilds it, and the commit hands it over as the
+	// quasi-transaction's write set.
+	writes []txn.WriteOp
+	// reads records what the reads observed, for the history recorder;
+	// kept only on a node that has one.
+	reads []history.ReadObs
+
+	start simtime.Time
+	done  func(TxnResult)
+
+	// rare holds what a transaction needs only off the common path; nil
+	// until then.
+	rare *txnRare
+}
+
+// txnRare is the state of a transaction that waits, is poisoned, runs
+// a majority round or buffers many writes. Keeping it out of activeTxn
+// keeps the transaction that commits in the pass that starts it small.
+type txnRare struct {
+	// timeoutEv is armed only once the transaction outlives the pass
+	// that started it.
+	timeoutEv *simtime.Event
+	// parked is the request waiting on a local lock grant.
+	parked *request
 	// pendingRemote is the object of an outstanding remote lock request
 	// (at most one at a time; the run waits on it).
 	pendingRemote *request
-
-	// parked is the request waiting on a local lock grant.
-	parked *request
-
+	// remoteLocked tracks nodes holding remote read locks for us; made
+	// on the first remote grant.
+	remoteLocked map[netsim.NodeID]bool
+	// maj is the majority-commit round in flight, nil outside one.
+	maj *majorityRound
+	// poisoned dooms the transaction: every later operation answers it.
 	poisoned error
-	// finished is set once the transaction is finalized; the program
-	// never runs again.
-	finished bool
-
-	// multi marks a multi-fragment transaction (SubmitMulti);
-	// waitingMulti is true while its two-phase commit is in flight.
-	multi        bool
-	waitingMulti bool
-
-	start     simtime.Time
-	timeoutEv *simtime.Event
-	done      func(TxnResult)
-
-	// majority-commit state.
-	waitingMajority bool
-	acks            map[netsim.NodeID]bool
-	pendingQuasi    txn.Quasi
-	majorityEv      *simtime.Event
+	// writeIdx indexes writes by object once they outgrow linearWrites,
+	// so a large write set is not searched linearly.
+	writeIdx map[fragments.ObjectID]int
 }
+
+// rareState returns the transaction's txnRare, making it on first use.
+func (t *activeTxn) rareState() *txnRare {
+	if t.rare == nil {
+		t.rare = new(txnRare)
+	}
+	return t.rare
+}
+
+// poisoned is the error that doomed the transaction, if any.
+func (t *activeTxn) poisoned() error {
+	if t.rare == nil {
+		return nil
+	}
+	return t.rare.poisoned
+}
+
+// maj is the transaction's majority round in flight, if any.
+func (t *activeTxn) maj() *majorityRound {
+	if t.rare == nil {
+		return nil
+	}
+	return t.rare.maj
+}
+
+// linearWrites is the largest workspace searched without an index.
+const linearWrites = 8
 
 // Read returns the current value of object o. Within an update
 // transaction it sees the transaction's own uncommitted writes. The
 // boolean-style "known" distinction is folded into the value: an object
 // never written or loaded reads as nil.
 func (tx *Tx) Read(o fragments.ObjectID) (any, error) {
-	r := tx.t.op(request{kind: reqRead, obj: o})
+	r := (*activeTxn)(tx).op(request{kind: reqRead, obj: o})
 	return r.val, r.err
 }
 
@@ -174,20 +219,20 @@ func (tx *Tx) ReadInt(o fragments.ObjectID) (int64, error) {
 // Write records a new value for object o, visible to subsequent reads
 // in this transaction and installed atomically at commit.
 func (tx *Tx) Write(o fragments.ObjectID, v any) error {
-	return tx.t.op(request{kind: reqWrite, obj: o, val: v}).err
+	return (*activeTxn)(tx).op(request{kind: reqWrite, obj: o, val: v}).err
 }
 
 // Think consumes d of virtual time inside the transaction, modelling
 // computation or user interaction between database operations.
 func (tx *Tx) Think(d simtime.Duration) {
-	tx.t.op(request{kind: reqThink, think: d})
+	(*activeTxn)(tx).op(request{kind: reqThink, think: d})
 }
 
 // ID returns the transaction's identity.
-func (tx *Tx) ID() txn.ID { return tx.t.id }
+func (tx *Tx) ID() txn.ID { return tx.id }
 
 // Node returns the home node's id.
-func (tx *Tx) Node() netsim.NodeID { return tx.t.node.id }
+func (tx *Tx) Node() netsim.NodeID { return tx.node.id }
 
 // op answers one operation of the current run: from the log while the
 // run repeats it, else from the engine. An operation that differs from
@@ -197,35 +242,43 @@ func (t *activeTxn) op(req request) request {
 	switch {
 	case t.waiting:
 		return t.wait()
-	case t.cursor == len(t.log) && t.poisoned != nil:
-		return request{err: t.poisoned}
+	case int(t.cursor) == len(t.log) && t.poisoned() != nil:
+		return request{err: t.poisoned()}
 	}
 	if req.kind == reqRead {
-		if v, ok := t.writeVals[req.obj]; ok {
-			return request{val: v} // read-your-own-writes
+		if i := t.written(req.obj); i >= 0 {
+			return request{val: t.writes[i].Value} // read-your-own-writes
 		}
 	}
-	if t.cursor < len(t.log) {
+	if int(t.cursor) < len(t.log) {
 		if e := t.log[t.cursor]; e.kind == req.kind && e.obj == req.obj {
 			t.cursor++
+			if e.failed {
+				return request{err: t.poisoned()}
+			}
 			if e.kind == reqWrite {
 				t.buffer(req.obj, req.val)
 			}
-			return e
+			return request{val: e.val}
 		}
 		t.log = t.log[:t.cursor]
 	}
 	return t.node.exec(t, req)
 }
 
+// logEntry appends the answered operation r to the log.
+func (t *activeTxn) logEntry(r request) {
+	t.log = append(t.log, entry{kind: r.kind, failed: r.err != nil, obj: r.obj, val: r.val})
+}
+
 // answer logs an operation answered during the run and returns it.
-func (t *activeTxn) answer(e request) request {
-	t.log = append(t.log, e)
+func (t *activeTxn) answer(r request) request {
+	t.logEntry(r)
 	t.cursor++
-	if e.kind == reqWrite && e.err == nil {
-		t.buffer(e.obj, e.val)
+	if r.kind == reqWrite && r.err == nil {
+		t.buffer(r.obj, r.val)
 	}
-	return e
+	return r
 }
 
 // wait abandons the run on an operation the engine answers later.
@@ -234,13 +287,37 @@ func (t *activeTxn) wait() request {
 	return request{err: errWaiting}
 }
 
+// written returns o's index in the workspace, or -1.
+func (t *activeTxn) written(o fragments.ObjectID) int {
+	if t.rare != nil && t.rare.writeIdx != nil {
+		if i, ok := t.rare.writeIdx[o]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range t.writes {
+		if t.writes[i].Object == o {
+			return i
+		}
+	}
+	return -1
+}
+
 // buffer records a write in the workspace.
 func (t *activeTxn) buffer(o fragments.ObjectID, v any) {
-	if _, seen := t.writeVals[o]; !seen {
-		t.writeOrder = append(t.writeOrder, o)
+	if i := t.written(o); i >= 0 {
+		t.writes[i].Value = v
+		return
 	}
-	if t.writeVals == nil {
-		t.writeVals = make(map[fragments.ObjectID]any)
+	t.writes = append(t.writes, txn.WriteOp{Object: o, Value: v})
+	switch {
+	case t.rare != nil && t.rare.writeIdx != nil:
+		t.rare.writeIdx[o] = len(t.writes) - 1
+	case len(t.writes) > linearWrites:
+		idx := make(map[fragments.ObjectID]int, 2*len(t.writes))
+		for i, w := range t.writes {
+			idx[w.Object] = i
+		}
+		t.rareState().writeIdx = idx
 	}
-	t.writeVals[o] = v
 }

@@ -111,7 +111,7 @@ func build(cfg Config, raw netsim.Transport, tune func(*core.Config)) (*Node, er
 	// in its queue.
 	sched := simtime.NewScheduler(cfg.Seed)
 	loop := rtnet.NewLoop(sched)
-	tr := rtnet.ExecTransport{Transport: raw, Exec: loop.Inject}
+	tr := rtnet.ExecTransport{Transport: raw, Loop: loop}
 	local := netsim.NodeID(cfg.ID)
 	lv, err := workload.NewLive(workload.LiveConfig{
 		Cluster: engine,
@@ -184,12 +184,13 @@ var ErrLoopStopped = errors.New("deploy: node loop stopped")
 // transaction finishes. Returns without submitting on a malformed op or
 // a stopped loop.
 func (n *Node) Do(op Op, done func(core.TxnResult)) error {
+	// Each closure captures only the fields it uses, not the whole Op.
 	var submit func()
-	switch op.Kind {
+	switch acct, amount := op.Account, op.Amount; op.Kind {
 	case "deposit":
-		submit = func() { n.Live.Deposit(n.local, op.Account, op.Amount, done) }
+		submit = func() { n.Live.Deposit(n.local, acct, amount, done) }
 	case "withdraw":
-		submit = func() { n.Live.Withdraw(n.local, op.Account, op.Amount, done) }
+		submit = func() { n.Live.Withdraw(n.local, acct, amount, done) }
 	case "bump":
 		by := op.Amount
 		if by == 0 {
@@ -201,11 +202,11 @@ func (n *Node) Do(op Op, done func(core.TxnResult)) error {
 		}
 		submit = func() { n.Live.BumpAt(n.local, ctr, by, done) }
 	case "enqueue":
-		q := n.local
+		q, item := n.local, op.Item
 		if op.Counter != nil {
 			q = netsim.NodeID(*op.Counter % len(n.Cfg.Addrs))
 		}
-		submit = func() { n.Live.EnqueueAt(n.local, q, op.Item, done) }
+		submit = func() { n.Live.EnqueueAt(n.local, q, item, done) }
 	default:
 		return fmt.Errorf("deploy: unknown op kind %q", op.Kind)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -30,7 +31,7 @@ type clusterOutcome struct {
 }
 
 // listen binds n loopback TCP listeners on free ports.
-func listen(t *testing.T, n int) ([]net.Listener, []string) {
+func listen(t testing.TB, n int) ([]net.Listener, []string) {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -56,7 +57,7 @@ type sendTap struct {
 func (s *sendTap) Send(from, to netsim.NodeID, payload any) {
 	if from != to {
 		s.mu.Lock()
-		s.sent[fmt.Sprintf("%T", payload)]++
+		s.sent[reflect.TypeOf(payload).String()]++ // %T, without Sprintf's allocations
 		s.mu.Unlock()
 	}
 	s.Transport.Send(from, to, payload)
@@ -65,7 +66,7 @@ func (s *sendTap) Send(from, to netsim.NodeID, payload any) {
 // tcpCluster assembles n deployment nodes over real TCP sockets with a
 // sendTap in front of each transport, applying tune (if any) to every
 // engine configuration, and registers cleanup.
-func tcpCluster(t *testing.T, n int, option string, tune func(*core.Config)) ([]*Node, []*sendTap) {
+func tcpCluster(t testing.TB, n int, option string, tune func(*core.Config)) ([]*Node, []*sendTap) {
 	t.Helper()
 	lns, addrs := listen(t, n)
 	nodes := make([]*Node, n)
@@ -405,7 +406,7 @@ func mixedOp(i, k, n int) Op {
 // node, keeping inFlight of them outstanding per node, and waits for
 // all of them. It returns how many did not commit and how many
 // committed bumps there were.
-func closedLoop(t *testing.T, nodes []*Node, perNode, inFlight int, op func(i, k, n int) Op) (failed, bumps int64) {
+func closedLoop(t testing.TB, nodes []*Node, perNode, inFlight int, op func(i, k, n int) Op) (failed, bumps int64) {
 	t.Helper()
 	var nFailed, nBumps atomic.Int64
 	var wg sync.WaitGroup
@@ -444,7 +445,7 @@ func closedLoop(t *testing.T, nodes []*Node, perNode, inFlight int, op func(i, k
 // quiesce waits until every replica has the counter total bumps and,
 // with released, the last remote read lock's release has arrived
 // everywhere.
-func quiesce(t *testing.T, nodes []*Node, bumps int64, released bool) {
+func quiesce(t testing.TB, nodes []*Node, bumps int64, released bool) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for i, nd := range nodes {

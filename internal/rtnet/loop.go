@@ -35,12 +35,30 @@ import (
 // gossip on real time however long a chain lasts.
 type Loop struct {
 	sched   *simtime.Scheduler
-	inject  chan func()
+	inject  chan job
 	stop    chan struct{}
 	done    chan struct{}
 	started time.Time
 
 	stopOnce sync.Once
+}
+
+// job is one injected unit of work: fn, or when fn is nil the
+// transport delivery h(from, payload), which Deliver queues without
+// wrapping it in a closure.
+type job struct {
+	fn      func()
+	h       netsim.Handler
+	from    netsim.NodeID
+	payload any
+}
+
+func (j job) run() {
+	if j.fn != nil {
+		j.fn()
+		return
+	}
+	j.h(j.from, j.payload)
 }
 
 // injectBuffer bounds how many external events may queue while the loop
@@ -56,7 +74,7 @@ const maxIdleWait = 250 * time.Millisecond
 func NewLoop(sched *simtime.Scheduler) *Loop {
 	return &Loop{
 		sched:  sched,
-		inject: make(chan func(), injectBuffer),
+		inject: make(chan job, injectBuffer),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -73,14 +91,22 @@ func (l *Loop) Start() {
 // after the events due when that pass began, with the virtual clock at
 // the pass's wall offset. It blocks when the loop is saturated and
 // reports false (without running fn) once the loop is stopped.
-func (l *Loop) Inject(fn func()) bool {
+func (l *Loop) Inject(fn func()) bool { return l.enqueue(job{fn: fn}) }
+
+// Deliver is Inject(func() { h(from, payload) }) without the closure:
+// it queues a transport delivery to run on the loop goroutine.
+func (l *Loop) Deliver(h netsim.Handler, from netsim.NodeID, payload any) bool {
+	return l.enqueue(job{h: h, from: from, payload: payload})
+}
+
+func (l *Loop) enqueue(j job) bool {
 	select {
 	case <-l.stop:
 		return false
 	default:
 	}
 	select {
-	case l.inject <- fn:
+	case l.inject <- j:
 		return true
 	case <-l.stop:
 		return false
@@ -103,7 +129,8 @@ func (l *Loop) run() {
 	defer close(l.done)
 	timer := time.NewTimer(maxIdleWait)
 	defer timer.Stop()
-	var woke func() // the closure that ended a sleep; it runs first in the next pass
+	var woke job // the job that ended a sleep; it runs first in the next pass
+	woken := false
 	for {
 		select {
 		case <-l.stop:
@@ -111,8 +138,8 @@ func (l *Loop) run() {
 		default:
 		}
 		more := l.sched.RunDue(simtime.Time(l.Elapsed()))
-		ran := l.drain(woke)
-		woke = nil
+		ran := l.drain(woke, woken)
+		woke, woken = job{}, false
 		if more || ran {
 			continue
 		}
@@ -139,40 +166,41 @@ func (l *Loop) run() {
 		case <-l.stop:
 			return
 		case woke = <-l.inject:
+			woken = true
 		case <-timer.C:
 		}
 	}
 }
 
-// drain runs first (if non-nil) and then the closures already injected
-// when it is called — not those injected while it runs, which wait for
-// the next pass. It reports whether it ran any.
-func (l *Loop) drain(first func()) bool {
+// drain runs first (if woken) and then the jobs already injected when
+// it is called — not those injected while it runs, which wait for the
+// next pass. It reports whether it ran any.
+func (l *Loop) drain(first job, woken bool) bool {
 	n := len(l.inject)
-	if first != nil {
-		first()
+	if woken {
+		first.run()
 	}
 	for i := 0; i < n; i++ {
-		(<-l.inject)()
+		(<-l.inject).run()
 	}
-	return first != nil || n > 0
+	return woken || n > 0
 }
 
 // ExecTransport wraps a Transport so that every delivered handler runs
-// through an executor — typically Loop.Inject, making deliveries
-// single-threaded on the engine's scheduler goroutine no matter which
-// goroutine the underlying transport delivers on. Sends pass through
-// unchanged. Deliveries the executor refuses (stopped loop) are
-// dropped, which is within the transport's best-effort contract.
+// on Loop's goroutine, making deliveries single-threaded on the
+// engine's scheduler goroutine no matter which goroutine the
+// underlying transport delivers on. Sends pass through unchanged.
+// Deliveries a stopped loop refuses are dropped, which is within the
+// transport's best-effort contract.
 type ExecTransport struct {
 	netsim.Transport
-	Exec func(func()) bool
+	Loop *Loop
 }
 
-// SetHandler wraps h so invocations are routed through Exec.
+// SetHandler wraps h so invocations are routed through Loop.Deliver.
 func (e ExecTransport) SetHandler(node netsim.NodeID, h netsim.Handler) {
-	exec := e.Exec
+	loop := e.Loop
 	e.Transport.SetHandler(node, func(from netsim.NodeID, payload any) {
-		exec(func() { h(from, payload) })
+		loop.Deliver(h, from, payload)
 	})
 }

@@ -124,7 +124,7 @@ func (s *TCPStats) dropSend(cause *atomic.Uint64) {
 // exponential backoff, drain a bounded write queue, and redial on any
 // error. Inbound connections are handshake-verified and their frames
 // decoded and delivered in arrival order through a single delivery
-// goroutine (or the configured Executor).
+// goroutine, which an ExecTransport hands on to its Loop.
 type TCP struct {
 	cfg   TCPConfig
 	local netsim.NodeID
@@ -135,6 +135,11 @@ type TCP struct {
 	handler netsim.Handler
 	drop    []bool // per-peer drop rule: partitions without killing conns
 	closed  bool
+	// lastData is the frame of the last broadcast.Data encoded. The
+	// broadcaster pushes each one to every peer in turn, and (origin,
+	// seq) names one message for good, so the peers' data queues share
+	// one frame; a frame is never written once queued.
+	lastData dataFrame
 
 	peers   []*tcpPeer
 	deliver chan tcpInbound
@@ -147,6 +152,13 @@ type TCP struct {
 type tcpInbound struct {
 	from    netsim.NodeID
 	payload any
+}
+
+// dataFrame is the encoding of the broadcast.Data (origin, seq).
+type dataFrame struct {
+	origin netsim.NodeID
+	seq    uint64
+	frame  []byte
 }
 
 // tcpPeer owns the outbound connection to one remote node. Its writer
@@ -259,6 +271,7 @@ func (t *TCP) SetPeerDrop(peer netsim.NodeID, drop bool) {
 
 // Send wire-encodes payload and queues it to the peer — broadcast
 // messages on the data queue, everything else on the control queue.
+// A broadcast.Data sent to one peer after another is encoded once.
 // From must be the local node. Send never waits on the network: sends
 // to dropped or saturated peers are discarded, matching netsim's
 // best-effort contract, and counted by cause.
@@ -270,7 +283,7 @@ func (t *TCP) Send(from, to netsim.NodeID, payload any) {
 		return
 	}
 	t.mu.Lock()
-	closed, rule := t.closed, t.drop[to]
+	closed, rule, last := t.closed, t.drop[to], t.lastData
 	t.mu.Unlock()
 	switch {
 	case closed:
@@ -289,10 +302,21 @@ func (t *TCP) Send(from, to netsim.NodeID, payload any) {
 		}
 		return
 	}
-	frame, err := wire.EncodeFrame(payload)
-	if err != nil {
-		t.stats.dropSend(&t.stats.Encode)
-		return
+	var frame []byte
+	d, isData := payload.(broadcast.Data)
+	if isData && last.frame != nil && d.Origin == last.origin && d.Seq == last.seq {
+		frame = last.frame
+	} else {
+		var err error
+		if frame, err = wire.EncodeFrame(payload); err != nil {
+			t.stats.dropSend(&t.stats.Encode)
+			return
+		}
+		if isData {
+			t.mu.Lock()
+			t.lastData = dataFrame{origin: d.Origin, seq: d.Seq, frame: frame}
+			t.mu.Unlock()
+		}
 	}
 	q, full := t.peers[to].ctl, &t.stats.ControlFull
 	if broadcast.Resendable(payload) {
@@ -346,8 +370,8 @@ func (t *TCP) Reachable(a, b netsim.NodeID) bool {
 
 // Close shuts the transport down: the listener and all connections are
 // closed and every transport goroutine is joined. After Close returns
-// no handler invocation begins (deliveries routed through an Executor
-// are the executor's to finish or drop).
+// no handler invocation begins (deliveries an ExecTransport queued on
+// its Loop are the loop's to finish or drop).
 func (t *TCP) Close() {
 	t.mu.Lock()
 	if t.closed {
@@ -527,10 +551,14 @@ func (t *TCP) readLoop(conn net.Conn) {
 		return
 	}
 	from := netsim.NodeID(id)
+	// Each frame is decoded before the next is read, into values that do
+	// not alias it, so one buffer and one decoder serve the connection.
+	dec := wire.NewDecoder()
+	var buf []byte
 	for {
 		// A declared length over wire.MaxFrameDefault kills the
 		// connection before any allocation.
-		frame, err := wire.ReadFrame(br, wire.MaxFrameDefault)
+		frame, err := wire.ReadFrame(br, buf, wire.MaxFrameDefault)
 		if err != nil {
 			if err != io.EOF {
 				t.stats.ConnErrors.Add(1)
@@ -539,11 +567,12 @@ func (t *TCP) readLoop(conn net.Conn) {
 		}
 		t.stats.FramesRecv.Add(1)
 		t.stats.BytesRecv.Add(uint64(len(frame)))
-		payload, err := wire.Decode(frame)
+		payload, err := dec.Decode(frame)
 		if err != nil {
 			t.stats.RecvDropped.Add(1)
 			return
 		}
+		buf = frame[:0]
 		t.mu.Lock()
 		dropped := t.closed || t.drop[from]
 		t.mu.Unlock()

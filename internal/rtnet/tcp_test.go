@@ -343,7 +343,7 @@ func TestTCPControlQueueSurvivesStalledReader(t *testing.T) {
 			return
 		}
 		for {
-			frame, err := wire.ReadFrame(br, wire.MaxFrameDefault)
+			frame, err := wire.ReadFrame(br, nil, wire.MaxFrameDefault)
 			if err != nil {
 				return
 			}
@@ -499,7 +499,7 @@ func loopBroadcasters(t *testing.T, ts []*TCP, cfg broadcast.Config) []loopBroad
 	for i, tp := range ts {
 		sched := simtime.NewScheduler(int64(i + 1))
 		loop := NewLoop(sched)
-		tr := ExecTransport{Transport: tp, Exec: loop.Inject}
+		tr := ExecTransport{Transport: tp, Loop: loop}
 		id := netsim.NodeID(i)
 		b := broadcast.New(id, tr, sched, cfg,
 			func(origin netsim.NodeID, seq uint64, payload any) {})

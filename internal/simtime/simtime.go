@@ -41,6 +41,9 @@ type Event struct {
 	fn      func()
 	index   int // heap index; -1 once popped or cancelled
 	cancled bool
+	// posted marks an event Post made: no caller holds it, so it is
+	// reused once it has run.
+	posted bool
 }
 
 // When reports the virtual time at which the event fires (or would have
@@ -87,6 +90,9 @@ type Scheduler struct {
 
 	// processed counts events that have been executed.
 	processed uint64
+
+	// free holds posted events that have run, for Post to reuse.
+	free []*Event
 }
 
 // NewScheduler returns a scheduler whose clock reads zero and whose
@@ -115,10 +121,16 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: scheduling event at %v before now %v", t, s.now))
 	}
-	e := &Event{when: t, seq: s.nextSeq, fn: fn}
+	e := &Event{when: t, fn: fn}
+	s.push(e)
+	return e
+}
+
+// push enters e in the queue, numbering it for the tie-break.
+func (s *Scheduler) push(e *Event) {
+	e.seq = s.nextSeq
 	s.nextSeq++
 	heap.Push(&s.queue, e)
-	return e
 }
 
 // After schedules fn to run d after the current virtual time. A
@@ -129,6 +141,20 @@ func (s *Scheduler) After(d Duration, fn func()) *Event {
 		d = 0
 	}
 	return s.At(s.now.Add(d), fn)
+}
+
+// Post is After for a caller that keeps no handle on the event: it
+// cannot be cancelled, so once it has run the scheduler reuses it for
+// a later Post instead of allocating another.
+func (s *Scheduler) Post(d Duration, fn func()) {
+	var e *Event
+	if k := len(s.free); k > 0 {
+		e, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		e = &Event{posted: true}
+	}
+	e.when, e.fn = s.now.Add(max(d, 0)), fn
+	s.push(e)
 }
 
 // Cancel removes a scheduled event. It is a no-op if the event has
@@ -167,6 +193,10 @@ func (s *Scheduler) Step() bool {
 	}
 	s.processed++
 	e.fn()
+	if e.posted {
+		e.fn = nil
+		s.free = append(s.free, e)
+	}
 	return true
 }
 

@@ -42,6 +42,36 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 	}
 }
 
+// TestPostOrdersAndReuses: Post and After share one insertion order at
+// an instant, and a posted event that has run serves the next Post, so
+// posting allocates nothing once the scheduler has a spare event.
+func TestPostOrdersAndReuses(t *testing.T) {
+	s := NewScheduler(1)
+	var got []int
+	for i := 0; i < 10; i++ {
+		i := i
+		if i%2 == 0 {
+			s.Post(time.Millisecond, func() { got = append(got, i) })
+		} else {
+			s.After(time.Millisecond, func() { got = append(got, i) })
+		}
+	}
+	s.Run()
+	for i := range got {
+		if got[i] != i {
+			t.Fatalf("posted and scheduled events out of insertion order: %v", got)
+		}
+	}
+	ran := 0
+	fn := func() { ran++ }
+	if n := testing.AllocsPerRun(100, func() { s.Post(0, fn); s.Step() }); n != 0 {
+		t.Errorf("Post allocates %v times with a spare event", n)
+	}
+	if ran != 101 {
+		t.Errorf("posted events ran %d times, want 101", ran)
+	}
+}
+
 // TestRunDueRunsOnlyWhatWasPending: events scheduled by a pass wait for
 // the next one even when due at once; late events run at the advanced
 // clock, which never moves backwards; events not yet due stay pending.

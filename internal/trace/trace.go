@@ -335,10 +335,13 @@ type Recorder struct {
 	node netsim.NodeID
 	now  func() simtime.Time
 
-	mu    sync.Mutex
-	buf   []Event
-	next  int    // ring index of the slot to write next
-	total uint64 // events ever recorded (total - len(buf) were dropped)
+	mu sync.Mutex
+	// buf grows by append until it holds capacity events, then wraps: a
+	// recorder costs what it has recorded, not its capacity.
+	buf      []Event
+	capacity int
+	next     int    // ring index of the slot to write next
+	total    uint64 // events ever recorded (total - len(buf) were dropped)
 }
 
 // NewRecorder creates a recorder for node with the given ring capacity.
@@ -349,7 +352,7 @@ func NewRecorder(node netsim.NodeID, capacity int, now func() simtime.Time) *Rec
 	if capacity <= 0 {
 		return nil
 	}
-	return &Recorder{node: node, now: now, buf: make([]Event, 0, capacity)}
+	return &Recorder{node: node, now: now, capacity: capacity}
 }
 
 // Enabled reports whether the recorder records anything.
@@ -373,13 +376,19 @@ func (r *Recorder) Emit(e Event) {
 	e.T = r.now()
 	e.Node = r.node
 	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
+	switch {
+	case len(r.buf) == r.capacity:
 		r.buf[r.next] = e
+	case len(r.buf) == cap(r.buf):
+		// Double, but never past capacity.
+		grown := make([]Event, len(r.buf), min(max(2*cap(r.buf), 64), r.capacity))
+		copy(grown, r.buf)
+		r.buf = append(grown, e)
+	default:
+		r.buf = append(r.buf, e)
 	}
 	r.next++
-	if r.next == cap(r.buf) {
+	if r.next == r.capacity {
 		r.next = 0
 	}
 	r.total++
@@ -422,7 +431,7 @@ func (r *Recorder) Tail(n int) []Event {
 	}
 	out := make([]Event, 0, n)
 	start := 0
-	if size == cap(r.buf) {
+	if size == r.capacity {
 		start = r.next // oldest entry once the ring has wrapped
 	}
 	for i := size - n; i < size; i++ {

@@ -79,6 +79,36 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// TestRingGrowsToCapacity: a recorder holds what it has recorded, not
+// its capacity, and keeps the same contents as a full-size ring while
+// it grows, wraps and overwrites.
+func TestRingGrowsToCapacity(t *testing.T) {
+	const capacity = 300
+	r := NewRecorder(0, capacity, fixedClock())
+	for i := 1; i <= 1000; i++ {
+		r.Emit(Event{Kind: KSubmit, Seq: uint64(i)})
+		if i == 10 && cap(r.buf) >= capacity {
+			t.Fatalf("after 10 events the ring holds room for %d", cap(r.buf))
+		}
+		if i != 100 && i != 1000 {
+			continue
+		}
+		tail := r.Tail(0)
+		first := uint64(max(1, i-capacity+1))
+		if len(tail) != min(i, capacity) || tail[0].Seq != first || tail[len(tail)-1].Seq != uint64(i) {
+			t.Fatalf("after %d events: %d in the tail, from %d to %d", i, len(tail), tail[0].Seq, tail[len(tail)-1].Seq)
+		}
+		for k := 1; k < len(tail); k++ {
+			if tail[k].Seq != tail[k-1].Seq+1 {
+				t.Fatalf("after %d events: tail[%d] = %d follows %d", i, k, tail[k].Seq, tail[k-1].Seq)
+			}
+		}
+	}
+	if cap(r.buf) != capacity {
+		t.Errorf("a full ring holds room for %d events, want %d", cap(r.buf), capacity)
+	}
+}
+
 func TestConcurrentEmit(t *testing.T) {
 	var mu sync.Mutex
 	var tick simtime.Time

@@ -57,13 +57,16 @@ func EncodeFrame(payload any) ([]byte, error) {
 	return c.appendTo(frame, payload), nil
 }
 
-// ReadFrame reads one frame from r, returning its payload. The length
-// prefix is validated against maxFrame (MaxFrameDefault when <= 0)
-// before any allocation. io.EOF is returned only at a clean frame
-// boundary; a stream ending mid-header or mid-payload returns
-// io.ErrUnexpectedEOF, so callers can tell a peer's orderly close from
-// a connection reset mid-frame.
-func ReadFrame(r *bufio.Reader, maxFrame int) ([]byte, error) {
+// ReadFrame reads one frame from r, returning its payload. The payload
+// is read into buf when it fits, so a reader that is done with each
+// frame before it reads the next passes the last one back (frame[:0])
+// and reads every frame into one buffer. The length prefix is
+// validated against maxFrame (MaxFrameDefault when <= 0) before any
+// allocation. io.EOF is returned only at a clean frame boundary; a
+// stream ending mid-header or mid-payload returns io.ErrUnexpectedEOF,
+// so callers can tell a peer's orderly close from a connection reset
+// mid-frame.
+func ReadFrame(r *bufio.Reader, buf []byte, maxFrame int) ([]byte, error) {
 	if maxFrame <= 0 {
 		maxFrame = MaxFrameDefault
 	}
@@ -85,7 +88,10 @@ func ReadFrame(r *bufio.Reader, maxFrame int) ([]byte, error) {
 	if n > uint64(maxFrame) {
 		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooBig, n, maxFrame)
 	}
-	buf := make([]byte, int(n))
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, int(n))
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.ErrUnexpectedEOF

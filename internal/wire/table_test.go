@@ -145,7 +145,10 @@ func TestEveryRegisteredType(t *testing.T) {
 
 // TestFrameCarriesEncodedMessages: the TCP transport's stream is
 // EncodeFrame output back to back, and EncodeFrame is byte for byte
-// AppendFrame over Encode — in one allocation instead of two.
+// AppendFrame over Encode — in one allocation instead of two. Read as
+// the transport reads it, every frame into one buffer and through one
+// interning Decoder, the stream decodes to what Decode makes of each
+// frame alone.
 func TestFrameCarriesEncodedMessages(t *testing.T) {
 	payloads := append(corpusPayloads(), tableSamples(t)...)
 	var stream []byte
@@ -164,14 +167,25 @@ func TestFrameCarriesEncodedMessages(t *testing.T) {
 		stream = append(stream, frame...)
 	}
 	r := bufio.NewReader(bytes.NewReader(stream))
+	dec := wire.NewDecoder()
+	var buf []byte
 	for i := range payloads {
-		b, err := wire.ReadFrame(r, 0)
+		b, err := wire.ReadFrame(r, buf, 0)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if _, err := wire.Decode(b); err != nil {
+		want, err := wire.Decode(b)
+		if err != nil {
 			t.Fatalf("frame %d decode: %v", i, err)
 		}
+		got, err := dec.Decode(b)
+		if err != nil {
+			t.Fatalf("frame %d: Decoder: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: Decoder made %+v, Decode %+v", i, got, want)
+		}
+		buf = b[:0]
 	}
 	quasi := payloads[0]
 	if allocs := testing.AllocsPerRun(100, func() { _, _ = wire.EncodeFrame(quasi) }); allocs != 1 {

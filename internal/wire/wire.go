@@ -180,11 +180,34 @@ func plan(payload any) (c *codec, n int, err error) {
 // untrusted: truncated, oversized-count, unknown-tag and trailing-byte
 // inputs are errors, never panics or large allocations.
 func Decode(b []byte) (any, error) {
-	r := Reader{b: b}
+	var d Decoder
+	return d.Decode(b)
+}
+
+// Decoder decodes a stream of messages one at a time, reusing its
+// Reader, so a decode allocates only the values it returns. One made
+// by NewDecoder also interns fragment ids: a cluster has few fragments
+// and every quasi-transaction names one, so each id is allocated once
+// per stream. A Decoder is not safe for concurrent use.
+type Decoder struct {
+	r Reader
+}
+
+// NewDecoder returns a Decoder that interns fragment ids.
+func NewDecoder() *Decoder {
+	return &Decoder{r: Reader{frags: make(map[string]fragments.FragmentID)}}
+}
+
+// Decode is the package-level Decode on the decoder's reused state.
+// The returned value does not alias b.
+func (d *Decoder) Decode(b []byte) (any, error) {
+	r := &d.r
+	r.b, r.off, r.err = b, 0, nil
 	v := r.Payload()
 	if r.err == nil && r.off != len(b) {
 		r.err = errors.New("trailing bytes")
 	}
+	r.b = nil
 	if r.err != nil {
 		return nil, fmt.Errorf("wire: decode: %w", r.err)
 	}
@@ -454,12 +477,22 @@ type Reader struct {
 	off   int
 	depth int // payload slots currently open
 	err   error
+	// frags interns fragment ids when non-nil (NewDecoder).
+	frags map[string]fragments.FragmentID
 }
 
 // maxDepth bounds payload slots nested inside one another, so hostile
 // input cannot recurse without limit. The protocol's deepest nesting is
 // two: a Data holding a message, a SnapshotOffer holding its state.
 const maxDepth = 4
+
+// A Decoder interns at most maxInterned fragment ids of at most
+// maxInternLen bytes: the ids come off the wire, so a peer must not be
+// able to grow the table without bound.
+const (
+	maxInterned  = 1024
+	maxInternLen = 128
+)
 
 var errTruncated = errors.New("truncated input")
 
@@ -515,23 +548,40 @@ func (r *Reader) Count(elemMin int) int {
 	return int(n)
 }
 
-func (r *Reader) Str() string {
+// bytes reads a length-prefixed byte string; the result aliases the
+// input.
+func (r *Reader) bytes() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(r.b)-r.off) {
 		r.fail(errTruncated)
-		return ""
+		return nil
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s
+	return b
 }
+
+func (r *Reader) Str() string { return string(r.bytes()) }
 
 func (r *Reader) ObjectID() fragments.ObjectID { return fragments.ObjectID(r.Str()) }
 
-func (r *Reader) FragmentID() fragments.FragmentID { return fragments.FragmentID(r.Str()) }
+func (r *Reader) FragmentID() fragments.FragmentID {
+	if r.frags == nil {
+		return fragments.FragmentID(r.Str())
+	}
+	b := r.bytes()
+	if f, ok := r.frags[string(b)]; ok {
+		return f
+	}
+	f := fragments.FragmentID(b)
+	if len(b) <= maxInternLen && len(r.frags) < maxInterned {
+		r.frags[string(f)] = f
+	}
+	return f
+}
 
 func (r *Reader) TxnID() txn.ID { return txn.ID{Origin: r.NodeID(), Seq: r.Uvarint()} }
 

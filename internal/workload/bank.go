@@ -18,7 +18,7 @@ package workload
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"strings"
 
 	"fragdb/internal/core"
@@ -87,7 +87,11 @@ type Bank struct {
 	// without reading the ACTIVITY fragment (keeping customer
 	// transactions write-only on their own fragment, which is what lets
 	// customers move freely; see the Section 4.4.2A remark).
-	perNodeSeq map[string]uint64
+	perNodeSeq map[nodeAcct]uint64
+	// accts caches each account's ids and labels; office is the central
+	// node's agent.
+	accts  map[string]*acctIDs
+	office fragments.AgentID
 
 	// processed marks activity entries already handled by the central
 	// office (its in-memory worklist; the durable record is RECORDED).
@@ -99,7 +103,7 @@ type Bank struct {
 	// its account already has an item waiting here joins that item as
 	// one more group (see onQuasi), so the pair that is running sets the
 	// size of the next one.
-	queue []bankWork
+	queue []*bankWork
 	busy  bool
 	fold  bool // false under the Section 4.1 option
 
@@ -135,6 +139,50 @@ func activityFragment(acct string) fragments.FragmentID {
 // recordedFragment names account acct's RECORDED fragment.
 func recordedFragment(acct string) fragments.FragmentID {
 	return fragments.FragmentID("RECORDED(" + acct + ")")
+}
+
+// acctIDs are the ids and labels one account's transactions name, made
+// once per account rather than concatenated per transaction.
+type acctIDs struct {
+	agent              fragments.AgentID
+	activity, recorded fragments.FragmentID
+	bal                fragments.ObjectID
+	// Transaction labels.
+	deposit, withdraw, record, mark string
+}
+
+// ids returns acct's acctIDs.
+func (b *Bank) ids(acct string) *acctIDs {
+	id, ok := b.accts[acct]
+	if !ok {
+		id = &acctIDs{
+			agent: CustomerAgent(acct), activity: activityFragment(acct),
+			recorded: recordedFragment(acct), bal: balObj(acct),
+			deposit: "deposit:" + acct, withdraw: "withdraw:" + acct,
+			record: "record:" + acct, mark: "mark:" + acct,
+		}
+		b.accts[acct] = id
+	}
+	return id
+}
+
+// nodeAcct keys the activity-entry sequences.
+type nodeAcct struct {
+	node netsim.NodeID
+	acct string
+}
+
+// activityEntry names the seq-th ACTIVITY entry that acct's customer
+// made at node, "act:<acct>:<node>:<seq>", in one allocation.
+func activityEntry(acct string, node netsim.NodeID, seq uint64) fragments.ObjectID {
+	var buf [64]byte
+	b := append(buf[:0], "act:"...)
+	b = append(b, acct...)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(node), 10)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, seq, 10)
+	return fragments.ObjectID(b)
 }
 
 func balObj(acct string) fragments.ObjectID {
@@ -196,7 +244,9 @@ func buildBank(cfg BankConfig, host func(core.Config) *core.Cluster) (*Bank, err
 		cl:         cl,
 		central:    cfg.CentralNode,
 		fine:       cfg.OverdraftFine,
-		perNodeSeq: make(map[string]uint64),
+		perNodeSeq: make(map[nodeAcct]uint64),
+		accts:      make(map[string]*acctIDs),
+		office:     central,
 		processed:  make(map[fragments.ObjectID]bool),
 		fold:       !cfg.ReadLockOption,
 	}
@@ -235,21 +285,22 @@ func (b *Bank) WithdrawWithTimeout(node netsim.NodeID, acct string, amount int64
 // < 0 withdraws.
 func (b *Bank) operation(node netsim.NodeID, acct string, amount int64,
 	timeout simtime.Duration, done func(core.TxnResult)) {
-	key := fmt.Sprintf("%d:%s", int(node), acct)
+	key := nodeAcct{node, acct}
 	b.perNodeSeq[key]++
-	entry := fragments.ObjectID(fmt.Sprintf("act:%s:%d:%d", acct, int(node), b.perNodeSeq[key]))
-	kind := "deposit"
+	entry := activityEntry(acct, node, b.perNodeSeq[key])
+	ids := b.ids(acct)
+	label := ids.deposit
 	if amount < 0 {
-		kind = "withdraw"
+		label = ids.withdraw
 	}
 	b.cl.Node(node).Submit(core.TxnSpec{
-		Agent:    CustomerAgent(acct),
-		Fragment: activityFragment(acct),
-		Label:    kind + ":" + acct,
+		Agent:    ids.agent,
+		Fragment: ids.activity,
+		Label:    label,
 		Timeout:  timeout,
 		Program: func(tx *core.Tx) error {
 			if amount < 0 {
-				bal, err := tx.ReadInt(balObj(acct))
+				bal, err := tx.ReadInt(ids.bal)
 				if err != nil {
 					return err
 				}
@@ -296,7 +347,7 @@ func (b *Bank) onQuasi(node netsim.NodeID, q txn.Quasi) {
 	// Under folding the queue holds at most a few items per account, so
 	// the scan is short; under Section 4.1 it grows without bound.
 	for i := len(b.queue) - 1; b.fold && i >= 0; i-- {
-		if item := &b.queue[i]; item.acct == acct {
+		if item := b.queue[i]; item.acct == acct {
 			if len(item.entries)+len(entries) > foldCap {
 				break
 			}
@@ -305,7 +356,7 @@ func (b *Bank) onQuasi(node netsim.NodeID, q txn.Quasi) {
 			return
 		}
 	}
-	b.queue = append(b.queue, bankWork{acct: acct, entries: entries})
+	b.queue = append(b.queue, &bankWork{acct: acct, entries: entries})
 	b.kick()
 }
 
@@ -316,6 +367,7 @@ func (b *Bank) kick() {
 	}
 	b.busy = true
 	item := b.queue[0]
+	b.queue[0] = nil
 	b.queue = b.queue[1:]
 	b.runWork(item)
 }
@@ -325,14 +377,14 @@ func (b *Bank) kick() {
 // footnote on replacing multi-fragment transactions by groups. BALANCES
 // adds the groups in arrival order and checks for an overdraft after
 // each one, so a fold assesses the same fines as one pair per group.
-func (b *Bank) runWork(item bankWork) {
-	acct, entries := item.acct, item.entries
+func (b *Bank) runWork(item *bankWork) {
+	acct, entries, ids := item.acct, item.entries, b.ids(item.acct)
 	var letters []Letter
 	b.cl.Node(b.central).Submit(core.TxnSpec{
-		Agent: fragments.NodeAgent(b.central), Fragment: "BALANCES", Label: "record:" + acct,
+		Agent: b.office, Fragment: "BALANCES", Label: ids.record,
 		Program: func(tx *core.Tx) error {
 			letters = nil // a program may run more than once
-			bal, err := tx.ReadInt(balObj(acct))
+			bal, err := tx.ReadInt(ids.bal)
 			if err != nil {
 				return err
 			}
@@ -357,7 +409,7 @@ func (b *Bank) runWork(item bankWork) {
 					bal -= b.fine
 				}
 			}
-			return tx.Write(balObj(acct), bal)
+			return tx.Write(ids.bal, bal)
 		},
 	}, func(r core.TxnResult) {
 		if !r.Committed {
@@ -375,9 +427,10 @@ func (b *Bank) runWork(item bankWork) {
 // It retries until it commits: BALANCES already holds the entries and
 // processed their ids, so a lost mark would make LocalView count them
 // twice.
-func (b *Bank) record(item bankWork) {
+func (b *Bank) record(item *bankWork) {
+	ids := b.ids(item.acct)
 	b.cl.Node(b.central).Submit(core.TxnSpec{
-		Agent: fragments.NodeAgent(b.central), Fragment: recordedFragment(item.acct), Label: "mark:" + item.acct,
+		Agent: b.office, Fragment: ids.recorded, Label: ids.mark,
 		Program: func(tx *core.Tx) error {
 			for _, e := range item.entries {
 				if err := tx.Write(fragments.ObjectID("rec:"+string(e)), true); err != nil {
