@@ -749,3 +749,89 @@ func TestDeployedNodeIndexesCreatedObjectsInItsStore(t *testing.T) {
 		})
 	}
 }
+
+// TestRestartedNodeRelinksAtOnce: node 2 of three deployed nodes goes
+// down and comes back as a fresh, empty process on the same address,
+// while both survivors sit in a dial backoff that puts their next blind
+// retry 800 ms away. The restarted node's handshakes wake their
+// dialers, so every link is up within 300 ms, and node 2 catches up
+// over the wire on the bumps it missed and the ones from before.
+func TestRestartedNodeRelinksAtOnce(t *testing.T) {
+	const n = 3
+	lns, addrs := listen(t, n)
+	start := func(i int, ln net.Listener) (*Node, error) {
+		nd, err := NewTCP(Config{ID: i, Addrs: addrs, Accounts: n, Seed: int64(i + 1), Listener: ln})
+		if err == nil {
+			t.Cleanup(nd.Close)
+		}
+		return nd, err
+	}
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nd, err := start(i, lns[i])
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		nodes[i] = nd
+	}
+	linked := func() bool {
+		for i, nd := range nodes {
+			for j := range nodes {
+				if !nd.TCP.Reachable(netsim.NodeID(i), netsim.NodeID(j)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	waitFor := func(what string, within time.Duration, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(within)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within %v", what, within)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Only the survivors bump: node 2 restarts numbering its entries and
+	// its stream from 1 again, over what it originated before.
+	var bumps int64
+	bump := func(each int) {
+		t.Helper()
+		failed, committed := closedLoop(t, nodes[:2], each, 4, func(int, int, int) Op {
+			return Op{Kind: "bump", Amount: 1}
+		})
+		if failed != 0 {
+			t.Fatalf("%d of %d bumps did not commit", failed, 2*each)
+		}
+		bumps += committed
+	}
+	counter := func(i int) int64 {
+		var total int64
+		if err := nodes[i].Inspect(func() { total = nodes[i].Live.CounterTotal(netsim.NodeID(i)) }); err != nil {
+			t.Fatal(err)
+		}
+		return total
+	}
+
+	waitFor("the cluster to link up", 5*time.Second, linked)
+	bump(20)
+	nodes[2].Close()
+	waitFor("both survivors to back off from node 2", 10*time.Second, func() bool {
+		return nodes[0].TCP.Stats().DialErrors.Load() >= 5 && nodes[1].TCP.Stats().DialErrors.Load() >= 5
+	})
+	bump(20)
+
+	restarted := time.Now()
+	var err error
+	waitFor("node 2 to rebind its address", 5*time.Second, func() bool {
+		nodes[2], err = start(2, nil)
+		return err == nil
+	})
+	waitFor("every link in both directions", 300*time.Millisecond, linked)
+	t.Logf("links up %v after the restart", time.Since(restarted))
+	waitFor("node 2 to catch up on the counters", 5*time.Second, func() bool {
+		return counter(2) == bumps && counter(0) == bumps && counter(1) == bumps
+	})
+}

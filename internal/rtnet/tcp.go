@@ -69,8 +69,11 @@ type TCPConfig struct {
 	// control queue (controlQueue), which the writer drains first.
 	WriteQueue int
 
-	// DialBackoffMin/Max bound the reconnect backoff (defaults 50ms and
-	// 2s).
+	// DialBackoffMin/Max bound the blind retry schedule for a peer that
+	// has shown no sign of life (defaults 50ms and 2s): the wait after a
+	// failed dial starts at Min and doubles up to Max. A valid inbound
+	// handshake from the peer ends the wait at once and resets it to
+	// Min, since the peer listens before it dials.
 	DialBackoffMin, DialBackoffMax time.Duration
 }
 
@@ -122,9 +125,10 @@ func (s *TCPStats) dropSend(cause *atomic.Uint64) {
 //
 // Outbound connections are owned by per-peer goroutines that dial with
 // exponential backoff, drain a bounded write queue, and redial on any
-// error. Inbound connections are handshake-verified and their frames
-// decoded and delivered in arrival order through a single delivery
-// goroutine, which an ExecTransport hands on to its Loop.
+// error; a peer's inbound handshake cuts a pending backoff short.
+// Inbound connections are handshake-verified and their frames decoded
+// and delivered in arrival order through a single delivery goroutine,
+// which an ExecTransport hands on to its Loop.
 type TCP struct {
 	cfg   TCPConfig
 	local netsim.NodeID
@@ -168,6 +172,9 @@ type tcpPeer struct {
 	addr string
 	q    chan []byte
 	ctl  chan []byte
+	// wake holds one token: the peer handshook inbound, so it is up
+	// and listening. Further wakes coalesce into it.
+	wake chan struct{}
 
 	connected atomic.Bool
 
@@ -223,6 +230,7 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 			addr: cfg.Addrs[id],
 			q:    make(chan []byte, cfg.WriteQueue),
 			ctl:  make(chan []byte, controlQueue),
+			wake: make(chan struct{}, 1),
 		}
 		t.peers[id] = p
 		t.wg.Add(1)
@@ -397,7 +405,8 @@ func (t *TCP) Close() {
 }
 
 // runPeer dials, handshakes, and drains the write queue for one peer,
-// redialing with exponential backoff after any error.
+// redialing with exponential backoff after any error, or at once on a
+// wake.
 func (t *TCP) runPeer(p *tcpPeer) {
 	defer t.wg.Done()
 	backoff := t.cfg.DialBackoffMin
@@ -410,14 +419,18 @@ func (t *TCP) runPeer(p *tcpPeer) {
 		conn, err := net.DialTimeout("tcp", p.addr, t.cfg.DialBackoffMax)
 		if err != nil {
 			t.stats.DialErrors.Add(1)
+			// Not time.After: under go 1.22 an abandoned After lives
+			// until it fires, up to DialBackoffMax later.
+			wait := time.NewTimer(backoff)
 			select {
 			case <-t.stop:
+				wait.Stop()
 				return
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-			if backoff > t.cfg.DialBackoffMax {
-				backoff = t.cfg.DialBackoffMax
+			case <-wait.C:
+				backoff = min(2*backoff, t.cfg.DialBackoffMax)
+			case <-p.wake:
+				wait.Stop()
+				backoff = t.cfg.DialBackoffMin
 			}
 			continue
 		}
@@ -430,6 +443,12 @@ func (t *TCP) runPeer(p *tcpPeer) {
 		t.writeLoop(p, conn)
 		p.connected.Store(false)
 		conn.Close()
+		// A wake from while the link was up (the peer's own dial at
+		// start-up) is spent: it must not cut the next backoff short.
+		select {
+		case <-p.wake:
+		default:
+		}
 	}
 }
 
@@ -551,6 +570,11 @@ func (t *TCP) readLoop(conn net.Conn) {
 		return
 	}
 	from := netsim.NodeID(id)
+	// The peer is up and listening: wake our dialer to it.
+	select {
+	case t.peers[from].wake <- struct{}{}:
+	default:
+	}
 	// Each frame is decoded before the next is read, into values that do
 	// not alias it, so one buffer and one decoder serve the connection.
 	dec := wire.NewDecoder()

@@ -49,7 +49,8 @@ func waitFor(t *testing.T, cond func() bool, within time.Duration) bool {
 }
 
 // newTCPCluster builds an n-node TCP transport cluster on ephemeral
-// loopback ports, returning the transports and their addresses.
+// loopback ports, with the production dial backoff, returning the
+// transports and their addresses.
 func newTCPCluster(t *testing.T, n int) ([]*TCP, []string) {
 	t.Helper()
 	lns := make([]net.Listener, n)
@@ -64,13 +65,7 @@ func newTCPCluster(t *testing.T, n int) ([]*TCP, []string) {
 	}
 	ts := make([]*TCP, n)
 	for i := range ts {
-		tp, err := NewTCP(TCPConfig{
-			Local:          netsim.NodeID(i),
-			Addrs:          addrs,
-			Listener:       lns[i],
-			DialBackoffMin: 5 * time.Millisecond,
-			DialBackoffMax: 50 * time.Millisecond,
-		})
+		tp, err := NewTCP(TCPConfig{Local: netsim.NodeID(i), Addrs: addrs, Listener: lns[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,16 +136,13 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 	}
 
 	// Kill node 1 and restart it on the same address, as a crashed
-	// process would. Node 0 must redial and resume delivering.
+	// process would. Node 0 must redial and resume delivering, on the
+	// production backoff: the restarted node's handshake wakes node 0's
+	// dialer, so delivery resumes within a second of the rebind.
 	ts[1].Close()
 	var ts1b *TCP
 	ok := waitFor(t, func() bool {
-		tp, err := NewTCP(TCPConfig{
-			Local:          1,
-			Addrs:          addrs,
-			DialBackoffMin: 5 * time.Millisecond,
-			DialBackoffMax: 50 * time.Millisecond,
-		})
+		tp, err := NewTCP(TCPConfig{Local: 1, Addrs: addrs})
 		if err != nil {
 			return false // port may linger briefly after Close
 		}
@@ -160,6 +152,7 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 	if !ok {
 		t.Fatal("could not rebind the restarted node's address")
 	}
+	rebound := time.Now()
 	defer ts1b.Close()
 	var c2 collector
 	ts1b.SetHandler(1, c2.handler)
@@ -172,6 +165,81 @@ func TestTCPReconnectAfterRestart(t *testing.T) {
 	}, 10*time.Second)
 	if !ok {
 		t.Fatal("no delivery after restart")
+	}
+	if d := time.Since(rebound); d > time.Second {
+		t.Errorf("delivery resumed %v after the rebind, want within 1s", d)
+	}
+}
+
+// TestTCPDialerWakesOnInboundHandshake: node 0 has failed to reach node
+// 1 and faces an hour of backoff. Node 1 comes up and dials node 0; its
+// handshake proves it is listening, so node 0 dials it at once instead
+// of waiting the hour out.
+func TestTCPDialerWakesOnInboundHandshake(t *testing.T) {
+	reserved, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr1 := reserved.Addr().String()
+	reserved.Close()
+	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{ln0.Addr().String(), addr1}
+	t0, err := NewTCP(TCPConfig{Local: 0, Addrs: addrs, Listener: ln0,
+		DialBackoffMin: time.Hour, DialBackoffMax: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(t0.Close)
+	if !waitFor(t, func() bool { return t0.Stats().DialErrors.Load() >= 1 }, 5*time.Second) {
+		t.Fatal("node 0 never dialled the absent node 1")
+	}
+
+	t1, err := NewTCP(TCPConfig{Local: 1, Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(t1.Close)
+	var c collector
+	t1.SetHandler(1, c.handler)
+	up := time.Now()
+	if !waitFor(t, func() bool { return t0.Reachable(0, 1) }, time.Second) {
+		t.Fatalf("node 0 has no link to node 1 %v after it came up (dials %d, dial errors %d)",
+			time.Since(up), t0.Stats().Dials.Load(), t0.Stats().DialErrors.Load())
+	}
+	t0.Send(0, 1, "woken")
+	if !waitFor(t, func() bool { return c.len() == 1 }, time.Second-time.Since(up)) {
+		t.Fatalf("no delivery to node 1 within 1s of it coming up")
+	}
+}
+
+// TestTCPStaleWakeKeepsBackoff: node 1's handshake at start-up wakes
+// node 0's dialer to it, which is connected already. That wake is spent
+// when the link breaks: node 0's second dial to the closed node 1 still
+// waits DialBackoffMin after the first.
+func TestTCPStaleWakeKeepsBackoff(t *testing.T) {
+	ts, _ := newTCPCluster(t, 2)
+	if !waitFor(t, func() bool {
+		return ts[0].Reachable(0, 1) && ts[1].Reachable(1, 0) && ts[0].Stats().ConnsAccepted.Load() == 1
+	}, 5*time.Second) {
+		t.Fatal("the two nodes did not link up")
+	}
+	ts[1].Close()
+	// The dead link shows at a failed write.
+	if !waitFor(t, func() bool {
+		ts[0].Send(0, 1, "probe")
+		return ts[0].Stats().DialErrors.Load() >= 1
+	}, 5*time.Second) {
+		t.Fatal("node 0 never redialled the closed node 1")
+	}
+	first := time.Now()
+	if !waitFor(t, func() bool { return ts[0].Stats().DialErrors.Load() >= 2 }, 5*time.Second) {
+		t.Fatal("node 0 stopped redialling")
+	}
+	if d, min := time.Since(first), ts[0].cfg.DialBackoffMin; d < min*4/5 {
+		t.Errorf("second dial %v after the first, want the %v backoff", d, min)
 	}
 }
 

@@ -15,6 +15,9 @@
 #                                           (drop rules on both sides)
 #   scripts/cluster.sh status               per-node /healthz
 #
+# start and restart return once every node's /healthz reports every
+# peer connected, and print how long that took (exit 1 after 10 s).
+#
 # State (pids, logs, the built hanode binary) lives in $RUNDIR, default
 # /tmp/fragdb-cluster. Engine ports start at $ENGINE_BASE (7100), HTTP
 # ports at $HTTP_BASE (8100).
@@ -51,6 +54,34 @@ launch_node() {
   echo $! >"$RUNDIR/node$id.pid"
 }
 
+now_ms() { echo $(($(date +%s%N) / 1000000)); }
+
+# wait_linked <since_ms>: poll every node's /healthz until each answers
+# and reports every peer connected; print the links still down on
+# timeout.
+wait_linked() {
+  local since="$1" n i body down
+  n=$(cat "$RUNDIR/n")
+  while (($(now_ms) - since < 10000)); do
+    down=""
+    for ((i = 0; i < n; i++)); do
+      body=$(curl -fsS "http://$(http_addr "$i")/healthz" 2>/dev/null | tr -d ' \n') || body=""
+      if [ -z "$body" ]; then
+        down+=" node$i:http"
+      elif [[ "$body" == *'"connected":false'* ]]; then
+        down+=" node$i:peers"
+      fi
+    done
+    if [ -z "$down" ]; then
+      echo "links up: $((n * (n - 1))) links in $(($(now_ms) - since)) ms"
+      return 0
+    fi
+    sleep 0.01
+  done
+  echo "links not up after $(($(now_ms) - since)) ms:$down" >&2
+  return 1
+}
+
 cmd_start() {
   local n="${1:-3}" option="${2:-unrestricted}"
   [ $# -gt 0 ] && shift
@@ -65,17 +96,12 @@ cmd_start() {
     : >"$RUNDIR/extra"
   fi
   (cd "$REPO" && go build -o "$RUNDIR/hanode" ./cmd/hanode)
-  local i
+  local i since
+  since=$(now_ms)
   for ((i = 0; i < n; i++)); do
     launch_node "$i" "$n" "$option"
   done
-  # Wait for every HTTP endpoint to answer.
-  for ((i = 0; i < n; i++)); do
-    for _ in $(seq 1 50); do
-      curl -fsS "http://$(http_addr "$i")/healthz" >/dev/null 2>&1 && break
-      sleep 0.1
-    done
-  done
+  wait_linked "$since"
   echo "cluster up: $n nodes, option=$option, http $(http_addr 0)..$(http_addr $((n - 1)))"
 }
 
@@ -98,9 +124,11 @@ cmd_kill9() {
 }
 
 cmd_restart() {
-  local id="$1"
+  local id="$1" since
+  since=$(now_ms)
   launch_node "$id" "$(cat "$RUNDIR/n")" "$(cat "$RUNDIR/option")"
   echo "node $id relaunched (pid $(cat "$RUNDIR/node$id.pid"))"
+  wait_linked "$since"
 }
 
 cmd_drop() {
@@ -141,7 +169,7 @@ drop)      shift; cmd_drop "$@" ;;
 partition) shift; cmd_partition "$@" ;;
 status)    shift; cmd_status ;;
 *)
-  sed -n '2,16p' "$0"
+  sed -n '2,19p' "$0"
   exit 2
   ;;
 esac
