@@ -253,7 +253,11 @@ func TestTraceEndpoint(t *testing.T) {
 // lines are self-consistent: the le="+Inf" bucket equals the _count
 // line and equals the last cumulative bucket. Before histograms were
 // rendered from a snapshot, the +Inf bucket (read via Count()) raced
-// ahead of or behind the per-bucket reads.
+// ahead of or behind the per-bucket reads. The writers sleep between
+// batches: writers that never block keep every P busy, and then each
+// of the scrapes' network wake-ups waits for sysmon. The count growing
+// from the first scrape to the last shows that the writers still ran
+// between the scrapes.
 func TestMetricsConcurrentScrape(t *testing.T) {
 	c := &metrics.Counters{}
 	srv := httptest.NewServer(NewDebugHandler(DebugVars{Counters: c}))
@@ -272,8 +276,11 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 					return
 				default:
 				}
-				c.CommitLatency.Observe(d * time.Microsecond)
-				d = (d*1664525 + 1013904223) % (1 << 18)
+				for i := 0; i < 64; i++ {
+					c.CommitLatency.Observe(d * time.Microsecond)
+					d = (d*1664525 + 1013904223) % (1 << 18)
+				}
+				time.Sleep(50 * time.Microsecond)
 			}
 		}(w)
 	}
@@ -291,7 +298,9 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 		}
 		return string(body)
 	}
-	for i := 0; i < 50; i++ {
+	const scrapes = 200
+	var firstCount uint64
+	for i := 0; i < scrapes; i++ {
 		body := scrape()
 		var lastCum, inf, count uint64
 		var haveInf, haveCount bool
@@ -325,6 +334,15 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 		if inf != count || inf != lastCum {
 			t.Fatalf("scrape %d: inconsistent histogram: last bucket %d, +Inf %d, count %d",
 				i, lastCum, inf, count)
+		}
+		switch i {
+		case 0:
+			firstCount = count
+		case scrapes - 1:
+			if count <= firstCount {
+				t.Fatalf("histogram count %d at the last scrape, %d at the first: no Observe ran between them",
+					count, firstCount)
+			}
 		}
 	}
 }

@@ -18,13 +18,20 @@
 // the fragments and their declared objects. FragmentOf resolves an
 // object through both.
 //
-// One value map and the log sit behind one RWMutex. The engine installs
-// from a single goroutine; the mutex is there for readers on other
-// goroutines (scrapes, tests, drivers inspecting a live node).
+// The values live in a version table: an append-only, chunked slice
+// of entries, one per object, indexed by a pointer-free map from a
+// seeded 64-bit hash of the object's id to its newest entry with that
+// hash (entries with equal hashes are chained). Growing the index
+// re-hashes 8-byte integers, never an id's bytes, and the collector
+// never scans it. The table and the log sit behind one RWMutex. The
+// engine installs from a single goroutine; the mutex is there for
+// readers on other goroutines (scrapes, tests, drivers inspecting a
+// live node).
 package storage
 
 import (
 	"fmt"
+	"hash/maphash"
 	"reflect"
 	"slices"
 	"sort"
@@ -69,18 +76,54 @@ type Store struct {
 	node netsim.NodeID
 	cat  *fragments.Catalog
 
-	// mu guards vals, log and lsn.
-	mu   sync.RWMutex
-	vals map[fragments.ObjectID]Version
-	log  []LogRecord
-	lsn  uint64
+	// mu guards the version table (index, chunks, n), log and lsn.
+	mu sync.RWMutex
+	// index maps the hash of an object's id to the ref of its newest
+	// entry with that hash; older ones follow entry.next. A ref is an
+	// entry's position plus one, so 0, which the index yields for a
+	// hash it does not hold, ends a chain.
+	index map[uint64]uint32
+	// chunks hold the entries in insertion order: entry i is
+	// chunks[i>>chunkShift][i&chunkMask]. The first chunk starts at
+	// firstChunk entries and doubles up to chunkSize, so a small store
+	// stays small; every later chunk is made full-size, so a large one
+	// never copies an entry again.
+	chunks [][]entry
+	n      uint32
+	log    []LogRecord
+	lsn    uint64
 	// unlogged stores count LSNs but retain no records (NewUnlogged).
 	unlogged bool
+	// hash is hashID; a test swaps it to force collisions.
+	hash func(fragments.ObjectID) uint64
 }
+
+// entry is one object's slot in the version table. Its position never
+// changes, and an install overwrites ver in place.
+type entry struct {
+	id  fragments.ObjectID
+	ver Version
+	// next is the ref of the previous entry whose id hashed alike.
+	next uint32
+}
+
+// The first chunk's starting size, and every chunk's final one.
+const (
+	firstChunk = 8
+	chunkShift = 12
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
+
+// seed is random per process: ids arrive from peers, so an index keyed
+// by a fixed hash would let them choose its collisions.
+var seed = maphash.MakeSeed()
+
+func hashID(o fragments.ObjectID) uint64 { return maphash.String(seed, string(o)) }
 
 // New creates an empty store for the given node over the catalog.
 func New(node netsim.NodeID, cat *fragments.Catalog) *Store {
-	return &Store{node: node, cat: cat, vals: make(map[fragments.ObjectID]Version)}
+	return &Store{node: node, cat: cat, index: make(map[uint64]uint32), hash: hashID}
 }
 
 // NewUnlogged creates a store that installs and numbers records like
@@ -90,6 +133,72 @@ func NewUnlogged(node netsim.NodeID, cat *fragments.Catalog) *Store {
 	s := New(node, cat)
 	s.unlogged = true
 	return s
+}
+
+// at returns entry ref r's slot. The caller holds mu.
+func (s *Store) at(r uint32) *entry {
+	i := r - 1
+	return &s.chunks[i>>chunkShift][i&chunkMask]
+}
+
+// lookup returns the entry of o, or nil. The caller holds mu.
+func (s *Store) lookup(o fragments.ObjectID) *entry {
+	return s.find(o, s.index[s.hash(o)])
+}
+
+// find walks the chain that starts at ref head for o's entry.
+func (s *Store) find(o fragments.ObjectID, head uint32) *entry {
+	for r := head; r != 0; {
+		e := s.at(r)
+		if e.id == o {
+			return e
+		}
+		r = e.next
+	}
+	return nil
+}
+
+// slot returns the entry of o, appending an empty one (fresh) if o
+// has none: one index lookup, and one insert for a fresh object. The
+// caller holds mu for writing.
+func (s *Store) slot(o fragments.ObjectID) (e *entry, fresh bool) {
+	h := s.hash(o)
+	head := s.index[h]
+	if e := s.find(o, head); e != nil {
+		return e, false
+	}
+	last := len(s.chunks) - 1
+	switch {
+	case last < 0:
+		s.chunks = append(s.chunks, make([]entry, 0, firstChunk))
+		last = 0
+	case len(s.chunks[last]) == chunkSize:
+		s.chunks = append(s.chunks, make([]entry, 0, chunkSize))
+		last++
+	case len(s.chunks[last]) == cap(s.chunks[last]): // only the first chunk grows
+		c := s.chunks[last]
+		s.chunks[last] = append(make([]entry, 0, min(2*cap(c), chunkSize)), c...)
+	}
+	s.chunks[last] = append(s.chunks[last], entry{id: o, next: head})
+	s.n++
+	s.index[h] = s.n
+	return s.at(s.n), true
+}
+
+// put sets o's version. The caller holds mu for writing.
+func (s *Store) put(o fragments.ObjectID, v Version) {
+	e, _ := s.slot(o)
+	e.ver = v
+}
+
+// entries calls f on every entry in insertion order. The caller holds
+// mu.
+func (s *Store) entries(f func(*entry)) {
+	for _, c := range s.chunks {
+		for i := range c {
+			f(&c[i])
+		}
+	}
 }
 
 // Node returns the owning node's id.
@@ -107,7 +216,7 @@ func (s *Store) Load(o fragments.ObjectID, v any) error {
 	}
 	f, _ := s.cat.Fragment(id)
 	s.mu.Lock()
-	s.vals[o] = Version{Value: v, Frag: f}
+	s.put(o, Version{Value: v, Frag: f})
 	s.mu.Unlock()
 	return nil
 }
@@ -120,12 +229,12 @@ func (s *Store) FragmentOf(o fragments.ObjectID) (fragments.FragmentID, bool) {
 		return f, true
 	}
 	s.mu.RLock()
-	v, ok := s.vals[o]
-	s.mu.RUnlock()
-	if !ok || v.Frag == nil {
+	defer s.mu.RUnlock()
+	e := s.lookup(o)
+	if e == nil || e.ver.Frag == nil {
 		return "", false
 	}
-	return v.Frag.ID, true
+	return e.ver.Frag.ID, true
 }
 
 // CheckInitiation enforces the paper's initiation requirement for a
@@ -144,10 +253,18 @@ func (s *Store) CheckInitiation(frag fragments.FragmentID, o fragments.ObjectID)
 // Objects returns, in sorted order, the objects of fragment frag that
 // hold a value here.
 func (s *Store) Objects(frag fragments.FragmentID) []fragments.ObjectID {
-	var out []fragments.ObjectID
-	for o := range s.FragmentSnapshot(frag) {
-		out = append(out, o)
+	f, ok := s.cat.Fragment(frag)
+	if !ok {
+		return nil
 	}
+	var out []fragments.ObjectID
+	s.mu.RLock()
+	s.entries(func(e *entry) {
+		if e.ver.Frag == f {
+			out = append(out, e.id)
+		}
+	})
+	s.mu.RUnlock()
 	slices.Sort(out)
 	return out
 }
@@ -166,8 +283,10 @@ func (s *Store) Get(o fragments.ObjectID) (any, bool) {
 func (s *Store) GetVersion(o fragments.ObjectID) (Version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ver, ok := s.vals[o]
-	return ver, ok
+	if e := s.lookup(o); e != nil {
+		return e.ver, true
+	}
+	return Version{}, false
 }
 
 // Apply atomically installs the writes of a locally executed
@@ -186,13 +305,13 @@ func (s *Store) ApplyQuasi(q txn.Quasi) uint64 {
 // store's mutex. Atomicity of the value updates against transactions is
 // provided by the callers' lock-manager isolation (an installer holds
 // exclusive object locks), not by the store; the mutex only protects
-// map and log integrity.
+// table and log integrity.
 func (s *Store) install(id txn.ID, frag fragments.FragmentID, pos txn.FragPos, quasi bool, writes []txn.WriteOp, stamp simtime.Time) uint64 {
 	f, _ := s.cat.Fragment(frag)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, w := range writes {
-		s.vals[w.Object] = Version{Value: w.Value, Txn: id, Stamp: stamp, Pos: pos, Frag: f}
+		s.put(w.Object, Version{Value: w.Value, Txn: id, Stamp: stamp, Pos: pos, Frag: f})
 	}
 	s.lsn++
 	if !s.unlogged {
@@ -235,10 +354,8 @@ func (s *Store) LogSince(after uint64) []LogRecord {
 func (s *Store) Snapshot() map[fragments.ObjectID]any {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[fragments.ObjectID]any, len(s.vals))
-	for o, v := range s.vals {
-		out[o] = v.Value
-	}
+	out := make(map[fragments.ObjectID]any, s.n)
+	s.entries(func(e *entry) { out[e.id] = e.ver.Value })
 	return out
 }
 
@@ -253,11 +370,11 @@ func (s *Store) FragmentSnapshot(frag fragments.FragmentID) map[fragments.Object
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for o, v := range s.vals {
-		if v.Frag == f {
-			out[o] = v
+	s.entries(func(e *entry) {
+		if e.ver.Frag == f {
+			out[e.id] = e.ver
 		}
-	}
+	})
 	return out
 }
 
@@ -271,7 +388,7 @@ func (s *Store) InstallFragmentSnapshot(frag fragments.FragmentID, snap map[frag
 	defer s.mu.Unlock()
 	for o, v := range snap {
 		v.Frag = f
-		s.vals[o] = v
+		s.put(o, v)
 	}
 }
 
@@ -282,14 +399,14 @@ func (s *Store) VersionSnapshot() map[fragments.FragmentID]map[fragments.ObjectI
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[fragments.FragmentID]map[fragments.ObjectID]Version)
-	for o, v := range s.vals {
-		if v.Frag != nil {
-			if out[v.Frag.ID] == nil {
-				out[v.Frag.ID] = make(map[fragments.ObjectID]Version)
+	s.entries(func(e *entry) {
+		if f := e.ver.Frag; f != nil {
+			if out[f.ID] == nil {
+				out[f.ID] = make(map[fragments.ObjectID]Version)
 			}
-			out[v.Frag.ID][o] = v
+			out[f.ID][e.id] = e.ver
 		}
-	}
+	})
 	return out
 }
 
@@ -306,10 +423,9 @@ func (s *Store) MergeSnapshot(f *fragments.Fragment, snap map[fragments.ObjectID
 	defer s.mu.Unlock()
 	changed := 0
 	for o, v := range snap {
-		cur, ok := s.vals[o]
-		if !ok || cur.Pos.Less(v.Pos) {
+		if e, fresh := s.slot(o); fresh || e.ver.Pos.Less(v.Pos) {
 			v.Frag = f
-			s.vals[o] = v
+			e.ver = v
 			changed++
 		}
 	}
@@ -359,5 +475,5 @@ func (s *Store) FragmentDiff(other *Store, frag fragments.FragmentID) []fragment
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.vals)
+	return int(s.n)
 }
