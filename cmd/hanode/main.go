@@ -24,6 +24,13 @@
 //	                    decayed access-rate matrix, in-flight moves, and
 //	                    migration history (404 unless -placement)
 //	GET  /debug/pprof/  Go pprof profiles (heap, goroutine, profile, ...)
+//
+// With -placement the node runs the adaptive placement controller on
+// its own scheduler every -placement-interval: it moves the commutative
+// counter and queue agents homed here toward the node their writes
+// come from, reading the rates from its own per-fragment registry (a
+// home executes every write to its fragments, labelled with the
+// writer's origin).
 package main
 
 import (
@@ -61,7 +68,6 @@ func main() {
 		traceCap   = flag.Int("trace", 0, "flight-recorder ring size in events (default 4096; negative disables)")
 		plEnable   = flag.Bool("placement", false, "run the adaptive placement controller (commutative fragments only)")
 		plInterval = flag.Duration("placement-interval", 2*time.Second, "placement decision period")
-		plPeers    = flag.String("metrics-peers", "", "comma-separated host:port of every node's HTTP endpoint, in node-id order; when set the controller scrapes each /metrics page for the cluster-wide access matrix")
 	)
 	flag.Parse()
 
@@ -87,15 +93,9 @@ func main() {
 
 	var pl *deploy.Placement
 	if *plEnable {
-		var metricsAddrs []string
-		if *plPeers != "" {
-			metricsAddrs = strings.Split(*plPeers, ",")
+		if pl, err = node.StartPlacement(*plInterval); err != nil {
+			log.Fatalf("hanode: placement: %v", err)
 		}
-		pl = node.StartPlacement(deploy.PlacementConfig{
-			Interval:     *plInterval,
-			MetricsAddrs: metricsAddrs,
-		})
-		defer pl.Stop()
 	}
 
 	mux := http.NewServeMux()

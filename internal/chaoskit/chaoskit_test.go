@@ -156,6 +156,53 @@ func TestNoPrepMoveFinishesParkedInstall(t *testing.T) {
 	}
 }
 
+// withDataParkedInstallPlan is compaction seed 948, shrunk: f0's agent
+// moves with its data from node 0 to node 2 while f0's committed
+// T(N0#2) is parked on node 2's locks — behind node 2's T(N2#2), which
+// holds S on f0/ctr and waits for f2/ctr, held by a majority-prepared
+// transaction whose acknowledgment the lossy links dropped. Fragment
+// index 3 is f0 (Frags is 3). Compaction is on but plays no part (the
+// plan fails without it too).
+func withDataParkedInstallPlan() Plan {
+	return Plan{
+		Seed: 948, Profile: "compaction", Option: core.UnrestrictedReads,
+		N: 3, Frags: 3, MajorityCommit: true, Compaction: true,
+		LossProb:  0.13908300906374566,
+		Horizon:   2085 * time.Millisecond,
+		ReadEdges: [][2]int{{0, 1}, {0, 2}, {1, 0}},
+		Steps: []Step{
+			{At: 528 * time.Millisecond, Frag: 3, Node: 0, Kind: StepUpdate, Reads: []int{0, 2}},
+			{At: 40 * time.Millisecond, Frag: 0, Node: 0, Kind: StepUpdate, Reads: []int{3}},
+			{At: 351 * time.Millisecond, Frag: 2, Node: 0, Kind: StepUpdate, Reads: []int{3}},
+			{At: 50 * time.Millisecond, Frag: 2, Node: 0, Kind: StepUpdate},
+			{At: 25 * time.Millisecond, Frag: 1, Node: 0, Kind: StepUpdate, Reads: []int{0}},
+			{At: 340 * time.Millisecond, Frag: 0, Node: 0, Kind: StepUpdate, Reads: []int{1, 3}},
+		},
+		Moves: []Move{
+			{At: 916 * time.Millisecond, Frag: 3, To: 2, Protocol: MoveData, Window: 120 * time.Millisecond},
+		},
+	}
+}
+
+// TestMoveWithDataFinishesParkedInstall: the new home of a move with
+// data must finish a parked install before it installs the carried
+// snapshot. Installing the snapshot at once let the parked
+// quasi-transaction install afterwards and overwrite the snapshot's
+// newer f0/ctr: node 2 held 2 of 3 increments and f0's graphs got a
+// cycle.
+func TestMoveWithDataFinishesParkedInstall(t *testing.T) {
+	rep := Execute(withDataParkedInstallPlan(), RunOpts{})
+	if rep.MovesDone != 1 {
+		t.Errorf("the move with data did not complete (%d done): the plan no longer exercises it", rep.MovesDone)
+	}
+	if rep.Failed() {
+		t.Errorf("seed 948 regression: %s", rep.String())
+		for _, c := range rep.Failures() {
+			t.Errorf("  %s: %v", c.Name, c.Err)
+		}
+	}
+}
+
 // TestCompactionLongHistory drives the dedicated compaction profile —
 // histories ten times longer than the standard sweep — and checks that
 // (a) the invariant ladder still passes and (b) the run is not

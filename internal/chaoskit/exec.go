@@ -233,11 +233,11 @@ func executeCounters(p Plan, opts RunOpts) *Report {
 	// generated burst registers immediately, and an aggressive
 	// hysteresis so the skewed origins actually trigger migrations
 	// within the short chaos horizon. The counter fragments are
-	// non-commutative, so the loop only ever issues prepared protocols
+	// non-commutative, so the runner only ever issues prepared protocols
 	// (with-seq / majority) and the full invariant ladder stands.
-	var loop *placement.SimLoop
+	var runner *placement.Runner
 	if p.Placement {
-		loop = placement.AttachSim(cl, placement.Config{
+		runner = placement.Attach(cl, placement.Config{
 			Interval:    100 * time.Millisecond,
 			HalfLife:    300 * time.Millisecond,
 			MinRate:     1,
@@ -245,7 +245,7 @@ func executeCounters(p Plan, opts RunOpts) *Report {
 			Cooldown:    500 * time.Millisecond,
 			MaxInFlight: 2,
 			MoveWindow:  300 * time.Millisecond,
-		})
+		}, placement.Protocols)
 	}
 
 	committedInc := make([]int, p.Frags)
@@ -347,9 +347,9 @@ func executeCounters(p Plan, opts RunOpts) *Report {
 	cl.RunFor(p.Horizon)
 	cl.RestartAll()
 	rep.Settled = cl.Settle(settleBudget)
-	if loop != nil {
-		loop.Stop()
-		rep.AutoMoves = loop.Completed
+	if runner != nil {
+		runner.Stop()
+		rep.AutoMoves = runner.Controller().Status().Completed
 	}
 
 	if opts.Sabotage != nil {

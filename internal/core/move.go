@@ -49,9 +49,13 @@ func (n *Node) FenceMoving(f fragments.FragmentID) {
 // with the agent (move-with-data, Section 4.4.2A: the agent carries "a
 // copy of the fragment stored at X ... in place of the copy of the
 // fragment at site Y") and fast-forwards the local stream position so
-// that the new home continues the single uninterrupted sequence.
+// that the new home continues the single uninterrupted sequence. A
+// quasi-transaction parked on its locks installs first: installing
+// after the snapshot, it would overwrite the newer state the snapshot
+// carries.
 func (n *Node) InstallSnapshot(f fragments.FragmentID, snap map[fragments.ObjectID]storage.Version, pos txn.FragPos) {
 	st := n.stream(f)
+	n.finishParkedInstalls(st)
 	if n.tr.Enabled() {
 		n.tr.Emit(trace.Event{Kind: trace.KMoveInstall, Frag: f, Pos: pos})
 	}

@@ -34,7 +34,7 @@ type loadResult struct {
 // (node i hammers counter (i+1+phase) mod n), flips the phase halfway
 // through, and measures the post-shift window. With adaptive=false the
 // initial static placement serves every skewed bump remotely; with
-// adaptive=true the placement loop re-homes each counter agent onto
+// adaptive=true the placement runner re-homes each counter agent onto
 // its dominant origin.
 func runSkewedLoad(tb testing.TB, adaptive bool, skew float64) loadResult {
 	tb.Helper()
@@ -50,16 +50,16 @@ func runSkewedLoad(tb testing.TB, adaptive bool, skew float64) loadResult {
 		tb.Fatal(err)
 	}
 	cl := lv.Cluster()
-	var lp *placement.SimLoop
+	var lp *placement.Runner
 	if adaptive {
-		lp = placement.AttachSim(cl, placement.Config{
+		lp = placement.Attach(cl, placement.Config{
 			Interval:    100 * time.Millisecond,
 			HalfLife:    300 * time.Millisecond,
 			MinRate:     1,
 			Hysteresis:  1.3,
 			Cooldown:    500 * time.Millisecond,
 			MaxInFlight: 2,
-		})
+		}, placement.Protocols)
 	}
 
 	var (
@@ -119,7 +119,7 @@ func runSkewedLoad(tb testing.TB, adaptive bool, skew float64) loadResult {
 	}
 	if lp != nil {
 		lp.Stop()
-		res.migrations = lp.Completed
+		res.migrations = lp.Controller().Status().Completed
 	}
 	if len(lats) > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })

@@ -1,16 +1,15 @@
 // Package placement decides where fragment agents should live. It
 // consumes the labeled metrics registry's per-(fragment, origin-node)
-// access matrix — directly in-process, or scraped from peers' /metrics
-// in a deployment — maintains exponentially decayed per-window access
+// access matrix, maintains exponentially decayed per-window access
 // rates, and scores candidate homes with a write-weighted affinity
 // function. Behind hysteresis, a per-agent cooldown, and a global
-// in-flight-move cap, it emits move decisions that a driver executes
-// with the §4.4 agentmove protocols (or the broadcast token handoff
-// for commutative agents on deployed nodes).
+// in-flight-move cap, it emits move decisions that its Runner hands to
+// a host's Mover: the §4.4 agentmove protocols on the simulator, the
+// broadcast token handoff for commutative agents on deployed nodes.
 //
 // The package is deterministic: no wall-clock reads, no unseeded
-// randomness. Drivers inject virtual or wall-paced time through
-// simtime values, so the same tick sequence always yields the same
+// randomness. The Runner ticks on its cluster's scheduler, virtual or
+// wall-paced, so the same tick sequence always yields the same
 // decisions — the property the chaos sweep's replay check relies on.
 package placement
 
@@ -49,9 +48,9 @@ type Rate struct {
 // Config tunes the controller. Zero values take the defaults noted on
 // each field.
 type Config struct {
-	// Interval is the driver's tick period (default 250ms). The
+	// Interval is the Runner's tick period (default 250ms). The
 	// controller itself is tick-driven; this is recorded for status
-	// reporting and used by drivers to schedule themselves.
+	// reporting and used by the Runner to schedule itself.
 	Interval simtime.Duration `json:"interval_ns"`
 	// HalfLife is the exponential-decay half-life of the windowed
 	// access rates (default 1s): a burst's influence halves every
@@ -83,7 +82,8 @@ type Config struct {
 	// CommutativeOnly restricts decisions to agents whose fragments
 	// are all commutative. Deployed nodes require it (the
 	// token-handoff protocol is only safe for commutative fragments);
-	// netsim drivers with the full agentmove protocols leave it off.
+	// the simulator, whose mover runs the full agentmove protocols,
+	// leaves it off.
 	CommutativeOnly bool `json:"commutative_only"`
 }
 
@@ -141,8 +141,8 @@ type MoveRecord struct {
 }
 
 // Controller holds the decayed rate state and move bookkeeping. It is
-// not internally synchronized: drivers call it from one engine context
-// (the netsim scheduler, or the deployment loop via Inject).
+// not internally synchronized: its Runner calls it from the engine
+// context, and readers elsewhere must go through that context.
 type Controller struct {
 	cfg    Config
 	seeded bool
@@ -180,18 +180,6 @@ func (c *Controller) Tick(now simtime.Time, cum Matrix, agents []AgentInfo, node
 	inst := c.diff(now, cum)
 	if inst == nil {
 		return nil
-	}
-	c.absorb(now, inst)
-	return c.decide(now, agents, nodes)
-}
-
-// TickRates feeds one already-differentiated per-second rate matrix
-// (e.g. obs.CounterRates over two scrapes) and returns the moves to
-// execute now.
-func (c *Controller) TickRates(now simtime.Time, inst map[Key]Rate, agents []AgentInfo, nodes int) []Decision {
-	if !c.seeded {
-		c.seeded = true
-		c.at = now
 	}
 	c.absorb(now, inst)
 	return c.decide(now, agents, nodes)

@@ -28,6 +28,18 @@ func agentA(home netsim.NodeID) AgentInfo {
 		Frags: []fragments.FragmentID{"F"}, Commutative: true}
 }
 
+// tickRates feeds already-differentiated per-second rates, as Tick
+// does after diffing its cumulative snapshot, so a test can state the
+// rates directly.
+func (c *Controller) tickRates(now simtime.Time, inst map[Key]Rate, agents []AgentInfo, nodes int) []Decision {
+	if !c.seeded {
+		c.seeded = true
+		c.at = now
+	}
+	c.absorb(now, inst)
+	return c.decide(now, agents, nodes)
+}
+
 // feed pushes n identical rate ticks and returns every decision made
 // along the way plus the final virtual time.
 func feed(c *Controller, n int, inst map[Key]Rate, agents []AgentInfo, nodes int) ([]Decision, simtime.Time) {
@@ -35,7 +47,7 @@ func feed(c *Controller, n int, inst map[Key]Rate, agents []AgentInfo, nodes int
 	now := simtime.Time(0)
 	for i := 0; i < n; i++ {
 		now = simtime.Time((i + 1) * int(tick))
-		out = append(out, c.TickRates(now, inst, agents, nodes)...)
+		out = append(out, c.tickRates(now, inst, agents, nodes)...)
 	}
 	return out, now
 }
@@ -128,13 +140,13 @@ func TestMaxInFlightCapsAndReleases(t *testing.T) {
 	first := ds[0]
 	// While the move is in flight, nothing else may start.
 	now = now + simtime.Time(tick)
-	if more := c.TickRates(now, inst, agents, 3); len(more) != 0 {
+	if more := c.tickRates(now, inst, agents, 3); len(more) != 0 {
 		t.Fatalf("in-flight move must hold the slot, got %v", more)
 	}
 	// Completing it frees the slot for the other agent.
 	c.MoveDone(first, true, now)
 	now = now + simtime.Time(tick)
-	ds = c.TickRates(now, inst, agents, 3)
+	ds = c.tickRates(now, inst, agents, 3)
 	if len(ds) != 1 || ds[0].Agent == first.Agent {
 		t.Fatalf("freed slot should go to the other agent, got %v", ds)
 	}
@@ -157,7 +169,7 @@ func TestFlapGuard(t *testing.T) {
 			hot = 2
 		}
 		inst := map[Key]Rate{{Frag: "F", Node: hot}: {Writes: 100}}
-		ds := c.TickRates(now, inst, []AgentInfo{agentA(home)}, 3)
+		ds := c.tickRates(now, inst, []AgentInfo{agentA(home)}, 3)
 		for _, d := range ds {
 			moves++
 			home = d.To
